@@ -24,7 +24,7 @@ def main():
 
     sentence = corpus.sentences[0]
     frame = sentence.frames[0]
-    hyp = predict(model, sentence, frame.pred_index, sentence.lang)
+    hyp, = predict(model, sentence, [frame.pred_index], sentence.lang)
     forms = " ".join(t.form for t in sentence.tokens)
     print(f"\nsentence: {forms}")
     print(f"gold args:      {frame.args}")

@@ -22,8 +22,7 @@ DATA = Path(__file__).resolve().parent.parent / "data" / "toy"
 
 def evaluate(model, dev):
     predicted = [
-        replace(s, frames=tuple(
-            predict(model, s, f.pred_index, s.lang) for f in s.frames))
+        replace(s, frames=predict(model, s, [f.pred_index for f in s.frames], s.lang))
         for s in dev.sentences
     ]
     return srl_f1(dev, Corpus.from_sentences(predicted))

@@ -2,7 +2,8 @@
 
 One binary with subcommands covering the whole workflow: align-train,
 project, sweep-alpha, train, predict, eval, aggregate, stats.  Exit codes:
-0 success, 2 usage or input error, 3 internal invariant violation.  A flat
+0 success, 2 usage or input error, 3 internal invariant violation or a
+non-finite training loss.  A flat
 "key = value" config file can preset any flag; explicit flags win.  The
 seed falls back to the XSRL_SEED environment variable, then 42.
 """
@@ -22,6 +23,7 @@ from .model import (
     PGN,
     ModelConfig,
     ModelError,
+    TrainingError,
     load_embeddings,
     load_model,
     predict,
@@ -86,12 +88,17 @@ def _cast_config_value(raw: str):
     return raw
 
 
-def _apply_config_file(args: argparse.Namespace, defaults: dict) -> None:
-    """Fill flags the user left at their defaults from the config file."""
-    if not getattr(args, "config", None):
+def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
+    """Fill the flags not given on the command line from the config file.
+
+    The command line is parsed again with every default suppressed, so a
+    flag given explicitly wins even when its value equals the default.
+    """
+    if not args.config:
         return
+    explicit = vars(build_parser(suppress_defaults=True).parse_args(argv))
     for key, raw in _read_config_file(args.config).items():
-        if hasattr(args, key) and getattr(args, key) == defaults.get(key):
+        if hasattr(args, key) and key not in explicit:
             setattr(args, key, _cast_config_value(raw))
 
 
@@ -179,13 +186,10 @@ def cmd_train(args) -> int:
 
 
 def _relabel(model, corpus: Corpus) -> Corpus:
-    out_sentences = []
-    for sent in corpus.sentences:
-        frames = tuple(
-            predict(model, sent, frame.pred_index, sent.lang)
-            for frame in sent.frames)
-        out_sentences.append(replace(sent, frames=frames))
-    return Corpus.from_sentences(out_sentences)
+    return Corpus.from_sentences(
+        replace(sent, frames=predict(model, sent, [f.pred_index for f in sent.frames],
+                                     sent.lang))
+        for sent in corpus.sentences)
 
 
 def cmd_predict(args) -> int:
@@ -303,12 +307,12 @@ def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--embeddings", help="pretrained word vector file (frozen table)")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
+def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
+    """The CLI parser; with ``suppress_defaults`` a parse holds only the
+    flags that were given."""
     parser = argparse.ArgumentParser(
         prog="xsrl",
         description="Cross-lingual SRL: corpus translation and role labeling.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; all built-in operations are sequential")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("align-train", help="train an IBM Model 1 alignment table")
@@ -395,23 +399,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     p.add_argument("--out")
     p.set_defaults(func=cmd_similarity)
 
-    defaults: dict[str, dict] = {}
-    for name, command in sub.choices.items():
+    for command in sub.choices.values():
         command.add_argument("--config", help="flat 'key = value' preset file")
-        defaults[name] = {a.dest: a.default for a in command._actions}
-    return parser, defaults
+        if suppress_defaults:
+            for action in command._actions:
+                action.default = argparse.SUPPRESS
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, defaults = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config_file(args, defaults.get(args.command, {}))
+        _apply_config_file(args, argv)
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"xsrl: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except TrainingError as exc:
+        print(f"xsrl: error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except Exception as exc:  # noqa: BLE001 - anything else is an internal bug
         print(f"xsrl: internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -22,7 +22,7 @@ from .network import (
     viterbi_decode,
 )
 from .serialize import CheckpointError, load_model, save_model
-from .training import gradient_check, train
+from .training import TrainingError, gradient_check, train
 
 __all__ = [
     "BASIC",
@@ -32,6 +32,7 @@ __all__ = [
     "ModelConfig",
     "ModelError",
     "SrlModel",
+    "TrainingError",
     "TrainingExample",
     "Vocabulary",
     "CheckpointError",

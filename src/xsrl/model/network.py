@@ -1,10 +1,15 @@
 """The role labeler: feature embedding, language-conditioned BiLSTM, CRF.
 
 Two variants share all code paths.  BASIC owns its recurrent parameters
-as one flat trainable vector.  PGN derives that vector per sentence from
-the sentence's language: a parameter-generation matrix maps the language
+as one flat trainable vector.  PGN derives that vector from the
+sentence's language: a parameter-generation matrix maps the language
 embedding to the full flattened BiLSTM weight block, so each language
 gets its own encoder while sharing the generator.
+
+Training and prediction run on padded, time-major minibatches.  A batch
+is split into language groups (one per language for PGN, one for BASIC),
+so each group shares one generated weight block; a single example is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "SrlModel",
     "examples_from_corpus",
     "init_model",
+    "param_shapes",
     "build_features",
     "pgn_params",
     "encode",
@@ -214,26 +220,65 @@ def init_model(config: ModelConfig, vocab: Vocabulary, seed: int = 42,
     return SrlModel(config=config, vocab=vocab, params=params)
 
 
-def _feature_ids(model: SrlModel, sentence: Sentence, pred_index: int):
+def param_shapes(config: ModelConfig, vocab: Vocabulary) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter tensor a config and vocabulary imply."""
+    spec = config.lstm_spec()
+    k = len(vocab.labels)
+    shapes = {
+        "word_table": (len(vocab.words), config.word_dim),
+        "pos_table": (len(vocab.pos_tags), config.pos_dim),
+        "pred_table": (2, config.pred_dim),
+        "crf_emission": (k, 2 * config.hidden),
+        "crf_transition": (k + 2, k + 2),
+    }
+    if config.variant == BASIC:
+        shapes["bilstm"] = (spec.total_params,)
+    else:
+        shapes["lang_table"] = (len(vocab.languages), config.lang_dim)
+        shapes["w_pgn"] = (spec.total_params, config.lang_dim)
+    return shapes
+
+
+def _feature_ids(model: SrlModel, sentence: Sentence, pred_index: int) -> np.ndarray:
+    """(n, 3) word, POS and predicate-indicator ids of one sentence."""
     if not 1 <= pred_index <= len(sentence.tokens):
         raise ModelError(
             f"predicate index {pred_index} outside 1..{len(sentence.tokens)}")
     vocab = model.vocab
-    word_ids = np.array([vocab.word_id(t.form) for t in sentence.tokens])
-    pos_ids = np.array([vocab.pos_id(t.upos) for t in sentence.tokens])
-    pred_ids = np.array([1 if t.index == pred_index else 0 for t in sentence.tokens])
-    return word_ids, pos_ids, pred_ids
+    return np.array([(vocab.word_id(t.form), vocab.pos_id(t.upos),
+                      1 if t.index == pred_index else 0)
+                     for t in sentence.tokens], dtype=np.intp)
+
+
+def _label_ids(model: SrlModel, example: TrainingExample) -> np.ndarray:
+    if len(example.labels) != len(example.sentence.tokens):
+        raise ModelError(
+            f"{len(example.labels)} gold labels for {len(example.sentence.tokens)} tokens")
+    return np.array([model.vocab.label_id(l) for l in example.labels], dtype=np.intp)
+
+
+def _embed(model: SrlModel, ids: np.ndarray) -> np.ndarray:
+    """Concatenated word/POS/indicator embeddings for ids of shape (..., 3)."""
+    return np.concatenate([
+        model.params["word_table"][ids[..., 0]],
+        model.params["pos_table"][ids[..., 1]],
+        model.params["pred_table"][ids[..., 2]],
+    ], axis=-1)
+
+
+def _pad(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack per-sequence arrays time-major (T, B, ...), zero-padded at the
+    end of every sequence; also returns the (B,) lengths."""
+    lengths = np.array([len(r) for r in rows], dtype=np.intp)
+    out = np.zeros((int(lengths.max()), len(rows), *rows[0].shape[1:]), dtype=rows[0].dtype)
+    for b, r in enumerate(rows):
+        out[:len(r), b] = r
+    return out, lengths
 
 
 def build_features(model: SrlModel, example: TrainingExample) -> np.ndarray:
     """Concatenated word/POS/predicate-indicator embeddings, one row per token."""
-    word_ids, pos_ids, pred_ids = _feature_ids(
-        model, example.sentence, example.frame.pred_index)
-    return np.concatenate([
-        model.params["word_table"][word_ids],
-        model.params["pos_table"][pos_ids],
-        model.params["pred_table"][pred_ids],
-    ], axis=1)
+    return _embed(model, _feature_ids(model, example.sentence, example.frame.pred_index))
 
 
 def pgn_params(w_pgn: np.ndarray, lang_embedding: np.ndarray) -> np.ndarray:
@@ -244,18 +289,18 @@ def pgn_params(w_pgn: np.ndarray, lang_embedding: np.ndarray) -> np.ndarray:
     return w_pgn @ lang_embedding
 
 
-def _recurrent_vector(model: SrlModel, lang: str) -> tuple[np.ndarray, int]:
+def _recurrent_vector(model: SrlModel, lang: str) -> np.ndarray:
     if model.config.variant == BASIC:
-        return model.params["bilstm"], -1
+        return model.params["bilstm"]
     lid = model.vocab.lang_id(lang)
-    return pgn_params(model.params["w_pgn"], model.params["lang_table"][lid]), lid
+    return pgn_params(model.params["w_pgn"], model.params["lang_table"][lid])
 
 
 def encode(model: SrlModel, features: np.ndarray, lang: str = "") -> np.ndarray:
     """Run the (possibly language-generated) BiLSTM stack over feature rows."""
-    flat, _ = _recurrent_vector(model, lang)
-    states, _ = bilstm_forward(model.config.lstm_spec(), flat, features)
-    return states
+    flat = _recurrent_vector(model, lang)
+    states, _ = bilstm_forward(model.config.lstm_spec(), flat, features[:, None])
+    return states[:, 0]
 
 
 def crf_neg_log_likelihood(model: SrlModel, states: np.ndarray, labels) -> float:
@@ -271,60 +316,99 @@ def viterbi_decode(model: SrlModel, states: np.ndarray) -> list[str]:
     return [model.vocab.labels[i] for i in path]
 
 
-def loss_and_gradients(model: SrlModel, example: TrainingExample,
-                       ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus gradients for every parameter tensor, one example."""
+def _language_groups(model: SrlModel, examples) -> list[tuple[str, list[TrainingExample]]]:
+    """One group per language (sorted) for PGN; one group of all for BASIC."""
+    if model.config.variant == BASIC:
+        return [("", list(examples))]
+    groups: dict[str, list[TrainingExample]] = {}
+    for ex in examples:
+        groups.setdefault(ex.sentence.lang, []).append(ex)
+    return sorted(groups.items())
+
+
+def _group_gradients(model: SrlModel, lang: str, group: list[TrainingExample],
+                     grads: dict[str, np.ndarray]) -> tuple[float, np.ndarray]:
+    """Loss and recurrent-vector gradient of one language group, padded
+    time-major; adds the embedding and CRF gradients into ``grads``."""
     config = model.config
+    params = model.params
     spec = config.lstm_spec()
-    word_ids, pos_ids, pred_ids = _feature_ids(
-        model, example.sentence, example.frame.pred_index)
-    features = np.concatenate([
-        model.params["word_table"][word_ids],
-        model.params["pos_table"][pos_ids],
-        model.params["pred_table"][pred_ids],
-    ], axis=1)
-    flat, lid = _recurrent_vector(model, example.sentence.lang)
-    states, caches = bilstm_forward(spec, flat, features)
-    emission_w = model.params["crf_emission"]
+    emission_w = params["crf_emission"]
+    k, width = emission_w.shape
+    ids, lengths = _pad([_feature_ids(model, ex.sentence, ex.frame.pred_index)
+                         for ex in group])
+    labels, _ = _pad([_label_ids(model, ex) for ex in group])
+    flat = _recurrent_vector(model, lang)
+    states, caches = bilstm_forward(spec, flat, _embed(model, ids), lengths)
     emissions = states @ emission_w.T
-    label_ids = [model.vocab.label_id(l) for l in example.labels]
     loss, d_emissions, d_trans = crf.nll_gradients(
-        emissions, model.params["crf_transition"], label_ids)
-
-    grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+        emissions, params["crf_transition"], labels, lengths)
     grads["crf_transition"] += d_trans
-    grads["crf_emission"] += d_emissions.T @ states
-    d_states = d_emissions @ emission_w
-    d_features, d_flat = bilstm_backward(spec, flat, caches, d_states)
-    if config.variant == BASIC:
-        grads["bilstm"] += d_flat
+    grads["crf_emission"] += d_emissions.reshape(-1, k).T @ states.reshape(-1, width)
+    d_features, d_flat = bilstm_backward(spec, flat, caches, d_emissions @ emission_w)
+    valid = np.arange(len(ids))[:, None] < lengths
+    used_ids, d_rows = ids[valid], d_features[valid]
+    offsets = np.cumsum([0, config.word_dim, config.pos_dim, config.pred_dim])
+    for column, name in enumerate(("word_table", "pos_table", "pred_table")):
+        if name in grads:
+            np.add.at(grads[name], used_ids[:, column],
+                      d_rows[:, offsets[column]:offsets[column + 1]])
+    return loss, d_flat
+
+
+def loss_and_gradients(model: SrlModel, examples: list[TrainingExample],
+                       ) -> tuple[float, dict[str, np.ndarray]]:
+    """Summed loss and summed gradients over a batch of examples.
+
+    Each language group is padded time-major and runs through the BiLSTM
+    and CRF as one batch; padded positions add exactly zero.  With a
+    frozen word table (``train_word_table`` false) its gradient is neither
+    computed nor returned.
+    """
+    params = model.params
+    names = ["word_table"] if model.config.train_word_table else []
+    names += ["pos_table", "pred_table", "crf_emission", "crf_transition"]
+    grads = {name: np.zeros_like(params[name]) for name in names}
+    groups = _language_groups(model, examples)
+    d_flats = np.empty((len(groups), model.config.lstm_spec().total_params),
+                       dtype=params["crf_emission"].dtype)
+    total = 0.0
+    for row, (lang, group) in enumerate(groups):
+        loss, d_flats[row] = _group_gradients(model, lang, group, grads)
+        total += loss
+    if model.config.variant == BASIC:
+        grads["bilstm"] = d_flats[0]
     else:
-        grads["w_pgn"] += np.outer(d_flat, model.params["lang_table"][lid])
-        grads["lang_table"][lid] += model.params["w_pgn"].T @ d_flat
-    w, p = config.word_dim, config.pos_dim
-    np.add.at(grads["word_table"], word_ids, d_features[:, :w])
-    np.add.at(grads["pos_table"], pos_ids, d_features[:, w:w + p])
-    np.add.at(grads["pred_table"], pred_ids, d_features[:, w + p:])
-    return loss, grads
+        lang_ids = [model.vocab.lang_id(lang) for lang, _ in groups]
+        grads["w_pgn"] = np.einsum("gp,gl->pl", d_flats, params["lang_table"][lang_ids])
+        grads["lang_table"] = np.zeros_like(params["lang_table"])
+        for lid, d_flat in zip(lang_ids, d_flats):
+            grads["lang_table"][lid] = params["w_pgn"].T @ d_flat
+    return total, grads
 
 
-def predict(model: SrlModel, sentence: Sentence, pred_index: int,
-            lang: str = "") -> PredicateFrame:
-    """Label one predicate's arguments; the predicate position itself never
-    becomes an argument."""
-    example = TrainingExample(
-        sentence=sentence,
-        frame=PredicateFrame(pred_index=pred_index),
-        labels=(),
-    )
-    states = encode(model, build_features(model, example), lang)
-    labels = viterbi_decode(model, states)
-    args = tuple(
-        (i + 1, label) for i, label in enumerate(labels)
-        if label != OUTSIDE and i + 1 != pred_index)
-    sense = "_"
+def predict(model: SrlModel, sentence: Sentence, pred_indices,
+            lang: str = "") -> tuple[PredicateFrame, ...]:
+    """Label the arguments of several predicates of one sentence.
+
+    All predicates run as one batch: they share the tokens and differ only
+    in the indicator column.  A predicate position itself never becomes an
+    argument; each frame keeps the sentence's sense for its predicate.
+    """
+    pred_indices = list(pred_indices)
+    if not pred_indices:
+        return ()
+    ids, lengths = _pad([_feature_ids(model, sentence, p) for p in pred_indices])
+    flat = _recurrent_vector(model, lang)
+    states, _ = bilstm_forward(model.config.lstm_spec(), flat, _embed(model, ids), lengths)
+    emissions = states @ model.params["crf_emission"].T
+    paths = crf.viterbi(emissions, model.params["crf_transition"], lengths)
+    senses: dict[int, str] = {}
     for frame in sentence.frames:
-        if frame.pred_index == pred_index:
-            sense = frame.sense
-            break
-    return PredicateFrame(pred_index=pred_index, sense=sense, args=args)
+        senses.setdefault(frame.pred_index, frame.sense)
+    labels = model.vocab.labels
+    return tuple(
+        PredicateFrame(pred_index=p, sense=senses.get(p, "_"), args=tuple(
+            (i + 1, labels[y]) for i, y in enumerate(path)
+            if labels[y] != OUTSIDE and i + 1 != p))
+        for p, path in zip(pred_indices, paths))

@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .network import BASIC, ModelConfig, ModelError, SrlModel, Vocabulary
+from .network import ModelConfig, ModelError, SrlModel, Vocabulary, param_shapes
 
 __all__ = ["CheckpointError", "save_model", "load_model"]
 
@@ -59,24 +59,6 @@ def _read(fh, count: int) -> bytes:
     return data
 
 
-def _expected_shapes(config: ModelConfig, vocab: Vocabulary) -> dict[str, tuple]:
-    spec = config.lstm_spec()
-    k = len(vocab.labels)
-    shapes = {
-        "word_table": (len(vocab.words), config.word_dim),
-        "pos_table": (len(vocab.pos_tags), config.pos_dim),
-        "pred_table": (2, config.pred_dim),
-        "crf_emission": (k, 2 * config.hidden),
-        "crf_transition": (k + 2, k + 2),
-    }
-    if config.variant == BASIC:
-        shapes["bilstm"] = (spec.total_params,)
-    else:
-        shapes["lang_table"] = (len(vocab.languages), config.lang_dim)
-        shapes["w_pgn"] = (spec.total_params, config.lang_dim)
-    return shapes
-
-
 def load_model(path: str) -> SrlModel:
     with open(path, "rb") as fh:
         if _read(fh, len(MAGIC)) != MAGIC:
@@ -108,7 +90,7 @@ def load_model(path: str) -> SrlModel:
             data = _read(fh, 8 * size)
             params[name] = np.frombuffer(data, dtype=np.float64).reshape(shape).copy()
 
-    expected = _expected_shapes(config, vocab)
+    expected = param_shapes(config, vocab)
     if set(params) != set(expected):
         raise CheckpointError(
             f"checkpoint config mismatch: tensors {sorted(params)} do not match "

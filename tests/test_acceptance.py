@@ -94,7 +94,7 @@ def test_criterion_2_gradient_check():
             config = ModelConfig(word_dim=8, pos_dim=4, pred_dim=4, lang_dim=4,
                                  hidden=8, layers=layers, variant=variant)
             model = init_model(config, vocab, seed=17)
-            error = gradient_check(model, example, epsilon=1e-5, samples=220)
+            error = gradient_check(model, [example], epsilon=1e-5, samples=220)
             assert error < 1e-4, (variant, layers, error)
             worst = max(worst, error)
     elapsed = time.time() - started
@@ -332,8 +332,8 @@ def test_criterion_8_pgn_directional():
                              learning_rate=0.01, batch_size=10, epochs=40)
         model, _ = train(train_corpus, config, seed=seed)
         predicted = [
-            replace(s, frames=tuple(
-                predict(model, s, f.pred_index, s.lang) for f in s.frames))
+            replace(s, frames=predict(model, s, [f.pred_index for f in s.frames],
+                                      s.lang))
             for s in dev_corpus.sentences
         ]
         return srl_f1(dev_corpus, Corpus.from_sentences(predicted)).f1

@@ -250,3 +250,38 @@ def test_reproducible_outputs(toy, capsys):
             "--out", toy / f"p{suffix}.conllu", "--stats", toy / f"s{suffix}.tsv")
     assert (toy / "p1.conllu").read_bytes() == (toy / "p2.conllu").read_bytes()
     assert (toy / "s1.tsv").read_bytes() == (toy / "s2.tsv").read_bytes()
+
+
+def test_explicit_flag_at_default_beats_config_file(toy, capsys):
+    (toy / "xsrl.cfg").write_text("iterations = 2\n")
+    assert run("align-train", "--parallel", toy / "bitext.txt", "--iterations", "10",
+               "--config", toy / "xsrl.cfg", "--out", toy / "t.tsv") == 0
+    assert capsys.readouterr().err.count("iteration") == 10
+
+
+def test_threads_flag_is_gone(toy, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("--threads", "2", "stats", "--input", toy / "en_srl.conllu")
+    assert exc.value.code == 2
+
+
+def test_non_finite_training_exits_3(toy, capsys):
+    words = sorted({t.split("\t")[1]
+                    for t in (toy / "de_dev.conllu").read_text().splitlines()
+                    if t and not t.startswith("#")})
+    lines = [f"{len(words)} 4"] + [f"{w} nan 0.5 -1.0 2.0" for w in words]
+    (toy / "vectors.txt").write_text("\n".join(lines) + "\n")
+    assert run("train", "--train-file", toy / "de_dev.conllu", "--seed", "2",
+               "--embeddings", toy / "vectors.txt",
+               "--out", toy / "nan.bin", *TRAIN_FLAGS) == 3
+    assert "non-finite loss or gradient in epoch 1, batch 1" in capsys.readouterr().err
+    assert not (toy / "nan.bin").exists()
+
+
+def test_flagless_default_model_exits_2_before_allocating(toy, capsys, monkeypatch):
+    from xsrl.model import training
+
+    monkeypatch.setattr(training, "_physical_memory", lambda: 8 * 2**30)
+    assert run("train", "--train-file", toy / "de_dev.conllu", "--out", toy / "m.bin") == 2
+    err = capsys.readouterr().err
+    assert "GiB" in err and "--hidden" in err and "--lang-dim" in err

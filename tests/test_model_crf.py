@@ -115,3 +115,27 @@ def test_nll_gradients_match_finite_differences():
                 flat[c] = original
                 numeric = (upper - lower) / (2 * eps)
                 assert gflat[c] == pytest.approx(numeric, abs=1e-6)
+
+
+def test_padded_batch_matches_single_sequences():
+    rng = np.random.default_rng(21)
+    k = 3
+    lengths = np.array([4, 1, 2, 4, 3])
+    o = rng.normal(size=(4, len(lengths), k))
+    trans = rng.normal(size=(k + 2, k + 2))
+    labels = rng.integers(k, size=(4, len(lengths)))
+    loss, d_o, d_trans = crf.nll_gradients(o, trans, labels, lengths)
+    paths = crf.viterbi(o, trans, lengths)
+    logz = crf.log_partition(o, trans, lengths)
+    total, summed_trans = 0.0, np.zeros_like(trans)
+    for b, n in enumerate(lengths):
+        single_loss, single_d_o, single_d_trans = crf.nll_gradients(
+            o[:n, b], trans, labels[:n, b])
+        total += single_loss
+        summed_trans += single_d_trans
+        np.testing.assert_allclose(d_o[:n, b], single_d_o, rtol=0, atol=1e-12)
+        assert np.all(d_o[n:, b] == 0.0)
+        assert paths[b] == crf.viterbi(o[:n, b], trans)
+        assert logz[b] == pytest.approx(crf.log_partition(o[:n, b], trans), abs=1e-12)
+    assert loss == pytest.approx(total, abs=1e-12)
+    np.testing.assert_allclose(d_trans, summed_trans, rtol=0, atol=1e-12)

@@ -47,8 +47,8 @@ def test_round_trip_identical_predictions(tmp_path, variant):
     rng = np.random.default_rng(0)
     for sent in probe_sentences(rng):
         pred_index = int(rng.integers(1, len(sent.tokens) + 1))
-        assert (predict(model, sent, pred_index, "EN")
-                == predict(loaded, sent, pred_index, "EN"))
+        assert (predict(model, sent, [pred_index], "EN")
+                == predict(loaded, sent, [pred_index], "EN"))
     for name in model.params:
         assert np.array_equal(model.params[name], loaded.params[name])
 

@@ -143,9 +143,9 @@ def test_reversal_swaps_direction_trajectories():
     for fv, bv in zip(f_views, b_views):
         bv[...] = fv
     x = rng.normal(size=(6, 4))
-    h_fwd_of_reversed, _ = bilstm_forward(spec, flat, x[::-1])
-    h, _ = bilstm_forward(spec, flat, x)
-    np.testing.assert_allclose(h_fwd_of_reversed[:, :3], h[::-1, 3:], atol=1e-12)
+    h_fwd_of_reversed, _ = bilstm_forward(spec, flat, x[::-1, None])
+    h, _ = bilstm_forward(spec, flat, x[:, None])
+    np.testing.assert_allclose(h_fwd_of_reversed[:, 0, :3], h[::-1, 0, 3:], atol=1e-12)
 
 
 def test_distinct_language_embeddings_distinct_states(corpus):
@@ -195,12 +195,12 @@ def test_model_level_crf_loss_two_paths(corpus):
 def test_predict_contract(corpus):
     model = init_model(small_config(BASIC), Vocabulary.from_corpus(corpus), seed=6)
     sent = corpus.sentences[0]
-    frame = predict(model, sent, 2, "EN")
+    frame, = predict(model, sent, [2], "EN")
     assert frame.pred_index == 2
     assert frame.sense == "x.01"
     assert all(1 <= a <= 3 and a != 2 for a, _ in frame.args)
     with pytest.raises(ModelError, match="predicate index"):
-        predict(model, sent, 9, "EN")
+        predict(model, sent, [9], "EN")
 
 
 def test_basic_forget_gate_bias_initialized():
@@ -212,3 +212,26 @@ def test_basic_forget_gate_bias_initialized():
     flat = model.params["bilstm"]
     for start, end in spec.forget_bias_offsets():
         np.testing.assert_array_equal(flat[start:end], np.ones(end - start))
+
+
+def test_padded_batch_states_match_single_sequences():
+    spec = LstmSpec(input_dim=4, hidden=3, layers=2)
+    rng = np.random.default_rng(7)
+    flat = rng.normal(size=spec.total_params)
+    lengths = np.array([5, 1, 3, 5, 2])
+    batch = rng.normal(size=(5, len(lengths), 4))
+    states, _ = bilstm_forward(spec, flat, batch, lengths)
+    for b, n in enumerate(lengths):
+        single, _ = bilstm_forward(spec, flat, batch[:n, b:b + 1])
+        np.testing.assert_allclose(states[:n, b], single[:, 0], rtol=0, atol=1e-12)
+
+
+def test_batched_predict_matches_one_predicate_at_a_time(corpus):
+    sent = make_sentence(["a", "b", "c", "d", "b"], pred=2, roles=((1, "A0"),))
+    for variant in (BASIC, PGN):
+        model = init_model(small_config(variant, layers=2),
+                           Vocabulary.from_corpus(corpus), seed=8)
+        frames = predict(model, sent, [1, 2, 5], "EN")
+        assert frames == tuple(predict(model, sent, [p], "EN")[0] for p in (1, 2, 5))
+        assert [f.sense for f in frames] == ["_", "x.01", "_"]
+    assert predict(model, sent, [], "EN") == ()

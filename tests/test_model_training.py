@@ -8,6 +8,7 @@ from xsrl.model import (
     PGN,
     ModelConfig,
     ModelError,
+    TrainingError,
     Vocabulary,
     build_features,
     encode,
@@ -46,7 +47,7 @@ def test_gradient_check_all_tensors(mixed_corpus, variant, layers):
                        Vocabulary.from_corpus(mixed_corpus), seed=11)
     example = examples_from_corpus(mixed_corpus)[0]
     assert len(example.labels) == 3
-    error = gradient_check(model, example, epsilon=1e-5, samples=220)
+    error = gradient_check(model, [example], epsilon=1e-5, samples=220)
     assert error < 1e-4
 
 
@@ -56,7 +57,7 @@ def test_gradient_check_requires_float64(mixed_corpus):
     model = init_model(config, Vocabulary.from_corpus(mixed_corpus), seed=1)
     example = examples_from_corpus(mixed_corpus)[0]
     with pytest.raises(ModelError, match="float64"):
-        gradient_check(model, example)
+        gradient_check(model, [example])
 
 
 def test_saturated_example_has_zero_gradients(mixed_corpus):
@@ -67,11 +68,11 @@ def test_saturated_example_has_zero_gradients(mixed_corpus):
     model = init_model(grad_config(BASIC, 1), vocab, seed=2)
     example = TrainingExample(single.sentences[0], single.sentences[0].frames[0],
                               ("A0", "A0"))
-    loss, grads = loss_and_gradients(model, example)
+    loss, grads = loss_and_gradients(model, [example])
     assert abs(loss) < 1e-12
     for g in grads.values():
         assert np.max(np.abs(g)) < 1e-8
-    assert gradient_check(model, example, samples=50) < 1e-4
+    assert gradient_check(model, [example], samples=50) < 1e-4
 
 
 def overfit_f1(model, corpus):
@@ -136,9 +137,9 @@ def test_overfit_all_outside_frame_predicts_empty_args():
     config = ModelConfig(word_dim=8, pos_dim=4, pred_dim=4, hidden=16, layers=1,
                          variant=BASIC, learning_rate=0.02, batch_size=2, epochs=80)
     model, _ = train(corpus, config, seed=3)
-    frame = predict(model, sentences[1], 1, "EN")
+    frame, = predict(model, sentences[1], [1], "EN")
     assert frame.args == ()
-    frame = predict(model, sentences[0], 1, "EN")
+    frame, = predict(model, sentences[0], [1], "EN")
     assert frame.args == ((2, "A0"),)
 
 
@@ -159,3 +160,76 @@ def test_frozen_word_table_stays_put(mixed_corpus):
                       dtype=np.float64).reshape(len(vocab.words), -1)
     model, _ = train(mixed_corpus, config, seed=1, word_table=table, vocab=vocab)
     assert np.array_equal(model.params["word_table"], table)
+
+
+PADDED_VOCAB = Vocabulary(words=("<unk>", *"abcde"), pos_tags=("NOUN", "VERB", "_"),
+                          labels=("A0", "A1", "O"), languages=("DE", "EN"))
+
+
+def padded_batch():
+    """Mixed-language examples of lengths 1 to 6, several per sentence."""
+    return examples_from_corpus(Corpus.from_sentences([
+        sentence(["a", "b", "c", "d", "e"], 2, [(1, "A0"), (4, "A1")]),
+        sentence(["c"], 1, [], lang="DE"),
+        sentence(["b", "a", "c"], 3, [(2, "A1")], lang="DE"),
+        Sentence(tokens=tuple(Token(i + 1, f, f, "VERB") for i, f in enumerate("abcdea")),
+                 lang="EN", frames=(PredicateFrame(1, "x.01", ((3, "A0"),)),
+                                    PredicateFrame(5, "y.01", ((6, "A1"), (2, "A0"))))),
+        sentence(["e", "d"], 1, [(2, "A0")], lang="DE"),
+    ]))
+
+
+@pytest.mark.parametrize("variant", [BASIC, PGN])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_batch_equals_sum_of_batches_of_one(variant, layers):
+    batch = padded_batch()
+    assert len({len(ex.labels) for ex in batch}) > 2
+    assert {ex.sentence.lang for ex in batch} == {"EN", "DE"}
+    model = init_model(grad_config(variant, layers), PADDED_VOCAB, seed=4)
+    loss, grads = loss_and_gradients(model, batch)
+    singles = [loss_and_gradients(model, [ex]) for ex in batch]
+    assert loss == pytest.approx(sum(l for l, _ in singles), abs=1e-12)
+    for name, g in grads.items():
+        summed = sum(single[name] for _, single in singles)
+        np.testing.assert_allclose(g, summed, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("variant", [BASIC, PGN])
+@pytest.mark.parametrize("layers", [1, 3])
+def test_gradient_check_padded_mixed_language_batch(variant, layers):
+    batch = padded_batch()
+    model = init_model(grad_config(variant, layers), PADDED_VOCAB, seed=12)
+    assert gradient_check(model, batch, epsilon=1e-5, samples=220) < 1e-4
+
+
+def test_frozen_word_table_has_no_gradient(mixed_corpus):
+    config = grad_config(BASIC, 1)
+    config.train_word_table = False
+    model = init_model(config, Vocabulary.from_corpus(mixed_corpus), seed=1)
+    _, grads = loss_and_gradients(model, examples_from_corpus(mixed_corpus))
+    assert "word_table" not in grads
+    assert set(grads) == set(model.params) - {"word_table"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_loss_stops_training(mixed_corpus, bad):
+    config = grad_config(PGN, 1)
+    config.epochs, config.batch_size = 2, 1
+    vocab = Vocabulary.from_corpus(mixed_corpus)
+    table = np.full((len(vocab.words), config.word_dim), bad)
+    with pytest.raises(TrainingError, match="epoch 1, batch 1"):
+        train(mixed_corpus, config, seed=1, word_table=table, vocab=vocab)
+
+
+def test_memory_preflight_refuses_default_model(mixed_corpus, monkeypatch):
+    from xsrl.model import training
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the preflight must run before any allocation")
+
+    monkeypatch.setattr(training, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(training, "init_model", no_allocation)
+    with pytest.raises(ModelError, match=r"about 2\d\.\d GiB .*--hidden, --layers"):
+        train(mixed_corpus, ModelConfig())
+    training._check_memory(grad_config(PGN, 3), Vocabulary.from_corpus(mixed_corpus))
