@@ -10,8 +10,9 @@ word projects onto a concrete target token or not at all.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "NULL_TOKEN",
@@ -50,14 +51,6 @@ class AlignmentTable:
     probs: dict[tuple[str, str], float] = field(default_factory=dict)
     floor: float = 0.0
 
-    @property
-    def source_vocab(self) -> set[str]:
-        return {e for e, _ in self.probs}
-
-    @property
-    def target_vocab(self) -> set[str]:
-        return {f for _, f in self.probs}
-
     def null_mass(self, e: str) -> float:
         """Probability mass the source word assigns to the NULL token."""
         return self.probs.get((e, NULL_TOKEN), 0.0)
@@ -91,6 +84,21 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
     corpus log-likelihood sum_pairs sum_i log((1/(m+1)) sum_j a(f_j|e_i))
     is appended to ``log`` (it is non-decreasing).  Training is sequential
     and deterministic: identical inputs give bit-identical tables.
+
+    The EM runs on integer-coded arrays.  A *row* is one source token of
+    one pair; a *link* is one (row, target token) combination, NULL first.
+    Links are laid out pair by pair, row by row, target by target: the order
+    of the textbook nested loops.  Each link carries the id of its row, of
+    its source word and of its (e, f) table entry, entries being numbered in
+    order of first use (a literal ``<NULL>`` target token is the NULL
+    entry).  One iteration gathers the entry probabilities onto the links,
+    sums them per row into the denominators, divides, and sums the
+    posteriors per entry and per source word.  ``np.bincount`` adds its
+    weights one after another in input order, which is link order, so every
+    sum is formed in the same order as in the nested loops and the table and
+    the log-likelihoods are the same to the last bit.  Pairwise reductions
+    (``ndarray.sum``, ``np.add.reduceat``) would reorder the additions and
+    are not used; the log-likelihood stays a sequential ``math.log`` sum.
     """
     if iterations < 1:
         raise AlignmentError(f"iterations must be >= 1, got {iterations}")
@@ -103,39 +111,50 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
     def norm(tok: str) -> str:
         return tok.lower() if lowercase else tok
 
-    corpus = [
-        ([norm(t) for t in p.src_tokens], [NULL_TOKEN] + [norm(t) for t in p.tgt_tokens])
-        for p in pairs
-    ]
+    src_ids: dict[str, int] = {}
+    tgt_vocab: set[str] = set()
+    entry_ids: dict[tuple[str, str], int] = {}  # (e, f) -> entry id, in order of first use
+    row_src: list[int] = []     # source word id of each row
+    row_len: list[int] = []     # links in each row: target length plus NULL
+    link_entry: list[int] = []  # entry id of each link
+    for p in pairs:
+        tgt = [NULL_TOKEN] + [norm(f) for f in p.tgt_tokens]
+        tgt_vocab.update(tgt)
+        for e in map(norm, p.src_tokens):
+            row_src.append(src_ids.setdefault(e, len(src_ids)))
+            row_len.append(len(tgt))
+            link_entry.extend([entry_ids.setdefault((e, f), len(entry_ids)) for f in tgt])
+    n_rows, n_src, n_entries = len(row_src), len(src_ids), len(entry_ids)
 
-    tgt_vocab: dict[str, None] = {}  # insertion-ordered set
-    for _, tgt in corpus:
-        for f in tgt:
-            tgt_vocab.setdefault(f)
-    uniform = 1.0 / len(tgt_vocab)
+    entry_id = np.asarray(link_entry, dtype=np.intp)
+    del link_entry
+    row_id = np.repeat(np.arange(n_rows, dtype=np.intp), row_len)
+    link_e = np.repeat(np.asarray(row_src, dtype=np.intp), row_len)
+    entry_e = np.fromiter((src_ids[e] for e, _ in entry_ids), dtype=np.intp, count=n_entries)
+    row_inv_len = 1.0 / np.asarray(row_len, dtype=np.float64)
 
-    probs: dict[tuple[str, str], float] = defaultdict(lambda: uniform)
+    # The loop allocates no per-link array: the two buffers are reused, the
+    # indices are intp (numpy would copy any other index dtype on every call)
+    # and take runs with mode="clip" (the default mode buffers its output).
+    linked = np.empty(len(entry_id))
+    gamma = np.empty(len(entry_id))
+    probs = np.full(n_entries, 1.0 / len(tgt_vocab))
     for _ in range(iterations):
-        counts: dict[tuple[str, str], float] = defaultdict(float)
-        totals: dict[str, float] = defaultdict(float)
-        loglik = 0.0
-        for src, tgt in corpus:
-            inv_len = 1.0 / len(tgt)
-            for e in src:
-                denom = sum(probs[(e, f)] for f in tgt)
-                loglik += math.log(denom * inv_len)
-                for f in tgt:
-                    gamma = probs[(e, f)] / denom
-                    counts[(e, f)] += gamma
-                    totals[e] += gamma
-        new_probs: dict[tuple[str, str], float] = defaultdict(lambda: uniform)
-        for (e, f), c in counts.items():
-            new_probs[(e, f)] = c / totals[e]
-        probs = new_probs
+        np.take(probs, entry_id, out=linked, mode="clip")
+        denom = np.bincount(row_id, weights=linked, minlength=n_rows)
+        np.take(denom, row_id, out=gamma, mode="clip")
+        np.divide(linked, gamma, out=gamma)
+        counts = np.bincount(entry_id, weights=gamma, minlength=n_entries)
+        totals = np.bincount(link_e, weights=gamma, minlength=n_src)
+        probs = counts / totals[entry_e]
         if log is not None:
+            loglik = 0.0
+            for v in (denom * row_inv_len).tolist():
+                loglik += math.log(v)
             log.append(loglik)
 
-    return AlignmentTable(probs=dict(probs), floor=floor)
+    del linked, gamma, entry_id, row_id, link_e  # free them before the table is built
+    return AlignmentTable(probs=dict(zip(entry_ids, probs.tolist())), floor=floor)
 
 
 def align_prob(table: AlignmentTable, e: str, f: str) -> float:
@@ -168,7 +187,13 @@ def save_table(table: AlignmentTable, path: str) -> None:
 
 
 def load_table(path: str) -> AlignmentTable:
+    """Read a table written by :func:`save_table`.
+
+    Each distinct word is kept as one ``str`` object shared by all the keys
+    it appears in, which roughly halves the memory a large table holds.
+    """
     probs: dict[tuple[str, str], float] = {}
+    words: dict[str, str] = {}
     floor = 0.0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -183,7 +208,8 @@ def load_table(path: str) -> AlignmentTable:
                 continue
             if len(fields) != 3:
                 raise AlignmentError(f"line {lineno}: expected 'src\\ttgt\\tprob'")
-            probs[(fields[0], fields[1])] = _parse_prob(fields[2], lineno)
+            e, f = words.setdefault(fields[0], fields[0]), words.setdefault(fields[1], fields[1])
+            probs[(e, f)] = _parse_prob(fields[2], lineno)
     return AlignmentTable(probs=probs, floor=floor)
 
 

@@ -266,6 +266,7 @@ def parse_srl_corpus(data: bytes | str, default_lang: str | None = None,
     sentences: list[Sentence] = []
     rows: list[tuple[int, list[str]]] = []
     comments: list[str] = []
+    words: dict[str, str] = {}  # one shared str per distinct column value
     first_lineno = 1
     for lineno, line in enumerate(data.split("\n"), start=1):
         line = line.rstrip("\r")
@@ -280,7 +281,7 @@ def parse_srl_corpus(data: bytes | str, default_lang: str | None = None,
         if line.startswith("#"):
             comments.append(line)
             continue
-        rows.append((lineno, line.split("\t")))
+        rows.append((lineno, [words.setdefault(f, f) for f in line.split("\t")]))
     if rows:
         sentences.append(
             _build_sentence(rows, comments, first_lineno, default_lang, require_pred))

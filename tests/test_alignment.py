@@ -1,3 +1,6 @@
+import math
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,63 @@ def test_determinism_bit_identical(toy_dir):
     assert t1.probs == t2.probs and t1.floor == t2.floor
 
 
+def reference_ibm1(pairs, iterations, lowercase=False):
+    """The textbook dict-keyed EM loop that ``ibm1_train`` must match bit for bit."""
+    def norm(tok):
+        return tok.lower() if lowercase else tok
+
+    corpus = [([norm(t) for t in p.src_tokens], [NULL_TOKEN] + [norm(t) for t in p.tgt_tokens])
+              for p in pairs]
+    uniform = 1.0 / len({f for _, tgt in corpus for f in tgt})
+    probs = defaultdict(lambda: uniform)
+    log = []
+    for _ in range(iterations):
+        counts = defaultdict(float)
+        totals = defaultdict(float)
+        loglik = 0.0
+        for src, tgt in corpus:
+            inv_len = 1.0 / len(tgt)
+            for e in src:
+                denom = sum(probs[(e, f)] for f in tgt)
+                loglik += math.log(denom * inv_len)
+                for f in tgt:
+                    gamma = probs[(e, f)] / denom
+                    counts[(e, f)] += gamma
+                    totals[e] += gamma
+        probs = {(e, f): c / totals[e] for (e, f), c in counts.items()}
+        log.append(loglik)
+    return probs, log
+
+
+EQUIVALENCE_CASES = {
+    "repeated-word": ([pair("a a b", "x y x"), pair("b a", "y y"), pair("a", "x z")], False),
+    "literal-null": ([pair("a b", f"{NULL_TOKEN} x"), pair("b", f"y {NULL_TOKEN}"),
+                      pair(NULL_TOKEN, "x")], False),
+    "single-pair": ([pair("a b c", "x y")], False),
+    "lowercase-mixed-case": ([pair("The Dog", "Der Hund"), pair("the dog runs", "der hund läuft"),
+                              pair("DOG", "HUND")], True),
+}
+
+
+@pytest.mark.parametrize("case", ["toy", "toy-lowercase", *EQUIVALENCE_CASES])
+def test_ibm1_matches_reference_loop_bit_for_bit(case, toy_dir, tmp_path):
+    if case.startswith("toy"):
+        pairs = read_parallel_corpus(read(toy_dir / "bitext.txt"))
+        lowercase = case == "toy-lowercase"
+    else:
+        pairs, lowercase = EQUIVALENCE_CASES[case]
+    expected_probs, expected_log = reference_ibm1(pairs, 10, lowercase=lowercase)
+    log = []
+    table = ibm1_train(pairs, iterations=10, floor=1e-6, lowercase=lowercase, log=log)
+    assert table.probs == expected_probs
+    assert list(table.probs) == list(expected_probs)
+    assert all(type(p) is float for p in table.probs.values())
+    assert log == expected_log
+    save_table(table, str(tmp_path / "got.tsv"))
+    save_table(AlignmentTable(probs=expected_probs, floor=1e-6), str(tmp_path / "want.tsv"))
+    assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
 def test_align_prob_floor():
     table = AlignmentTable(probs={("run", "x"): 0.7}, floor=0.0)
     assert align_prob(table, "run", "x") == 0.7
@@ -139,6 +199,15 @@ def test_table_round_trip(tmp_path):
     loaded = load_table(str(path))
     assert loaded.probs == table.probs
     assert loaded.floor == table.floor
+
+
+def test_load_table_shares_one_string_per_word(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("floor\t0.0\nhouse\thaus\t0.5\nhouse\t<NULL>\t0.5\n"
+                    "home\thaus\t1.0\n", encoding="utf-8")
+    keys = list(load_table(str(path)).probs)
+    assert keys[0][0] is keys[1][0]
+    assert keys[0][1] is keys[2][1]
 
 
 def test_load_errors(tmp_path):

@@ -35,6 +35,13 @@ def test_parse_minimal():
     assert frame.args == ((1, "A0"),)
 
 
+def test_parse_shares_one_string_per_word():
+    first, second = parse_srl_corpus(MINIMAL + MINIMAL).sentences
+    assert first.tokens[0].form is second.tokens[0].form
+    assert first.tokens[0].form is first.tokens[0].lemma
+    assert first.frames[0].args[0][1] is second.frames[0].args[0][1]
+
+
 def test_round_trip_canonical_bytes():
     out = write_srl_corpus(parse_srl_corpus(MINIMAL))
     assert out == write_srl_corpus(parse_srl_corpus(out))
