@@ -21,10 +21,9 @@ DATA = Path(__file__).resolve().parent.parent / "data" / "toy"
 
 
 def evaluate(model, dev):
-    predicted = [
-        replace(s, frames=predict(model, s, [f.pred_index for f in s.frames], s.lang))
-        for s in dev.sentences
-    ]
+    frames = predict(model, [(s, [f.pred_index for f in s.frames], s.lang)
+                             for s in dev.sentences])
+    predicted = [replace(s, frames=f) for s, f in zip(dev.sentences, frames)]
     return srl_f1(dev, Corpus.from_sentences(predicted))
 
 

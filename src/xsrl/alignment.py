@@ -182,8 +182,10 @@ def save_table(table: AlignmentTable, path: str) -> None:
     """Write the table as "floor\\t<value>" then "src\\ttgt\\tprob" rows sorted by key."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"floor\t{table.floor!r}\n")
-        for (e, f), p in sorted(table.probs.items()):
-            fh.write(f"{e}\t{f}\t{p!r}\n")
+        probs = table.probs
+        # sorting the keys alone builds no (key, value) tuple per entry
+        for e, f in sorted(probs):
+            fh.write(f"{e}\t{f}\t{probs[e, f]!r}\n")
 
 
 def load_table(path: str) -> AlignmentTable:

@@ -186,10 +186,11 @@ def cmd_train(args) -> int:
 
 
 def _relabel(model, corpus: Corpus) -> Corpus:
+    frames = predict(model, [(sent, [f.pred_index for f in sent.frames], sent.lang)
+                             for sent in corpus.sentences])
     return Corpus.from_sentences(
-        replace(sent, frames=predict(model, sent, [f.pred_index for f in sent.frames],
-                                     sent.lang))
-        for sent in corpus.sentences)
+        replace(sent, frames=sent_frames)
+        for sent, sent_frames in zip(corpus.sentences, frames))
 
 
 def cmd_predict(args) -> int:

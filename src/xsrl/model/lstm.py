@@ -93,10 +93,13 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_forward(w_x, w_h, b, inputs):
-    """Run one direction over a batch ``inputs`` (T, B, D); returns states and cache."""
+def _cell_forward(w_x, w_h, b, inputs, keep_cache=True):
+    """Run one direction over a batch ``inputs`` (T, B, D); returns states
+    and the cache :func:`_cell_backward` needs (None without ``keep_cache``)."""
     steps, batch, d = inputs.shape
     h = w_h.shape[1]
+    # the recurrent product reads W_h^T row by row, not with a stride
+    w_h_t = np.ascontiguousarray(w_h.T)
     # gate pre-activations, replaced step by step by the activations
     gates = inputs.reshape(-1, d) @ w_x.T
     gates += b
@@ -107,7 +110,7 @@ def _cell_forward(w_x, w_h, b, inputs):
     for t in range(steps):
         z = gates[t]
         if t:
-            z += states[t - 1] @ w_h.T
+            z += states[t - 1] @ w_h_t
         g = np.tanh(z[:, 2 * h:3 * h])
         _sigmoid(z, z)
         z[:, 2 * h:3 * h] = g
@@ -117,6 +120,8 @@ def _cell_forward(w_x, w_h, b, inputs):
         cells[t] = c
         np.tanh(c, out=tanh_cells[t])
         np.multiply(z[:, 3 * h:], tanh_cells[t], out=states[t])
+    if not keep_cache:
+        return states, None
     return states, (inputs, gates, cells, tanh_cells, states)
 
 
@@ -174,35 +179,39 @@ def _reverse(x: np.ndarray, rev) -> np.ndarray:
     return x[::-1] if rev is None else x[rev]
 
 
-def bilstm_forward(spec: LstmSpec, flat: np.ndarray, inputs: np.ndarray, lengths=None):
+def bilstm_forward(spec: LstmSpec, flat: np.ndarray, inputs: np.ndarray, lengths=None,
+                   keep_cache=True):
     """Encode a padded batch ``inputs`` (T, B, input_dim) into (T, B, 2*hidden).
 
     ``lengths`` (B,) holds each sequence's length; None means every
     sequence fills all T steps.  Returns (states, caches); pass ``caches``
-    to :func:`bilstm_backward`.  States at padded positions are finite but
-    meaningless.
+    to :func:`bilstm_backward`.  Without ``keep_cache`` (inference) caches
+    is None and each layer's gate block is freed before the next layer
+    runs.  States at padded positions are finite but meaningless.
     """
     rev = _reversal(inputs.shape[0], lengths)
     caches = []
     layer_in = inputs
     for layer_views in spec.views(flat):
         (wx_f, wh_f, b_f), (wx_b, wh_b, b_b) = layer_views
-        fwd, cache_f = _cell_forward(wx_f, wh_f, b_f, layer_in)
-        bwd_rev, cache_b = _cell_forward(wx_b, wh_b, b_b, _reverse(layer_in, rev))
+        fwd, cache_f = _cell_forward(wx_f, wh_f, b_f, layer_in, keep_cache)
+        bwd_rev, cache_b = _cell_forward(wx_b, wh_b, b_b, _reverse(layer_in, rev), keep_cache)
         caches.append((cache_f, cache_b))
         layer_in = np.concatenate([fwd, _reverse(bwd_rev, rev)], axis=2)
-    return layer_in, (rev, caches)
+    return layer_in, ((rev, caches) if keep_cache else None)
 
 
-def bilstm_backward(spec: LstmSpec, flat: np.ndarray, caches, d_out: np.ndarray):
+def bilstm_backward(spec: LstmSpec, flat: np.ndarray, caches, d_out: np.ndarray,
+                    out: np.ndarray | None = None):
     """Backprop through the stack; returns (d_inputs, d_flat).
 
     ``d_out`` must be zero at padded positions; padding then adds exactly
-    zero to every gradient.
+    zero to every gradient.  ``d_flat`` is written into ``out`` when given
+    (shaped like ``flat``), else into a new array.
     """
     h = spec.hidden
     rev, layer_caches = caches
-    d_flat = np.empty_like(flat)
+    d_flat = np.empty_like(flat) if out is None else out
     d_views = spec.views(d_flat)
     views = spec.views(flat)
     d_layer = d_out

@@ -9,7 +9,8 @@ gets its own encoder while sharing the generator.
 Training and prediction run on padded, time-major minibatches.  A batch
 is split into language groups (one per language for PGN, one for BASIC),
 so each group shares one generated weight block; a single example is a
-batch of one.
+batch of one.  Prediction takes a whole corpus at once and cuts each
+language group into batches of sentences of similar length.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ __all__ = [
     "loss_and_gradients",
     "predict",
 ]
+
+# Rows per forward-only prediction batch; it bounds predict's working set.
+PREDICT_ROWS = 32
 
 UNK = "<unk>"
 OUTSIDE = "O"
@@ -299,7 +303,8 @@ def _recurrent_vector(model: SrlModel, lang: str) -> np.ndarray:
 def encode(model: SrlModel, features: np.ndarray, lang: str = "") -> np.ndarray:
     """Run the (possibly language-generated) BiLSTM stack over feature rows."""
     flat = _recurrent_vector(model, lang)
-    states, _ = bilstm_forward(model.config.lstm_spec(), flat, features[:, None])
+    states, _ = bilstm_forward(model.config.lstm_spec(), flat, features[:, None],
+                               keep_cache=False)
     return states[:, 0]
 
 
@@ -316,20 +321,22 @@ def viterbi_decode(model: SrlModel, states: np.ndarray) -> list[str]:
     return [model.vocab.labels[i] for i in path]
 
 
-def _language_groups(model: SrlModel, examples) -> list[tuple[str, list[TrainingExample]]]:
-    """One group per language (sorted) for PGN; one group of all for BASIC."""
+def _language_groups(model: SrlModel, items, lang_of) -> list[tuple[str, list]]:
+    """One group per language ``lang_of(item)`` (sorted) for PGN; one group
+    of all for BASIC.  Groups keep the order of ``items``."""
     if model.config.variant == BASIC:
-        return [("", list(examples))]
-    groups: dict[str, list[TrainingExample]] = {}
-    for ex in examples:
-        groups.setdefault(ex.sentence.lang, []).append(ex)
+        return [("", list(items))]
+    groups: dict[str, list] = {}
+    for item in items:
+        groups.setdefault(lang_of(item), []).append(item)
     return sorted(groups.items())
 
 
 def _group_gradients(model: SrlModel, lang: str, group: list[TrainingExample],
-                     grads: dict[str, np.ndarray]) -> tuple[float, np.ndarray]:
-    """Loss and recurrent-vector gradient of one language group, padded
-    time-major; adds the embedding and CRF gradients into ``grads``."""
+                     grads: dict[str, np.ndarray], d_flat: np.ndarray) -> float:
+    """Loss of one language group, padded time-major; writes its
+    recurrent-vector gradient into ``d_flat`` and adds the embedding and
+    CRF gradients into ``grads``."""
     config = model.config
     params = model.params
     spec = config.lstm_spec()
@@ -345,7 +352,7 @@ def _group_gradients(model: SrlModel, lang: str, group: list[TrainingExample],
         emissions, params["crf_transition"], labels, lengths)
     grads["crf_transition"] += d_trans
     grads["crf_emission"] += d_emissions.reshape(-1, k).T @ states.reshape(-1, width)
-    d_features, d_flat = bilstm_backward(spec, flat, caches, d_emissions @ emission_w)
+    d_features, _ = bilstm_backward(spec, flat, caches, d_emissions @ emission_w, out=d_flat)
     valid = np.arange(len(ids))[:, None] < lengths
     used_ids, d_rows = ids[valid], d_features[valid]
     offsets = np.cumsum([0, config.word_dim, config.pos_dim, config.pred_dim])
@@ -353,7 +360,7 @@ def _group_gradients(model: SrlModel, lang: str, group: list[TrainingExample],
         if name in grads:
             np.add.at(grads[name], used_ids[:, column],
                       d_rows[:, offsets[column]:offsets[column + 1]])
-    return loss, d_flat
+    return loss
 
 
 def loss_and_gradients(model: SrlModel, examples: list[TrainingExample],
@@ -369,13 +376,12 @@ def loss_and_gradients(model: SrlModel, examples: list[TrainingExample],
     names = ["word_table"] if model.config.train_word_table else []
     names += ["pos_table", "pred_table", "crf_emission", "crf_transition"]
     grads = {name: np.zeros_like(params[name]) for name in names}
-    groups = _language_groups(model, examples)
+    groups = _language_groups(model, examples, lambda ex: ex.sentence.lang)
     d_flats = np.empty((len(groups), model.config.lstm_spec().total_params),
                        dtype=params["crf_emission"].dtype)
     total = 0.0
     for row, (lang, group) in enumerate(groups):
-        loss, d_flats[row] = _group_gradients(model, lang, group, grads)
-        total += loss
+        total += _group_gradients(model, lang, group, grads, d_flats[row])
     if model.config.variant == BASIC:
         grads["bilstm"] = d_flats[0]
     else:
@@ -387,28 +393,46 @@ def loss_and_gradients(model: SrlModel, examples: list[TrainingExample],
     return total, grads
 
 
-def predict(model: SrlModel, sentence: Sentence, pred_indices,
-            lang: str = "") -> tuple[PredicateFrame, ...]:
-    """Label the arguments of several predicates of one sentence.
+def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:
+    """Label the arguments of the given predicates of many sentences.
 
-    All predicates run as one batch: they share the tokens and differ only
-    in the indicator column.  A predicate position itself never becomes an
-    argument; each frame keeps the sentence's sense for its predicate.
+    ``requests`` holds ``(sentence, pred_indices, lang)`` triples; the
+    result holds one tuple of frames per request, in request order, one
+    frame per predicate index.  One row is one (sentence, predicate) pair.
+    Rows are grouped by language (one group for BASIC), ordered by sentence
+    length within a group (stable in request order) and run forward-only
+    in padded batches of PREDICT_ROWS rows, so the encoder's working set
+    is one batch whatever the corpus size.  A predicate position itself
+    never becomes an argument; each frame keeps the sentence's sense for
+    its predicate.
     """
-    pred_indices = list(pred_indices)
-    if not pred_indices:
-        return ()
-    ids, lengths = _pad([_feature_ids(model, sentence, p) for p in pred_indices])
-    flat = _recurrent_vector(model, lang)
-    states, _ = bilstm_forward(model.config.lstm_spec(), flat, _embed(model, ids), lengths)
-    emissions = states @ model.params["crf_emission"].T
-    paths = crf.viterbi(emissions, model.params["crf_transition"], lengths)
-    senses: dict[int, str] = {}
-    for frame in sentence.frames:
-        senses.setdefault(frame.pred_index, frame.sense)
+    requests = [(sentence, list(preds), lang) for sentence, preds, lang in requests]
+    rows = [(r, slot, _feature_ids(model, sentence, p))
+            for r, (sentence, preds, _) in enumerate(requests)
+            for slot, p in enumerate(preds)]
+    paths: list[list] = [[None] * len(preds) for _, preds, _ in requests]
+    spec = model.config.lstm_spec()
+    for lang, group in _language_groups(model, rows, lambda row: requests[row[0]][2]):
+        flat = _recurrent_vector(model, lang)
+        group.sort(key=lambda row: len(row[2]))
+        for start in range(0, len(group), PREDICT_ROWS):
+            batch = group[start:start + PREDICT_ROWS]
+            ids, lengths = _pad([row[2] for row in batch])
+            states, _ = bilstm_forward(spec, flat, _embed(model, ids), lengths,
+                                       keep_cache=False)
+            emissions = states @ model.params["crf_emission"].T
+            for (r, slot, _), path in zip(
+                    batch, crf.viterbi(emissions, model.params["crf_transition"], lengths)):
+                paths[r][slot] = path
     labels = model.vocab.labels
-    return tuple(
-        PredicateFrame(pred_index=p, sense=senses.get(p, "_"), args=tuple(
-            (i + 1, labels[y]) for i, y in enumerate(path)
-            if labels[y] != OUTSIDE and i + 1 != p))
-        for p, path in zip(pred_indices, paths))
+    out = []
+    for (sentence, preds, _), request_paths in zip(requests, paths):
+        senses: dict[int, str] = {}
+        for frame in sentence.frames:
+            senses.setdefault(frame.pred_index, frame.sense)
+        out.append(tuple(
+            PredicateFrame(pred_index=p, sense=senses.get(p, "_"), args=tuple(
+                (i + 1, labels[y]) for i, y in enumerate(path)
+                if labels[y] != OUTSIDE and i + 1 != p))
+            for p, path in zip(preds, request_paths)))
+    return out

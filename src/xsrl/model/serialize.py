@@ -2,8 +2,10 @@
 
 Layout: 8-byte magic, u32 format version, u32-length-prefixed JSON header
 (configuration and vocabulary), u32 tensor count, then per tensor a
-u32-length-prefixed name, u32 rank, u64 dimensions and row-major float64
-data.  All integers little-endian.
+u32-length-prefixed name, u32 rank, u64 dimensions and row-major data in
+the configuration's dtype.  All numbers little-endian.  Version 1 files,
+which hold float64 data whatever the configuration says, still load; their
+tensors come back in the configuration's dtype.
 """
 
 from __future__ import annotations
@@ -19,14 +21,22 @@ from .network import ModelConfig, ModelError, SrlModel, Vocabulary, param_shapes
 __all__ = ["CheckpointError", "save_model", "load_model"]
 
 MAGIC = b"XSRLMODL"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
     """Raised for unreadable or inconsistent checkpoint files."""
 
 
+def _tensor_dtype(config: ModelConfig) -> np.dtype:
+    dtype = np.dtype(config.dtype)
+    if dtype.kind != "f":
+        raise ValueError(f"dtype {config.dtype!r} is not a float type")
+    return dtype.newbyteorder("<")
+
+
 def save_model(model: SrlModel, path: str) -> None:
+    dtype = _tensor_dtype(model.config)
     header = json.dumps({
         "config": asdict(model.config),
         "vocab": {
@@ -43,7 +53,7 @@ def save_model(model: SrlModel, path: str) -> None:
         fh.write(header)
         fh.write(struct.pack("<I", len(model.params)))
         for name in sorted(model.params):
-            tensor = np.ascontiguousarray(model.params[name], dtype=np.float64)
+            tensor = np.ascontiguousarray(model.params[name], dtype=dtype)
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
@@ -64,9 +74,9 @@ def load_model(path: str) -> SrlModel:
         if _read(fh, len(MAGIC)) != MAGIC:
             raise CheckpointError("not an xsrl model checkpoint (bad magic)")
         (version,) = struct.unpack("<I", _read(fh, 4))
-        if version != VERSION:
+        if version not in (1, VERSION):
             raise CheckpointError(
-                f"unsupported checkpoint version {version}, expected {VERSION}")
+                f"unsupported checkpoint version {version}, expected 1 or {VERSION}")
         (header_len,) = struct.unpack("<I", _read(fh, 4))
         try:
             header = json.loads(_read(fh, header_len).decode("utf-8"))
@@ -77,6 +87,7 @@ def load_model(path: str) -> SrlModel:
                 labels=tuple(header["vocab"]["labels"]),
                 languages=tuple(header["vocab"]["languages"]),
             )
+            dtype = _tensor_dtype(config)
         except (KeyError, TypeError, ValueError, ModelError) as exc:
             raise CheckpointError(f"malformed checkpoint header: {exc}") from None
         (tensor_count,) = struct.unpack("<I", _read(fh, 4))
@@ -87,8 +98,9 @@ def load_model(path: str) -> SrlModel:
             (ndim,) = struct.unpack("<I", _read(fh, 4))
             shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim))
             size = int(np.prod(shape)) if shape else 1
-            data = _read(fh, 8 * size)
-            params[name] = np.frombuffer(data, dtype=np.float64).reshape(shape).copy()
+            stored = np.dtype("<f8") if version == 1 else dtype
+            data = _read(fh, stored.itemsize * size)
+            params[name] = np.frombuffer(data, dtype=stored).reshape(shape).astype(config.dtype)
 
     expected = param_shapes(config, vocab)
     if set(params) != set(expected):

@@ -25,6 +25,10 @@ __all__ = ["TrainingError", "train", "gradient_check"]
 # Full-size copies of the parameters alive during training: the parameters,
 # Adam's two moments and one batch gradient.
 LIVE_COPIES = 4
+# Elements per Adam block: 32k float64 values of each of the four arrays a
+# step touches (gradient, two moments, parameters) make 1 MB, which stays in
+# a core's L2 cache across the step's eleven passes.
+ADAM_BLOCK = 32768
 
 
 class TrainingError(RuntimeError):
@@ -43,7 +47,9 @@ class _Adam:
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """One step on every tensor in ``grads``; other tensors stay put.
 
-        Works in place without temporaries and consumes ``grads``.
+        Works in place without temporaries and consumes ``grads``.  Each
+        flattened tensor is stepped ADAM_BLOCK elements at a time; the
+        arithmetic is elementwise, so the result does not depend on it.
         """
         self.step += 1
         # lr * (m/bias1) / (sqrt(v/bias2) + eps) as rate * m / (sqrt(v) + eps_hat)
@@ -51,22 +57,30 @@ class _Adam:
         rate = self.lr * bias2_root / (1.0 - self.beta1 ** self.step)
         eps_hat = self.eps * bias2_root
         for name in sorted(grads):
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            # m = beta1*m + (1-beta1)*g as g + beta1*(m - g); v likewise with g*g
-            m -= g
-            m *= self.beta1
-            m += g
-            g *= g
-            v -= g
-            v *= self.beta2
-            v += g
-            np.sqrt(v, out=g)
-            g += eps_hat
-            np.divide(m, g, out=g)
-            g *= rate
-            params[name] -= g
+            tensors = [_flat_view(t) for t in
+                       (grads[name], self.m[name], self.v[name], params[name])]
+            for start in range(0, tensors[0].size, ADAM_BLOCK):
+                g, m, v, p = (t[start:start + ADAM_BLOCK] for t in tensors)
+                # m = beta1*m + (1-beta1)*g as g + beta1*(m - g); v likewise with g*g
+                m -= g
+                m *= self.beta1
+                m += g
+                g *= g
+                v -= g
+                v *= self.beta2
+                v += g
+                np.sqrt(v, out=g)
+                g += eps_hat
+                np.divide(m, g, out=g)
+                g *= rate
+                p -= g
+
+
+def _flat_view(tensor: np.ndarray) -> np.ndarray:
+    """1-D view of a contiguous tensor; raises rather than copy."""
+    flat = tensor.view()
+    flat.shape = (tensor.size,)
+    return flat
 
 
 def _global_norm(grads: dict[str, np.ndarray]) -> float:

@@ -331,11 +331,9 @@ def test_criterion_8_pgn_directional():
                              hidden=16, layers=1, variant=variant,
                              learning_rate=0.01, batch_size=10, epochs=40)
         model, _ = train(train_corpus, config, seed=seed)
-        predicted = [
-            replace(s, frames=predict(model, s, [f.pred_index for f in s.frames],
-                                      s.lang))
-            for s in dev_corpus.sentences
-        ]
+        frames = predict(model, [(s, [f.pred_index for f in s.frames], s.lang)
+                                 for s in dev_corpus.sentences])
+        predicted = [replace(s, frames=f) for s, f in zip(dev_corpus.sentences, frames)]
         return srl_f1(dev_corpus, Corpus.from_sentences(predicted)).f1
 
     basic_scores = [dev_f1(BASIC, seed) for seed in range(5)]

@@ -1,3 +1,7 @@
+import json
+import struct
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -47,8 +51,8 @@ def test_round_trip_identical_predictions(tmp_path, variant):
     rng = np.random.default_rng(0)
     for sent in probe_sentences(rng):
         pred_index = int(rng.integers(1, len(sent.tokens) + 1))
-        assert (predict(model, sent, [pred_index], "EN")
-                == predict(loaded, sent, [pred_index], "EN"))
+        assert (predict(model, [(sent, [pred_index], "EN")])
+                == predict(loaded, [(sent, [pred_index], "EN")]))
     for name in model.params:
         assert np.array_equal(model.params[name], loaded.params[name])
 
@@ -106,3 +110,60 @@ def test_load_embeddings_errors(tmp_path):
     path.write_text("2 3\nfoo 1.0 2.0 3.0\n")
     with pytest.raises(Exception, match="expected 2 vectors"):
         load_embeddings(str(path))
+
+
+def write_version_1(model, path):
+    """The version-1 writer: every tensor as float64, whatever the config dtype."""
+    header = json.dumps({
+        "config": asdict(model.config),
+        "vocab": {"words": list(model.vocab.words), "pos_tags": list(model.vocab.pos_tags),
+                  "labels": list(model.vocab.labels),
+                  "languages": list(model.vocab.languages)},
+    }).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"XSRLMODL" + struct.pack("<II", 1, len(header)) + header)
+        fh.write(struct.pack("<I", len(model.params)))
+        for name in sorted(model.params):
+            tensor = np.ascontiguousarray(model.params[name], dtype="<f8")
+            fh.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
+            fh.write(struct.pack(f"<I{tensor.ndim}Q", tensor.ndim, *tensor.shape))
+            fh.write(tensor.tobytes())
+
+
+def float32_model(variant):
+    model = make_model(variant)
+    model.config.dtype = "float32"
+    model.params = {name: p.astype(np.float32) for name, p in model.params.items()}
+    return model
+
+
+@pytest.mark.parametrize("variant", [BASIC, PGN])
+def test_float32_round_trip_keeps_dtype(tmp_path, variant):
+    model = float32_model(variant)
+    path = tmp_path / "model.bin"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    for name, tensor in model.params.items():
+        assert loaded.params[name].dtype == np.float32
+        assert np.array_equal(loaded.params[name], tensor)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_version_1_checkpoints_still_load(tmp_path, dtype):
+    model = make_model() if dtype == "float64" else float32_model(PGN)
+    path = tmp_path / "v1.bin"
+    write_version_1(model, str(path))
+    loaded = load_model(str(path))
+    assert loaded.config == model.config
+    for name, tensor in model.params.items():
+        assert loaded.params[name].dtype == np.dtype(dtype)
+        assert np.array_equal(loaded.params[name], tensor)
+
+
+def test_non_float_dtype_is_a_malformed_header(tmp_path):
+    model = make_model()
+    model.config.dtype = "int8"
+    path = tmp_path / "int.bin"
+    write_version_1(model, str(path))
+    with pytest.raises(CheckpointError, match="not a float type"):
+        load_model(str(path))

@@ -15,8 +15,8 @@ from xsrl.model import (
     predict,
     viterbi_decode,
 )
-from xsrl.model.lstm import LstmSpec, bilstm_forward
-from xsrl.model.network import TrainingExample, examples_from_corpus
+from xsrl.model.lstm import LstmSpec, bilstm_backward, bilstm_forward
+from xsrl.model.network import PREDICT_ROWS, TrainingExample, examples_from_corpus
 
 
 def make_sentence(forms, pred=1, lang="EN", roles=None):
@@ -195,12 +195,12 @@ def test_model_level_crf_loss_two_paths(corpus):
 def test_predict_contract(corpus):
     model = init_model(small_config(BASIC), Vocabulary.from_corpus(corpus), seed=6)
     sent = corpus.sentences[0]
-    frame, = predict(model, sent, [2], "EN")
+    (frame,), = predict(model, [(sent, [2], "EN")])
     assert frame.pred_index == 2
     assert frame.sense == "x.01"
     assert all(1 <= a <= 3 and a != 2 for a, _ in frame.args)
     with pytest.raises(ModelError, match="predicate index"):
-        predict(model, sent, [9], "EN")
+        predict(model, [(sent, [9], "EN")])
 
 
 def test_basic_forget_gate_bias_initialized():
@@ -221,6 +221,9 @@ def test_padded_batch_states_match_single_sequences():
     lengths = np.array([5, 1, 3, 5, 2])
     batch = rng.normal(size=(5, len(lengths), 4))
     states, _ = bilstm_forward(spec, flat, batch, lengths)
+    inference, no_cache = bilstm_forward(spec, flat, batch, lengths, keep_cache=False)
+    assert no_cache is None
+    assert np.array_equal(inference, states)
     for b, n in enumerate(lengths):
         single, _ = bilstm_forward(spec, flat, batch[:n, b:b + 1])
         np.testing.assert_allclose(states[:n, b], single[:, 0], rtol=0, atol=1e-12)
@@ -231,7 +234,67 @@ def test_batched_predict_matches_one_predicate_at_a_time(corpus):
     for variant in (BASIC, PGN):
         model = init_model(small_config(variant, layers=2),
                            Vocabulary.from_corpus(corpus), seed=8)
-        frames = predict(model, sent, [1, 2, 5], "EN")
-        assert frames == tuple(predict(model, sent, [p], "EN")[0] for p in (1, 2, 5))
+        frames, = predict(model, [(sent, [1, 2, 5], "EN")])
+        assert frames == tuple(predict(model, [(sent, [p], "EN")])[0][0] for p in (1, 2, 5))
         assert [f.sense for f in frames] == ["_", "x.01", "_"]
-    assert predict(model, sent, [], "EN") == ()
+    assert predict(model, [(sent, [], "EN")]) == [()]
+
+
+def test_backward_writes_the_flat_gradient_into_out():
+    spec = LstmSpec(input_dim=4, hidden=3, layers=2)
+    rng = np.random.default_rng(9)
+    flat = rng.normal(size=spec.total_params)
+    lengths = np.array([4, 2, 3])
+    states, caches = bilstm_forward(spec, flat, rng.normal(size=(4, 3, 4)), lengths)
+    d_out = rng.normal(size=states.shape) * (np.arange(4)[:, None] < lengths)[..., None]
+    d_inputs, d_flat = bilstm_backward(spec, flat, caches, d_out)
+    buffer = np.zeros((2, spec.total_params))
+    d_inputs_out, d_flat_out = bilstm_backward(spec, flat, caches, d_out, out=buffer[1])
+    assert np.shares_memory(d_flat_out, buffer[1])
+    assert np.array_equal(buffer[1], d_flat)
+    assert np.array_equal(d_inputs_out, d_inputs)
+    assert not buffer[0].any()
+
+
+PREDICT_VOCAB = Vocabulary(words=("<unk>", *"abcde"), pos_tags=("NOUN", "VERB", "_"),
+                           labels=("A0", "A1", "O"), languages=("DE", "EN"))
+
+
+def predict_requests():
+    """Mixed EN/DE requests: lengths 1 to 7, a sentence without frames,
+    predicate indices that are no frame's, and more rows than one batch."""
+    rng = np.random.default_rng(11)
+    requests = []
+    for i in range(2 * PREDICT_ROWS):
+        n = 1 + i % 7
+        forms = [str(f) for f in rng.choice(list("abcdef"), size=n)]
+        lang = ("EN", "DE")[i % 3 % 2]
+        preds = sorted({int(p) for p in rng.integers(1, n + 1, size=1 + i % 3)})
+        sent = make_sentence(forms, pred=preds[0], lang=lang)
+        requests.append((sent, preds, lang))
+    requests.append((Sentence(tokens=make_sentence(["c", "a"]).tokens, lang="DE"), [], "DE"))
+    requests.append((Sentence(tokens=make_sentence(["e", "b", "d"]).tokens, lang="EN"),
+                     [3, 1], "EN"))
+    return requests
+
+
+@pytest.mark.parametrize("variant", [BASIC, PGN])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_corpus_predict_matches_each_request_alone(variant, layers):
+    requests = predict_requests()
+    model = init_model(small_config(variant, layers=layers), PREDICT_VOCAB, seed=12)
+    # unit-scale weights, so the untrained model's labels vary
+    rng = np.random.default_rng(13)
+    for tensor in model.params.values():
+        tensor[...] = rng.normal(size=tensor.shape)
+    for lang in ("EN", "DE"):
+        assert sum(len(p) for _, p, l in requests if l == lang) > PREDICT_ROWS
+    frames = predict(model, requests)
+    assert frames == [predict(model, [request])[0] for request in requests]
+    assert [tuple(f.pred_index for f in fs) for fs in frames] == [
+        tuple(preds) for _, preds, _ in requests]
+    assert frames[::-1] == predict(model, requests[::-1])
+    assert frames[-2] == ()
+    assert [f.sense for f in frames[-1]] == ["_", "_"]
+    labelled = sum(len(f.args) for fs in frames for f in fs)
+    assert 0 < labelled < sum(len(s.tokens) - 1 for s, preds, _ in requests for _ in preds)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,9 +139,9 @@ def test_overfit_all_outside_frame_predicts_empty_args():
     config = ModelConfig(word_dim=8, pos_dim=4, pred_dim=4, hidden=16, layers=1,
                          variant=BASIC, learning_rate=0.02, batch_size=2, epochs=80)
     model, _ = train(corpus, config, seed=3)
-    frame, = predict(model, sentences[1], [1], "EN")
+    (frame,), = predict(model, [(sentences[1], [1], "EN")])
     assert frame.args == ()
-    frame, = predict(model, sentences[0], [1], "EN")
+    (frame,), = predict(model, [(sentences[0], [1], "EN")])
     assert frame.args == ((2, "A0"),)
 
 
@@ -233,3 +235,45 @@ def test_memory_preflight_refuses_default_model(mixed_corpus, monkeypatch):
     with pytest.raises(ModelError, match=r"about 2\d\.\d GiB .*--hidden, --layers"):
         train(mixed_corpus, ModelConfig())
     training._check_memory(grad_config(PGN, 3), Vocabulary.from_corpus(mixed_corpus))
+
+
+def reference_adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-tensor in-place Adam step, one pass over each whole tensor."""
+    state["step"] += 1
+    bias2_root = math.sqrt(1.0 - beta2 ** state["step"])
+    rate = lr * bias2_root / (1.0 - beta1 ** state["step"])
+    eps_hat = eps * bias2_root
+    for name in sorted(grads):
+        g, m, v = grads[name], state["m"][name], state["v"][name]
+        m -= g
+        m *= beta1
+        m += g
+        g *= g
+        v -= g
+        v *= beta2
+        v += g
+        np.sqrt(v, out=g)
+        g += eps_hat
+        np.divide(m, g, out=g)
+        g *= rate
+        params[name] -= g
+
+
+def test_blocked_adam_matches_per_tensor_step():
+    from xsrl.model.training import ADAM_BLOCK, _Adam
+    rng = np.random.default_rng(3)
+    shapes = {"big": (3, ADAM_BLOCK // 2 + 7), "small": (5, 4), "vector": (ADAM_BLOCK,)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    expected = {name: p.copy() for name, p in params.items()}
+    state = {"step": 0, "m": {k: np.zeros_like(p) for k, p in params.items()},
+             "v": {k: np.zeros_like(p) for k, p in params.items()}}
+    adam = _Adam(params, learning_rate=0.01)
+    for _ in range(4):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        reference_adam_step(state, expected, {k: g.copy() for k, g in grads.items()}, 0.01)
+        adam.update(params, grads)
+    assert shapes["big"][0] * shapes["big"][1] % ADAM_BLOCK
+    for name in shapes:
+        assert np.array_equal(params[name], expected[name])
+        assert np.array_equal(adam.m[name], state["m"][name])
+        assert np.array_equal(adam.v[name], state["v"][name])
