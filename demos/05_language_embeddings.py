@@ -9,8 +9,7 @@ same-convention pairs should sit closer together than the cross pairs.
 import numpy as np
 
 from xsrl.corpus import Corpus, PredicateFrame, Sentence, Token
-from xsrl.eval import language_similarity, similarity_csv
-from xsrl.model import ModelConfig, PGN, train
+from xsrl.model import ModelConfig, PGN, language_similarity, similarity_csv, train
 
 
 def make_language(rng, lang, count, flipped):

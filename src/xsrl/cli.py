@@ -28,6 +28,7 @@ from .model import (
     load_model,
     predict,
     save_model,
+    similarity_csv,
     train,
     vocabulary_with_table,
 )
@@ -238,7 +239,7 @@ def cmd_stats(args) -> int:
 
 def cmd_similarity(args) -> int:
     model = load_model(args.model)
-    text = evaluation.similarity_csv(model)
+    text = similarity_csv(model)
     if args.out:
         _write_text(args.out, text)
     sys.stdout.write(text)

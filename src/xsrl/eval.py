@@ -11,30 +11,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .corpus import Corpus
-from .model import SrlModel
-from .model.network import BASIC
 
 __all__ = [
     "EvalError",
     "RoleScore",
     "EvalReport",
-    "DEFAULT_ROLES",
     "DEFAULT_BUCKETS",
     "srl_f1",
-    "per_role_f1",
-    "distance_f1",
-    "language_similarity",
-    "similarity_csv",
     "format_report",
     "parse_report",
     "aggregate_reports",
     "parse_buckets",
 ]
 
-DEFAULT_ROLES = ("A0", "A1", "A2", "AM-TMP")
 #: Distance buckets as (low, high) inclusive ranges; None means unbounded.
 DEFAULT_BUCKETS = ((1, 2), (3, 6), (7, None))
 
@@ -173,38 +163,6 @@ def srl_f1(gold: Corpus, pred: Corpus,
         precision=precision, recall=recall, f1=f1,
         gold_args=gold_total, pred_args=pred_total,
         per_role=per_role, per_distance=per_distance)
-
-
-def per_role_f1(gold: Corpus, pred: Corpus,
-                roles=DEFAULT_ROLES) -> dict[str, RoleScore]:
-    """Scores restricted to selected roles; absent roles get support 0
-    (the zero-support flag for undefined scores)."""
-    report = srl_f1(gold, pred)
-    zero = RoleScore(0.0, 0.0, 0.0, 0)
-    return {role: report.per_role.get(role, zero) for role in roles}
-
-
-def distance_f1(gold: Corpus, pred: Corpus,
-                buckets=DEFAULT_BUCKETS) -> dict[str, RoleScore]:
-    return srl_f1(gold, pred, buckets=buckets).per_distance
-
-
-def language_similarity(model: SrlModel) -> tuple[tuple[str, ...], np.ndarray]:
-    """Pairwise Euclidean distances between the model's language embeddings."""
-    if model.config.variant == BASIC:
-        raise EvalError("no language embeddings in the basic variant")
-    table = model.params["lang_table"]
-    diff = table[:, None, :] - table[None, :, :]
-    matrix = np.sqrt(np.sum(diff * diff, axis=2))
-    return model.vocab.languages, matrix
-
-
-def similarity_csv(model: SrlModel) -> str:
-    languages, matrix = language_similarity(model)
-    lines = ["lang," + ",".join(languages)]
-    for lang, row in zip(languages, matrix):
-        lines.append(lang + "," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def format_report(report: EvalReport) -> str:

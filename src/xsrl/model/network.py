@@ -6,11 +6,14 @@ sentence's language: a parameter-generation matrix maps the language
 embedding to the full flattened BiLSTM weight block, so each language
 gets its own encoder while sharing the generator.
 
-Training and prediction run on padded, time-major minibatches.  A batch
-is split into language groups (one per language for PGN, one for BASIC),
-so each group shares one generated weight block; a single example is a
-batch of one.  Prediction takes a whole corpus at once and cuts each
-language group into batches of sentences of similar length.
+Training and prediction encode their examples once into integer arrays
+(:class:`EncodedExamples`) and run on padded, time-major minibatches.  A
+training batch is ordered by language group (one per language for PGN,
+one for BASIC) and padded once: each group runs the BiLSTM with its own
+generated weight block, and the embedding, the CRF and their gradients
+run over the whole batch; a single example is a batch of one.
+Prediction takes a whole corpus at once and cuts each language group
+into batches of sentences of similar length.
 """
 
 from __future__ import annotations
@@ -28,12 +31,16 @@ __all__ = [
     "ModelConfig",
     "Vocabulary",
     "TrainingExample",
+    "EncodedExamples",
     "SrlModel",
     "examples_from_corpus",
+    "encode_examples",
     "init_model",
     "param_shapes",
     "build_features",
     "pgn_params",
+    "language_similarity",
+    "similarity_csv",
     "encode",
     "crf_neg_log_likelihood",
     "viterbi_decode",
@@ -254,11 +261,53 @@ def _feature_ids(model: SrlModel, sentence: Sentence, pred_index: int) -> np.nda
                      for t in sentence.tokens], dtype=np.intp)
 
 
-def _label_ids(model: SrlModel, example: TrainingExample) -> np.ndarray:
-    if len(example.labels) != len(example.sentence.tokens):
-        raise ModelError(
-            f"{len(example.labels)} gold labels for {len(example.sentence.tokens)} tokens")
-    return np.array([model.vocab.label_id(l) for l in example.labels], dtype=np.intp)
+def _label_ids(model: SrlModel, labels, count: int) -> np.ndarray:
+    if len(labels) != count:
+        raise ModelError(f"{len(labels)} gold labels for {count} tokens")
+    return np.array([model.vocab.label_id(l) for l in labels], dtype=np.intp)
+
+
+def _lang_code(model: SrlModel, lang: str) -> int:
+    """Language id of ``lang``; 0 for BASIC, which ignores the language."""
+    return 0 if model.config.variant == BASIC else model.vocab.lang_id(lang)
+
+
+@dataclass(frozen=True)
+class EncodedExamples:
+    """Examples coded as integer arrays, stored ragged without padding.
+
+    Example i owns rows ``offsets[i]:offsets[i + 1]`` of ``ids`` (word,
+    POS and predicate-indicator ids, one row per token) and of ``labels``
+    (its gold label ids; empty when encoded without gold labels).
+    ``langs[i]`` is its language id, 0 for every example of a BASIC model.
+    """
+
+    ids: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
+    langs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.langs)
+
+
+def _encode(model: SrlModel, rows, gold=()) -> EncodedExamples:
+    """Encode ``(sentence, pred_index, lang)`` rows, with one gold label
+    sequence per row in ``gold`` when given."""
+    ids = [_feature_ids(model, sentence, p) for sentence, p, _ in rows]
+    labels = [_label_ids(model, seq, len(row)) for seq, row in zip(gold, ids)]
+    return EncodedExamples(
+        ids=np.concatenate([np.zeros((0, 3), dtype=np.intp), *ids]),
+        labels=np.concatenate([np.zeros(0, dtype=np.intp), *labels]),
+        offsets=np.cumsum([0, *map(len, ids)], dtype=np.intp),
+        langs=np.array([_lang_code(model, lang) for _, _, lang in rows], dtype=np.intp))
+
+
+def encode_examples(model: SrlModel, examples: list[TrainingExample]) -> EncodedExamples:
+    """Encode training examples and their gold labels; training does it once
+    per corpus, before the first epoch."""
+    return _encode(model, [(ex.sentence, ex.frame.pred_index, ex.sentence.lang)
+                           for ex in examples], [ex.labels for ex in examples])
 
 
 def _embed(model: SrlModel, ids: np.ndarray) -> np.ndarray:
@@ -270,14 +319,19 @@ def _embed(model: SrlModel, ids: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
-def _pad(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-sequence arrays time-major (T, B, ...), zero-padded at the
-    end of every sequence; also returns the (B,) lengths."""
-    lengths = np.array([len(r) for r in rows], dtype=np.intp)
-    out = np.zeros((int(lengths.max()), len(rows), *rows[0].shape[1:]), dtype=rows[0].dtype)
-    for b, r in enumerate(rows):
-        out[:len(r), b] = r
-    return out, lengths
+def _pad(data: EncodedExamples, rows: np.ndarray):
+    """Time-major padded (T, B, 3) ids of the examples ``rows`` of ``data``,
+    id 0 at the padding that follows every sequence.  Also returns the
+    (B,) lengths, the (T, B) mask of real positions and the ``data`` token
+    of every real position, in mask order."""
+    starts = data.offsets[rows]
+    lengths = data.offsets[rows + 1] - starts
+    positions = np.arange(lengths.max())[:, None]
+    valid = positions < lengths
+    tokens = (starts + positions)[valid]
+    ids = np.zeros((*valid.shape, 3), dtype=np.intp)
+    ids[valid] = data.ids[tokens]
+    return ids, lengths, valid, tokens
 
 
 def build_features(model: SrlModel, example: TrainingExample) -> np.ndarray:
@@ -293,16 +347,34 @@ def pgn_params(w_pgn: np.ndarray, lang_embedding: np.ndarray) -> np.ndarray:
     return w_pgn @ lang_embedding
 
 
-def _recurrent_vector(model: SrlModel, lang: str) -> np.ndarray:
+def language_similarity(model: SrlModel) -> tuple[tuple[str, ...], np.ndarray]:
+    """Pairwise Euclidean distances between the model's language embeddings."""
+    if model.config.variant == BASIC:
+        raise ModelError("no language embeddings in the basic variant")
+    table = model.params["lang_table"]
+    diff = table[:, None, :] - table[None, :, :]
+    matrix = np.sqrt(np.sum(diff * diff, axis=2))
+    return model.vocab.languages, matrix
+
+
+def similarity_csv(model: SrlModel) -> str:
+    """The :func:`language_similarity` matrix as CSV with a header row."""
+    languages, matrix = language_similarity(model)
+    lines = ["lang," + ",".join(languages)]
+    for lang, row in zip(languages, matrix):
+        lines.append(lang + "," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _recurrent_vector(model: SrlModel, lang_id: int) -> np.ndarray:
     if model.config.variant == BASIC:
         return model.params["bilstm"]
-    lid = model.vocab.lang_id(lang)
-    return pgn_params(model.params["w_pgn"], model.params["lang_table"][lid])
+    return pgn_params(model.params["w_pgn"], model.params["lang_table"][lang_id])
 
 
 def encode(model: SrlModel, features: np.ndarray, lang: str = "") -> np.ndarray:
     """Run the (possibly language-generated) BiLSTM stack over feature rows."""
-    flat = _recurrent_vector(model, lang)
+    flat = _recurrent_vector(model, _lang_code(model, lang))
     states, _ = bilstm_forward(model.config.lstm_spec(), flat, features[:, None],
                                keep_cache=False)
     return states[:, 0]
@@ -321,76 +393,81 @@ def viterbi_decode(model: SrlModel, states: np.ndarray) -> list[str]:
     return [model.vocab.labels[i] for i in path]
 
 
-def _language_groups(model: SrlModel, items, lang_of) -> list[tuple[str, list]]:
-    """One group per language ``lang_of(item)`` (sorted) for PGN; one group
-    of all for BASIC.  Groups keep the order of ``items``."""
-    if model.config.variant == BASIC:
-        return [("", list(items))]
-    groups: dict[str, list] = {}
-    for item in items:
-        groups.setdefault(lang_of(item), []).append(item)
-    return sorted(groups.items())
+def _language_groups(langs: np.ndarray) -> list[tuple[int, slice]]:
+    """(language id, columns) of every run of equal ids in ``langs``, which
+    holds the language ids of a batch ordered by language."""
+    starts = np.flatnonzero(np.diff(langs, prepend=-1))
+    ends = [*starts[1:], len(langs)]
+    return [(int(langs[start]), slice(start, end)) for start, end in zip(starts, ends)]
 
 
-def _group_gradients(model: SrlModel, lang: str, group: list[TrainingExample],
-                     grads: dict[str, np.ndarray], d_flat: np.ndarray) -> float:
-    """Loss of one language group, padded time-major; writes its
-    recurrent-vector gradient into ``d_flat`` and adds the embedding and
-    CRF gradients into ``grads``."""
+def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows=None,
+                       ) -> tuple[float, dict[str, np.ndarray]]:
+    """Summed loss and summed gradients over the examples ``rows`` of ``data``.
+
+    ``data`` comes from :func:`encode_examples`; ``rows`` defaults to all
+    of its examples.  The batch is ordered by language (stably; one group
+    for BASIC) and padded time-major once.  Each language group runs the
+    BiLSTM on its own columns, trimmed to its longest sequence; the
+    embedding, the CRF and their gradients run over the whole batch.
+    Padded positions add exactly zero.  With a frozen word table
+    (``train_word_table`` false) its gradient is neither computed nor
+    returned.
+    """
     config = model.config
     params = model.params
     spec = config.lstm_spec()
     emission_w = params["crf_emission"]
     k, width = emission_w.shape
-    ids, lengths = _pad([_feature_ids(model, ex.sentence, ex.frame.pred_index)
-                         for ex in group])
-    labels, _ = _pad([_label_ids(model, ex) for ex in group])
-    flat = _recurrent_vector(model, lang)
-    states, caches = bilstm_forward(spec, flat, _embed(model, ids), lengths)
+    # The gradient buffers come before the forward pass: allocated after it,
+    # above the forward caches, the desk model's 5 MB recurrent gradient
+    # left a hole that raised peak RSS by about 4 MB.
+    names = ["word_table"] if config.train_word_table else []
+    grads = {name: np.zeros_like(params[name]) for name in names + ["pos_table", "pred_table"]}
+    rows = np.arange(len(data)) if rows is None else np.asarray(rows, dtype=np.intp)
+    rows = rows[np.argsort(data.langs[rows], kind="stable")]
+    groups = _language_groups(data.langs[rows])
+    d_flats = np.empty((len(groups), spec.total_params), dtype=emission_w.dtype)
+    ids, lengths, valid, tokens = _pad(data, rows)
+    labels = np.zeros(valid.shape, dtype=np.intp)
+    labels[valid] = data.labels[tokens]
+    features = _embed(model, ids)
+
+    states = np.zeros((*valid.shape, width), dtype=emission_w.dtype)
+    runs = []
+    for lang_id, cols in groups:
+        steps = int(lengths[cols].max())
+        flat = _recurrent_vector(model, lang_id)
+        group_states, caches = bilstm_forward(spec, flat, features[:steps, cols], lengths[cols])
+        states[:steps, cols] = group_states
+        runs.append((cols, steps, flat, caches))
     emissions = states @ emission_w.T
     loss, d_emissions, d_trans = crf.nll_gradients(
         emissions, params["crf_transition"], labels, lengths)
-    grads["crf_transition"] += d_trans
-    grads["crf_emission"] += d_emissions.reshape(-1, k).T @ states.reshape(-1, width)
-    d_features, _ = bilstm_backward(spec, flat, caches, d_emissions @ emission_w, out=d_flat)
-    valid = np.arange(len(ids))[:, None] < lengths
+
+    grads["crf_emission"] = d_emissions.reshape(-1, k).T @ states.reshape(-1, width)
+    grads["crf_transition"] = d_trans
+    d_states = d_emissions @ emission_w
+    d_features = np.zeros_like(features)
+    for d_flat, (cols, steps, flat, caches) in zip(d_flats, runs):
+        d_group, _ = bilstm_backward(spec, flat, caches, d_states[:steps, cols], out=d_flat)
+        d_features[:steps, cols] = d_group
     used_ids, d_rows = ids[valid], d_features[valid]
     offsets = np.cumsum([0, config.word_dim, config.pos_dim, config.pred_dim])
     for column, name in enumerate(("word_table", "pos_table", "pred_table")):
         if name in grads:
             np.add.at(grads[name], used_ids[:, column],
                       d_rows[:, offsets[column]:offsets[column + 1]])
-    return loss
 
-
-def loss_and_gradients(model: SrlModel, examples: list[TrainingExample],
-                       ) -> tuple[float, dict[str, np.ndarray]]:
-    """Summed loss and summed gradients over a batch of examples.
-
-    Each language group is padded time-major and runs through the BiLSTM
-    and CRF as one batch; padded positions add exactly zero.  With a
-    frozen word table (``train_word_table`` false) its gradient is neither
-    computed nor returned.
-    """
-    params = model.params
-    names = ["word_table"] if model.config.train_word_table else []
-    names += ["pos_table", "pred_table", "crf_emission", "crf_transition"]
-    grads = {name: np.zeros_like(params[name]) for name in names}
-    groups = _language_groups(model, examples, lambda ex: ex.sentence.lang)
-    d_flats = np.empty((len(groups), model.config.lstm_spec().total_params),
-                       dtype=params["crf_emission"].dtype)
-    total = 0.0
-    for row, (lang, group) in enumerate(groups):
-        total += _group_gradients(model, lang, group, grads, d_flats[row])
-    if model.config.variant == BASIC:
+    if config.variant == BASIC:
         grads["bilstm"] = d_flats[0]
     else:
-        lang_ids = [model.vocab.lang_id(lang) for lang, _ in groups]
-        grads["w_pgn"] = np.einsum("gp,gl->pl", d_flats, params["lang_table"][lang_ids])
+        lang_ids = [lang_id for lang_id, _ in groups]
+        grads["w_pgn"] = d_flats.T @ params["lang_table"][lang_ids]
         grads["lang_table"] = np.zeros_like(params["lang_table"])
-        for lid, d_flat in zip(lang_ids, d_flats):
-            grads["lang_table"][lid] = params["w_pgn"].T @ d_flat
-    return total, grads
+        for lang_id, d_flat in zip(lang_ids, d_flats):
+            grads["lang_table"][lang_id] = params["w_pgn"].T @ d_flat
+    return loss, grads
 
 
 def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:
@@ -398,35 +475,36 @@ def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:
 
     ``requests`` holds ``(sentence, pred_indices, lang)`` triples; the
     result holds one tuple of frames per request, in request order, one
-    frame per predicate index.  One row is one (sentence, predicate) pair.
-    Rows are grouped by language (one group for BASIC), ordered by sentence
-    length within a group (stable in request order) and run forward-only
-    in padded batches of PREDICT_ROWS rows, so the encoder's working set
-    is one batch whatever the corpus size.  A predicate position itself
-    never becomes an argument; each frame keeps the sentence's sense for
-    its predicate.
+    frame per predicate index.  One row is one (sentence, predicate) pair,
+    encoded as in training.  Rows are grouped by language (one group for
+    BASIC), ordered by sentence length within a group (stable in request
+    order) and run forward-only in padded batches of PREDICT_ROWS rows, so
+    the encoder's working set is one batch whatever the corpus size.  A
+    predicate position itself never becomes an argument; each frame keeps
+    the sentence's sense for its predicate.
     """
     requests = [(sentence, list(preds), lang) for sentence, preds, lang in requests]
-    rows = [(r, slot, _feature_ids(model, sentence, p))
-            for r, (sentence, preds, _) in enumerate(requests)
-            for slot, p in enumerate(preds)]
-    paths: list[list] = [[None] * len(preds) for _, preds, _ in requests]
+    data = _encode(model, [(sentence, p, lang) for sentence, preds, lang in requests
+                           for p in preds])
+    order = np.lexsort((np.diff(data.offsets), data.langs))
+    paths: list = [None] * len(data)
     spec = model.config.lstm_spec()
-    for lang, group in _language_groups(model, rows, lambda row: requests[row[0]][2]):
-        flat = _recurrent_vector(model, lang)
-        group.sort(key=lambda row: len(row[2]))
+    for lang_id, cols in _language_groups(data.langs[order]):
+        flat = _recurrent_vector(model, lang_id)
+        group = order[cols]
         for start in range(0, len(group), PREDICT_ROWS):
             batch = group[start:start + PREDICT_ROWS]
-            ids, lengths = _pad([row[2] for row in batch])
+            ids, lengths, _, _ = _pad(data, batch)
             states, _ = bilstm_forward(spec, flat, _embed(model, ids), lengths,
                                        keep_cache=False)
             emissions = states @ model.params["crf_emission"].T
-            for (r, slot, _), path in zip(
+            for row, path in zip(
                     batch, crf.viterbi(emissions, model.params["crf_transition"], lengths)):
-                paths[r][slot] = path
+                paths[row] = path
     labels = model.vocab.labels
+    rows = iter(paths)
     out = []
-    for (sentence, preds, _), request_paths in zip(requests, paths):
+    for sentence, preds, _ in requests:
         senses: dict[int, str] = {}
         for frame in sentence.frames:
             senses.setdefault(frame.pred_index, frame.sense)
@@ -434,5 +512,5 @@ def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:
             PredicateFrame(pred_index=p, sense=senses.get(p, "_"), args=tuple(
                 (i + 1, labels[y]) for i, y in enumerate(path)
                 if labels[y] != OUTSIDE and i + 1 != p))
-            for p, path in zip(preds, request_paths)))
+            for p, path in zip(preds, rows)))
     return out

@@ -14,6 +14,7 @@ from .network import (
     SrlModel,
     TrainingExample,
     Vocabulary,
+    encode_examples,
     examples_from_corpus,
     init_model,
     loss_and_gradients,
@@ -115,11 +116,12 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
           ) -> tuple[SrlModel, list[float]]:
     """Train a model on a (possibly mixed-language) corpus.
 
-    One example per (sentence, predicate).  Epoch order is shuffled by a
-    generator seeded with ``seed``; each batch runs as one padded,
-    language-grouped minibatch, its gradient is averaged over the batch,
-    and the returned log holds the mean loss of every epoch.  Identical
-    corpus, config and seed give bit-identical models.  A non-finite loss
+    One example per (sentence, predicate); the examples are encoded once,
+    before the first epoch.  Epoch order is shuffled by a generator seeded
+    with ``seed``; each batch runs as one padded minibatch, its gradient is
+    averaged over the batch, and the returned log holds the mean loss of
+    every epoch.  Identical corpus, config and seed give bit-identical
+    models.  A non-finite loss
     or gradient raises :class:`TrainingError` naming the epoch and batch.
     """
     examples = examples_from_corpus(corpus)
@@ -130,6 +132,7 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     _check_memory(config, vocab)
     model = init_model(config, vocab, seed=seed, word_table=word_table)
     config = model.config
+    data = encode_examples(model, examples)
     frozen = set() if config.train_word_table else {"word_table"}
     optimizer = _Adam({name: p for name, p in model.params.items() if name not in frozen},
                       config.learning_rate)
@@ -140,10 +143,10 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
         order = rng.permutation(len(examples))
         epoch_loss = 0.0
         for batch_no, start in enumerate(range(0, len(order), config.batch_size), start=1):
-            batch = [examples[int(i)] for i in order[start:start + config.batch_size]]
-            loss, grads = loss_and_gradients(model, batch)
+            rows = order[start:start + config.batch_size]
+            loss, grads = loss_and_gradients(model, data, rows)
             for g in grads.values():
-                g /= len(batch)
+                g /= len(rows)
             norm = _global_norm(grads)
             if not (math.isfinite(loss) and math.isfinite(norm)):
                 raise TrainingError(
@@ -162,16 +165,19 @@ def gradient_check(model: SrlModel, examples: list[TrainingExample],
                    seed: int = 0) -> float:
     """Compare analytic gradients of a batch against central finite differences.
 
-    Samples at least ``samples`` coordinates spread over every trained
-    parameter tensor and returns the maximum relative error
-    |g_a - g_n| / max(|g_a|, |g_n|, 1e-4).  Requires 64-bit parameters.
+    The examples are encoded as in training and run through the training
+    path, :func:`loss_and_gradients`, as one batch.  Samples at least
+    ``samples`` coordinates spread over every trained parameter tensor and
+    returns the maximum relative error |g_a - g_n| / max(|g_a|, |g_n|, 1e-4).
+    Requires 64-bit parameters.
     """
     if any(p.dtype != np.float64 for p in model.params.values()):
         raise ModelError("gradient_check needs float64 parameters")
-    _, analytic = loss_and_gradients(model, examples)
+    data = encode_examples(model, examples)
+    _, analytic = loss_and_gradients(model, data)
 
     def loss_only() -> float:
-        loss, _ = loss_and_gradients(model, examples)
+        loss, _ = loss_and_gradients(model, data)
         return loss
 
     rng = np.random.default_rng(seed)

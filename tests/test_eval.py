@@ -3,18 +3,13 @@ import pytest
 
 from xsrl.corpus import Corpus, PredicateFrame, Sentence, Token
 from xsrl.eval import (
-    DEFAULT_ROLES,
     EvalError,
     aggregate_reports,
-    distance_f1,
     format_report,
-    language_similarity,
     parse_buckets,
     parse_report,
-    per_role_f1,
     srl_f1,
 )
-from xsrl.model import BASIC, PGN, ModelConfig, Vocabulary, init_model
 
 from conftest import ROLES
 
@@ -131,10 +126,10 @@ def test_supports_partition_gold():
 
 def test_per_role_default_selection():
     gold = corpus_with([(1, "A0"), (2, "A1")])
-    table = per_role_f1(gold, gold)
-    assert set(table) == set(DEFAULT_ROLES)
-    assert table["A0"].f1 == 1.0
-    assert table["A2"].support == 0 and table["A2"].f1 == 0.0
+    report = srl_f1(gold, gold)
+    assert set(report.per_role) == {"A0", "A1"}
+    assert report.per_role["A0"].f1 == 1.0
+    assert "A2" not in report.per_role
 
 
 def test_single_role_equals_overall():
@@ -146,11 +141,14 @@ def test_single_role_equals_overall():
 
 def test_distance_buckets():
     gold = corpus_with([(2, "A0"), (4, "A1")], pred=3)
-    table = distance_f1(gold, gold)
+    table = srl_f1(gold, gold).per_distance
     assert table["1-2"].support == 2
     assert table["3-6"].support == 0
     boundary = corpus_with([(10, "A0")], pred=3)  # distance exactly 7
-    assert distance_f1(boundary, boundary)["7+"].support == 1
+    assert srl_f1(boundary, boundary).per_distance["7+"].support == 1
+    buckets = ((1, 6), (7, None))
+    assert srl_f1(boundary, boundary, buckets=buckets).per_distance["7+"].support == 1
+    assert srl_f1(boundary, boundary, buckets=buckets).per_distance["1-6"].support == 0
 
 
 def test_bucket_validation():
@@ -162,55 +160,6 @@ def test_bucket_validation():
     with pytest.raises(EvalError, match="cover every distance"):
         srl_f1(gold, gold, buckets=((2, None),))
     assert parse_buckets("1-2,3-6,7+") == ((1, 2), (3, 6), (7, None))
-
-
-def make_pgn_model(n_langs):
-    tokens = (Token(1, "a", "a", "NOUN"),)
-    sentences = [
-        Sentence(tokens=tokens, lang=f"L{i}",
-                 frames=(PredicateFrame(1, "a.01"),))
-        for i in range(n_langs)
-    ]
-    config = ModelConfig(word_dim=3, pos_dim=2, pred_dim=2, lang_dim=2, hidden=3,
-                         layers=1, variant=PGN)
-    return init_model(config, Vocabulary.from_corpus(
-        Corpus.from_sentences(sentences)), seed=0)
-
-
-def test_language_similarity_matrix():
-    model = make_pgn_model(3)
-    langs, matrix = language_similarity(model)
-    assert matrix.shape == (3, 3)
-    np.testing.assert_allclose(matrix, matrix.T, atol=1e-12)
-    np.testing.assert_array_equal(np.diag(matrix), np.zeros(3))
-    model.params["lang_table"][0] = [0.0, 0.0]
-    model.params["lang_table"][1] = [3.0, 4.0]
-    _, matrix = language_similarity(model)
-    assert matrix[0, 1] == pytest.approx(5.0, abs=1e-12)
-    model.params["lang_table"][1] = model.params["lang_table"][0]
-    _, matrix = language_similarity(model)
-    assert matrix[0, 1] == 0.0
-
-
-def test_language_similarity_triangle_inequality():
-    model = make_pgn_model(5)
-    rng = np.random.default_rng(8)
-    model.params["lang_table"] = rng.normal(size=(5, 2))
-    _, m = language_similarity(model)
-    for i in range(5):
-        for j in range(5):
-            for k in range(5):
-                assert m[i, j] <= m[i, k] + m[k, j] + 1e-12
-
-
-def test_basic_variant_has_no_language_embeddings():
-    config = ModelConfig(word_dim=3, pos_dim=2, pred_dim=2, hidden=3, layers=1,
-                         variant=BASIC)
-    vocab = Vocabulary(words=("<unk>",), pos_tags=("NOUN", "_"), labels=("O",),
-                       languages=("EN",))
-    model = init_model(config, vocab, seed=0)
-    with pytest.raises(EvalError, match="no language embeddings"):
-        language_similarity(model)
 
 
 def test_report_round_trip_and_aggregation():

@@ -11,8 +11,10 @@ from xsrl.model import (
     build_features,
     encode,
     init_model,
+    language_similarity,
     pgn_params,
     predict,
+    similarity_csv,
     viterbi_decode,
 )
 from xsrl.model.lstm import LstmSpec, bilstm_backward, bilstm_forward
@@ -298,3 +300,53 @@ def test_corpus_predict_matches_each_request_alone(variant, layers):
     assert [f.sense for f in frames[-1]] == ["_", "_"]
     labelled = sum(len(f.args) for fs in frames for f in fs)
     assert 0 < labelled < sum(len(s.tokens) - 1 for s, preds, _ in requests for _ in preds)
+
+
+def make_pgn_model(n_langs):
+    tokens = (Token(1, "a", "a", "NOUN"),)
+    sentences = [
+        Sentence(tokens=tokens, lang=f"L{i}",
+                 frames=(PredicateFrame(1, "a.01"),))
+        for i in range(n_langs)
+    ]
+    config = ModelConfig(word_dim=3, pos_dim=2, pred_dim=2, lang_dim=2, hidden=3,
+                         layers=1, variant=PGN)
+    return init_model(config, Vocabulary.from_corpus(
+        Corpus.from_sentences(sentences)), seed=0)
+
+
+def test_language_similarity_matrix():
+    model = make_pgn_model(3)
+    langs, matrix = language_similarity(model)
+    assert matrix.shape == (3, 3)
+    assert similarity_csv(model).splitlines()[0] == "lang," + ",".join(langs)
+    np.testing.assert_allclose(matrix, matrix.T, atol=1e-12)
+    np.testing.assert_array_equal(np.diag(matrix), np.zeros(3))
+    model.params["lang_table"][0] = [0.0, 0.0]
+    model.params["lang_table"][1] = [3.0, 4.0]
+    _, matrix = language_similarity(model)
+    assert matrix[0, 1] == pytest.approx(5.0, abs=1e-12)
+    model.params["lang_table"][1] = model.params["lang_table"][0]
+    _, matrix = language_similarity(model)
+    assert matrix[0, 1] == 0.0
+
+
+def test_language_similarity_triangle_inequality():
+    model = make_pgn_model(5)
+    rng = np.random.default_rng(8)
+    model.params["lang_table"] = rng.normal(size=(5, 2))
+    _, m = language_similarity(model)
+    for i in range(5):
+        for j in range(5):
+            for k in range(5):
+                assert m[i, j] <= m[i, k] + m[k, j] + 1e-12
+
+
+def test_basic_variant_has_no_language_embeddings():
+    config = ModelConfig(word_dim=3, pos_dim=2, pred_dim=2, hidden=3, layers=1,
+                         variant=BASIC)
+    vocab = Vocabulary(words=("<unk>",), pos_tags=("NOUN", "_"), labels=("O",),
+                       languages=("EN",))
+    model = init_model(config, vocab, seed=0)
+    with pytest.raises(ModelError, match="no language embeddings"):
+        language_similarity(model)

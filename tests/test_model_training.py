@@ -14,6 +14,7 @@ from xsrl.model import (
     Vocabulary,
     build_features,
     encode,
+    encode_examples,
     gradient_check,
     init_model,
     loss_and_gradients,
@@ -70,7 +71,7 @@ def test_saturated_example_has_zero_gradients(mixed_corpus):
     model = init_model(grad_config(BASIC, 1), vocab, seed=2)
     example = TrainingExample(single.sentences[0], single.sentences[0].frames[0],
                               ("A0", "A0"))
-    loss, grads = loss_and_gradients(model, [example])
+    loss, grads = loss_and_gradients(model, encode_examples(model, [example]))
     assert abs(loss) < 1e-12
     for g in grads.values():
         assert np.max(np.abs(g)) < 1e-8
@@ -168,9 +169,9 @@ PADDED_VOCAB = Vocabulary(words=("<unk>", *"abcde"), pos_tags=("NOUN", "VERB", "
                           labels=("A0", "A1", "O"), languages=("DE", "EN"))
 
 
-def padded_batch():
-    """Mixed-language examples of lengths 1 to 6, several per sentence."""
-    return examples_from_corpus(Corpus.from_sentences([
+def padded_corpus():
+    """Mixed-language sentences of lengths 1 to 6, one with two frames."""
+    return Corpus.from_sentences([
         sentence(["a", "b", "c", "d", "e"], 2, [(1, "A0"), (4, "A1")]),
         sentence(["c"], 1, [], lang="DE"),
         sentence(["b", "a", "c"], 3, [(2, "A1")], lang="DE"),
@@ -178,7 +179,12 @@ def padded_batch():
                  lang="EN", frames=(PredicateFrame(1, "x.01", ((3, "A0"),)),
                                     PredicateFrame(5, "y.01", ((6, "A1"), (2, "A0"))))),
         sentence(["e", "d"], 1, [(2, "A0")], lang="DE"),
-    ]))
+    ])
+
+
+def padded_batch():
+    """Mixed-language examples of lengths 1 to 6, several per sentence."""
+    return examples_from_corpus(padded_corpus())
 
 
 @pytest.mark.parametrize("variant", [BASIC, PGN])
@@ -188,8 +194,9 @@ def test_batch_equals_sum_of_batches_of_one(variant, layers):
     assert len({len(ex.labels) for ex in batch}) > 2
     assert {ex.sentence.lang for ex in batch} == {"EN", "DE"}
     model = init_model(grad_config(variant, layers), PADDED_VOCAB, seed=4)
-    loss, grads = loss_and_gradients(model, batch)
-    singles = [loss_and_gradients(model, [ex]) for ex in batch]
+    data = encode_examples(model, batch)
+    loss, grads = loss_and_gradients(model, data)
+    singles = [loss_and_gradients(model, data, [i]) for i in range(len(batch))]
     assert loss == pytest.approx(sum(l for l, _ in singles), abs=1e-12)
     for name, g in grads.items():
         summed = sum(single[name] for _, single in singles)
@@ -204,11 +211,64 @@ def test_gradient_check_padded_mixed_language_batch(variant, layers):
     assert gradient_check(model, batch, epsilon=1e-5, samples=220) < 1e-4
 
 
+UNEQUAL_VOCAB = Vocabulary(words=("<unk>", *"abcde"), pos_tags=("NOUN", "VERB", "_"),
+                           labels=("A0", "A1", "O"), languages=("DE", "EN", "FR"))
+
+
+def unequal_groups_batch():
+    """Interleaved languages: the EN group's longest sentence is shorter
+    than the DE group's, and FR is a one-row group."""
+    return examples_from_corpus(Corpus.from_sentences([
+        sentence(["a", "b", "c", "d", "e", "a"], 2, [(1, "A0"), (6, "A1")], lang="DE"),
+        sentence(["b", "c"], 1, [(2, "A1")]),
+        sentence(["e", "d", "c", "b"], 4, [(1, "A0")], lang="FR"),
+        sentence(["c", "a", "b"], 3, [(1, "A0"), (2, "A1")]),
+        sentence(["d"], 1, [], lang="DE"),
+    ]))
+
+
+@pytest.mark.parametrize("variant", [BASIC, PGN])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_unequal_language_groups_equal_batches_of_one(variant, layers):
+    batch = unequal_groups_batch()
+    lengths = {lang: [len(ex.labels) for ex in batch if ex.sentence.lang == lang]
+               for lang in UNEQUAL_VOCAB.languages}
+    assert max(lengths["EN"]) < max(lengths["DE"]) and len(lengths["FR"]) == 1
+    model = init_model(grad_config(variant, layers), UNEQUAL_VOCAB, seed=6)
+    data = encode_examples(model, batch)
+    loss, grads = loss_and_gradients(model, data)
+    singles = [loss_and_gradients(model, data, [i]) for i in range(len(batch))]
+    assert loss == pytest.approx(sum(l for l, _ in singles), abs=1e-12)
+    for name, g in grads.items():
+        summed = sum(single[name] for _, single in singles)
+        np.testing.assert_allclose(g, summed, rtol=0, atol=1e-12, err_msg=name)
+    # padding indexes the <unk> row; no real token is unknown
+    assert not np.any(data.ids[:, 0] == 0)
+    assert not grads["word_table"][0].any()
+    assert gradient_check(model, batch, epsilon=1e-5, samples=220) < 1e-4
+
+
+def test_training_encodes_the_corpus_once(monkeypatch):
+    corpus = padded_corpus()
+    calls = []
+    word_id = Vocabulary.word_id
+
+    def counting_word_id(self, form):
+        calls.append(form)
+        return word_id(self, form)
+
+    monkeypatch.setattr(Vocabulary, "word_id", counting_word_id)
+    config = grad_config(PGN, 1)
+    config.epochs, config.batch_size = 3, 2
+    train(corpus, config, seed=1)
+    assert len(calls) == sum(len(ex.labels) for ex in examples_from_corpus(corpus))
+
+
 def test_frozen_word_table_has_no_gradient(mixed_corpus):
     config = grad_config(BASIC, 1)
     config.train_word_table = False
     model = init_model(config, Vocabulary.from_corpus(mixed_corpus), seed=1)
-    _, grads = loss_and_gradients(model, examples_from_corpus(mixed_corpus))
+    _, grads = loss_and_gradients(model, encode_examples(model, examples_from_corpus(mixed_corpus)))
     assert "word_table" not in grads
     assert set(grads) == set(model.params) - {"word_table"}
 
