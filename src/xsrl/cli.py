@@ -296,16 +296,16 @@ def _dev_f1(args, projected: Corpus, dev: Corpus, seed: int) -> float:
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--variant", choices=[BASIC, PGN], default=PGN)
-    sub.add_argument("--word-dim", type=int, default=300)
-    sub.add_argument("--pos-dim", type=int, default=100)
-    sub.add_argument("--pred-dim", type=int, default=100)
-    sub.add_argument("--lang-dim", type=int, default=32)
-    sub.add_argument("--hidden", type=int, default=650)
-    sub.add_argument("--layers", type=int, default=3)
-    sub.add_argument("--learning-rate", type=float, default=0.0005)
-    sub.add_argument("--batch-size", type=int, default=50)
-    sub.add_argument("--epochs", type=int, default=80)
+    sub.add_argument("--variant", choices=[BASIC, PGN], default=ModelConfig.variant)
+    sub.add_argument("--word-dim", type=int, default=ModelConfig.word_dim)
+    sub.add_argument("--pos-dim", type=int, default=ModelConfig.pos_dim)
+    sub.add_argument("--pred-dim", type=int, default=ModelConfig.pred_dim)
+    sub.add_argument("--lang-dim", type=int, default=ModelConfig.lang_dim)
+    sub.add_argument("--hidden", type=int, default=ModelConfig.hidden)
+    sub.add_argument("--layers", type=int, default=ModelConfig.layers)
+    sub.add_argument("--learning-rate", type=float, default=ModelConfig.learning_rate)
+    sub.add_argument("--batch-size", type=int, default=ModelConfig.batch_size)
+    sub.add_argument("--epochs", type=int, default=ModelConfig.epochs)
     sub.add_argument("--embeddings", help="pretrained word vector file (frozen table)")
 
 

@@ -12,9 +12,6 @@ from .network import (
     SrlModel,
     TrainingExample,
     Vocabulary,
-    build_features,
-    crf_neg_log_likelihood,
-    encode,
     encode_examples,
     examples_from_corpus,
     init_model,
@@ -23,7 +20,6 @@ from .network import (
     pgn_params,
     predict,
     similarity_csv,
-    viterbi_decode,
 )
 from .serialize import CheckpointError, load_model, save_model
 from .training import TrainingError, gradient_check, train
@@ -41,9 +37,6 @@ __all__ = [
     "TrainingExample",
     "Vocabulary",
     "CheckpointError",
-    "build_features",
-    "crf_neg_log_likelihood",
-    "encode",
     "encode_examples",
     "examples_from_corpus",
     "gradient_check",
@@ -57,6 +50,5 @@ __all__ = [
     "save_model",
     "similarity_csv",
     "train",
-    "viterbi_decode",
     "vocabulary_with_table",
 ]

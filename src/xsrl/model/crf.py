@@ -1,4 +1,8 @@
-"""Linear-chain CRF scoring, partition function, gradients and decoding.
+"""Linear-chain CRF: loss and gradients, decoding, and the partition function.
+
+The model trains through :func:`nll_gradients` and decodes through
+:func:`viterbi`; :func:`log_partition` is the forward algorithm alone,
+kept as the quantity the brute-force oracle tests check.
 
 Emissions ``o`` are (n, K) for one sequence of K real labels, or a
 time-major padded batch (T, B, K) whose sequence b occupies positions
@@ -16,9 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "gold_score",
     "log_partition",
-    "neg_log_likelihood",
     "nll_gradients",
     "viterbi",
 ]
@@ -96,24 +98,12 @@ def _path_scores(o: np.ndarray, trans: np.ndarray, path) -> np.ndarray:
             + np.bincount(seq, weights=trans[src, dst], minlength=batch))
 
 
-def gold_score(o: np.ndarray, trans: np.ndarray, labels, lengths=None):
-    """Score of the gold path: a float for one sequence, (B,) for a batch."""
-    o, lengths, labels, single = _batch(o, lengths, labels)
-    score = _path_scores(o, trans, _gold_path(labels, lengths, o.shape[2]))
-    return float(score[0]) if single else score
-
-
 def log_partition(o: np.ndarray, trans: np.ndarray, lengths=None):
     """log Z: a float for one sequence, (B,) for a batch."""
     o, lengths, _, single = _batch(o, lengths)
     alphas, _ = _forward(o, trans)
     logz = _lse(_final_scores(alphas, trans, lengths), axis=1)
     return float(logz[0]) if single else logz
-
-
-def neg_log_likelihood(o: np.ndarray, trans: np.ndarray, labels, lengths=None):
-    """log Z minus the gold path score; always >= 0."""
-    return log_partition(o, trans, lengths) - gold_score(o, trans, labels, lengths)
 
 
 def nll_gradients(o: np.ndarray, trans: np.ndarray, labels, lengths=None):

@@ -1,8 +1,8 @@
 """Loader for pretrained word vectors in the plain text format.
 
 First line "count dim", then one "word v1 ... v_dim" line per word with
-space-separated decimal floats.  The returned table is meant to be frozen
-during training; an all-zero row for unknown words is prepended by
+space-separated finite decimal floats.  The returned table is meant to be
+frozen during training; an all-zero row for unknown words is prepended by
 :func:`vocabulary_with_table`.
 """
 
@@ -39,6 +39,8 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
                 vectors[len(words) - 1] = [float(v) for v in fields[1:]]
             except ValueError:
                 raise ModelError(f"line {lineno}: malformed float value") from None
+            if not np.isfinite(vectors[len(words) - 1]).all():
+                raise ModelError(f"line {lineno}: non-finite value")
     if len(words) != count:
         raise ModelError(f"expected {count} vectors, file has {len(words)}")
     return words, vectors

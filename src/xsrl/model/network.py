@@ -6,18 +6,21 @@ sentence's language: a parameter-generation matrix maps the language
 embedding to the full flattened BiLSTM weight block, so each language
 gets its own encoder while sharing the generator.
 
-Training and prediction encode their examples once into integer arrays
-(:class:`EncodedExamples`) and run on padded, time-major minibatches.  A
-training batch is ordered by language group (one per language for PGN,
-one for BASIC) and padded once: each group runs the BiLSTM with its own
-generated weight block, and the embedding, the CRF and their gradients
-run over the whole batch; a single example is a batch of one.
-Prediction takes a whole corpus at once and cuts each language group
-into batches of sentences of similar length.
+The model runs through two entry points, and a single example is a batch
+of one in both.  :func:`loss_and_gradients` is the training path: it
+takes examples encoded once into integer arrays by
+:func:`encode_examples` (:class:`EncodedExamples`), orders a batch by
+language group (one per language for PGN, one for BASIC) and pads it
+once, time-major; each group runs the BiLSTM with its own generated
+weight block, and the embedding, the CRF and their gradients run over the
+whole batch.  :func:`predict` is the inference path: it takes a whole
+corpus at once and cuts each language group into forward-only batches of
+sentences of similar length.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,13 +40,9 @@ __all__ = [
     "encode_examples",
     "init_model",
     "param_shapes",
-    "build_features",
     "pgn_params",
     "language_similarity",
     "similarity_csv",
-    "encode",
-    "crf_neg_log_likelihood",
-    "viterbi_decode",
     "loss_and_gradients",
     "predict",
 ]
@@ -87,6 +86,14 @@ class ModelConfig:
                 raise ModelError(f"{name} must be >= 1")
         if self.variant == PGN and self.lang_dim < 1:
             raise ModelError("lang_dim must be >= 1")
+        for flag, value in (("--batch-size", self.batch_size), ("--epochs", self.epochs)):
+            if value < 1:
+                raise ModelError(f"{flag} must be >= 1, got {value}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ModelError(
+                f"--learning-rate must be a finite number > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
+            raise ModelError(f"clip_norm must be a finite number >= 0, got {self.clip_norm}")
 
     @property
     def feature_dim(self) -> int:
@@ -334,11 +341,6 @@ def _pad(data: EncodedExamples, rows: np.ndarray):
     return ids, lengths, valid, tokens
 
 
-def build_features(model: SrlModel, example: TrainingExample) -> np.ndarray:
-    """Concatenated word/POS/predicate-indicator embeddings, one row per token."""
-    return _embed(model, _feature_ids(model, example.sentence, example.frame.pred_index))
-
-
 def pgn_params(w_pgn: np.ndarray, lang_embedding: np.ndarray) -> np.ndarray:
     """Generate the flattened recurrent parameters for one language."""
     if w_pgn.ndim != 2 or lang_embedding.shape != (w_pgn.shape[1],):
@@ -370,27 +372,6 @@ def _recurrent_vector(model: SrlModel, lang_id: int) -> np.ndarray:
     if model.config.variant == BASIC:
         return model.params["bilstm"]
     return pgn_params(model.params["w_pgn"], model.params["lang_table"][lang_id])
-
-
-def encode(model: SrlModel, features: np.ndarray, lang: str = "") -> np.ndarray:
-    """Run the (possibly language-generated) BiLSTM stack over feature rows."""
-    flat = _recurrent_vector(model, _lang_code(model, lang))
-    states, _ = bilstm_forward(model.config.lstm_spec(), flat, features[:, None],
-                               keep_cache=False)
-    return states[:, 0]
-
-
-def crf_neg_log_likelihood(model: SrlModel, states: np.ndarray, labels) -> float:
-    """CRF loss for one encoded sentence and its gold role sequence."""
-    label_ids = [model.vocab.label_id(l) for l in labels]
-    emissions = states @ model.params["crf_emission"].T
-    return crf.neg_log_likelihood(emissions, model.params["crf_transition"], label_ids)
-
-
-def viterbi_decode(model: SrlModel, states: np.ndarray) -> list[str]:
-    emissions = states @ model.params["crf_emission"].T
-    path = crf.viterbi(emissions, model.params["crf_transition"])
-    return [model.vocab.labels[i] for i in path]
 
 
 def _language_groups(langs: np.ndarray) -> list[tuple[int, slice]]:

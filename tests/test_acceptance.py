@@ -16,25 +16,21 @@ from xsrl.corpus import Corpus, PredicateFrame, Sentence, Token, parse_srl_corpu
 from xsrl.eval import parse_report, srl_f1
 from xsrl.model import (
     BASIC,
-    OUTSIDE,
     PGN,
     ModelConfig,
     Vocabulary,
-    build_features,
     crf,
-    encode,
     gradient_check,
     init_model,
     pgn_params,
     predict,
     train,
-    viterbi_decode,
 )
 from xsrl.model.network import TrainingExample, examples_from_corpus
 from xsrl.postag import fit_pos_emission
 from xsrl.projection import ProjectionConfig, project_corpus, project_sentence
 
-from conftest import DATA
+from conftest import DATA, assert_frozen_pgn_equals_basic, freeze_onto, token_f1
 from test_projection import oracle_project, random_case
 
 
@@ -123,29 +119,27 @@ def test_criterion_3_pgn_algebra():
     basic = init_model(
         ModelConfig(word_dim=8, pos_dim=4, pred_dim=4, hidden=8, layers=3,
                     variant=BASIC), vocab, seed=2)
-    frozen = init_model(
+    frozen = freeze_onto(basic, init_model(
         ModelConfig(word_dim=8, pos_dim=4, pred_dim=4, lang_dim=1, hidden=8,
-                    layers=3, variant=PGN), vocab, seed=3)
-    for name in ("word_table", "pos_table", "pred_table", "crf_emission",
-                 "crf_transition"):
-        frozen.params[name] = basic.params[name].copy()
-    frozen.params["lang_table"] = np.ones((len(vocab.languages), 1))
-    frozen.params["w_pgn"] = basic.params["bilstm"][:, None].copy()
+                    layers=3, variant=PGN), vocab, seed=3))
 
     rng = np.random.default_rng(4)
-    for probe in range(20):
+    label_rng = np.random.default_rng(5)
+    probes = []
+    for _ in range(20):
         n = int(rng.integers(1, 7))
         tokens = tuple(Token(i + 1, f"w{rng.integers(6)}", "_", "NOUN")
                        for i in range(n))
         sent = Sentence(tokens=tokens, lang="EN")
-        ex = TrainingExample(sent, PredicateFrame(int(rng.integers(1, n + 1)),
-                                                  "p.01"), ())
-        hb = encode(basic, build_features(basic, ex), "EN")
-        hp = encode(frozen, build_features(frozen, ex), "EN")
-        assert np.array_equal(hb, hp)
-        assert viterbi_decode(basic, hb) == viterbi_decode(frozen, hp)
+        labels = tuple(vocab.labels[i] for i in label_rng.integers(len(vocab.labels), size=n))
+        probes.append(TrainingExample(
+            sent, PredicateFrame(int(rng.integers(1, n + 1)), "p.01"), labels))
+    assert_frozen_pgn_equals_basic(basic, frozen, probes)
+    for probe in probes:
+        assert_frozen_pgn_equals_basic(basic, frozen, [probe])
     ok("criterion 3: generation linearity to 1e-12 on 100 draws; frozen "
-       "single-language generator matches BASIC bit-for-bit on 20 probes")
+       "single-language generator matches BASIC bit-for-bit (loss, gradients, "
+       "predicted frames) on 20 probes, as one batch and one by one")
 
 
 # 4 ---------------------------------------------------------------------
@@ -258,25 +252,6 @@ def test_criterion_6_ibm1_properties():
 # 7 ---------------------------------------------------------------------
 
 
-def _token_f1(model, corpus):
-    tp = fp = fn = 0
-    for ex in examples_from_corpus(corpus):
-        states = encode(model, build_features(model, ex), ex.sentence.lang)
-        hyp = viterbi_decode(model, states)
-        for gold, got in zip(ex.labels, hyp):
-            if gold != OUTSIDE and got == gold:
-                tp += 1
-            elif gold == OUTSIDE and got != OUTSIDE:
-                fp += 1
-            elif gold != OUTSIDE:
-                fn += 1
-                if got != OUTSIDE:
-                    fp += 1
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    return 2 * p * r / (p + r) if p + r else 0.0
-
-
 def test_criterion_7_overfit_sanity():
     corpus = parse_srl_corpus((DATA / "en_srl.conllu").read_text())
     config = ModelConfig(word_dim=32, pos_dim=16, pred_dim=16, hidden=64,
@@ -286,7 +261,7 @@ def test_criterion_7_overfit_sanity():
     model, losses = train(corpus, config, seed=42)
     elapsed = time.time() - started
     assert config.epochs <= 200 and elapsed < 300.0
-    f1 = _token_f1(model, corpus)
+    f1 = token_f1(model, corpus)
     assert f1 >= 0.99
 
     model2, losses2 = train(corpus, config, seed=42)

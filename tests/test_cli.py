@@ -119,6 +119,18 @@ def test_train_two_languages_and_determinism(toy, capsys):
     assert model.vocab.languages == ("DE", "EN")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--batch-size", "0"), ("--epochs", "0"), ("--learning-rate", "-1"),
+    ("--learning-rate", "0"), ("--learning-rate", "nan"), ("--learning-rate", "inf")])
+def test_out_of_range_train_flag_exits_2(toy, capsys, flag, value):
+    flags = list(TRAIN_FLAGS)
+    flags[flags.index(flag) + 1] = value
+    assert run("train", "--train-file", toy / "de_dev.conllu",
+               "--out", toy / "m.bin", *flags) == 2
+    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert not (toy / "m.bin").exists()
+
+
 def test_train_missing_language_exits_2(toy, capsys):
     bare = "1\ta\ta\tNOUN\t_\t_\t0\tdep\t_\t_\ta.01\n\n"
     (toy / "nolang.conllu").write_text(bare)
@@ -265,16 +277,15 @@ def test_threads_flag_is_gone(toy, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_training_exits_3(toy, capsys):
-    words = sorted({t.split("\t")[1]
-                    for t in (toy / "de_dev.conllu").read_text().splitlines()
-                    if t and not t.startswith("#")})
-    lines = [f"{len(words)} 4"] + [f"{w} nan 0.5 -1.0 2.0" for w in words]
-    (toy / "vectors.txt").write_text("\n".join(lines) + "\n")
+    # the first Adam step moves every parameter by about the learning rate,
+    # so the second batch's CRF scores overflow
+    flags = list(TRAIN_FLAGS)
+    flags[flags.index("--learning-rate") + 1] = "1e308"
     assert run("train", "--train-file", toy / "de_dev.conllu", "--seed", "2",
-               "--embeddings", toy / "vectors.txt",
-               "--out", toy / "nan.bin", *TRAIN_FLAGS) == 3
-    assert "non-finite loss or gradient in epoch 1, batch 1" in capsys.readouterr().err
+               "--out", toy / "nan.bin", *flags) == 3
+    assert "non-finite loss or gradient in epoch 1, batch 2" in capsys.readouterr().err
     assert not (toy / "nan.bin").exists()
 
 

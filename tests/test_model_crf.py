@@ -29,7 +29,7 @@ def test_single_position_two_labels():
     trans[2] = [0.3, 0.1, 0.0, 0.0]  # BOS row
     trans[:, 3] = [0.2, 0.7, 0.0, 0.0]  # into EOS
     path_scores = np.array([1.0 + 0.3 + 0.2, -0.5 + 0.1 + 0.7])
-    gold = crf.neg_log_likelihood(o, trans, [0])
+    gold, _, _ = crf.nll_gradients(o, trans, [0])
     expected = logsumexp(path_scores) - path_scores[0]
     assert gold == pytest.approx(expected, abs=1e-12)
     assert crf.viterbi(o, trans) == [0]
@@ -48,7 +48,7 @@ def test_uniform_scores_symmetric_loss():
     o = np.zeros((n, k))
     trans = np.zeros((k + 2, k + 2))
     # all k^n paths score identically, so any gold path has probability k^-n
-    loss = crf.neg_log_likelihood(o, trans, [0, 1, 2, 0])
+    loss, _, _ = crf.nll_gradients(o, trans, [0, 1, 2, 0])
     assert loss == pytest.approx(n * np.log(k), abs=1e-12)
 
 
@@ -109,9 +109,9 @@ def test_nll_gradients_match_finite_differences():
             for c in rng.choice(flat.size, size=min(10, flat.size), replace=False):
                 original = flat[c]
                 flat[c] = original + eps
-                upper = crf.neg_log_likelihood(o, trans, labels)
+                upper, _, _ = crf.nll_gradients(o, trans, labels)
                 flat[c] = original - eps
-                lower = crf.neg_log_likelihood(o, trans, labels)
+                lower, _, _ = crf.nll_gradients(o, trans, labels)
                 flat[c] = original
                 numeric = (upper - lower) / (2 * eps)
                 assert gflat[c] == pytest.approx(numeric, abs=1e-6)

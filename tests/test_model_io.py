@@ -11,6 +11,7 @@ from xsrl.model import (
     PGN,
     CheckpointError,
     ModelConfig,
+    ModelError,
     Vocabulary,
     init_model,
     load_embeddings,
@@ -109,6 +110,14 @@ def test_load_embeddings_errors(tmp_path):
         load_embeddings(str(path))
     path.write_text("2 3\nfoo 1.0 2.0 3.0\n")
     with pytest.raises(Exception, match="expected 2 vectors"):
+        load_embeddings(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_load_embeddings_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"2 3\nfoo 1.0 2.0 3.0\nbar 0.5 {value} 0.125\n")
+    with pytest.raises(ModelError, match="line 3: non-finite value"):
         load_embeddings(str(path))
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,17 +10,19 @@ from xsrl.model import (
     ModelConfig,
     ModelError,
     Vocabulary,
-    build_features,
-    encode,
+    crf,
+    encode_examples,
     init_model,
     language_similarity,
+    loss_and_gradients,
     pgn_params,
     predict,
     similarity_csv,
-    viterbi_decode,
 )
 from xsrl.model.lstm import LstmSpec, bilstm_backward, bilstm_forward
 from xsrl.model.network import PREDICT_ROWS, TrainingExample, examples_from_corpus
+
+from conftest import assert_frozen_pgn_equals_basic, freeze_onto
 
 
 def make_sentence(forms, pred=1, lang="EN", roles=None):
@@ -48,6 +52,10 @@ def test_config_validation():
         ModelConfig(variant="fancy")
     with pytest.raises(ModelError):
         ModelConfig(hidden=0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ModelError, match="clip_norm must be"):
+            ModelConfig(clip_norm=bad)
+    ModelConfig(clip_norm=0.0)
 
 
 def test_examples_from_corpus(corpus):
@@ -59,12 +67,13 @@ def test_examples_from_corpus(corpus):
 
 def test_feature_shape_and_indicator(corpus):
     model = init_model(small_config(), Vocabulary.from_corpus(corpus), seed=0)
-    examples = examples_from_corpus(corpus)
-    x = build_features(model, examples[0])
-    assert x.shape == (3, 6 + 3 + 3)
-    table = model.params["pred_table"]
-    np.testing.assert_array_equal(x[1, 9:], table[1])
-    np.testing.assert_array_equal(x[0, 9:], table[0])
+    data = encode_examples(model, examples_from_corpus(corpus))
+    assert data.ids.shape == (3 + 2, 3)
+    assert data.offsets.tolist() == [0, 3, 5]
+    vocab = model.vocab
+    assert data.ids[:3].tolist() == [[vocab.word_id(f), vocab.pos_id("NOUN"), int(f == "b")]
+                                     for f in "abc"]
+    assert data.ids[3:, 2].tolist() == [1, 0]
 
 
 def test_feature_dim_arithmetic():
@@ -75,19 +84,20 @@ def test_feature_dim_arithmetic():
 def test_indicator_only_difference(corpus):
     model = init_model(small_config(), Vocabulary.from_corpus(corpus), seed=0)
     sent = corpus.sentences[0]
-    ex1 = TrainingExample(sent, PredicateFrame(1, "x.01"), ())
-    ex2 = TrainingExample(sent, PredicateFrame(2, "x.01"), ())
-    x1, x2 = build_features(model, ex1), build_features(model, ex2)
-    np.testing.assert_array_equal(x1[:, :9], x2[:, :9])
-    assert not np.array_equal(x1[:, 9:], x2[:, 9:])
+    data = encode_examples(model, [TrainingExample(sent, PredicateFrame(p, "x.01"), ("O",) * 3)
+                                   for p in (1, 2)])
+    x1, x2 = data.ids[:3], data.ids[3:]
+    np.testing.assert_array_equal(x1[:, :2], x2[:, :2])
+    assert x1[:, 2].tolist() == [1, 0, 0] and x2[:, 2].tolist() == [0, 1, 0]
 
 
 def test_oov_maps_to_unknown_row(corpus):
     model = init_model(small_config(), Vocabulary.from_corpus(corpus), seed=0)
-    sent = make_sentence(["zzz"], pred=1)
-    ex = TrainingExample(sent, sent.frames[0], ("O",))
-    x = build_features(model, ex)
-    np.testing.assert_array_equal(x[0, :6], model.params["word_table"][0])
+    sent = make_sentence(["zzz", "a"], pred=1)
+    data = encode_examples(model, [TrainingExample(sent, sent.frames[0], ("O", "O"))])
+    assert model.vocab.words[0] == "<unk>"
+    assert model.vocab.word_id("a") != 0
+    assert data.ids[:, 0].tolist() == [0, model.vocab.word_id("a")]
 
 
 def test_pgn_zero_vector_and_linearity():
@@ -114,26 +124,33 @@ def test_pgn_dimension_mismatch():
 
 def test_encode_shapes(corpus):
     vocab = Vocabulary.from_corpus(corpus)
+    single = make_sentence(["a"], pred=1)
     for variant in (BASIC, PGN):
         model = init_model(small_config(variant, layers=3), vocab, seed=1)
-        ex = examples_from_corpus(corpus)[0]
-        h = encode(model, build_features(model, ex), "EN")
-        assert h.shape == (3, 10)
-        assert np.all(np.isfinite(h))
-        single = make_sentence(["a"], pred=1)
-        ex1 = TrainingExample(single, single.frames[0], ("O",))
-        h1 = encode(model, build_features(model, ex1), "EN")
-        assert h1.shape == (1, 10)
+        examples = [examples_from_corpus(corpus)[0],
+                    TrainingExample(single, single.frames[0], ("O",))]
+        data = encode_examples(model, examples)
+        for rows in (None, [0], [1]):
+            loss, grads = loss_and_gradients(model, data, rows)
+            assert np.isfinite(loss) and loss > 0
+            assert {name: g.shape for name, g in grads.items()} == {
+                name: p.shape for name, p in model.params.items()}
+            assert all(np.all(np.isfinite(g)) for g in grads.values())
+        assert grads["crf_emission"].shape == (len(vocab.labels), 10)
+        frames = predict(model, [(ex.sentence, [ex.frame.pred_index], "EN")
+                                 for ex in examples])
+        assert [[f.pred_index for f in fs] for fs in frames] == [[2], [1]]
+        assert frames[1][0].args == ()
 
 
 def test_unknown_language_errors(corpus):
     model = init_model(small_config(PGN), Vocabulary.from_corpus(corpus), seed=1)
-    ex = examples_from_corpus(corpus)[0]
+    sent = corpus.sentences[0]
     with pytest.raises(ModelError, match="unknown language"):
-        encode(model, build_features(model, ex), "FI")
+        predict(model, [(sent, [2], "FI")])
     # BASIC ignores the language entirely
     basic = init_model(small_config(BASIC), Vocabulary.from_corpus(corpus), seed=1)
-    encode(basic, build_features(basic, ex), "FI")
+    assert predict(basic, [(sent, [2], "FI")]) == predict(basic, [(sent, [2], "EN")])
 
 
 def test_reversal_swaps_direction_trajectories():
@@ -153,35 +170,23 @@ def test_reversal_swaps_direction_trajectories():
 def test_distinct_language_embeddings_distinct_states(corpus):
     model = init_model(small_config(PGN), Vocabulary.from_corpus(corpus), seed=3)
     ex = examples_from_corpus(corpus)[0]
-    x = build_features(model, ex)
-    h_en = encode(model, x, "EN")
-    h_de = encode(model, x, "DE")
-    assert np.max(np.abs(h_en - h_de)) > 1e-9
+    as_de = replace(ex, sentence=replace(ex.sentence, lang="DE"))
+    loss_en, grads_en = loss_and_gradients(model, encode_examples(model, [ex]))
+    loss_de, grads_de = loss_and_gradients(model, encode_examples(model, [as_de]))
+    assert loss_en != loss_de
+    # the emission gradient is d_emissions^T @ states: it sees the states
+    assert np.max(np.abs(grads_en["crf_emission"] - grads_de["crf_emission"])) > 1e-9
 
 
 def test_frozen_pgn_equals_basic_bitwise(corpus):
     vocab = Vocabulary.from_corpus(corpus)
     basic = init_model(small_config(BASIC, layers=2), vocab, seed=4)
-    cfg = small_config(PGN, layers=2, lang_dim=1)
-    pgn = init_model(cfg, vocab, seed=5)
-    for name in ("word_table", "pos_table", "pred_table", "crf_emission",
-                 "crf_transition"):
-        pgn.params[name] = basic.params[name].copy()
-    pgn.params["lang_table"] = np.ones((len(vocab.languages), 1))
-    pgn.params["w_pgn"] = basic.params["bilstm"][:, None].copy()
-    for sent in corpus.sentences:
-        ex = TrainingExample(sent, sent.frames[0], ())
-        xb = build_features(basic, ex)
-        xp = build_features(pgn, ex)
-        hb = encode(basic, xb, sent.lang)
-        hp = encode(pgn, xp, sent.lang)
-        assert np.array_equal(hb, hp)
-        assert viterbi_decode(basic, hb) == viterbi_decode(pgn, hp)
+    pgn = freeze_onto(basic, init_model(small_config(PGN, layers=2, lang_dim=1), vocab, seed=5))
+    for example in examples_from_corpus(corpus):
+        assert_frozen_pgn_equals_basic(basic, pgn, [example])
 
 
 def test_model_level_crf_loss_two_paths(corpus):
-    from xsrl.model import crf_neg_log_likelihood
-
     vocab = Vocabulary(words=("<unk>", "a"), pos_tags=("NOUN", "_"),
                        labels=("A0", "O"), languages=("EN",))
     model = init_model(small_config(BASIC, hidden=1), vocab, seed=0)
@@ -190,8 +195,10 @@ def test_model_level_crf_loss_two_paths(corpus):
     states = np.array([[2.0, 3.0]])  # n=1, 2*hidden=2
     scores = states[0] @ model.params["crf_emission"].T
     expected = -np.log(np.exp(scores[0]) / np.exp(scores).sum())
-    assert crf_neg_log_likelihood(model, states, ("A0",)) == pytest.approx(
-        expected, abs=1e-12)
+    emissions = states @ model.params["crf_emission"].T
+    loss, _, _ = crf.nll_gradients(emissions, model.params["crf_transition"],
+                                   [vocab.label_id("A0")])
+    assert loss == pytest.approx(expected, abs=1e-12)
 
 
 def test_predict_contract(corpus):

@@ -6,22 +6,20 @@ import pytest
 from xsrl.corpus import Corpus, PredicateFrame, Sentence, Token
 from xsrl.model import (
     BASIC,
-    OUTSIDE,
     PGN,
     ModelConfig,
     ModelError,
     TrainingError,
     Vocabulary,
-    build_features,
-    encode,
     encode_examples,
     gradient_check,
     init_model,
     loss_and_gradients,
     train,
-    viterbi_decode,
 )
 from xsrl.model.network import TrainingExample, examples_from_corpus
+
+from conftest import token_f1
 
 
 def sentence(forms, pred, roles, lang="EN"):
@@ -78,25 +76,6 @@ def test_saturated_example_has_zero_gradients(mixed_corpus):
     assert gradient_check(model, [example], samples=50) < 1e-4
 
 
-def overfit_f1(model, corpus):
-    tp = fp = fn = 0
-    for ex in examples_from_corpus(corpus):
-        states = encode(model, build_features(model, ex), ex.sentence.lang)
-        predicted = viterbi_decode(model, states)
-        for gold, hyp in zip(ex.labels, predicted):
-            if gold != OUTSIDE and hyp == gold:
-                tp += 1
-            elif gold == OUTSIDE and hyp != OUTSIDE:
-                fp += 1
-            elif gold != OUTSIDE:
-                fn += 1
-                if hyp != OUTSIDE:
-                    fp += 1
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    return 2 * p * r / (p + r) if p + r else 0.0
-
-
 def test_overfit_small_corpus():
     rng = np.random.default_rng(0)
     sentences = []
@@ -108,7 +87,7 @@ def test_overfit_small_corpus():
                          variant=BASIC, learning_rate=0.01, batch_size=6, epochs=60)
     model, losses = train(corpus, config, seed=5)
     assert losses[-1] < losses[0]
-    assert overfit_f1(model, corpus) >= 0.99
+    assert token_f1(model, corpus) >= 0.99
 
 
 def test_training_determinism(mixed_corpus):
