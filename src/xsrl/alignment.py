@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -21,7 +23,6 @@ __all__ = [
     "AlignmentTable",
     "read_parallel_corpus",
     "ibm1_train",
-    "align_prob",
     "best_target",
     "save_table",
     "load_table",
@@ -91,7 +92,10 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
     of the textbook nested loops.  Each link carries the id of its row, of
     its source word and of its (e, f) table entry, entries being numbered in
     order of first use (a literal ``<NULL>`` target token is the NULL
-    entry).  One iteration gathers the entry probabilities onto the links,
+    entry).  The numbering is built on arrays too: each link's entry is the
+    integer key ``e * |targets| + f``, a stable sort groups equal keys with
+    their first link first, and the groups are ranked by that first link.
+    One iteration gathers the entry probabilities onto the links,
     sums them per row into the denominators, divides, and sums the
     posteriors per entry and per source word.  ``np.bincount`` adds its
     weights one after another in input order, which is link order, so every
@@ -108,37 +112,69 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
         if not pair.src_tokens or not pair.tgt_tokens:
             raise AlignmentError(f"pair {idx}: empty side")
 
-    def norm(tok: str) -> str:
-        return tok.lower() if lowercase else tok
+    def side(name: str) -> list[str]:
+        tokens = chain.from_iterable(map(attrgetter(name), pairs))
+        return list(map(str.lower, tokens) if lowercase else tokens)
 
-    src_ids: dict[str, int] = {}
-    tgt_vocab: set[str] = set()
-    entry_ids: dict[tuple[str, str], int] = {}  # (e, f) -> entry id, in order of first use
-    row_src: list[int] = []     # source word id of each row
-    row_len: list[int] = []     # links in each row: target length plus NULL
-    link_entry: list[int] = []  # entry id of each link
-    for p in pairs:
-        tgt = [NULL_TOKEN] + [norm(f) for f in p.tgt_tokens]
-        tgt_vocab.update(tgt)
-        for e in map(norm, p.src_tokens):
-            row_src.append(src_ids.setdefault(e, len(src_ids)))
-            row_len.append(len(tgt))
-            link_entry.extend([entry_ids.setdefault((e, f), len(entry_ids)) for f in tgt])
-    n_rows, n_src, n_entries = len(row_src), len(src_ids), len(entry_ids)
+    def lengths(name: str) -> np.ndarray:
+        return np.fromiter(map(len, map(attrgetter(name), pairs)), np.intp, len(pairs))
 
-    entry_id = np.asarray(link_entry, dtype=np.intp)
-    del link_entry
+    src, tgt = side("src_tokens"), side("tgt_tokens")
+    src_len, tgt_len = lengths("src_tokens"), lengths("tgt_tokens") + 1  # with NULL
+    src_words = list(dict.fromkeys(src))
+    tgt_words = list(dict.fromkeys(chain((NULL_TOKEN,), tgt)))  # NULL is target 0
+    n_rows, n_src, n_tgt = len(src), len(src_words), len(tgt_words)
+    src_id = {word: i for i, word in enumerate(src_words)}
+    tgt_id = {word: i for i, word in enumerate(tgt_words)}
+    row_src = np.fromiter(map(src_id.__getitem__, src), np.intp, n_rows)
+    pair_start = np.cumsum(tgt_len) - tgt_len  # each pair's NULL in tgt_ids
+    tgt_ids = np.fromiter(map(tgt_id.__getitem__, tgt), np.intp, len(tgt))
+    tgt_ids = np.insert(tgt_ids, pair_start - np.arange(len(pairs)), 0)
+    row_len = np.repeat(tgt_len, src_len)  # links in each row
     row_id = np.repeat(np.arange(n_rows, dtype=np.intp), row_len)
-    link_e = np.repeat(np.asarray(row_src, dtype=np.intp), row_len)
-    entry_e = np.fromiter((src_ids[e] for e, _ in entry_ids), dtype=np.intp, count=n_entries)
-    row_inv_len = 1.0 / np.asarray(row_len, dtype=np.float64)
+    link_e = row_src[row_id]
+    # a row's links take its pair's targets in order: link i of the row
+    # takes target i of the pair
+    link_f = np.arange(len(row_id), dtype=np.intp)
+    link_f += np.repeat(pair_start, src_len)[row_id]
+    link_f -= (np.cumsum(row_len) - row_len)[row_id]
+    link_f = tgt_ids[link_f]
+
+    # Number the (e, f) entries in order of first use: sort the links' keys
+    # e * |targets| + f stably, so each entry's first link leads its group,
+    # and rank the groups by that link.  ``work`` holds the links' targets,
+    # then the sorted keys, then each sorted link's group, then the entry
+    # ids: five link-sized arrays are live at most, as in the EM loop.
+    keys = link_e * n_tgt
+    keys += link_f
+    work = link_f
+    perm = np.argsort(keys, kind="stable")
+    np.take(keys, perm, out=work, mode="clip")
+    new = np.empty(len(work), dtype=bool)  # the first link of each entry
+    new[:1] = True
+    np.not_equal(work[1:], work[:-1], out=new[1:])
+    entry_key = work[new]
+    order = np.argsort(perm[new], kind="stable")  # the entries by first use
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order), dtype=np.intp)
+    np.cumsum(new, out=work)
+    work -= 1
+    del new
+    np.take(rank, work, out=keys, mode="clip")  # the entry id of each sorted link
+    entry_id = work
+    entry_id[perm] = keys
+    del keys, perm, rank, link_f, work
+    entry_key = entry_key[order]
+    entry_e = entry_key // n_tgt
+    n_entries = len(entry_key)
+    row_inv_len = 1.0 / row_len
 
     # The loop allocates no per-link array: the two buffers are reused, the
     # indices are intp (numpy would copy any other index dtype on every call)
     # and take runs with mode="clip" (the default mode buffers its output).
     linked = np.empty(len(entry_id))
     gamma = np.empty(len(entry_id))
-    probs = np.full(n_entries, 1.0 / len(tgt_vocab))
+    probs = np.full(n_entries, 1.0 / n_tgt)
     for _ in range(iterations):
         np.take(probs, entry_id, out=linked, mode="clip")
         denom = np.bincount(row_id, weights=linked, minlength=n_rows)
@@ -154,28 +190,24 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
             log.append(loglik)
 
     del linked, gamma, entry_id, row_id, link_e  # free them before the table is built
-    return AlignmentTable(probs=dict(zip(entry_ids, probs.tolist())), floor=floor)
-
-
-def align_prob(table: AlignmentTable, e: str, f: str) -> float:
-    """Stored probability a(f|e), or the table floor for unseen pairs."""
-    return table.probs.get((e, f), table.floor)
+    entries = zip(map(src_words.__getitem__, entry_e.tolist()),
+                  map(tgt_words.__getitem__, (entry_key % n_tgt).tolist()))
+    return AlignmentTable(probs=dict(zip(entries, probs.tolist())), floor=floor)
 
 
 def best_target(table: AlignmentTable, e: str, tgt_tokens) -> tuple[int, float]:
     """1-based index of the target token maximizing a(f|e), with its probability.
 
-    Ties go to the smallest index.  The NULL token is never a candidate
-    unless it literally appears in ``tgt_tokens``.
+    Pairs not in the table score the table's floor.  Ties go to the smallest
+    index.  The NULL token is never a candidate unless it literally appears
+    in ``tgt_tokens``.
     """
     if not tgt_tokens:
         raise AlignmentError("empty target sentence")
-    best_j, best_p = 1, align_prob(table, e, tgt_tokens[0])
-    for j, f in enumerate(tgt_tokens[1:], start=2):
-        p = align_prob(table, e, f)
-        if p > best_p:
-            best_j, best_p = j, p
-    return best_j, best_p
+    get, floor = table.probs.get, table.floor
+    probs = [get((e, f), floor) for f in tgt_tokens]
+    best = max(probs)  # max keeps the first of equal maxima, and index finds it
+    return probs.index(best) + 1, best
 
 
 def save_table(table: AlignmentTable, path: str) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import eval as evaluation
@@ -40,9 +41,34 @@ from .projection import ProjectionConfig, ProjectionError, ProjectionStats, proj
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
+# Errors about the content of an input file: their messages get its path.
+_FILE_ERRORS = (AlignmentError, CorpusError, ModelError, PosError, CheckpointError,
+                evaluation.EvalError)
 _INPUT_ERRORS = (AlignmentError, CorpusError, ModelError, PosError,
                  ProjectionError, CheckpointError, evaluation.EvalError,
                  OSError, ValueError)
+
+
+@contextmanager
+def _reading(path: str):
+    """Name ``path`` in every input error raised while reading it.
+
+    Undecodable bytes become ``PATH: line N: not valid UTF-8``, N being the
+    line of the first byte that is not UTF-8.
+    """
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
+        raise
+    except _FILE_ERRORS as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _read_text(path: str) -> str:
@@ -51,7 +77,14 @@ def _read_text(path: str) -> str:
 
 
 def _load_corpus(path: str, lang: str | None = None, require_pred: bool = True) -> Corpus:
-    return parse_srl_corpus(_read_text(path), default_lang=lang, require_pred=require_pred)
+    with _reading(path):
+        return parse_srl_corpus(_read_text(path), default_lang=lang, require_pred=require_pred)
+
+
+def _load(reader, path: str):
+    """``reader(path)``, with ``path`` named in the input errors it raises."""
+    with _reading(path):
+        return reader(path)
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -64,29 +97,40 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """Each key of a "key = value" file, with its line number and raw value."""
+    values: dict[str, tuple[int, str]] = {}
+    with _reading(path):
+        text = _read_text(path)
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = stripped.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        values[key.strip().replace("-", "_")] = (lineno, value.strip())
     return values
 
 
-def _cast_config_value(raw: str):
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for caster in (int, float):
+def _config_value(action: argparse.Action, raw: str):
+    """A config-file value converted the way the flag converts it on the
+    command line: by its type, checked against its choices; a switch
+    (``store_true``) takes true or false."""
+    if action.nargs == 0:
+        if raw.lower() not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {raw!r}")
+        return raw.lower() == "true"
+    value = raw
+    if action.type is not None:
         try:
-            return caster(raw)
+            value = action.type(raw)
         except ValueError:
-            continue
-    return raw
+            raise ValueError(f"invalid {action.type.__name__} value: {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"invalid choice: {value!r} (choose from "
+                         f"{', '.join(map(str, action.choices))})")
+    return value
 
 
 def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
@@ -94,13 +138,23 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
 
     The command line is parsed again with every default suppressed, so a
     flag given explicitly wins even when its value equals the default.
+    Keys that name no flag of the command are ignored.
     """
     if not args.config:
         return
-    explicit = vars(build_parser(suppress_defaults=True).parse_args(argv))
-    for key, raw in _read_config_file(args.config).items():
-        if hasattr(args, key) and key not in explicit:
-            setattr(args, key, _cast_config_value(raw))
+    parser = build_parser(suppress_defaults=True)
+    explicit = vars(parser.parse_args(argv))
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {action.dest: action for action in subcommands.choices[args.command]._actions
+             if action.option_strings and hasattr(args, action.dest)}
+    for key, (lineno, raw) in _read_config_file(args.config).items():
+        if key in flags and key not in explicit:
+            try:
+                value = _config_value(flags[key], raw)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}:{lineno}: "
+                                 f"{flags[key].option_strings[0]}: {exc}") from None
+            setattr(args, key, value)
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -111,7 +165,8 @@ def _seed(args: argparse.Namespace) -> int:
 
 
 def cmd_align_train(args) -> int:
-    pairs = read_parallel_corpus(_read_text(args.parallel))
+    with _reading(args.parallel):
+        pairs = read_parallel_corpus(_read_text(args.parallel))
     log: list[float] = []
     table = ibm1_train(pairs, iterations=args.iterations, floor=args.floor,
                        lowercase=args.lowercase, log=log)
@@ -124,8 +179,8 @@ def cmd_align_train(args) -> int:
 def cmd_project(args) -> int:
     src = _load_corpus(args.src, lang=args.src_lang)
     translations = _load_corpus(args.translations, lang=args.tgt_lang, require_pred=False)
-    table = load_table(args.table)
-    dist = load_pos_distribution(args.posdist)
+    table = _load(load_table, args.table)
+    dist = _load(load_pos_distribution, args.posdist)
     config = ProjectionConfig(alpha=args.alpha)
     out, stats = project_corpus(src, list(translations.sentences), table, dist, config)
     _write_bytes(args.out, write_srl_corpus(out))
@@ -164,7 +219,7 @@ def _train_model(args, corpus: Corpus, seed: int):
     word_table = None
     vocab = None
     if args.embeddings:
-        words, vectors = load_embeddings(args.embeddings)
+        words, vectors = _load(load_embeddings, args.embeddings)
         if vectors.shape[1] != config.word_dim:
             config.word_dim = vectors.shape[1]
         labels = sorted(set(corpus.role_inventory) | {OUTSIDE})
@@ -195,7 +250,7 @@ def _relabel(model, corpus: Corpus) -> Corpus:
 
 
 def cmd_predict(args) -> int:
-    model = load_model(args.model)
+    model = _load(load_model, args.model)
     corpus = _load_corpus(args.input, lang=args.lang)
     _write_bytes(args.out, write_srl_corpus(_relabel(model, corpus)))
     return 0
@@ -214,7 +269,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    reports = [evaluation.parse_report(_read_text(path)) for path in args.reports]
+    reports = []
+    for path in args.reports:
+        with _reading(path):
+            reports.append(evaluation.parse_report(_read_text(path)))
     text = evaluation.format_report(evaluation.aggregate_reports(reports))
     if args.out:
         _write_text(args.out, text)
@@ -238,7 +296,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_similarity(args) -> int:
-    model = load_model(args.model)
+    model = _load(load_model, args.model)
     text = similarity_csv(model)
     if args.out:
         _write_text(args.out, text)
@@ -261,8 +319,8 @@ def cmd_sweep_alpha(args) -> int:
 
     src = _load_corpus(args.src, lang=args.src_lang)
     translations = _load_corpus(args.translations, lang=args.tgt_lang, require_pred=False)
-    table = load_table(args.table)
-    dist = load_pos_distribution(args.posdist)
+    table = _load(load_table, args.table)
+    dist = _load(load_pos_distribution, args.posdist)
     dev = _load_corpus(args.dev, lang=args.tgt_lang) if args.train else None
     seed = _seed(args)
 

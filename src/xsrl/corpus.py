@@ -10,9 +10,12 @@ comment supplies the per-sentence language ID.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, pairwise, repeat
+from typing import NamedTuple
 
 __all__ = [
     "UNIVERSAL_TAGS",
@@ -41,6 +44,10 @@ _VALID_UPOS = frozenset(UNIVERSAL_TAGS) | {"_"}
 # PRED column always means "not a predicate", so it cannot carry that role).
 _SENSELESS_PRED = "-"
 
+# A token's ten CoNLL-U columns, formatted from the Token tuple; XPOS, FEATS
+# and DEPS are not kept and are written as "_".
+_TOKEN_COLUMNS = "%s\t%s\t%s\t%s\t_\t_\t%s\t%s\t_\t%s"
+
 _LANG_RE = re.compile(r"^#\s*lang\s*=\s*(\S+)\s*$")
 _SENT_ID_RE = re.compile(r"^#\s*sent_id\s*=\s*(\S+)\s*$")
 
@@ -57,8 +64,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One token of a sentence. ``head`` is 0 for the root."""
 
     index: int
@@ -173,83 +179,160 @@ def _check(corpus: Corpus) -> Corpus:
     return corpus
 
 
-def _parse_index(text: str, lineno: int) -> int:
-    if "-" in text or "." in text:
-        raise CorpusError(
-            f"line {lineno}: multiword-token or empty-node ID {text!r} is not supported")
+# Sentences are parsed in batches of this many blocks: the token lines of a
+# batch are split and converted a column at a time.  A batch bounds the
+# cells held at once; with 256 blocks the cells of small corpora, freed
+# among the kept strings, left the heap 0.6 MB larger through training.
+_BATCH_BLOCKS = 32
+
+
+def _is_int(text: str) -> bool:
     try:
-        return int(text)
+        int(text)
     except ValueError:
-        raise CorpusError(f"line {lineno}: token ID {text!r} is not an integer") from None
+        return False
+    return True
 
 
-def _build_sentence(rows, comments, first_lineno, default_lang, require_pred):
-    tokens: list[Token] = []
-    pred_cells: list[str] = []
-    arg_rows: list[list[str]] = []
-    ncols = None
-    for lineno, fields in rows:
-        if len(fields) < 11 and require_pred:
-            raise CorpusError(f"line {lineno}: expected ≥11 columns, got {len(fields)}")
-        if len(fields) < 10:
-            raise CorpusError(f"line {lineno}: expected ≥10 columns, got {len(fields)}")
-        if ncols is None:
-            ncols = len(fields)
-        elif len(fields) != ncols:
+def _first_row_error(lines, blocks, require_pred) -> tuple[int, CorpusError]:
+    """The first malformed token line of ``blocks``: its block's position in
+    ``blocks`` and its error.
+
+    Checks one line at a time, in order, and one line's checks in the order
+    columns, width, ID, HEAD.  Called only after a bulk check of
+    :func:`_parse_blocks` failed, so some line fails.
+    """
+    for k, (start, end) in enumerate(blocks):
+        ncols = None
+        for lineno, line in enumerate(lines[start:end], start=start + 1):
+            if line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) < 11 and require_pred:
+                error = f"expected ≥11 columns, got {len(fields)}"
+            elif len(fields) < 10:
+                error = f"expected ≥10 columns, got {len(fields)}"
+            elif ncols is not None and len(fields) != ncols:
+                error = (f"expected {ncols} columns like the rest of the sentence, "
+                         f"got {len(fields)}")
+            elif "-" in fields[0] or "." in fields[0]:
+                error = f"multiword-token or empty-node ID {fields[0]!r} is not supported"
+            elif not _is_int(fields[0]):
+                error = f"token ID {fields[0]!r} is not an integer"
+            elif not _is_int(fields[6]):
+                error = f"HEAD {fields[6]!r} is not an integer"
+            else:
+                ncols = len(fields)
+                continue
+            return k, CorpusError(f"line {lineno}: {error}")
+    raise AssertionError("a bulk check failed on well-formed token lines")
+
+
+def _token_columns(rows, starts, require_pred):
+    """The columns of token rows, IDs and heads as ints, or None when a row
+    is malformed: too few columns, a width unlike the rest of its sentence
+    (``starts`` holds each sentence's first row), an ID with "-" or ".",
+    or an ID or head that is not an integer."""
+    widths = list(map(len, rows))
+    changes = compress(count(1), map(operator.ne, widths, widths[1:]))
+    if min(widths) < (11 if require_pred else 10) or not set(changes) <= set(starts):
+        return None
+    columns = list(zip(*rows))
+    id_text = "".join(columns[0])
+    if "-" in id_text or "." in id_text:
+        return None
+    try:
+        columns[0] = list(map(int, columns[0]))
+        columns[6] = list(map(int, columns[6]))
+    except ValueError:
+        return None
+    return columns
+
+
+def _parse_blocks(lines, blocks, words, default_lang, require_pred) -> list[Sentence]:
+    """The sentences of ``blocks``, ``(start, end)`` ranges of ``lines``
+    without blank lines; a block of comments only is no sentence.
+
+    The token lines are split once and converted a column at a time.  When
+    a bulk check fails, the first bad line is found line by line and the
+    blocks before it are parsed first, so the error raised is the one a
+    line-by-line parse meets first, with the same line and the same text.
+    Every kept string is the one ``words`` holds for its value.
+    """
+    toklines: list[str] = []
+    spans = []  # per sentence: first line, comments, its rows toklines[a:b]
+    for start, end in blocks:
+        block = lines[start:end]
+        comments = [line for line in block if line[0] == "#"]
+        a = len(toklines)
+        toklines.extend([line for line in block if line[0] != "#"] if comments else block)
+        if len(toklines) > a:
+            spans.append((start, comments, a, len(toklines)))
+    if not spans:
+        return []
+    rows = list(map(str.split, toklines, repeat("\t")))
+    columns = _token_columns(rows, [a for _, _, a, _ in spans], require_pred)
+    if columns is None:
+        k, error = _first_row_error(lines, blocks, require_pred)
+        _parse_blocks(lines, blocks[:k], words, default_lang, require_pred)
+        raise error
+
+    share = words.setdefault
+    index, head = columns[0], columns[6]
+    form, lemma, upos, deprel, misc = (
+        map(share, columns[c], columns[c]) for c in (1, 2, 3, 7, 9))
+    # tuple.__new__ builds each Token without running its Python-level __new__
+    tokens = tuple(map(tuple.__new__, repeat(Token),
+                       zip(index, form, lemma, upos, head, deprel, misc)))
+    # a 10-column row has no PRED cell: it is no predicate
+    pred_cells = (columns[10] if len(columns) > 10
+                  else [row[10] if len(row) > 10 else "_" for row in rows])
+
+    sentences = []
+    for start, comments, a, b in spans:
+        preds = pred_cells[a:b]
+        n_preds = b - a - preds.count("_")
+        n_args = max(len(rows[a]) - 11, 0)
+        if n_preds != n_args:
             raise CorpusError(
-                f"line {lineno}: expected {ncols} columns like the rest of the sentence, "
-                f"got {len(fields)}")
-        index = _parse_index(fields[0], lineno)
-        try:
-            head = int(fields[6])
-        except ValueError:
-            raise CorpusError(f"line {lineno}: HEAD {fields[6]!r} is not an integer") from None
-        tokens.append(Token(
-            index=index, form=fields[1], lemma=fields[2], upos=fields[3],
-            head=head, deprel=fields[7], misc=fields[9]))
-        pred_cells.append(fields[10] if len(fields) > 10 else "_")
-        arg_rows.append(list(fields[11:]))
+                f"line {start + 1}: sentence has {n_preds} predicates but "
+                f"{n_args} ARG columns")
+        frames = []
+        if n_preds:
+            # a sentence is a few rows: comprehensions beat chains of C calls here
+            sentence_rows = rows[a:b]
+            positions = [i for i, cell in enumerate(preds) if cell != "_"]
+            for col, pos in enumerate(positions, start=11):
+                sense = preds[pos]
+                if sense == _SENSELESS_PRED:
+                    sense = "_"
+                args = tuple([(index[a + i], share(row[col], row[col]))
+                              for i, row in enumerate(sentence_rows) if row[col] != "_"])
+                frames.append(PredicateFrame(pred_index=index[a + pos],
+                                             sense=share(sense, sense), args=args))
 
-    pred_positions = [i for i, cell in enumerate(pred_cells) if cell != "_"]
-    n_args = len(arg_rows[0]) if arg_rows else 0
-    if n_args != len(pred_positions):
-        raise CorpusError(
-            f"line {first_lineno}: sentence has {len(pred_positions)} predicates but "
-            f"{n_args} ARG columns")
-
-    frames = []
-    for col, pos in enumerate(pred_positions):
-        sense = pred_cells[pos]
-        if sense == _SENSELESS_PRED:
-            sense = "_"
-        args = tuple(
-            (tokens[row].index, arg_rows[row][col])
-            for row in range(len(tokens))
-            if arg_rows[row][col] != "_")
-        frames.append(PredicateFrame(pred_index=tokens[pos].index, sense=sense, args=args))
-
-    lang = ""
-    sent_id = ""
-    extra: list[str] = []
-    for comment in comments:
-        m = _LANG_RE.match(comment)
-        if m:
-            lang = m.group(1)
-            continue
-        m = _SENT_ID_RE.match(comment)
-        if m:
-            sent_id = m.group(1)
-            continue
-        extra.append(comment)
-    if not lang:
-        if default_lang is None:
-            raise CorpusError(
-                f"line {first_lineno}: sentence has no '# lang = XX' comment and no "
-                f"default language was given")
-        lang = default_lang
-
-    return Sentence(tokens=tuple(tokens), lang=lang, sent_id=sent_id,
-                    frames=tuple(frames), comments=tuple(extra))
+        lang = ""
+        sent_id = ""
+        extra: list[str] = []
+        for comment in comments:
+            m = _LANG_RE.match(comment)
+            if m:
+                lang = m.group(1)
+                continue
+            m = _SENT_ID_RE.match(comment)
+            if m:
+                sent_id = m.group(1)
+                continue
+            extra.append(comment)
+        if not lang:
+            if default_lang is None:
+                raise CorpusError(
+                    f"line {start + 1}: sentence has no '# lang = XX' comment and no "
+                    f"default language was given")
+            lang = default_lang
+        sentences.append(Sentence(tokens=tokens[a:b], lang=lang, sent_id=sent_id,
+                                  frames=tuple(frames), comments=tuple(extra)))
+    return sentences
 
 
 def parse_srl_corpus(data: bytes | str, default_lang: str | None = None,
@@ -263,28 +346,19 @@ def parse_srl_corpus(data: bytes | str, default_lang: str | None = None,
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
+    lines = data.split("\n")
+    if "\r" in data:
+        lines = [line.rstrip("\r") for line in lines]
+    # a block is a run of lines between blank (whitespace-only) lines
+    blank = compress(count(), map(operator.not_, map(str.strip, lines)))
+    blocks = [(before + 1, after)
+              for before, after in pairwise(chain((-1,), blank, (len(lines),)))
+              if after - before > 1]
+    words: dict[str, str] = {}  # one shared str per distinct kept value
     sentences: list[Sentence] = []
-    rows: list[tuple[int, list[str]]] = []
-    comments: list[str] = []
-    words: dict[str, str] = {}  # one shared str per distinct column value
-    first_lineno = 1
-    for lineno, line in enumerate(data.split("\n"), start=1):
-        line = line.rstrip("\r")
-        if not line.strip():
-            if rows:
-                sentences.append(
-                    _build_sentence(rows, comments, first_lineno, default_lang, require_pred))
-            rows, comments = [], []
-            continue
-        if not rows and not comments:
-            first_lineno = lineno
-        if line.startswith("#"):
-            comments.append(line)
-            continue
-        rows.append((lineno, [words.setdefault(f, f) for f in line.split("\t")]))
-    if rows:
-        sentences.append(
-            _build_sentence(rows, comments, first_lineno, default_lang, require_pred))
+    for i in range(0, len(blocks), _BATCH_BLOCKS):
+        sentences += _parse_blocks(lines, blocks[i:i + _BATCH_BLOCKS], words,
+                                   default_lang, require_pred)
     return _check(Corpus.from_sentences(sentences))
 
 
@@ -305,20 +379,14 @@ def write_srl_corpus(corpus: Corpus) -> bytes:
             lines.append(f"# lang = {sent.lang}")
         lines.extend(sent.comments)
         frames = sorted(sent.frames, key=lambda f: f.pred_index)
-        pred_of = {f.pred_index: f for f in frames}
-        for tok in sent.tokens:
-            frame = pred_of.get(tok.index)
-            if frame is None:
-                pred = "_"
-            else:
-                pred = frame.sense if frame.sense != "_" else _SENSELESS_PRED
-            args = []
-            for f in frames:
-                role = dict(f.args).get(tok.index, "_")
-                args.append(role)
-            lines.append("\t".join(
-                [str(tok.index), tok.form, tok.lemma, tok.upos, "_", "_",
-                 str(tok.head), tok.deprel, "_", tok.misc, pred] + args))
+        index = [tok.index for tok in sent.tokens]
+        pred_of = {f.pred_index: f.sense if f.sense != "_" else _SENSELESS_PRED
+                   for f in frames}
+        # one column per frame, each looked up in one dict per frame
+        columns = [map(_TOKEN_COLUMNS.__mod__, sent.tokens),
+                   map(pred_of.get, index, repeat("_"))]
+        columns += [map(dict(f.args).get, index, repeat("_")) for f in frames]
+        lines += map("\t".join, zip(*columns))
         blocks.append("\n".join(lines) + "\n\n")
     return "".join(blocks).encode("utf-8")
 

@@ -8,8 +8,10 @@ distribution over the tagset.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,6 +25,12 @@ __all__ = [
     "save_pos_distribution",
     "load_pos_distribution",
 ]
+
+
+# Lines of a distribution file read, and words written, together: a chunk
+# bounds the memory a file's rows take at once.
+_CHUNK_LINES = 4096
+_CHUNK_WORDS = 256
 
 
 class PosError(ValueError):
@@ -58,20 +66,20 @@ def fit_pos_emission(tagged: Corpus, k: float = 0.1) -> PosDistribution:
         raise PosError(f"smoothing constant must be >= 0, got {k}")
     if not tagged.sentences:
         raise PosError("empty corpus")
-    pair_counts: dict[str, Counter[str]] = defaultdict(Counter)
-    observed: set[str] = set()
-    for sent in tagged.sentences:
-        for tok in sent.tokens:
-            if tok.upos == "_":
-                continue
-            pair_counts[tok.form][tok.upos] += 1
-            observed.add(tok.upos)
-    tagset = tuple(sorted(observed | set(UNIVERSAL_TAGS)))
-    dist: dict[str, np.ndarray] = {}
-    for word, tags in pair_counts.items():
-        counts = np.array([tags.get(t, 0) for t in tagset], dtype=np.float64)
-        dist[word] = (counts + k) / (counts.sum() + k * len(tagset))
-    return PosDistribution(tagset=tagset, dist=dist)
+    tokens = list(chain.from_iterable(sent.tokens for sent in tagged.sentences))
+    tags = list(map(itemgetter(3), tokens))
+    # one count per distinct (word, tag) pair, in order of first occurrence
+    pair_counts = Counter(compress(zip(map(itemgetter(1), tokens), tags),
+                                   map("_".__ne__, tags)))
+    tagset = tuple(sorted({tag for _, tag in pair_counts} | set(UNIVERSAL_TAGS)))
+    row_of = {word: i for i, word in enumerate(dict.fromkeys(w for w, _ in pair_counts))}
+    col_of = {tag: j for j, tag in enumerate(tagset)}
+    counts = np.zeros((len(row_of), len(tagset)))
+    counts[[row_of[word] for word, _ in pair_counts],
+           [col_of[tag] for _, tag in pair_counts]] = list(pair_counts.values())
+    # the counts are whole numbers, so each row sums exactly, in any order
+    probs = (counts + k) / (counts.sum(axis=1, keepdims=True) + k * len(tagset))
+    return PosDistribution(tagset=tagset, dist=dict(zip(row_of, probs)))
 
 
 def pos_prob(dist: PosDistribution, word: str, tag: str) -> float:
@@ -88,13 +96,15 @@ def save_pos_distribution(dist: PosDistribution, path: str) -> None:
 
     Zero-probability rows are omitted.
     """
+    words = sorted(dist.dist)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("tagset\t" + ",".join(dist.tagset) + "\n")
-        for word in sorted(dist.dist):
-            vec = dist.dist[word]
-            for tag, p in zip(dist.tagset, vec):
-                if p != 0.0:
-                    fh.write(f"{word}\t{tag}\t{float(p)!r}\n")
+        for start in range(0, len(words), _CHUNK_WORDS):
+            chunk = words[start:start + _CHUNK_WORDS]
+            probs = np.array([dist.dist[word] for word in chunk])
+            rows, cols = np.nonzero(probs)
+            fh.writelines([f"{chunk[row]}\t{dist.tagset[col]}\t{p!r}\n" for row, col, p
+                           in zip(rows.tolist(), cols.tolist(), probs[rows, cols].tolist())])
 
 
 def load_pos_distribution(path: str) -> PosDistribution:
@@ -106,27 +116,68 @@ def load_pos_distribution(path: str) -> PosDistribution:
     if len(header) != 2 or header[0] != "tagset":
         raise PosError("line 1: expected 'tagset\\t<comma-joined tags>' header")
     dist = PosDistribution(tagset=tuple(header[1].split(",")))
-    rows: dict[str, np.ndarray] = {}
+    # The rows are read a chunk of lines at a time, each chunk split and
+    # converted a column at a time; the line-by-line scan that names the
+    # first bad line runs only when a check over the columns fails.
+    row_of: dict[str, int] = {}  # word -> row, in order of first appearance
+    word_ids, tag_ids, probs = [], [], []
+    for start in range(1, len(lines), _CHUNK_LINES):
+        chunk = list(filter(None, lines[start:start + _CHUNK_LINES]))
+        if list(map(str.count, chunk, repeat("\t"))).count(2) != len(chunk):
+            raise _first_line_error(lines, dist)
+        cells = "\t".join(chunk).split("\t")
+        words, tags, texts = cells[0::3], cells[1::3], cells[2::3]
+        try:
+            probs.append(np.fromiter(map(float, texts), np.float64, len(texts)))
+            tag_ids.append(np.fromiter(map(dist._tag_index.__getitem__, tags), np.intp,
+                                       len(tags)))
+        except (ValueError, KeyError):
+            raise _first_line_error(lines, dist) from None
+        for word in dict.fromkeys(words):
+            row_of.setdefault(word, len(row_of))
+        word_ids.append(np.fromiter(map(row_of.__getitem__, words), np.intp, len(words)))
+    probs = np.concatenate(probs) if probs else np.empty(0)
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():
+        raise _first_line_error(lines, dist)
+
+    # a later line for the same (word, tag) overrides an earlier one: the
+    # first occurrence of a cell in the reversed lines is its last line
+    flat = (np.concatenate(word_ids) * len(dist.tagset) + np.concatenate(tag_ids)
+            if word_ids else np.empty(0, np.intp))
+    flat, last = np.unique(flat[::-1], return_index=True)
+    matrix = np.zeros((len(row_of), len(dist.tagset)))
+    matrix.flat[flat] = probs[::-1][last]
+    totals = matrix.sum(axis=1)
+    off = np.flatnonzero((totals > 1.0 + 1e-6) | (totals < 1.0 - 1e-6))
+    if off.size:
+        word, total = list(row_of)[off[0]], totals[off[0]]
+        side = "above" if total > 1.0 else "below"
+        raise PosError(f"probabilities for word {word!r} sum to {total}, {side} 1")
+    dist.dist = dict(zip(row_of, matrix))
+    return dist
+
+
+def _first_line_error(lines: list[str], dist: PosDistribution) -> PosError:
+    """The error of the first malformed row of a distribution file.
+
+    Checks one line at a time, in order; called only after a check over
+    all rows failed, so some line fails.
+    """
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise PosError(f"line {lineno}: expected 'word\\ttag\\tprob'")
-        word, tag, text = fields
+            return PosError(f"line {lineno}: expected 'word\\ttag\\tprob'")
+        _, tag, text = fields
         try:
             p = float(text)
         except ValueError:
-            raise PosError(f"line {lineno}: malformed probability {text!r}") from None
+            return PosError(f"line {lineno}: malformed probability {text!r}")
         if not 0.0 <= p <= 1.0:
-            raise PosError(f"line {lineno}: probability out of range: {text}")
-        vec = rows.setdefault(word, np.zeros(len(dist.tagset), dtype=np.float64))
-        vec[dist.tag_id(tag)] = p
-    for word, vec in rows.items():
-        total = vec.sum()
-        if total > 1.0 + 1e-6:
-            raise PosError(f"probabilities for word {word!r} sum to {total}, above 1")
-        if total < 1.0 - 1e-6:
-            raise PosError(f"probabilities for word {word!r} sum to {total}, below 1")
-    dist.dist = rows
-    return dist
+            return PosError(f"line {lineno}: probability out of range: {text}")
+        try:
+            dist.tag_id(tag)
+        except PosError as exc:
+            return exc
+    raise AssertionError("a bulk check failed on well-formed rows")

@@ -9,7 +9,6 @@ from xsrl.alignment import (
     AlignmentError,
     AlignmentTable,
     ParallelPair,
-    align_prob,
     best_target,
     ibm1_train,
     load_table,
@@ -27,7 +26,7 @@ def pair(src, tgt):
 def test_single_cooccurrence_converges():
     log = []
     table = ibm1_train([pair("a", "x")] * 10, iterations=5, log=log)
-    stored = align_prob(table, "a", "x")
+    stored = table.probs[("a", "x")]
     renormalized = stored / (1.0 - table.null_mass("a"))
     assert abs(renormalized - 1.0) < 1e-12
     assert abs(stored + table.null_mass("a") - 1.0) < 1e-12
@@ -37,7 +36,7 @@ def test_two_pair_ordering_hand_run():
     # two EM iterations by hand confirm a(x|a) pulls ahead of a(y|a):
     # "a" co-occurs with x in both pairs but with y only in the first.
     table = ibm1_train([pair("a b", "x y"), pair("a", "x")], iterations=10)
-    assert align_prob(table, "a", "x") > align_prob(table, "a", "y")
+    assert table.probs[("a", "x")] > table.probs[("a", "y")]
 
 
 def test_iterations_zero_error():
@@ -108,6 +107,7 @@ EQUIVALENCE_CASES = {
     "single-pair": ([pair("a b c", "x y")], False),
     "lowercase-mixed-case": ([pair("The Dog", "Der Hund"), pair("the dog runs", "der hund läuft"),
                               pair("DOG", "HUND")], True),
+    "lowercase-literal-null": ([pair("A <NULL>", f"X {NULL_TOKEN}"), pair("a", "<null> x")], True),
 }
 
 
@@ -130,11 +130,13 @@ def test_ibm1_matches_reference_loop_bit_for_bit(case, toy_dir, tmp_path):
     assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
 
-def test_align_prob_floor():
+def test_best_target_scores_unseen_pairs_at_the_floor():
     table = AlignmentTable(probs={("run", "x"): 0.7}, floor=0.0)
-    assert align_prob(table, "run", "x") == 0.7
-    assert align_prob(table, "run", "zzz") == 0.0
-    assert align_prob(AlignmentTable(floor=1e-6), "run", "zzz") == 1e-6
+    assert best_target(table, "run", ["x"]) == (1, 0.7)
+    assert best_target(table, "run", ["zzz"]) == (1, 0.0)
+    assert best_target(AlignmentTable(floor=1e-6), "run", ["zzz"]) == (1, 1e-6)
+    assert best_target(AlignmentTable(probs={("run", "x"): 1e-7}, floor=1e-6),
+                       "run", ["x", "zzz"]) == (2, 1e-6)
 
 
 def test_best_target_and_ties():
@@ -156,7 +158,7 @@ def test_best_target_matches_exhaustive_scan():
         table = AlignmentTable(probs=entries, floor=float(rng.random()) * 0.1)
         sentence = [vocab[i] for i in rng.integers(0, 12, size=rng.integers(1, 9))]
         j, p = best_target(table, "e", sentence)
-        probs = [align_prob(table, "e", f) for f in sentence]
+        probs = [table.probs.get(("e", f), table.floor) for f in sentence]
         best = max(probs)
         assert p == best
         assert j == probs.index(best) + 1
@@ -167,7 +169,7 @@ def test_best_target_toy_table_brute_force(toy_dir):
     table = ibm1_train(pairs, iterations=10)
     sentence = "das haus folgt dem fluss heute !".split()
     j, p = best_target(table, "house", sentence)
-    probs = [align_prob(table, "house", f) for f in sentence]
+    probs = [table.probs.get(("house", f), table.floor) for f in sentence]
     assert p == max(probs)
     assert j == probs.index(max(probs)) + 1
     assert sentence[j - 1] == "haus"
@@ -184,10 +186,10 @@ def test_best_target_never_returns_null(toy_dir):
 def test_lowercase_is_optional_preprocessing():
     cased = [pair("Dog", "Hund")] * 4
     default = ibm1_train(cased, iterations=3)
-    assert align_prob(default, "dog", "hund") == 0.0  # exact match by default
-    assert align_prob(default, "Dog", "Hund") > 0.0
+    assert ("dog", "hund") not in default.probs  # exact match by default
+    assert default.probs[("Dog", "Hund")] > 0.0
     folded = ibm1_train(cased, iterations=3, lowercase=True)
-    assert align_prob(folded, "dog", "hund") > 0.0
+    assert folded.probs[("dog", "hund")] > 0.0
 
 
 def test_table_round_trip(tmp_path):

@@ -296,3 +296,121 @@ def test_flagless_default_model_exits_2_before_allocating(toy, capsys, monkeypat
     assert run("train", "--train-file", toy / "de_dev.conllu", "--out", toy / "m.bin") == 2
     err = capsys.readouterr().err
     assert "GiB" in err and "--hidden" in err and "--lang-dim" in err
+
+
+# SHA-256 of the README toy recipe's data-prep outputs, recorded from the
+# dict-and-loop implementation these stages replaced; a faster stage must
+# write the same bytes.
+PREP_DIGESTS = {
+    "table.tsv": "47831ca0881e921f4ce7fb40b1b70f96a31f2c91b5672423e59580131cfed6fc",
+    "align-train.stderr": "e1a9343ea752cd2b4f0f88c0f74605bc2845aa052a6224746c175396800bd033",
+    "pos.tsv": "3f6c85267c115feddb3b28656a758acd79f171e018850145d5375388a323ac4a",
+    "de_pseudo.conllu": "b4d846d1a35f877b7eb06cd0c2a874d8236bf0cb7949460ba49398356c958a35",
+    "de_pseudo.stats": "94fee1112be68cbc646ced3670fa525badbbb63a1d346595100ec0e33f33c9c2",
+    "counts.txt": "8eceb7bbb083bcbff00f8e881cd15056cdf4d96218ba6392dac858c80b4e5bb2",
+}
+
+
+def test_prep_outputs_match_recorded_digests(toy, capsys):
+    import hashlib
+
+    assert run("align-train", "--parallel", toy / "bitext.txt", "--iterations", "10",
+               "--out", toy / "table.tsv") == 0
+    (toy / "align-train.stderr").write_text(capsys.readouterr().err, encoding="utf-8")
+    assert run("fit-pos", "--tagged", toy / "de_tagged.conllu", "--out", toy / "pos.tsv") == 0
+    assert run("project", "--src", toy / "en_srl.conllu",
+               "--translations", toy / "de_trans.conllu",
+               "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv", "--alpha", "0.4",
+               "--out", toy / "de_pseudo.conllu", "--stats", toy / "de_pseudo.stats") == 0
+    assert run("stats", "--input", toy / "de_pseudo.conllu", "--out", toy / "counts.txt") == 0
+    digests = {name: hashlib.sha256((toy / name).read_bytes()).hexdigest()
+               for name in PREP_DIGESTS}
+    assert digests == PREP_DIGESTS
+
+
+# (command, config text, message after "PATH:"); the command line leaves
+# the flag to the config file
+BAD_CONFIG_VALUES = [
+    ("train", "batch_size = 2.5", "1: --batch-size: invalid int value: '2.5'"),
+    ("train", "# preset\n\nlearning-rate = fast", "3: --learning-rate: invalid float value: 'fast'"),
+    ("train", "variant = big", "1: --variant: invalid choice: 'big' (choose from basic, pgn)"),
+    ("align-train", "iterations = abc", "1: --iterations: invalid int value: 'abc'"),
+    ("align-train", "floor = 0.0\nlowercase = yes",
+     "2: --lowercase: expected true or false, got 'yes'"),
+]
+
+
+@pytest.mark.parametrize("command, text, message", BAD_CONFIG_VALUES,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(BAD_CONFIG_VALUES)])
+def test_config_value_takes_the_flags_type(toy, capsys, command, text, message):
+    (toy / "bad.cfg").write_text(text + "\n")
+    flag = message.split(": ")[1]
+    train_flags = [item for name, value in zip(TRAIN_FLAGS[::2], TRAIN_FLAGS[1::2])
+                   if name != flag for item in (name, value)]
+    inputs = {"train": ["--train-file", toy / "de_dev.conllu", *train_flags],
+              "align-train": ["--parallel", toy / "bitext.txt"]}[command]
+    assert run(command, *inputs, "--config", toy / "bad.cfg", "--out", toy / "out") == 2
+    assert f"error: {toy / 'bad.cfg'}:{message}\n" in capsys.readouterr().err
+    assert not (toy / "out").exists()
+
+
+def test_config_switch_reads_true_and_false(toy, capsys):
+    (toy / "cased.txt").write_text("The Dog ||| Der Hund\n")
+    for name, value in (("yes", "True"), ("no", "false")):
+        (toy / f"{name}.cfg").write_text(f"lowercase = {value}\n")
+        assert run("align-train", "--parallel", toy / "cased.txt", "--iterations", "2",
+                   "--config", toy / f"{name}.cfg", "--out", toy / f"{name}.tsv") == 0
+    assert "\ndog\thund\t" in (toy / "yes.tsv").read_text()
+    assert "\nDog\tHund\t" in (toy / "no.tsv").read_text()
+
+
+TOKEN = "1\thund\thund\tNOUN\t_\t_\t0\troot\t_\t_\t_\n"
+
+# (command, argv with "BAD" for the malformed file, its bytes, message after
+# "PATH: "); "table.tsv" and "pos.tsv" are the toy recipe's.
+BAD_INPUTS = [
+    ("align-train", ["--parallel", "BAD", "--out", "t.tsv"],
+     b"a ||| x\n\xff ||| y\n", "line 2: not valid UTF-8"),
+    ("align-train", ["--parallel", "BAD", "--out", "t.tsv"],
+     b"a ||| x\nno separator\n", "line 2: expected 'src ||| tgt'"),
+    ("fit-pos", ["--tagged", "BAD", "--out", "p.tsv"],
+     ("# lang = DE\n" + TOKEN.replace("1", "X", 1) + "\n").encode(),
+     "line 2: token ID 'X' is not an integer"),
+    ("project", ["--src", "en_srl.conllu", "--translations", "de_trans.conllu",
+                 "--table", "BAD", "--posdist", "pos.tsv", "--out", "o.conllu"],
+     b"floor\t0.0\na\tx\t0.5\nb\ty\tnan\n", "line 3: probability out of range: nan"),
+    ("project", ["--src", "en_srl.conllu", "--translations", "de_trans.conllu",
+                 "--table", "table.tsv", "--posdist", "BAD", "--out", "o.conllu"],
+     b"tagset\tNOUN,VERB\nhund\tNOUN\n", "line 2: expected 'word\\ttag\\tprob'"),
+    ("project", ["--src", "en_srl.conllu", "--translations", "BAD",
+                 "--table", "table.tsv", "--posdist", "pos.tsv", "--out", "o.conllu"],
+     ("# lang = DE\n" + TOKEN + "\n# lang = DE\n").encode()
+     + TOKEN.encode().replace(b"hund", b"h\xe4nd"),
+     "line 5: not valid UTF-8"),
+    ("stats", ["--input", "BAD"], TOKEN.encode() + b"\n",
+     "line 1: sentence has no '# lang = XX' comment and no default language was given"),
+    ("train", ["--train-file", "de_dev.conllu", "--train-file", "BAD", "--out", "m.bin",
+               *TRAIN_FLAGS],
+     b"# lang = DE\n\xc3(\n", "line 2: not valid UTF-8"),
+    ("train", ["--train-file", "de_dev.conllu", "--embeddings", "BAD", "--out", "m.bin",
+               *TRAIN_FLAGS],
+     b"2\n", "line 1: expected 'count dim' header"),
+    ("predict", ["--model", "BAD", "--input", "de_dev.conllu", "--out", "p.conllu"],
+     b"not a model file", "not an xsrl model checkpoint (bad magic)"),
+    ("eval", ["--gold", "de_dev.conllu", "--pred", "BAD"],
+     ("# lang = DE\n" + TOKEN.replace("\t0\t", "\troot\t") + "\n").encode(),
+     "line 2: HEAD 'root' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("command, argv, data, message", BAD_INPUTS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(BAD_INPUTS)])
+def test_input_error_names_its_file(toy, capsys, command, argv, data, message):
+    _prepare(toy)
+    bad = toy / "bad.input"
+    bad.write_bytes(data)
+    capsys.readouterr()
+    argv = [bad if a == "BAD" else toy / a if a.endswith((".tsv", ".conllu", ".bin")) else a
+            for a in argv]
+    assert run(command, *argv) == 2
+    assert capsys.readouterr().err == f"xsrl: error: {bad}: {message}\n"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,70 @@ def test_multiword_and_empty_nodes_rejected():
     for bad in ("1-2", "1.1"):
         with pytest.raises(CorpusError, match="not supported"):
             parse_srl_corpus(base.format(bad))
+
+
+ROW = "\t".join(["1", "a", "a", "NOUN", "_", "_", "0", "dep", "_", "_", "_"])
+ROW2 = ROW.replace("1", "2", 1)
+
+
+def _row(**cells):
+    """A 11-column token row with some cells replaced, by column number."""
+    fields = ROW.split("\t")
+    for col, value in cells.items():
+        fields[int(col[1:])] = value
+    return "\t".join(fields)
+
+
+# (text, require_pred, exact error); the first malformed line wins, and the
+# checks of one line run in the order columns, width, ID, HEAD.
+ROW_ERRORS = [
+    ("# lang = EN\n1\ta\ta\tNOUN\t_\t_\t0\tdep\t_\t_\n\n", True,
+     "line 2: expected ≥11 columns, got 10"),
+    ("# lang = EN\n1\ta\ta\tNOUN\t_\t_\t0\tdep\t_\n\n", False,
+     "line 2: expected ≥10 columns, got 9"),
+    (f"# lang = EN\n{ROW}\n{ROW2}\t_\n\n", True,
+     "line 3: expected 11 columns like the rest of the sentence, got 12"),
+    (f"# lang = EN\n{ROW}\t_\n{ROW2}\n\n", True,
+     "line 3: expected 12 columns like the rest of the sentence, got 11"),
+    (f"# lang = EN\n{_row(c0='1-2')}\n\n", True,
+     "line 2: multiword-token or empty-node ID '1-2' is not supported"),
+    (f"# lang = EN\n{_row(c0='1.1')}\n\n", True,
+     "line 2: multiword-token or empty-node ID '1.1' is not supported"),
+    (f"# lang = EN\n{_row(c0='-1')}\n\n", True,
+     "line 2: multiword-token or empty-node ID '-1' is not supported"),
+    (f"# lang = EN\n{_row(c0='x')}\n\n", True, "line 2: token ID 'x' is not an integer"),
+    (f"# lang = EN\n{_row(c6='root')}\n\n", True, "line 2: HEAD 'root' is not an integer"),
+    (f"# lang = EN\n{_row(c0='x', c6='y')}\n\n", True,
+     "line 2: token ID 'x' is not an integer"),
+    # two bad lines in one sentence: the first one wins, whatever its kind
+    (f"# lang = EN\n{ROW}\n{_row(c0='2', c6='y')}\n{_row(c0='z')}\n\n", True,
+     "line 3: HEAD 'y' is not an integer"),
+    (f"# lang = EN\n{ROW}\n{_row(c0='2.5')}\n{ROW}\t_\n\n", True,
+     "line 3: multiword-token or empty-node ID '2.5' is not supported"),
+    (f"# lang = EN\n{ROW}\n{ROW2}\t_\n{_row(c0='q')}\n\n", True,
+     "line 3: expected 11 columns like the rest of the sentence, got 12"),
+    (f"# lang = EN\n{ROW}\n# note\n{_row(c0='q')}\n\n", True,
+     "line 4: token ID 'q' is not an integer"),
+    # an earlier sentence's error wins over a later sentence's
+    (f"# lang = EN\n{_row(c6='h')}\n\n# lang = EN\n{_row(c0='x')}\n\n", True,
+     "line 2: HEAD 'h' is not an integer"),
+    (f"# lang = EN\n{ROW}\n\n\n# lang = EN\n{_row(c0='x')}\n\n", True,
+     "line 6: token ID 'x' is not an integer"),
+    # a missing '# lang' names the sentence's first line, comment or token
+    (f"# lang = EN\n{ROW}\n\n# sent_id = s2\n{ROW}\n\n", True,
+     "line 4: sentence has no '# lang = XX' comment and no default language was given"),
+    (f"{ROW}\n\n", True,
+     "line 1: sentence has no '# lang = XX' comment and no default language was given"),
+    # row errors are found before the sentence-level checks
+    (f"{ROW}\n{_row(c0='x')}\n\n", True, "line 2: token ID 'x' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("text, require_pred, message", ROW_ERRORS)
+def test_row_errors_name_the_first_bad_line(text, require_pred, message):
+    with pytest.raises(CorpusError) as exc:
+        parse_srl_corpus(text, require_pred=require_pred)
+    assert str(exc.value) == message
 
 
 def test_arg_column_count_mismatch():
@@ -252,3 +318,134 @@ def test_upb_en_train_counts_if_supplied():
     assert stats.sentences == 10907
     assert stats.predicates == 41359
     assert stats.arguments == 100170
+
+
+def reference_parse(data, default_lang=None, require_pred=True):
+    """The line-by-line parser that ``parse_srl_corpus`` must agree with:
+    the same corpus, or an error with the same text."""
+    def build(rows, comments, first_lineno):
+        tokens, pred_cells, arg_rows, ncols = [], [], [], None
+        for lineno, fields in rows:
+            if len(fields) < 11 and require_pred:
+                raise CorpusError(f"line {lineno}: expected ≥11 columns, got {len(fields)}")
+            if len(fields) < 10:
+                raise CorpusError(f"line {lineno}: expected ≥10 columns, got {len(fields)}")
+            if ncols is None:
+                ncols = len(fields)
+            elif len(fields) != ncols:
+                raise CorpusError(
+                    f"line {lineno}: expected {ncols} columns like the rest of the sentence, "
+                    f"got {len(fields)}")
+            if "-" in fields[0] or "." in fields[0]:
+                raise CorpusError(f"line {lineno}: multiword-token or empty-node ID "
+                                  f"{fields[0]!r} is not supported")
+            try:
+                index = int(fields[0])
+            except ValueError:
+                raise CorpusError(
+                    f"line {lineno}: token ID {fields[0]!r} is not an integer") from None
+            try:
+                head = int(fields[6])
+            except ValueError:
+                raise CorpusError(
+                    f"line {lineno}: HEAD {fields[6]!r} is not an integer") from None
+            tokens.append(Token(index, fields[1], fields[2], fields[3], head, fields[7],
+                                fields[9]))
+            pred_cells.append(fields[10] if len(fields) > 10 else "_")
+            arg_rows.append(fields[11:])
+        positions = [i for i, cell in enumerate(pred_cells) if cell != "_"]
+        if len(arg_rows[0]) != len(positions):
+            raise CorpusError(f"line {first_lineno}: sentence has {len(positions)} "
+                              f"predicates but {len(arg_rows[0])} ARG columns")
+        frames = tuple(
+            PredicateFrame(tokens[pos].index, "_" if pred_cells[pos] == "-" else pred_cells[pos],
+                           tuple((tokens[r].index, arg_rows[r][col])
+                                 for r in range(len(tokens)) if arg_rows[r][col] != "_"))
+            for col, pos in enumerate(positions))
+        lang = sent_id = ""
+        extra = []
+        for comment in comments:
+            if m := re.match(r"^#\s*lang\s*=\s*(\S+)\s*$", comment):
+                lang = m.group(1)
+            elif m := re.match(r"^#\s*sent_id\s*=\s*(\S+)\s*$", comment):
+                sent_id = m.group(1)
+            else:
+                extra.append(comment)
+        if not lang:
+            if default_lang is None:
+                raise CorpusError(f"line {first_lineno}: sentence has no '# lang = XX' "
+                                  f"comment and no default language was given")
+            lang = default_lang
+        return Sentence(tuple(tokens), lang, sent_id, frames, tuple(extra))
+
+    sentences, rows, comments, first_lineno = [], [], [], 1
+    for lineno, line in enumerate(data.split("\n"), start=1):
+        line = line.rstrip("\r")
+        if not line.strip():
+            if rows:
+                sentences.append(build(rows, comments, first_lineno))
+            rows, comments = [], []
+            continue
+        if not rows and not comments:
+            first_lineno = lineno
+        if line.startswith("#"):
+            comments.append(line)
+        else:
+            rows.append((lineno, line.split("\t")))
+    if rows:
+        sentences.append(build(rows, comments, first_lineno))
+    corpus = Corpus.from_sentences(sentences)
+    violations = validate_corpus(corpus)
+    if violations:
+        raise CorpusError(f"{violations[0].code}: {violations[0].message}")
+    return corpus
+
+
+def _outcome(parse, text, **kwargs):
+    try:
+        return parse(text, **kwargs)
+    except CorpusError as exc:
+        return f"CorpusError: {exc}"
+
+
+def _corrupt(rng, text):
+    """``text`` with a few random edits of the kinds the parser checks."""
+    lines = text.split("\n")
+    edits = [
+        lambda f: f[:-1],                      # a column fewer
+        lambda f: f + ["_"],                   # a column more
+        lambda f: f[:10],                      # bare CoNLL-U
+        lambda f: [rng.choice(["1-2", "3.1", "-1", "x", "+2", " 4"])] + f[1:],
+        lambda f: f[:6] + [rng.choice(["root", "-3", "9"])] + f[7:],
+        lambda f: f[:10] + [rng.choice(["_", "-", "v.01"])] + f[11:],
+        lambda f: f[:11] + [rng.choice(["_", "A0", "AM-TMP"]) for _ in f[11:]],
+        lambda f: f[:3] + [rng.choice(["NOUN", "NN", "_"])] + f[4:],
+    ]
+    for _ in range(int(rng.integers(0, 4))):
+        i = int(rng.integers(len(lines)))
+        kind = int(rng.integers(len(edits) + 5))
+        if kind < len(edits):
+            if lines[i] and not lines[i].startswith("#"):
+                lines[i] = "\t".join(edits[kind](lines[i].split("\t")))
+        elif kind == len(edits):
+            lines.insert(i, rng.choice(["", " ", "\t", "# note", "# lang = DE"]))
+        elif kind == len(edits) + 1:
+            lines[i] = lines[i] + "\r"
+        elif kind == len(edits) + 2 and lines[i].startswith("# lang"):
+            del lines[i]
+        elif kind == len(edits) + 3:
+            lines.insert(i, "# only a comment\n")
+    return "\n".join(lines)
+
+
+def test_parse_agrees_with_line_by_line_reference():
+    rng = np.random.default_rng(23)
+    for trial in range(400):
+        # enough sentences now and then to span several parse batches
+        n = int(rng.integers(0, 6)) if trial % 20 else 700
+        text = write_srl_corpus(random_corpus(rng, n_sentences=n)).decode()
+        text = _corrupt(rng, text)
+        for kwargs in ({}, {"require_pred": False}, {"default_lang": "FI"}):
+            want = _outcome(reference_parse, text, **kwargs)
+            got = _outcome(parse_srl_corpus, text, **kwargs)
+            assert got == want, (trial, kwargs)

@@ -1,7 +1,9 @@
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
-from xsrl.corpus import Corpus, Sentence, Token, parse_srl_corpus
+from xsrl.corpus import UNIVERSAL_TAGS, Corpus, Sentence, Token, parse_srl_corpus
 from xsrl.postag import (
     PosDistribution,
     PosError,
@@ -119,3 +121,131 @@ def test_construction_rejects_bad_tagset():
         PosDistribution(tagset=())
     with pytest.raises(PosError):
         PosDistribution(tagset=("NOUN", "NOUN"))
+
+
+def reference_fit(corpus, k):
+    """The word-by-word loop that ``fit_pos_emission`` must match bit for bit."""
+    pair_counts = defaultdict(Counter)
+    for sent in corpus.sentences:
+        for tok in sent.tokens:
+            if tok.upos != "_":
+                pair_counts[tok.form][tok.upos] += 1
+    tagset = tuple(sorted({t for c in pair_counts.values() for t in c} | set(UNIVERSAL_TAGS)))
+    dist = {}
+    for word, tags in pair_counts.items():
+        counts = np.array([tags.get(t, 0) for t in tagset], dtype=np.float64)
+        dist[word] = (counts + k) / (counts.sum() + k * len(tagset))
+    return PosDistribution(tagset=tagset, dist=dist)
+
+
+def reference_save(dist):
+    lines = ["tagset\t" + ",".join(dist.tagset) + "\n"]
+    for word in sorted(dist.dist):
+        for tag, p in zip(dist.tagset, dist.dist[word]):
+            if p != 0.0:
+                lines.append(f"{word}\t{tag}\t{float(p)!r}\n")
+    return "".join(lines)
+
+
+def reference_load(text):
+    """The line-by-line loader: its distribution, or its error message."""
+    lines = text.split("\n")
+    dist = PosDistribution(tagset=tuple(lines[0].split("\t")[1].split(",")))
+    rows = {}
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise PosError(f"line {lineno}: expected 'word\\ttag\\tprob'")
+            word, tag, text = fields
+            try:
+                p = float(text)
+            except ValueError:
+                raise PosError(f"line {lineno}: malformed probability {text!r}") from None
+            if not 0.0 <= p <= 1.0:
+                raise PosError(f"line {lineno}: probability out of range: {text}")
+            vec = rows.setdefault(word, np.zeros(len(dist.tagset)))
+            vec[dist.tag_id(tag)] = p
+        for word, vec in rows.items():
+            total = vec.sum()
+            if total > 1.0 + 1e-6:
+                raise PosError(f"probabilities for word {word!r} sum to {total}, above 1")
+            if total < 1.0 - 1e-6:
+                raise PosError(f"probabilities for word {word!r} sum to {total}, below 1")
+    except PosError as exc:
+        return str(exc)
+    return rows
+
+
+def _tagged_corpora(toy_dir):
+    yield parse_srl_corpus((toy_dir / "de_tagged.conllu").read_text(), require_pred=False)
+    rng = np.random.default_rng(11)
+    tags = ["NOUN", "VERB", "ADV", "_", "X", "INTJ"]
+    for _ in range(20):
+        yield tagged(*[(f"w{rng.integers(8)}", tags[rng.integers(len(tags))])
+                       for _ in range(int(rng.integers(1, 40)))])
+    yield tagged(("a", "_"), ("b", "_"))
+
+
+def test_fit_and_save_match_reference_loops(toy_dir, tmp_path):
+    for corpus in _tagged_corpora(toy_dir):
+        for k in (0.0, 0.1, 2.0):
+            got, want = fit_pos_emission(corpus, k=k), reference_fit(corpus, k)
+            assert got.tagset == want.tagset
+            assert list(got.dist) == list(want.dist)
+            for word, vec in want.dist.items():
+                assert got.dist[word].tolist() == vec.tolist()
+            save_pos_distribution(got, str(tmp_path / "pos.tsv"))
+            assert (tmp_path / "pos.tsv").read_text(encoding="utf-8") == reference_save(want)
+
+
+LOAD_CASES = [
+    "tagset\tNOUN,VERB\nw\tNOUN\t0.25\nv\tVERB\t1.0\nw\tVERB\t0.75\n",
+    "tagset\tNOUN,VERB\nw\tNOUN\t0.9\nw\tVERB\t0.1\nw\tNOUN\t0.5\nw\tVERB\t0.5\n",
+    "tagset\tNOUN,VERB\n\nw\tNOUN\t1.0\n\nv\tVERB\t1.0",
+    "tagset\tNOUN,VERB\nw\tNOUN\t0.6\nw\tVERB\t0.6\n",
+    "tagset\tNOUN,VERB\nw\tNOUN\t1.0\nv\tNOUN\t0.3\nu\tNOUN\t0.2\n",
+    "tagset\tNOUN,VERB\nw\tNOUN\t1.0\nv\tNOUN\n",
+    "tagset\tNOUN,VERB\nw\tNOUN\t1.0\tx\n",
+    "tagset\tNOUN,VERB\nw\tNOUN\tnope\nv\tNOUN\n",
+    "tagset\tNOUN,VERB\nw\tNOUN\t1.0\nv\tNOUN\tnan\n",
+    "tagset\tNOUN,VERB\nw\tNOUN\t-0.5\n",
+    "tagset\tNOUN,VERB\nw\tNOUN\t1.5\nv\tADJ\t1.0\n",
+    "tagset\tNOUN,VERB\nw\tADJ\t1.0\nv\tNOUN\t1.5\n",
+    "tagset\tNOUN,VERB\n \n",
+]
+
+
+def assert_load_matches_reference(path, text):
+    path.write_text(text, encoding="utf-8")
+    want = reference_load(text)
+    if isinstance(want, str):
+        with pytest.raises(PosError) as exc:
+            load_pos_distribution(str(path))
+        assert str(exc.value) == want
+    else:
+        got = load_pos_distribution(str(path)).dist
+        assert list(got) == list(want)
+        for word, vec in want.items():
+            assert got[word].tolist() == vec.tolist()
+
+
+@pytest.mark.parametrize("text", LOAD_CASES)
+def test_load_matches_reference_loop(tmp_path, text):
+    assert_load_matches_reference(tmp_path / "pos.tsv", text)
+
+
+def test_load_sums_each_word_like_the_loop(tmp_path):
+    rng = np.random.default_rng(2)
+    tags = [f"T{i}" for i in range(18)]
+    rows, lines = {}, []
+    for w in range(300):
+        vec = rng.random(18) * (rng.random(18) < 0.6)
+        vec = vec / vec.sum() * (1 + rng.normal() * 1e-7)
+        for tag, p in zip(tags, vec):
+            lines.append(f"w{w}\t{tag}\t{p!r}")
+    text = "tagset\t" + ",".join(tags) + "\n" + "\n".join(lines) + "\n"
+    for drift in ("", "w7\tT3\t0.5\n"):
+        assert_load_matches_reference(tmp_path / "pos.tsv", text + drift)
