@@ -125,6 +125,8 @@ def _config_value(action: argparse.Action, raw: str):
     if action.type is not None:
         try:
             value = action.type(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(str(exc)) from None
         except ValueError:
             raise ValueError(f"invalid {action.type.__name__} value: {raw!r}") from None
     if action.choices is not None and value not in action.choices:
@@ -155,6 +157,25 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
                 raise ValueError(f"{args.config}:{lineno}: "
                                  f"{flags[key].option_strings[0]}: {exc}") from None
             setattr(args, key, value)
+
+
+def _alphas(text: str) -> list[float]:
+    """``--alphas``: comma-separated floats."""
+    values = []
+    for value in text.split(","):
+        try:
+            values.append(float(value))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    return values
+
+
+def _buckets(text: str):
+    """``--buckets``: distance buckets such as ``1-2,3-6,7+``."""
+    try:
+        return evaluation.parse_buckets(text)
+    except evaluation.EvalError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -259,8 +280,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     gold = _load_corpus(args.gold, lang=args.lang)
     pred = _load_corpus(args.pred, lang=args.lang)
-    buckets = evaluation.parse_buckets(args.buckets)
-    report = evaluation.srl_f1(gold, pred, buckets=buckets)
+    report = evaluation.srl_f1(gold, pred, buckets=args.buckets)
     text = evaluation.format_report(report)
     if args.out:
         _write_text(args.out, text)
@@ -306,14 +326,11 @@ def cmd_similarity(args) -> int:
 
 def cmd_sweep_alpha(args) -> int:
     alphas: list[float] = []
-    for value in args.alphas.split(","):
-        alpha = float(value)
+    for alpha in args.alphas:
         if alpha in alphas:
             print(f"warning: duplicate alpha {alpha} ignored", file=sys.stderr)
             continue
         alphas.append(alpha)
-    if not alphas:
-        raise ValueError("need at least one alpha value")
     if args.train and not args.dev:
         raise ValueError("--train needs a --dev corpus to score against")
 
@@ -407,7 +424,7 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--translations", required=True)
     p.add_argument("--table", required=True)
     p.add_argument("--posdist", required=True)
-    p.add_argument("--alphas", required=True, help="comma-separated thresholds")
+    p.add_argument("--alphas", type=_alphas, required=True, help="comma-separated thresholds")
     p.add_argument("--train", action="store_true",
                    help="also train per alpha and report dev F1")
     p.add_argument("--dev", help="gold dev corpus for --train")
@@ -439,7 +456,7 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--lang")
-    p.add_argument("--buckets", default="1-2,3-6,7+")
+    p.add_argument("--buckets", type=_buckets, default="1-2,3-6,7+")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 

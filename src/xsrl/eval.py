@@ -65,7 +65,8 @@ def bucket_label(bucket: tuple[int, int | None]) -> str:
 
 
 def parse_buckets(text: str) -> tuple[tuple[int, int | None], ...]:
-    """Parse "1-2,3-6,7+" into ((1,2),(3,6),(7,None))."""
+    """Parse "1-2,3-6,7+" into ((1,2),(3,6),(7,None)); the buckets must
+    cover every distance >= 1 exactly once."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -77,6 +78,7 @@ def parse_buckets(text: str) -> tuple[tuple[int, int | None], ...]:
                 out.append((int(low), int(high)))
         except ValueError:
             raise EvalError(f"malformed bucket {part!r}") from None
+    _check_buckets(out)
     return tuple(out)
 
 

@@ -52,18 +52,25 @@ def _forward(o: np.ndarray, trans: np.ndarray, posteriors: bool = False):
     label i precedes label j at t given the paths ending in j there.
     """
     steps, batch, k = o.shape
+    inner = trans[:k, :k]
     alphas = np.empty_like(o)
-    alphas[0] = o[0] + trans[k, :k]
+    np.add(o[0], trans[k, :k], out=alphas[0])
+    # each step's exponentiated scores are built in place, in post[t] or in
+    # one buffer; post is normalized by the step totals after the loop
     post = np.empty((steps, batch, k, k), dtype=o.dtype) if posteriors else None
+    totals = np.empty_like(o)
+    scores = None if posteriors else np.empty((batch, k, k), dtype=o.dtype)
     for t in range(1, steps):
-        scores = alphas[t - 1][:, :, None] + trans[:k, :k]
-        m = scores.max(axis=1)
+        if posteriors:
+            scores = post[t]
+        np.add(alphas[t - 1][:, :, None], inner, out=scores)
+        m = np.maximum.reduce(scores, axis=1)
         scores -= m[:, None, :]
         np.exp(scores, out=scores)
-        total = scores.sum(axis=1)
-        alphas[t] = o[t] + m + np.log(total)
-        if posteriors:
-            np.divide(scores, total[:, None, :], out=post[t])
+        np.add(o[t], m, out=alphas[t])
+        alphas[t] += np.log(np.add.reduce(scores, axis=1, out=totals[t]))
+    if posteriors:
+        post[1:] /= totals[1:, :, None, :]
     return alphas, post
 
 

@@ -13,6 +13,14 @@ positions 0..lengths[b]-1 and padding follows it.  The forward direction
 is causal, so padding never reaches a real position; the backward
 direction reverses each sequence within its own length, so its padding
 stays at the end too.  A single sequence is a batch of one.
+
+A batch may hold several weight groups (one per language for a PGN
+model): each group owns a contiguous slice of the batch axis and its own
+parameter vector.  Every GEMM (the input projection, the per-step
+recurrent product and the weight gradients) runs per group on its own
+columns, trimmed to the group's longest sequence, so each group computes
+exactly what it would alone; the step loop and its elementwise gate and
+cell work run once over the whole batch.
 """
 
 from __future__ import annotations
@@ -93,24 +101,47 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_forward(w_x, w_h, b, inputs, keep_cache=True):
-    """Run one direction over a batch ``inputs`` (T, B, D); returns states
-    and the cache :func:`_cell_backward` needs (None without ``keep_cache``)."""
+def _into(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Write the product ``a @ b`` into the (steps, rows, m) view ``target``:
+    directly when it is contiguous, else through a temporary."""
+    if target.flags.c_contiguous:
+        np.matmul(a, b, out=target.reshape(a.shape[0], -1))
+    else:
+        target[...] = (a @ b).reshape(target.shape)
+    return target
+
+
+def _cell_forward(weights, spans, inputs, keep_cache=True):
+    """Run one direction over a batch ``inputs`` (T, B, D) whose groups
+    ``spans`` ((columns, steps) pairs) own the per-group weights
+    ``weights`` ((W_x, W_h, b) triples); returns states and the cache
+    :func:`_cell_backward` needs (None without ``keep_cache``).
+
+    Each group's GEMMs run on its own columns and its own first ``steps``
+    steps.  Past them its gate rows start at zero and keep the group's last
+    recurrent product, so its padded states stay finite.  The step loop and
+    the gate activations run once over the whole batch.
+    """
     steps, batch, d = inputs.shape
-    h = w_h.shape[1]
-    # the recurrent product reads W_h^T row by row, not with a stride
-    w_h_t = np.ascontiguousarray(w_h.T)
+    h = weights[0][1].shape[1]
     # gate pre-activations, replaced step by step by the activations
-    gates = inputs.reshape(-1, d) @ w_x.T
-    gates += b
-    gates = gates.reshape(steps, batch, 4 * h)
+    gates = np.zeros((steps, batch, 4 * h), dtype=inputs.dtype)
+    for (w_x, _, b), (cols, n) in zip(weights, spans):
+        group = _into(gates[:n, cols], inputs[:n, cols].reshape(-1, d), w_x.T)
+        group += b
+    # the recurrent product reads W_h^T row by row, not with a stride
+    w_h_ts = [np.ascontiguousarray(w_h.T) for _, w_h, _ in weights]
+    recurrent = np.zeros((batch, 4 * h), dtype=inputs.dtype)
     cells = np.empty((steps, batch, h), dtype=inputs.dtype)
     tanh_cells = np.empty_like(cells)
     states = np.empty_like(cells)
     for t in range(steps):
         z = gates[t]
         if t:
-            z += states[t - 1] @ w_h_t
+            for w_h_t, (cols, n) in zip(w_h_ts, spans):
+                if t < n:
+                    np.matmul(states[t - 1, cols], w_h_t, out=recurrent[cols])
+            z += recurrent
         g = np.tanh(z[:, 2 * h:3 * h])
         _sigmoid(z, z)
         z[:, 2 * h:3 * h] = g
@@ -125,16 +156,18 @@ def _cell_forward(w_x, w_h, b, inputs, keep_cache=True):
     return states, (inputs, gates, cells, tanh_cells, states)
 
 
-def _cell_backward(w_x, w_h, cache, d_states, d_weights):
-    """Backprop one direction; returns d_inputs.
+def _cell_backward(weights, spans, cache, d_states, d_weights):
+    """Backprop one direction; returns d_inputs, zero past each group's steps.
 
     The recurrence only carries (B, H) state gradients; the per-step gate
-    gradients are stacked into dZ (T*B, 4H) and every weight gradient is
-    one GEMM over it, written into the (d_W_x, d_W_h, d_b) views
-    ``d_weights``.
+    gradients are stacked into dZ (T, B, 4H).  Each group's weight
+    gradients are one GEMM over its own rows of dZ, written into its
+    (d_W_x, d_W_h, d_b) views in ``d_weights``.  ``d_states`` is zero past
+    each group's steps, so the group's padded steps add exact zeros.
     """
     inputs, gates, cells, tanh_cells, states = cache
     steps, batch, h = cells.shape
+    d = inputs.shape[2]
     i, f = gates[..., :h], gates[..., h:2 * h]
     g, o = gates[..., 2 * h:3 * h], gates[..., 3 * h:]
     # d_gates first holds each gate's local derivative; step t multiplies its
@@ -147,23 +180,33 @@ def _cell_backward(w_x, w_h, cache, d_states, d_weights):
     d_gates[..., 3 * h:] = tanh_cells * o * (1.0 - o)
     dc_from_dh = o * (1.0 - tanh_cells * tanh_cells)
     d_gates4 = d_gates.reshape(steps, batch, 4, h)
-    dh = dc_next = None
-    for t in range(steps - 1, -1, -1):
-        dh = d_states[t] if dh is None else d_states[t] + dh
+    # W_h-products of the step after t; a group's rows stay zero until
+    # its own last step has run
+    recurrent = np.zeros((batch, h), dtype=d_gates.dtype)
+    last = steps - 1
+    for t in range(last, -1, -1):
+        dh = d_states[t] if t == last else d_states[t] + recurrent
         dc = dh * dc_from_dh[t]
-        if dc_next is not None:
+        if t < last:
             dc += dc_next
         d_gates4[t, :, :3] *= dc[:, None, :]
         d_gates4[t, :, 3] *= dh
-        dh = d_gates[t] @ w_h
-        dc_next = dc * f[t]
-    d_wx, d_wh, d_b = d_weights
-    d_z = d_gates.reshape(-1, 4 * h)
-    np.matmul(d_z.T, inputs.reshape(-1, inputs.shape[2]), out=d_wx)
-    # h_prev is zero at t = 0, so only t >= 1 (rows from ``batch`` on) count
-    np.matmul(d_z[batch:].T, states[:-1].reshape(-1, h), out=d_wh)
-    np.sum(d_z, axis=0, out=d_b)
-    return (d_z @ w_x).reshape(inputs.shape)
+        if t:
+            for (_, w_h, _), (cols, n) in zip(weights, spans):
+                if t < n:
+                    np.matmul(d_gates[t, cols], w_h, out=recurrent[cols])
+            dc_next = dc * f[t]
+    d_inputs = np.zeros_like(inputs)
+    for (w_x, _, _), (d_wx, d_wh, d_b), (cols, n) in zip(weights, d_weights, spans):
+        d_z = d_gates[:n, cols].reshape(-1, 4 * h)
+        np.matmul(d_z.T, inputs[:n, cols].reshape(-1, d), out=d_wx)
+        # h_prev is zero at t = 0, so only t >= 1 (the rows after the
+        # group's first step) count
+        width = len(d_z) // n
+        np.matmul(d_z[width:].T, states[:n - 1, cols].reshape(-1, h), out=d_wh)
+        np.sum(d_z, axis=0, out=d_b)
+        _into(d_inputs[:n, cols], d_z, w_x)
+    return d_inputs
 
 
 def _reversal(steps: int, lengths):
@@ -179,47 +222,67 @@ def _reverse(x: np.ndarray, rev) -> np.ndarray:
     return x[::-1] if rev is None else x[rev]
 
 
-def bilstm_forward(spec: LstmSpec, flat: np.ndarray, inputs: np.ndarray, lengths=None,
+def _spans(groups, lengths, steps: int) -> list[tuple[slice, int]]:
+    """(columns, steps) of every group: its longest sequence bounds its steps."""
+    return [(cols, steps if lengths is None else int(np.max(lengths[cols])))
+            for _, cols in groups]
+
+
+def _direction(views, layer: int, direction: int) -> list:
+    return [v[layer][direction] for v in views]
+
+
+def bilstm_forward(spec: LstmSpec, groups, inputs: np.ndarray, lengths=None,
                    keep_cache=True):
     """Encode a padded batch ``inputs`` (T, B, input_dim) into (T, B, 2*hidden).
 
+    ``groups`` holds one ``(flat, cols)`` pair per weight group: columns
+    ``cols`` (a slice of the batch axis) run with the parameter vector
+    ``flat``; one group over the whole batch is ``[(flat, slice(None))]``.
     ``lengths`` (B,) holds each sequence's length; None means every
     sequence fills all T steps.  Returns (states, caches); pass ``caches``
     to :func:`bilstm_backward`.  Without ``keep_cache`` (inference) caches
     is None and each layer's gate block is freed before the next layer
     runs.  States at padded positions are finite but meaningless.
     """
-    rev = _reversal(inputs.shape[0], lengths)
+    steps = inputs.shape[0]
+    lengths = None if lengths is None else np.asarray(lengths)
+    spans = _spans(groups, lengths, steps)
+    rev = _reversal(steps, lengths)
+    views = [spec.views(flat) for flat, _ in groups]
     caches = []
     layer_in = inputs
-    for layer_views in spec.views(flat):
-        (wx_f, wh_f, b_f), (wx_b, wh_b, b_b) = layer_views
-        fwd, cache_f = _cell_forward(wx_f, wh_f, b_f, layer_in, keep_cache)
-        bwd_rev, cache_b = _cell_forward(wx_b, wh_b, b_b, _reverse(layer_in, rev), keep_cache)
+    for layer in range(spec.layers):
+        fwd, cache_f = _cell_forward(_direction(views, layer, 0), spans, layer_in, keep_cache)
+        bwd_rev, cache_b = _cell_forward(_direction(views, layer, 1), spans,
+                                         _reverse(layer_in, rev), keep_cache)
         caches.append((cache_f, cache_b))
         layer_in = np.concatenate([fwd, _reverse(bwd_rev, rev)], axis=2)
-    return layer_in, ((rev, caches) if keep_cache else None)
+    return layer_in, ((spans, rev, caches) if keep_cache else None)
 
 
-def bilstm_backward(spec: LstmSpec, flat: np.ndarray, caches, d_out: np.ndarray,
-                    out: np.ndarray | None = None):
-    """Backprop through the stack; returns (d_inputs, d_flat).
+def bilstm_backward(spec: LstmSpec, groups, caches, d_out: np.ndarray,
+                    d_flats: np.ndarray | None = None):
+    """Backprop through the stack; returns (d_inputs, d_flats).
 
-    ``d_out`` must be zero at padded positions; padding then adds exactly
-    zero to every gradient.  ``d_flat`` is written into ``out`` when given
-    (shaped like ``flat``), else into a new array.
+    ``groups`` and ``caches`` are those of the :func:`bilstm_forward`
+    call.  ``d_out`` must be zero at padded positions; padding then adds
+    exactly zero to every gradient.  Row g of ``d_flats`` (one row per
+    group, each shaped like its ``flat``) receives group g's gradient; a
+    new array is allocated when ``d_flats`` is None.
     """
     h = spec.hidden
-    rev, layer_caches = caches
-    d_flat = np.empty_like(flat) if out is None else out
-    d_views = spec.views(d_flat)
-    views = spec.views(flat)
+    spans, rev, layer_caches = caches
+    if d_flats is None:
+        d_flats = np.empty((len(groups), spec.total_params), dtype=d_out.dtype)
+    d_views = [spec.views(d_flat) for d_flat in d_flats]
+    views = [spec.views(flat) for flat, _ in groups]
     d_layer = d_out
     for layer in range(spec.layers - 1, -1, -1):
-        (wx_f, wh_f, _), (wx_b, wh_b, _) = views[layer]
         cache_f, cache_b = layer_caches[layer]
-        d_fwd, d_bwd = d_views[layer]
-        d_in_f = _cell_backward(wx_f, wh_f, cache_f, d_layer[..., :h], d_fwd)
-        d_in_b = _cell_backward(wx_b, wh_b, cache_b, _reverse(d_layer[..., h:], rev), d_bwd)
+        d_in_f = _cell_backward(_direction(views, layer, 0), spans, cache_f,
+                                d_layer[..., :h], _direction(d_views, layer, 0))
+        d_in_b = _cell_backward(_direction(views, layer, 1), spans, cache_b,
+                                _reverse(d_layer[..., h:], rev), _direction(d_views, layer, 1))
         d_layer = d_in_f + _reverse(d_in_b, rev)
-    return d_layer, d_flat
+    return d_layer, d_flats

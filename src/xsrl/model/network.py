@@ -11,11 +11,11 @@ of one in both.  :func:`loss_and_gradients` is the training path: it
 takes examples encoded once into integer arrays by
 :func:`encode_examples` (:class:`EncodedExamples`), orders a batch by
 language group (one per language for PGN, one for BASIC) and pads it
-once, time-major; each group runs the BiLSTM with its own generated
-weight block, and the embedding, the CRF and their gradients run over the
-whole batch.  :func:`predict` is the inference path: it takes a whole
-corpus at once and cuts each language group into forward-only batches of
-sentences of similar length.
+once, time-major; one BiLSTM call runs every group on its own columns
+with its own generated weight block, and the embedding, the CRF and
+their gradients run over the whole batch.  :func:`predict` is the
+inference path: it takes a whole corpus at once and cuts each language
+group into forward-only batches of sentences of similar length.
 """
 
 from __future__ import annotations
@@ -388,9 +388,11 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows=None,
 
     ``data`` comes from :func:`encode_examples`; ``rows`` defaults to all
     of its examples.  The batch is ordered by language (stably; one group
-    for BASIC) and padded time-major once.  Each language group runs the
-    BiLSTM on its own columns, trimmed to its longest sequence; the
-    embedding, the CRF and their gradients run over the whole batch.
+    for BASIC) and padded time-major once.  One BiLSTM forward and one
+    backward run every language group at once: each group's GEMMs use its
+    own weights on its own columns, trimmed to its longest sequence, and
+    the step loop runs once; the embedding, the CRF and their gradients
+    run over the whole batch.
     Padded positions add exactly zero.  With a frozen word table
     (``train_word_table`` false) its gradient is neither computed nor
     returned.
@@ -407,32 +409,22 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows=None,
     grads = {name: np.zeros_like(params[name]) for name in names + ["pos_table", "pred_table"]}
     rows = np.arange(len(data)) if rows is None else np.asarray(rows, dtype=np.intp)
     rows = rows[np.argsort(data.langs[rows], kind="stable")]
-    groups = _language_groups(data.langs[rows])
-    d_flats = np.empty((len(groups), spec.total_params), dtype=emission_w.dtype)
+    lang_groups = _language_groups(data.langs[rows])
+    d_flats = np.empty((len(lang_groups), spec.total_params), dtype=emission_w.dtype)
     ids, lengths, valid, tokens = _pad(data, rows)
     labels = np.zeros(valid.shape, dtype=np.intp)
     labels[valid] = data.labels[tokens]
     features = _embed(model, ids)
 
-    states = np.zeros((*valid.shape, width), dtype=emission_w.dtype)
-    runs = []
-    for lang_id, cols in groups:
-        steps = int(lengths[cols].max())
-        flat = _recurrent_vector(model, lang_id)
-        group_states, caches = bilstm_forward(spec, flat, features[:steps, cols], lengths[cols])
-        states[:steps, cols] = group_states
-        runs.append((cols, steps, flat, caches))
+    groups = [(_recurrent_vector(model, lang_id), cols) for lang_id, cols in lang_groups]
+    states, caches = bilstm_forward(spec, groups, features, lengths)
     emissions = states @ emission_w.T
     loss, d_emissions, d_trans = crf.nll_gradients(
         emissions, params["crf_transition"], labels, lengths)
 
     grads["crf_emission"] = d_emissions.reshape(-1, k).T @ states.reshape(-1, width)
     grads["crf_transition"] = d_trans
-    d_states = d_emissions @ emission_w
-    d_features = np.zeros_like(features)
-    for d_flat, (cols, steps, flat, caches) in zip(d_flats, runs):
-        d_group, _ = bilstm_backward(spec, flat, caches, d_states[:steps, cols], out=d_flat)
-        d_features[:steps, cols] = d_group
+    d_features, _ = bilstm_backward(spec, groups, caches, d_emissions @ emission_w, d_flats)
     used_ids, d_rows = ids[valid], d_features[valid]
     offsets = np.cumsum([0, config.word_dim, config.pos_dim, config.pred_dim])
     for column, name in enumerate(("word_table", "pos_table", "pred_table")):
@@ -443,7 +435,7 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows=None,
     if config.variant == BASIC:
         grads["bilstm"] = d_flats[0]
     else:
-        lang_ids = [lang_id for lang_id, _ in groups]
+        lang_ids = [lang_id for lang_id, _ in lang_groups]
         grads["w_pgn"] = d_flats.T @ params["lang_table"][lang_ids]
         grads["lang_table"] = np.zeros_like(params["lang_table"])
         for lang_id, d_flat in zip(lang_ids, d_flats):
@@ -476,7 +468,7 @@ def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:
         for start in range(0, len(group), PREDICT_ROWS):
             batch = group[start:start + PREDICT_ROWS]
             ids, lengths, _, _ = _pad(data, batch)
-            states, _ = bilstm_forward(spec, flat, _embed(model, ids), lengths,
+            states, _ = bilstm_forward(spec, [(flat, slice(None))], _embed(model, ids), lengths,
                                        keep_cache=False)
             emissions = states @ model.params["crf_emission"].T
             for row, path in zip(

@@ -1,8 +1,9 @@
+import argparse
 import shutil
 
 import pytest
 
-from xsrl.cli import main
+from xsrl.cli import build_parser, main
 from xsrl.corpus import parse_srl_corpus
 from xsrl.eval import parse_report
 from xsrl.projection import ProjectionStats
@@ -328,6 +329,35 @@ def test_prep_outputs_match_recorded_digests(toy, capsys):
     assert digests == PREP_DIGESTS
 
 
+# SHA-256 of the checkpoint and the predicted corpus of short PGN and BASIC
+# runs on data/toy (EN and DE, so PGN batches mix two language groups),
+# recorded from the per-group recurrence that training ran before the
+# groups shared one, with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; a
+# faster training path must write the same bytes.
+TRAIN_DIGESTS = {
+    "pgn.bin": "bbd69a2ff5b26e54133196bb9079a57f41f4c9f9c14a9a1c56b90eb77344614e",
+    "pgn.conllu": "d7934d20885c2f1ab2ad9c45a409626d81a1a7f3c60d05cac3fcdc96c6a9c8c0",
+    "basic.bin": "cce2406d1266ff44ab5eef06e1602b02ea7267db34775dc08fcf524e16841320",
+    "basic.conllu": "9e97bd4c474feaae97cf6131ace874c4ecc182d4380b4054c1be29be01fd94d9",
+}
+
+
+@pytest.mark.parametrize("variant", ["pgn", "basic"])
+def test_train_outputs_match_recorded_digests(toy, capsys, variant):
+    import hashlib
+
+    flags = list(TRAIN_FLAGS)
+    for flag, value in (("--variant", variant), ("--epochs", "3"), ("--learning-rate", "0.05")):
+        flags[flags.index(flag) + 1] = value
+    assert run("train", "--train-file", toy / "en_srl.conllu",
+               "--train-file", toy / "de_dev.conllu", "--seed", "5",
+               "--out", toy / f"{variant}.bin", *flags) == 0
+    assert run("predict", "--model", toy / f"{variant}.bin", "--input", toy / "de_dev.conllu",
+               "--out", toy / f"{variant}.conllu") == 0
+    for name in (f"{variant}.bin", f"{variant}.conllu"):
+        assert hashlib.sha256((toy / name).read_bytes()).hexdigest() == TRAIN_DIGESTS[name]
+
+
 # (command, config text, message after "PATH:"); the command line leaves
 # the flag to the config file
 BAD_CONFIG_VALUES = [
@@ -337,6 +367,7 @@ BAD_CONFIG_VALUES = [
     ("align-train", "iterations = abc", "1: --iterations: invalid int value: 'abc'"),
     ("align-train", "floor = 0.0\nlowercase = yes",
      "2: --lowercase: expected true or false, got 'yes'"),
+    ("eval", "buckets = 1-x", "1: --buckets: malformed bucket '1-x'"),
 ]
 
 
@@ -348,7 +379,8 @@ def test_config_value_takes_the_flags_type(toy, capsys, command, text, message):
     train_flags = [item for name, value in zip(TRAIN_FLAGS[::2], TRAIN_FLAGS[1::2])
                    if name != flag for item in (name, value)]
     inputs = {"train": ["--train-file", toy / "de_dev.conllu", *train_flags],
-              "align-train": ["--parallel", toy / "bitext.txt"]}[command]
+              "align-train": ["--parallel", toy / "bitext.txt"],
+              "eval": ["--gold", toy / "de_dev.conllu", "--pred", toy / "de_dev.conllu"]}[command]
     assert run(command, *inputs, "--config", toy / "bad.cfg", "--out", toy / "out") == 2
     assert f"error: {toy / 'bad.cfg'}:{message}\n" in capsys.readouterr().err
     assert not (toy / "out").exists()
@@ -362,6 +394,32 @@ def test_config_switch_reads_true_and_false(toy, capsys):
                    "--config", toy / f"{name}.cfg", "--out", toy / f"{name}.tsv") == 0
     assert "\ndog\thund\t" in (toy / "yes.tsv").read_text()
     assert "\nDog\tHund\t" in (toy / "no.tsv").read_text()
+
+
+# (command, the flag and its bad value, message after "argument FLAG: ")
+BAD_FLAG_VALUES = [
+    ("sweep-alpha", "--alphas", "0.2,x", "invalid float value: 'x'"),
+    ("sweep-alpha", "--alphas", "", "invalid float value: ''"),
+    ("eval", "--buckets", "1-x", "malformed bucket '1-x'"),
+    ("eval", "--buckets", "1-2,4+", "buckets leave distance 3 uncovered"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, message", BAD_FLAG_VALUES,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(BAD_FLAG_VALUES)])
+def test_flag_value_error_names_its_flag(toy, capsys, command, flag, value, message):
+    inputs = {"sweep-alpha": ["--src", toy / "en_srl.conllu",
+                              "--translations", toy / "de_trans.conllu",
+                              "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv"],
+              "eval": ["--gold", toy / "de_dev.conllu", "--pred", toy / "de_dev.conllu"]}
+    with pytest.raises(SystemExit) as exc:
+        run(command, *inputs[command], flag, value, "--out", toy / "out")
+    assert exc.value.code == 2
+    subcommands = next(action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert capsys.readouterr().err == (subcommands.choices[command].format_usage()
+                                       + f"xsrl {command}: error: argument {flag}: {message}\n")
+    assert not (toy / "out").exists()
 
 
 TOKEN = "1\thund\thund\tNOUN\t_\t_\t0\troot\t_\t_\t_\n"

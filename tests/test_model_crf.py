@@ -139,3 +139,71 @@ def test_padded_batch_matches_single_sequences():
         assert logz[b] == pytest.approx(crf.log_partition(o[:n, b], trans), abs=1e-12)
     assert loss == pytest.approx(total, abs=1e-12)
     np.testing.assert_allclose(d_trans, summed_trans, rtol=0, atol=1e-12)
+
+
+def reference_forward(o, trans, posteriors=False):
+    """The forward recursion before its scores were built in place."""
+    steps, batch, k = o.shape
+    alphas = np.empty_like(o)
+    alphas[0] = o[0] + trans[k, :k]
+    post = np.empty((steps, batch, k, k), dtype=o.dtype) if posteriors else None
+    for t in range(1, steps):
+        scores = alphas[t - 1][:, :, None] + trans[:k, :k]
+        m = scores.max(axis=1)
+        scores -= m[:, None, :]
+        np.exp(scores, out=scores)
+        total = scores.sum(axis=1)
+        alphas[t] = o[t] + m + np.log(total)
+        if posteriors:
+            np.divide(scores, total[:, None, :], out=post[t])
+    return alphas, post
+
+
+def reference_nll_gradients(o, trans, labels, lengths):
+    """``crf.nll_gradients`` over ``reference_forward`` (batch input only)."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    labels = np.asarray(labels, dtype=np.intp)
+    steps, batch, k = o.shape
+    bos, eos = k, k + 1
+    cols = np.arange(batch)
+    alphas, post = reference_forward(o, trans, posteriors=True)
+    final = crf._final_scores(alphas, trans, lengths)
+    logz = crf._lse(final, axis=1)
+    path = crf._gold_path(labels, lengths, k)
+    loss = float(np.sum(logz - crf._path_scores(o, trans, path)))
+    d_o = np.zeros_like(o)
+    d_trans = np.zeros_like(trans)
+    end = np.exp(final - logz[:, None])
+    d_trans[:k, eos] += end.sum(axis=0)
+    starts = np.zeros_like(o)
+    starts[lengths - 1, cols] = end
+    d_alpha = starts[steps - 1]
+    for step in range(steps - 1, 0, -1):
+        d_o[step] = d_alpha
+        post[step] *= d_alpha[:, None, :]
+        d_alpha = post[step].sum(axis=2) + starts[step - 1]
+    d_o[0] = d_alpha
+    d_trans[:k, :k] += post[1:].sum(axis=(0, 1))
+    d_trans[bos, :k] += d_alpha.sum(axis=0)
+    (t, b, y), (_, src, dst) = path
+    d_o[t, b, y] -= 1.0
+    d_trans -= np.bincount(src * (k + 2) + dst,
+                           minlength=(k + 2) ** 2).reshape(k + 2, k + 2)
+    return loss, d_o, d_trans
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nll_gradients_match_the_reference_bit_for_bit(seed):
+    rng = np.random.default_rng(100 + seed)
+    steps, batch, k = int(rng.integers(1, 12)), int(rng.integers(1, 25)), int(rng.integers(1, 7))
+    lengths = rng.integers(1, steps + 1, size=batch)
+    lengths[0] = steps
+    o = rng.normal(size=(steps, batch, k)) * 3
+    trans = rng.normal(size=(k + 2, k + 2))
+    labels = rng.integers(0, k, size=(steps, batch))
+    loss, d_o, d_trans = crf.nll_gradients(o, trans, labels, lengths)
+    ref_loss, ref_d_o, ref_d_trans = reference_nll_gradients(o, trans, labels, lengths)
+    assert loss == ref_loss
+    assert np.array_equal(d_o, ref_d_o) and np.array_equal(d_trans, ref_d_trans)
+    alphas, _ = crf._forward(o, trans)
+    assert np.array_equal(alphas, reference_forward(o, trans)[0])
