@@ -106,6 +106,8 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
     """
     if iterations < 1:
         raise AlignmentError(f"iterations must be >= 1, got {iterations}")
+    if not 0.0 <= floor <= 1.0:
+        raise AlignmentError(f"floor must be in [0,1], got {floor}")
     if not pairs:
         raise AlignmentError("empty pair list")
     for idx, pair in enumerate(pairs):

@@ -11,6 +11,7 @@ seed falls back to the XSRL_SEED environment variable, then 42.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -33,7 +34,6 @@ from .model import (
     train,
     vocabulary_with_table,
 )
-from .model.network import OUTSIDE
 from .model.serialize import CheckpointError
 from .postag import PosError, fit_pos_emission, load_pos_distribution, save_pos_distribution
 from .projection import ProjectionConfig, ProjectionError, ProjectionStats, project_corpus
@@ -159,15 +159,41 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
             setattr(args, key, value)
 
 
+def _number(text: str, kind: type = float):
+    """``text`` as a ``kind``; a failure reads as argparse words it."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
+def _probability(text: str) -> float:
+    """``--floor``, ``--alpha``: a float in [0, 1]."""
+    value = _number(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
 def _alphas(text: str) -> list[float]:
-    """``--alphas``: comma-separated floats."""
-    values = []
-    for value in text.split(","):
-        try:
-            values.append(float(value))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
-    return values
+    """``--alphas``: comma-separated floats in [0, 1]."""
+    return [_probability(value) for value in text.split(",")]
+
+
+def _iterations(text: str) -> int:
+    """``--iterations``: an int >= 1."""
+    value = _number(text, int)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _smoothing(text: str) -> float:
+    """``--k``: a finite float >= 0."""
+    value = _number(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {value}")
+    return value
 
 
 def _buckets(text: str):
@@ -241,11 +267,8 @@ def _train_model(args, corpus: Corpus, seed: int):
     vocab = None
     if args.embeddings:
         words, vectors = _load(load_embeddings, args.embeddings)
-        if vectors.shape[1] != config.word_dim:
-            config.word_dim = vectors.shape[1]
-        labels = sorted(set(corpus.role_inventory) | {OUTSIDE})
-        langs = sorted({s.lang for s in corpus.sentences})
-        vocab, word_table = vocabulary_with_table(words, vectors, labels, langs)
+        config.word_dim = vectors.shape[1]
+        vocab, word_table = vocabulary_with_table(words, vectors, corpus)
         config.train_word_table = False
     return train(corpus, config, seed=seed, word_table=word_table, vocab=vocab)
 
@@ -394,8 +417,8 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
 
     p = sub.add_parser("align-train", help="train an IBM Model 1 alignment table")
     p.add_argument("--parallel", required=True, help="bitext, 'src ||| tgt' per line")
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--floor", type=float, default=0.0)
+    p.add_argument("--iterations", type=_iterations, default=10)
+    p.add_argument("--floor", type=_probability, default=0.0)
     p.add_argument("--lowercase", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_align_train)
@@ -403,7 +426,7 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p = sub.add_parser("fit-pos", help="fit a POS emission distribution from a tagged corpus")
     p.add_argument("--tagged", required=True)
     p.add_argument("--lang")
-    p.add_argument("--k", type=float, default=0.1)
+    p.add_argument("--k", type=_smoothing, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_pos)
 
@@ -412,7 +435,7 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--translations", required=True)
     p.add_argument("--table", required=True)
     p.add_argument("--posdist", required=True)
-    p.add_argument("--alpha", type=float, default=0.4)
+    p.add_argument("--alpha", type=_probability, default=0.4)
     p.add_argument("--src-lang")
     p.add_argument("--tgt-lang")
     p.add_argument("--out", required=True)

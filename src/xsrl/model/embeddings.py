@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import UNK, ModelError, Vocabulary
+from ..corpus import Corpus
+from .network import ModelError, Vocabulary
 
 __all__ = ["load_embeddings", "vocabulary_with_table"]
 
@@ -47,15 +48,9 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def vocabulary_with_table(words: list[str], vectors: np.ndarray,
-                          labels, languages) -> tuple[Vocabulary, np.ndarray]:
-    """Build a vocabulary around a pretrained table, adding the unknown row."""
-    from ..corpus import UNIVERSAL_TAGS
-
-    vocab = Vocabulary(
-        words=(UNK, *words),
-        pos_tags=(*sorted(UNIVERSAL_TAGS), "_"),
-        labels=tuple(labels),
-        languages=tuple(languages),
-    )
+                          corpus: Corpus) -> tuple[Vocabulary, np.ndarray]:
+    """The training corpus's vocabulary with the pretrained table's words,
+    and the table with the unknown row added."""
+    vocab = Vocabulary.from_corpus(corpus, words=words)
     table = np.vstack([np.zeros((1, vectors.shape[1])), vectors])
     return vocab, table

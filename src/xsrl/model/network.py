@@ -119,12 +119,16 @@ class Vocabulary:
         object.__setattr__(self, "_lang_id", {l: i for i, l in enumerate(self.languages)})
 
     @classmethod
-    def from_corpus(cls, corpus: Corpus) -> "Vocabulary":
-        forms = sorted({t.form for s in corpus.sentences for t in s.tokens})
+    def from_corpus(cls, corpus: Corpus, words: list[str] | None = None) -> "Vocabulary":
+        """The corpus's labels and languages, and its sorted word forms or,
+        given ``words``, those words in their order (a pretrained table's
+        rows); the unknown word comes first."""
+        if words is None:
+            words = sorted({t.form for s in corpus.sentences for t in s.tokens})
         labels = sorted(set(corpus.role_inventory) | {OUTSIDE})
         langs = sorted({s.lang for s in corpus.sentences})
         return cls(
-            words=(UNK, *forms),
+            words=(UNK, *words),
             pos_tags=(*sorted(UNIVERSAL_TAGS), "_"),
             labels=tuple(labels),
             languages=tuple(langs),

@@ -8,6 +8,7 @@ distribution over the tagset.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
@@ -62,8 +63,8 @@ def fit_pos_emission(tagged: Corpus, k: float = 0.1) -> PosDistribution:
     The tagset is the union of observed tags and the 17 universal tags;
     "_" marks an untagged token and is skipped.
     """
-    if k < 0:
-        raise PosError(f"smoothing constant must be >= 0, got {k}")
+    if not 0 <= k < math.inf:
+        raise PosError(f"smoothing constant must be a finite number >= 0, got {k}")
     if not tagged.sentences:
         raise PosError("empty corpus")
     tokens = list(chain.from_iterable(sent.tokens for sent in tagged.sentences))

@@ -12,12 +12,15 @@ frames:
 
 1. Predicate vs. predicate: the higher-scoring predicate keeps the token;
    a losing predicate removes its whole frame, and the removed frame's
-   argument candidates no longer compete.
+   arguments no longer compete.
 2. Predicate vs. argument: arguments landing on a kept predicate's token
    are dropped.
 3. Argument vs. argument: the highest-scoring argument per token survives.
 
-Ties everywhere go to the smaller source index.
+Ties everywhere go to the smaller source index, then to the earlier frame
+(one source word may serve several frames).  The threshold α then drops
+every projection scoring below it (a score equal to α is kept); a dropped
+predicate takes its whole frame with it.
 """
 
 from __future__ import annotations
@@ -30,19 +33,11 @@ from .postag import PosDistribution, pos_prob
 
 __all__ = [
     "ProjectionError",
-    "ProjectionCandidate",
     "ProjectionConfig",
     "ProjectionStats",
-    "score_projection",
-    "project_frame",
-    "resolve_collisions",
-    "apply_threshold",
     "project_sentence",
     "project_corpus",
 ]
-
-PREDICATE = "predicate"
-ARGUMENT = "argument"
 
 
 class ProjectionError(ValueError):
@@ -50,20 +45,8 @@ class ProjectionError(ValueError):
 
 
 @dataclass(frozen=True)
-class ProjectionCandidate:
-    src_index: int
-    tgt_index: int
-    kind: str  # PREDICATE or ARGUMENT
-    label: str  # sense for predicates, role for arguments
-    score: float
-    frame_id: int
-
-
-@dataclass(frozen=True)
 class ProjectionConfig:
     alpha: float = 0.4
-    floor: float = 0.0
-    k: float = 0.1
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -87,181 +70,71 @@ class ProjectionStats:
         "args_dropped_threshold", "args_dropped_collision",
     )
 
-    def add(self, other: "ProjectionStats") -> None:
-        for name in self.FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
     def as_lines(self) -> str:
         return "".join(f"{name}\t{getattr(self, name)}\n" for name in self.FIELDS)
-
-
-def score_projection(a: float, p: float) -> float:
-    """Projection confidence: alignment probability times POS compatibility."""
-    if not 0.0 <= a <= 1.0:
-        raise ProjectionError(f"alignment probability out of range: {a}")
-    if not 0.0 <= p <= 1.0:
-        raise ProjectionError(f"POS probability out of range: {p}")
-    return a * p
-
-
-def project_frame(frame: PredicateFrame, src: Sentence, tgt: Sentence,
-                  table: AlignmentTable, dist: PosDistribution,
-                  frame_id: int = 0) -> list[ProjectionCandidate]:
-    """Project one frame's predicate and arguments onto the target sentence.
-
-    Every SRL-related source word yields exactly one candidate: its best
-    aligned target token and the confidence score.  Source words must
-    carry universal POS tags.
-    """
-    if not tgt.tokens:
-        raise ProjectionError("empty target sentence")
-    tgt_forms = [t.form for t in tgt.tokens]
-    out: list[ProjectionCandidate] = []
-
-    def make(src_index: int, kind: str, label: str) -> ProjectionCandidate:
-        src_tok = src.tokens[src_index - 1]
-        j, a = best_target(table, src_tok.form, tgt_forms)
-        p = pos_prob(dist, tgt_forms[j - 1], src_tok.upos)
-        return ProjectionCandidate(
-            src_index=src_index, tgt_index=j, kind=kind, label=label,
-            score=score_projection(a, p), frame_id=frame_id)
-
-    out.append(make(frame.pred_index, PREDICATE, frame.sense))
-    for arg_index, role in frame.args:
-        out.append(make(arg_index, ARGUMENT, role))
-    return out
-
-
-def _best(candidates: list[ProjectionCandidate]) -> ProjectionCandidate:
-    # score first, then smaller source index; frame order settles exact
-    # duplicates (one source word serving several frames)
-    return min(candidates, key=lambda c: (-c.score, c.src_index, c.frame_id))
-
-
-def resolve_collisions(candidates: list[ProjectionCandidate],
-                       ) -> tuple[list[ProjectionCandidate],
-                                  list[tuple[ProjectionCandidate, str]]]:
-    """Resolve same-target collisions across all frames of one sentence.
-
-    Returns (kept, dropped) where each dropped entry carries a reason:
-    "lost-predicate-collision", "frame-removed", "predicate-precedence"
-    or "lost-argument-collision".
-    """
-    dropped: list[tuple[ProjectionCandidate, str]] = []
-
-    preds = [c for c in candidates if c.kind == PREDICATE]
-    by_tgt: dict[int, list[ProjectionCandidate]] = {}
-    for c in preds:
-        by_tgt.setdefault(c.tgt_index, []).append(c)
-    dead_frames: set[int] = set()
-    kept_preds: list[ProjectionCandidate] = []
-    for group in by_tgt.values():
-        winner = _best(group)
-        kept_preds.append(winner)
-        for c in group:
-            if c is not winner:
-                dropped.append((c, "lost-predicate-collision"))
-                dead_frames.add(c.frame_id)
-
-    args = [c for c in candidates if c.kind == ARGUMENT]
-    live_args: list[ProjectionCandidate] = []
-    for c in args:
-        if c.frame_id in dead_frames:
-            dropped.append((c, "frame-removed"))
-        else:
-            live_args.append(c)
-
-    pred_targets = {c.tgt_index for c in kept_preds}
-    survivors: list[ProjectionCandidate] = []
-    for c in live_args:
-        if c.tgt_index in pred_targets:
-            dropped.append((c, "predicate-precedence"))
-        else:
-            survivors.append(c)
-
-    arg_by_tgt: dict[int, list[ProjectionCandidate]] = {}
-    for c in survivors:
-        arg_by_tgt.setdefault(c.tgt_index, []).append(c)
-    kept_args: list[ProjectionCandidate] = []
-    for group in arg_by_tgt.values():
-        winner = _best(group)
-        kept_args.append(winner)
-        for c in group:
-            if c is not winner:
-                dropped.append((c, "lost-argument-collision"))
-
-    kept = sorted(kept_preds + kept_args, key=lambda c: (c.frame_id, c.kind != PREDICATE,
-                                                         c.src_index))
-    return kept, dropped
-
-
-def apply_threshold(kept: list[ProjectionCandidate], config: ProjectionConfig,
-                    ) -> tuple[list[ProjectionCandidate],
-                               list[tuple[ProjectionCandidate, str]]]:
-    """Remove low-confidence projections (score < alpha; equality keeps).
-
-    A removed predicate takes its whole frame with it; a removed argument
-    leaves the rest of its frame untouched.
-    """
-    dropped: list[tuple[ProjectionCandidate, str]] = []
-    dead_frames = {c.frame_id for c in kept
-                   if c.kind == PREDICATE and c.score < config.alpha}
-    final: list[ProjectionCandidate] = []
-    for c in kept:
-        if c.frame_id in dead_frames:
-            reason = "below-threshold" if c.kind == PREDICATE else "frame-below-threshold"
-            dropped.append((c, reason))
-        elif c.score < config.alpha:
-            dropped.append((c, "below-threshold"))
-        else:
-            final.append(c)
-    return final, dropped
-
-
-def _frames_from_candidates(candidates: list[ProjectionCandidate],
-                            ) -> tuple[PredicateFrame, ...]:
-    by_frame: dict[int, dict[str, list[ProjectionCandidate]]] = {}
-    for c in candidates:
-        slot = by_frame.setdefault(c.frame_id, {PREDICATE: [], ARGUMENT: []})
-        slot[c.kind].append(c)
-    frames = []
-    for _, slot in sorted(by_frame.items()):
-        if not slot[PREDICATE]:
-            continue  # no orphan arguments: requires a surviving predicate
-        pred = slot[PREDICATE][0]
-        args = tuple(sorted((c.tgt_index, c.label) for c in slot[ARGUMENT]))
-        frames.append(PredicateFrame(pred_index=pred.tgt_index, sense=pred.label, args=args))
-    return tuple(sorted(frames, key=lambda f: f.pred_index))
 
 
 def project_sentence(src: Sentence, tgt: Sentence, table: AlignmentTable,
                      dist: PosDistribution, config: ProjectionConfig,
                      ) -> tuple[Sentence, ProjectionStats]:
-    """Project all frames of one source sentence; returns the annotated target."""
-    stats = ProjectionStats(
-        frames_in=len(src.frames),
-        args_in=sum(len(f.args) for f in src.frames))
-    candidates: list[ProjectionCandidate] = []
-    for frame_id, frame in enumerate(src.frames):
-        candidates.extend(project_frame(frame, src, tgt, table, dist, frame_id))
-    kept, coll_dropped = resolve_collisions(candidates)
-    final, thresh_dropped = apply_threshold(kept, config)
+    """Project all frames of one source sentence; returns the annotated target.
 
-    for c, _ in coll_dropped:
-        if c.kind == PREDICATE:
-            stats.frames_dropped_collision += 1
-        else:
-            stats.args_dropped_collision += 1
-    for c, _ in thresh_dropped:
-        if c.kind == PREDICATE:
-            stats.frames_dropped_threshold += 1
-        else:
-            stats.args_dropped_threshold += 1
-    stats.frames_kept = sum(1 for c in final if c.kind == PREDICATE)
-    stats.args_kept = sum(1 for c in final if c.kind == ARGUMENT)
+    Each rule is a filter over the survivors of the one before it, and each
+    dropped count is the difference between two consecutive set sizes.
+    """
+    frames, alpha = src.frames, config.alpha
+    tgt_forms = [t.form for t in tgt.tokens]
+    if frames and not tgt_forms:
+        raise ProjectionError("empty target sentence")
+    placed: dict[int, tuple[int, float]] = {}  # source index -> (target index, score)
+    for frame in frames:
+        for i in (frame.pred_index, *(i for i, _ in frame.args)):
+            if i not in placed:
+                src_tok = src.tokens[i - 1]
+                j, a = best_target(table, src_tok.form, tgt_forms)
+                p = pos_prob(dist, tgt_forms[j - 1], src_tok.upos)
+                if not 0.0 <= a <= 1.0:
+                    raise ProjectionError(f"alignment probability out of range: {a}")
+                if not 0.0 <= p <= 1.0:
+                    raise ProjectionError(f"POS probability out of range: {p}")
+                placed[i] = (j, a * p)
 
-    out = replace(tgt, frames=_frames_from_candidates(final))
-    return out, stats
+    # the best (-score, source index, frame) of each target token wins it
+    preds: dict[int, tuple[float, int, int]] = {}  # target index -> winning key
+    for fid, frame in enumerate(frames):
+        j, score = placed[frame.pred_index]
+        key = (-score, frame.pred_index, fid)
+        if j not in preds or key < preds[j]:
+            preds[j] = key
+    # the keys of two frames always differ, so only the order within a frame
+    # can matter: the first of two equal keys (a source word twice) wins
+    args: dict[int, tuple[tuple[float, int, int], str]] = {}  # target -> (key, role)
+    for fid in {fid for _, _, fid in preds.values()}:
+        for i, role in frames[fid].args:
+            j, score = placed[i]
+            key = (-score, i, fid)
+            if j not in preds and (j not in args or key < args[j][0]):
+                args[j] = (key, role)
+
+    kept = {fid: (j, frames[fid].sense) for j, (neg, _, fid) in preds.items()
+            if -neg >= alpha}
+    kept_args: dict[int, list[tuple[int, str]]] = {fid: [] for fid in kept}
+    for j, ((neg, _, fid), role) in args.items():
+        if fid in kept and -neg >= alpha:
+            kept_args[fid].append((j, role))
+    out = tuple(sorted((PredicateFrame(j, sense, tuple(sorted(kept_args[fid])))
+                        for fid, (j, sense) in kept.items()),
+                       key=lambda f: f.pred_index))
+
+    n_frames, n_args = len(frames), sum(len(f.args) for f in frames)
+    n_kept_args = sum(map(len, kept_args.values()))
+    return replace(tgt, frames=out), ProjectionStats(
+        frames_in=n_frames, frames_kept=len(kept),
+        frames_dropped_threshold=len(preds) - len(kept),
+        frames_dropped_collision=n_frames - len(preds),
+        args_in=n_args, args_kept=n_kept_args,
+        args_dropped_threshold=len(args) - n_kept_args,
+        args_dropped_collision=n_args - len(args))
 
 
 def project_corpus(src_corpus: Corpus, translations: list[Sentence],
@@ -275,10 +148,11 @@ def project_corpus(src_corpus: Corpus, translations: list[Sentence],
         raise ProjectionError(
             f"translation count {len(translations)} != sentence count "
             f"{len(src_corpus.sentences)}")
-    totals = ProjectionStats()
-    out_sentences: list[Sentence] = []
+    sentences: list[Sentence] = []
+    totals = dict.fromkeys(ProjectionStats.FIELDS, 0)
     for src, tgt in zip(src_corpus.sentences, translations):
         sent, stats = project_sentence(src, tgt, table, dist, config)
-        out_sentences.append(sent)
-        totals.add(stats)
-    return Corpus.from_sentences(out_sentences), totals
+        sentences.append(sent)
+        for name in totals:
+            totals[name] += getattr(stats, name)
+    return Corpus.from_sentences(sentences), ProjectionStats(**totals)

@@ -44,6 +44,13 @@ def test_iterations_zero_error():
         ibm1_train([pair("a", "x")], iterations=0)
 
 
+@pytest.mark.parametrize("floor", [-0.1, 1.5, float("nan")])
+def test_floor_outside_unit_interval_error(floor):
+    # a table with such a floor could be saved but not loaded
+    with pytest.raises(AlignmentError, match=r"^floor must be in \[0,1\], got "):
+        ibm1_train([pair("a", "x")], iterations=1, floor=floor)
+
+
 def test_empty_inputs_error():
     with pytest.raises(AlignmentError, match="empty pair list"):
         ibm1_train([], iterations=1)

@@ -4,7 +4,7 @@ import shutil
 import pytest
 
 from xsrl.cli import build_parser, main
-from xsrl.corpus import parse_srl_corpus
+from xsrl.corpus import UNIVERSAL_TAGS, parse_srl_corpus
 from xsrl.eval import parse_report
 from xsrl.projection import ProjectionStats
 
@@ -34,11 +34,6 @@ def test_align_train_missing_input_exits_2(toy, capsys):
     assert run("align-train", "--parallel", toy / "nope.txt",
                "--out", toy / "t.tsv") == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_align_train_zero_iterations_exits_2(toy, capsys):
-    assert run("align-train", "--parallel", toy / "bitext.txt",
-               "--iterations", "0", "--out", toy / "t.tsv") == 2
 
 
 def _prepare(toy):
@@ -228,7 +223,11 @@ def test_train_with_pretrained_embeddings(toy, capsys):
     model = load_model(str(toy / "emb.bin"))
     assert model.config.word_dim == 4
     assert model.config.train_word_table is False
-    assert model.vocab.words[0] == "<unk>"
+    assert model.vocab.words == ("<unk>", *words)
+    corpus = parse_srl_corpus((toy / "de_dev.conllu").read_text())
+    assert model.vocab.pos_tags == (*sorted(UNIVERSAL_TAGS), "_")
+    assert model.vocab.labels == tuple(sorted({*corpus.role_inventory, "O"}))
+    assert model.vocab.languages == ("DE",)
     assert model.params["word_table"][1:, 0].tolist() == list(
         float(i) for i in range(len(words)))
 
@@ -309,6 +308,8 @@ PREP_DIGESTS = {
     "de_pseudo.conllu": "b4d846d1a35f877b7eb06cd0c2a874d8236bf0cb7949460ba49398356c958a35",
     "de_pseudo.stats": "94fee1112be68cbc646ced3670fa525badbbb63a1d346595100ec0e33f33c9c2",
     "counts.txt": "8eceb7bbb083bcbff00f8e881cd15056cdf4d96218ba6392dac858c80b4e5bb2",
+    # recorded from the per-candidate projection that one pass per sentence replaced
+    "sweep.csv": "aa00fb3e3f19fc49af407cd09076f620c54db74cd49e3ce0a10d8099b48565c7",
 }
 
 
@@ -324,6 +325,10 @@ def test_prep_outputs_match_recorded_digests(toy, capsys):
                "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv", "--alpha", "0.4",
                "--out", toy / "de_pseudo.conllu", "--stats", toy / "de_pseudo.stats") == 0
     assert run("stats", "--input", toy / "de_pseudo.conllu", "--out", toy / "counts.txt") == 0
+    assert run("sweep-alpha", "--src", toy / "en_srl.conllu",
+               "--translations", toy / "de_trans.conllu",
+               "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv",
+               "--alphas", "0,0.2,0.4,0.6,0.8,1", "--out", toy / "sweep.csv") == 0
     digests = {name: hashlib.sha256((toy / name).read_bytes()).hexdigest()
                for name in PREP_DIGESTS}
     assert digests == PREP_DIGESTS
@@ -368,6 +373,7 @@ BAD_CONFIG_VALUES = [
     ("align-train", "floor = 0.0\nlowercase = yes",
      "2: --lowercase: expected true or false, got 'yes'"),
     ("eval", "buckets = 1-x", "1: --buckets: malformed bucket '1-x'"),
+    ("align-train", "floor = 2", "1: --floor: must be in [0, 1], got 2.0"),
 ]
 
 
@@ -402,15 +408,27 @@ BAD_FLAG_VALUES = [
     ("sweep-alpha", "--alphas", "", "invalid float value: ''"),
     ("eval", "--buckets", "1-x", "malformed bucket '1-x'"),
     ("eval", "--buckets", "1-2,4+", "buckets leave distance 3 uncovered"),
+    ("align-train", "--floor", "2", "must be in [0, 1], got 2.0"),
+    ("align-train", "--floor", "-0.5", "must be in [0, 1], got -0.5"),
+    ("align-train", "--iterations", "0", "must be >= 1, got 0"),
+    ("align-train", "--iterations", "2.5", "invalid int value: '2.5'"),
+    ("fit-pos", "--k", "-1", "must be a finite number >= 0, got -1.0"),
+    ("fit-pos", "--k", "inf", "must be a finite number >= 0, got inf"),
+    ("project", "--alpha", "2", "must be in [0, 1], got 2.0"),
+    ("project", "--alpha", "nan", "must be in [0, 1], got nan"),
+    ("sweep-alpha", "--alphas", "0.2,2", "must be in [0, 1], got 2.0"),
 ]
 
 
 @pytest.mark.parametrize("command, flag, value, message", BAD_FLAG_VALUES,
                          ids=[f"{case[0]}-{i}" for i, case in enumerate(BAD_FLAG_VALUES)])
 def test_flag_value_error_names_its_flag(toy, capsys, command, flag, value, message):
-    inputs = {"sweep-alpha": ["--src", toy / "en_srl.conllu",
-                              "--translations", toy / "de_trans.conllu",
-                              "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv"],
+    projection = ["--src", toy / "en_srl.conllu", "--translations", toy / "de_trans.conllu",
+                  "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv"]
+    inputs = {"align-train": ["--parallel", toy / "bitext.txt"],
+              "fit-pos": ["--tagged", toy / "de_tagged.conllu"],
+              "project": projection,
+              "sweep-alpha": projection,
               "eval": ["--gold", toy / "de_dev.conllu", "--pred", toy / "de_dev.conllu"]}
     with pytest.raises(SystemExit) as exc:
         run(command, *inputs[command], flag, value, "--out", toy / "out")

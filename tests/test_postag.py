@@ -53,6 +53,13 @@ def test_empty_corpus_errors():
         fit_pos_emission(Corpus())
 
 
+@pytest.mark.parametrize("k", [-1.0, float("inf"), float("nan")])
+def test_smoothing_constant_must_be_finite_and_non_negative(k):
+    # an infinite k would write NaN probabilities that the loader refuses
+    with pytest.raises(PosError, match="smoothing constant must be a finite number >= 0"):
+        fit_pos_emission(tagged(("dog", "NOUN")), k=k)
+
+
 def test_rows_sum_to_one_everywhere():
     rng = np.random.default_rng(3)
     words = ["a", "b", "c", "dd"]
