@@ -48,6 +48,29 @@ _INPUT_ERRORS = (AlignmentError, CorpusError, ModelError, PosError,
                  ProjectionError, CheckpointError, evaluation.EvalError,
                  OSError, ValueError)
 
+# glibc malloc settings: keep up to 256 MB of freed memory instead of giving
+# it back, and serve blocks below 32 MB (glibc's upper limit for this
+# threshold) from that memory instead of fresh mappings.  A training batch
+# frees its temporaries and the next one allocates them again; under glibc's
+# dynamic defaults their pages are unmapped and faulted in anew every batch.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MALLOC_TRIM_THRESHOLD = 256 * 2**20
+MALLOC_MMAP_THRESHOLD = 32 * 2**20
+
+
+def _keep_freed_pages() -> None:
+    """Apply the malloc settings above; does nothing without ``mallopt``."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD)
+
 
 @contextmanager
 def _reading(path: str):
@@ -509,6 +532,7 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    _keep_freed_pages()
     args = build_parser().parse_args(argv)
     try:
         _apply_config_file(args, argv)

@@ -262,19 +262,17 @@ def bilstm_forward(spec: LstmSpec, groups, inputs: np.ndarray, lengths=None,
 
 
 def bilstm_backward(spec: LstmSpec, groups, caches, d_out: np.ndarray,
-                    d_flats: np.ndarray | None = None):
+                    d_flats: np.ndarray):
     """Backprop through the stack; returns (d_inputs, d_flats).
 
     ``groups`` and ``caches`` are those of the :func:`bilstm_forward`
     call.  ``d_out`` must be zero at padded positions; padding then adds
     exactly zero to every gradient.  Row g of ``d_flats`` (one row per
-    group, each shaped like its ``flat``) receives group g's gradient; a
-    new array is allocated when ``d_flats`` is None.
+    group, each shaped like its ``flat``) is overwritten with group g's
+    gradient.
     """
     h = spec.hidden
     spans, rev, layer_caches = caches
-    if d_flats is None:
-        d_flats = np.empty((len(groups), spec.total_params), dtype=d_out.dtype)
     d_views = [spec.views(d_flat) for d_flat in d_flats]
     views = [spec.views(flat) for flat, _ in groups]
     d_layer = d_out

@@ -40,6 +40,9 @@ __all__ = [
     "encode_examples",
     "init_model",
     "param_shapes",
+    "training_shapes",
+    "Gradients",
+    "gradient_buffers",
     "pgn_params",
     "language_similarity",
     "similarity_csv",
@@ -261,6 +264,56 @@ def param_shapes(config: ModelConfig, vocab: Vocabulary) -> dict[str, tuple[int,
     return shapes
 
 
+def training_shapes(config: ModelConfig, vocab: Vocabulary):
+    """What training allocates besides its activations, from the shapes alone.
+
+    Returns ``(trained, frozen, block)``: ``trained`` maps every tensor
+    training updates to its shape, in the order the training workspace
+    lays them out and the gradient norm sums them (the embedding tables,
+    the CRF, then ``bilstm`` or ``w_pgn`` and ``lang_table``); ``frozen``
+    is the shape of a frozen word table (None when it trains); ``block``
+    is the (languages, P) shape of each of PGN's two per-language blocks,
+    the generated recurrent vectors and their gradients (None for BASIC).
+    """
+    trained = param_shapes(config, vocab)
+    frozen = None if config.train_word_table else trained.pop("word_table")
+    block = None
+    if config.variant == PGN:
+        trained["lang_table"] = trained.pop("lang_table")
+        block = (len(vocab.languages), trained["w_pgn"][0])
+    return trained, frozen, block
+
+
+@dataclass(frozen=True)
+class Gradients:
+    """The buffers one :func:`loss_and_gradients` call writes into.
+
+    ``tensors`` maps every trained tensor to its gradient, in
+    :func:`training_shapes` order.  Row g of ``d_flats`` receives the
+    recurrent gradient of the batch's language group g: for BASIC it is
+    the ``bilstm`` gradient as one row; for PGN it is a (languages, P)
+    block, and ``flats``, a second one, holds the generated vectors.
+    """
+
+    tensors: dict[str, np.ndarray]
+    d_flats: np.ndarray
+    flats: np.ndarray | None = None
+
+
+def gradient_buffers(model: SrlModel, tensors: dict[str, np.ndarray] | None = None,
+                     ) -> Gradients:
+    """Gradient buffers for ``model``: ``tensors`` (one array per trained
+    tensor, in :func:`training_shapes` order) or new zeroed ones, and for
+    PGN two new (languages, P) blocks."""
+    trained, _, block = training_shapes(model.config, model.vocab)
+    dtype = np.dtype(model.config.dtype)
+    if tensors is None:
+        tensors = {name: np.zeros(shape, dtype=dtype) for name, shape in trained.items()}
+    if block is None:
+        return Gradients(tensors, tensors["bilstm"][None])
+    return Gradients(tensors, np.empty(block, dtype=dtype), np.empty(block, dtype=dtype))
+
+
 def _feature_ids(model: SrlModel, sentence: Sentence, pred_index: int) -> np.ndarray:
     """(n, 3) word, POS and predicate-indicator ids of one sentence."""
     if not 1 <= pred_index <= len(sentence.tokens):
@@ -345,12 +398,14 @@ def _pad(data: EncodedExamples, rows: np.ndarray):
     return ids, lengths, valid, tokens
 
 
-def pgn_params(w_pgn: np.ndarray, lang_embedding: np.ndarray) -> np.ndarray:
-    """Generate the flattened recurrent parameters for one language."""
+def pgn_params(w_pgn: np.ndarray, lang_embedding: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Generate the flattened recurrent parameters for one language, into
+    ``out`` when given."""
     if w_pgn.ndim != 2 or lang_embedding.shape != (w_pgn.shape[1],):
         raise ModelError(
             f"cannot generate parameters: {w_pgn.shape} x {lang_embedding.shape}")
-    return w_pgn @ lang_embedding
+    return np.matmul(w_pgn, lang_embedding, out=out)
 
 
 def language_similarity(model: SrlModel) -> tuple[tuple[str, ...], np.ndarray]:
@@ -387,6 +442,7 @@ def _language_groups(langs: np.ndarray) -> list[tuple[int, slice]]:
 
 
 def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows=None,
+                       grads: Gradients | None = None,
                        ) -> tuple[float, dict[str, np.ndarray]]:
     """Summed loss and summed gradients over the examples ``rows`` of ``data``.
 
@@ -399,52 +455,59 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows=None,
     run over the whole batch.
     Padded positions add exactly zero.  With a frozen word table
     (``train_word_table`` false) its gradient is neither computed nor
-    returned.
+    returned.  The gradients are written into ``grads`` (new buffers from
+    :func:`gradient_buffers` when None), overwriting what they held;
+    the returned dict is ``grads.tensors``.
     """
     config = model.config
     params = model.params
     spec = config.lstm_spec()
     emission_w = params["crf_emission"]
     k, width = emission_w.shape
-    # The gradient buffers come before the forward pass: allocated after it,
+    # New gradient buffers come before the forward pass: allocated after it,
     # above the forward caches, the desk model's 5 MB recurrent gradient
     # left a hole that raised peak RSS by about 4 MB.
-    names = ["word_table"] if config.train_word_table else []
-    grads = {name: np.zeros_like(params[name]) for name in names + ["pos_table", "pred_table"]}
+    if grads is None:
+        grads = gradient_buffers(model)
+    tensors = grads.tensors
     rows = np.arange(len(data)) if rows is None else np.asarray(rows, dtype=np.intp)
     rows = rows[np.argsort(data.langs[rows], kind="stable")]
     lang_groups = _language_groups(data.langs[rows])
-    d_flats = np.empty((len(lang_groups), spec.total_params), dtype=emission_w.dtype)
     ids, lengths, valid, tokens = _pad(data, rows)
     labels = np.zeros(valid.shape, dtype=np.intp)
     labels[valid] = data.labels[tokens]
     features = _embed(model, ids)
 
-    groups = [(_recurrent_vector(model, lang_id), cols) for lang_id, cols in lang_groups]
+    if config.variant == BASIC:
+        groups = [(params["bilstm"], cols) for _, cols in lang_groups]
+    else:
+        groups = [(pgn_params(params["w_pgn"], params["lang_table"][lang_id], out=flat), cols)
+                  for (lang_id, cols), flat in zip(lang_groups, grads.flats)]
     states, caches = bilstm_forward(spec, groups, features, lengths)
     emissions = states @ emission_w.T
     loss, d_emissions, d_trans = crf.nll_gradients(
         emissions, params["crf_transition"], labels, lengths)
 
-    grads["crf_emission"] = d_emissions.reshape(-1, k).T @ states.reshape(-1, width)
-    grads["crf_transition"] = d_trans
+    np.matmul(d_emissions.reshape(-1, k).T, states.reshape(-1, width),
+              out=tensors["crf_emission"])
+    tensors["crf_transition"][...] = d_trans
+    d_flats = grads.d_flats[:len(groups)]
     d_features, _ = bilstm_backward(spec, groups, caches, d_emissions @ emission_w, d_flats)
     used_ids, d_rows = ids[valid], d_features[valid]
     offsets = np.cumsum([0, config.word_dim, config.pos_dim, config.pred_dim])
     for column, name in enumerate(("word_table", "pos_table", "pred_table")):
-        if name in grads:
-            np.add.at(grads[name], used_ids[:, column],
+        if name in tensors:
+            tensors[name].fill(0.0)
+            np.add.at(tensors[name], used_ids[:, column],
                       d_rows[:, offsets[column]:offsets[column + 1]])
 
-    if config.variant == BASIC:
-        grads["bilstm"] = d_flats[0]
-    else:
+    if config.variant == PGN:
         lang_ids = [lang_id for lang_id, _ in lang_groups]
-        grads["w_pgn"] = d_flats.T @ params["lang_table"][lang_ids]
-        grads["lang_table"] = np.zeros_like(params["lang_table"])
+        np.matmul(d_flats.T, params["lang_table"][lang_ids], out=tensors["w_pgn"])
+        tensors["lang_table"].fill(0.0)
         for lang_id, d_flat in zip(lang_ids, d_flats):
-            grads["lang_table"][lang_id] = params["w_pgn"].T @ d_flat
-    return loss, grads
+            np.matmul(params["w_pgn"].T, d_flat, out=tensors["lang_table"][lang_id])
+    return loss, tensors
 
 
 def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:

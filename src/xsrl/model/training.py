@@ -16,19 +16,20 @@ from .network import (
     Vocabulary,
     encode_examples,
     examples_from_corpus,
+    gradient_buffers,
     init_model,
     loss_and_gradients,
-    param_shapes,
+    training_shapes,
 )
 
 __all__ = ["TrainingError", "train", "gradient_check"]
 
-# Full-size copies of the parameters alive during training: the parameters,
-# Adam's two moments and one batch gradient.
+# Flat buffers of the trained parameters' size that training keeps: the
+# parameters, Adam's two moments and the batch gradient.
 LIVE_COPIES = 4
 # Elements per Adam block: 32k float64 values of each of the four arrays a
 # step touches (gradient, two moments, parameters) make 1 MB, which stays in
-# a core's L2 cache across the step's eleven passes.
+# a core's L2 cache across the step's twelve passes.
 ADAM_BLOCK = 32768
 
 
@@ -37,69 +38,76 @@ class TrainingError(RuntimeError):
 
 
 class _Adam:
-    def __init__(self, params: dict[str, np.ndarray], learning_rate: float,
+    """Adam over one flat parameter vector, with its moments as two more."""
+
+    def __init__(self, params: np.ndarray, learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """One step on every tensor in ``grads``; other tensors stay put.
+    def update(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """One step of the flat ``params`` along the flat ``grad``.
 
-        Works in place without temporaries and consumes ``grads``.  Each
-        flattened tensor is stepped ADAM_BLOCK elements at a time; the
-        arithmetic is elementwise, so the result does not depend on it.
+        Works in place without temporaries and consumes ``grad``.  The
+        vectors are stepped ADAM_BLOCK elements at a time; the arithmetic
+        is elementwise, so the result does not depend on it.
         """
         self.step += 1
         # lr * (m/bias1) / (sqrt(v/bias2) + eps) as rate * m / (sqrt(v) + eps_hat)
         bias2_root = math.sqrt(1.0 - self.beta2 ** self.step)
         rate = self.lr * bias2_root / (1.0 - self.beta1 ** self.step)
         eps_hat = self.eps * bias2_root
-        for name in sorted(grads):
-            tensors = [_flat_view(t) for t in
-                       (grads[name], self.m[name], self.v[name], params[name])]
-            for start in range(0, tensors[0].size, ADAM_BLOCK):
-                g, m, v, p = (t[start:start + ADAM_BLOCK] for t in tensors)
-                # m = beta1*m + (1-beta1)*g as g + beta1*(m - g); v likewise with g*g
-                m -= g
-                m *= self.beta1
-                m += g
-                g *= g
-                v -= g
-                v *= self.beta2
-                v += g
-                np.sqrt(v, out=g)
-                g += eps_hat
-                np.divide(m, g, out=g)
-                g *= rate
-                p -= g
-
-
-def _flat_view(tensor: np.ndarray) -> np.ndarray:
-    """1-D view of a contiguous tensor; raises rather than copy."""
-    flat = tensor.view()
-    flat.shape = (tensor.size,)
-    return flat
+        for start in range(0, params.size, ADAM_BLOCK):
+            g, m, v, p = (t[start:start + ADAM_BLOCK] for t in (grad, self.m, self.v, params))
+            # m = beta1*m + (1-beta1)*g as g + beta1*(m - g); v likewise with g*g
+            m -= g
+            m *= self.beta1
+            m += g
+            g *= g
+            v -= g
+            v *= self.beta2
+            v += g
+            np.sqrt(v, out=g)
+            g += eps_hat
+            np.divide(m, g, out=g)
+            g *= rate
+            p -= g
 
 
 def _global_norm(grads: dict[str, np.ndarray]) -> float:
     return math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
 
 
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Consecutive views of ``flat``, one per entry of ``shapes``, in order."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(config: ModelConfig, vocab: Vocabulary) -> None:
+def _check_memory(config: ModelConfig, vocab: Vocabulary) -> int:
     """Refuse a model whose training state cannot fit in physical memory.
 
-    The estimate counts LIVE_COPIES of every parameter tensor; it is made
-    from the shapes alone, before anything is allocated.
+    The estimate counts what :func:`train` allocates besides its
+    activations (:func:`training_shapes`): LIVE_COPIES of the trained
+    tensors, one frozen word table and PGN's two per-language blocks.  It
+    is made from the shapes alone, before anything is allocated, and
+    returned in bytes.
     """
-    count = sum(math.prod(shape) for shape in param_shapes(config, vocab).values())
-    needed = count * np.dtype(config.dtype).itemsize * LIVE_COPIES
+    trained, frozen, block = training_shapes(config, vocab)
+    count = sum(math.prod(shape) for shape in trained.values())
+    other = (math.prod(frozen) if frozen else 0) + (2 * math.prod(block) if block else 0)
+    needed = (count * LIVE_COPIES + other) * np.dtype(config.dtype).itemsize
     available = _physical_memory()
     if needed > available:
         raise ModelError(
@@ -108,6 +116,25 @@ def _check_memory(config: ModelConfig, vocab: Vocabulary) -> None:
             f"moments, batch gradient), more than the {available / 2**30:.1f} GiB "
             f"of physical memory; shrink it with --hidden, --layers, --lang-dim, "
             f"--word-dim, or use --variant basic")
+    return needed
+
+
+def _workspace(model: SrlModel):
+    """Move the trained tensors of ``model`` into one flat parameter buffer
+    and allocate the flat batch gradient and its :class:`Gradients` views.
+
+    Returns (parameters, gradient, gradient buffers).  The trained entries
+    of ``model.params`` become views of the parameter buffer with the same
+    values; a frozen word table stays where it is.
+    """
+    trained, _, _ = training_shapes(model.config, model.vocab)
+    size = sum(math.prod(shape) for shape in trained.values())
+    params = np.empty(size, dtype=model.config.dtype)
+    for name, view in _views(params, trained).items():
+        view[...] = model.params[name]
+        model.params[name] = view
+    grad = np.empty_like(params)
+    return params, grad, gradient_buffers(model, _views(grad, trained))
 
 
 def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
@@ -120,8 +147,9 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     before the first epoch.  Epoch order is shuffled by a generator seeded
     with ``seed``; each batch runs as one padded minibatch, its gradient is
     averaged over the batch, and the returned log holds the mean loss of
-    every epoch.  Identical corpus, config and seed give bit-identical
-    models.  A non-finite loss
+    every epoch.  The parameters, their gradient and Adam's moments are
+    allocated once, as flat buffers, before the first batch.  Identical
+    corpus, config and seed give bit-identical models.  A non-finite loss
     or gradient raises :class:`TrainingError` naming the epoch and batch.
     """
     examples = examples_from_corpus(corpus)
@@ -133,9 +161,8 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     model = init_model(config, vocab, seed=seed, word_table=word_table)
     config = model.config
     data = encode_examples(model, examples)
-    frozen = set() if config.train_word_table else {"word_table"}
-    optimizer = _Adam({name: p for name, p in model.params.items() if name not in frozen},
-                      config.learning_rate)
+    params, grad, grads = _workspace(model)
+    optimizer = _Adam(params, config.learning_rate)
     rng = np.random.default_rng(seed + 1)
 
     losses: list[float] = []
@@ -144,17 +171,15 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
         epoch_loss = 0.0
         for batch_no, start in enumerate(range(0, len(order), config.batch_size), start=1):
             rows = order[start:start + config.batch_size]
-            loss, grads = loss_and_gradients(model, data, rows)
-            for g in grads.values():
-                g /= len(rows)
-            norm = _global_norm(grads)
+            loss, tensors = loss_and_gradients(model, data, rows, grads)
+            grad /= len(rows)
+            norm = _global_norm(tensors)
             if not (math.isfinite(loss) and math.isfinite(norm)):
                 raise TrainingError(
                     f"non-finite loss or gradient in epoch {epoch}, batch {batch_no}")
             if config.clip_norm > 0 and norm > config.clip_norm:
-                for g in grads.values():
-                    g *= config.clip_norm / norm
-            optimizer.update(model.params, grads)
+                grad *= config.clip_norm / norm
+            optimizer.update(params, grad)
             epoch_loss += loss
         losses.append(epoch_loss / len(examples))
     return model, losses

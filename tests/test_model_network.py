@@ -261,7 +261,8 @@ def test_batched_predict_matches_one_predicate_at_a_time(corpus):
 
 
 def test_backward_writes_the_flat_gradient_into_out():
-    """Each group's gradient lands in its own row of the ``d_flats`` buffer."""
+    """Each group's gradient lands in its own row of the ``d_flats`` buffer,
+    whatever the buffer held before."""
     spec = LstmSpec(input_dim=4, hidden=3, layers=2)
     rng = np.random.default_rng(9)
     groups = [(rng.normal(size=spec.total_params), slice(0, 2)),
@@ -269,8 +270,9 @@ def test_backward_writes_the_flat_gradient_into_out():
     lengths = np.array([4, 2, 3])
     states, caches = bilstm_forward(spec, groups, rng.normal(size=(4, 3, 4)), lengths)
     d_out = rng.normal(size=states.shape) * (np.arange(4)[:, None] < lengths)[..., None]
-    d_inputs, d_flats = bilstm_backward(spec, groups, caches, d_out)
-    assert d_flats.shape == (2, spec.total_params)
+    stale = np.full((2, spec.total_params), np.nan)
+    d_inputs, d_flats = bilstm_backward(spec, groups, caches, d_out, stale)
+    assert d_flats is stale and np.isfinite(d_flats).all()
     buffer = np.zeros((3, spec.total_params))
     d_inputs_out, d_flats_out = bilstm_backward(spec, groups, caches, d_out, buffer[1:])
     assert np.shares_memory(d_flats_out, buffer[1:])
@@ -319,7 +321,8 @@ def per_group_loss_and_gradients(model, data):
     d_flats = []
     for cols, steps, flat, caches in runs:
         d_group, (d_flat,) = bilstm_backward(spec, [(flat, slice(None))], caches,
-                                             d_states[:steps, cols])
+                                             d_states[:steps, cols],
+                                             np.empty((1, spec.total_params)))
         d_features[:steps, cols] = d_group
         d_flats.append(d_flat)
     offsets = np.cumsum([0, model.config.word_dim, model.config.pos_dim, model.config.pred_dim])

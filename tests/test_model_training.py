@@ -276,6 +276,73 @@ def test_memory_preflight_refuses_default_model(mixed_corpus, monkeypatch):
     training._check_memory(grad_config(PGN, 3), Vocabulary.from_corpus(mixed_corpus))
 
 
+@pytest.mark.parametrize("variant", [BASIC, PGN])
+def test_training_peak_memory_is_the_preflight_estimate(toy_dir, variant):
+    """At a size where the parameters dominate the activations, the
+    tracemalloc peak of train is what the preflight counts, give or take
+    half a parameter copy of activations."""
+    import tracemalloc
+
+    from xsrl.corpus import parse_srl_corpus
+    from xsrl.model import training
+    from xsrl.model.network import training_shapes
+
+    files = [("en_srl.conllu", "EN")] + ([("de_dev.conllu", "DE")] if variant == PGN else [])
+    corpus = Corpus.from_sentences(
+        sent for name, lang in files
+        for sent in parse_srl_corpus((toy_dir / name).read_text(encoding="utf-8"),
+                                     default_lang=lang).sentences[:12])
+    config = ModelConfig(word_dim=16, pos_dim=8, pred_dim=8, lang_dim=4, hidden=192,
+                         layers=2, variant=variant, batch_size=2, epochs=1)
+    vocab = Vocabulary.from_corpus(corpus)
+    estimate = training._check_memory(config, vocab)
+    trained, _, _ = training_shapes(config, vocab)
+    copy = 8 * sum(math.prod(shape) for shape in trained.values())
+    tracemalloc.start()
+    try:
+        train(corpus, config, seed=1, vocab=vocab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert estimate <= peak <= estimate + copy / 2, (peak / copy, estimate / copy)
+
+
+@pytest.mark.parametrize("variant,train_word_table", [(BASIC, True), (PGN, True), (PGN, False)])
+def test_workspace_reuse_matches_fresh_buffers(variant, train_word_table):
+    """Two batches with disjoint rows into one training workspace that
+    starts out full of NaN: each gives the loss and gradients of new
+    buffers.  The first batch has three PGN language groups, the second
+    one, and rows the second does not touch (words a and b, the EN and FR
+    language rows) must not keep the first batch's values."""
+    from xsrl.model import training
+
+    corpus = Corpus.from_sentences([
+        sentence(["a", "b", "c"], 2, [(1, "A0"), (3, "A1")]),
+        sentence(["c", "d"], 1, [(2, "A1")], lang="DE"),
+        sentence(["e", "a", "f", "b"], 3, [(1, "A0")], lang="FR"),
+        sentence(["f", "e"], 2, [(1, "A1")], lang="DE"),
+        sentence(["d", "d", "c"], 1, [(3, "A0")], lang="DE"),
+    ])
+    config = grad_config(variant, 2)
+    config.train_word_table = train_word_table
+    model = init_model(config, Vocabulary.from_corpus(corpus), seed=4)
+    data = encode_examples(model, examples_from_corpus(corpus))
+    _, grad, grads = training._workspace(model)
+    grad.fill(np.nan)
+    for block in (grads.flats, grads.d_flats):
+        if block is not None:
+            block.fill(np.nan)
+    for rows in ([0, 1, 2], [3, 4]):
+        loss, tensors = loss_and_gradients(model, data, rows, grads)
+        fresh_loss, fresh = loss_and_gradients(model, data, rows)
+        assert tensors is grads.tensors
+        assert loss == fresh_loss
+        assert list(tensors) == list(fresh)
+        assert ("word_table" in tensors) == train_word_table
+        for name in fresh:
+            assert np.array_equal(tensors[name], fresh[name]), name
+
+
 def reference_adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """The per-tensor in-place Adam step, one pass over each whole tensor."""
     state["step"] += 1
@@ -299,20 +366,26 @@ def reference_adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e
 
 
 def test_blocked_adam_matches_per_tensor_step():
-    from xsrl.model.training import ADAM_BLOCK, _Adam
+    """The flat optimiser, stepped in blocks, against one whole-tensor step
+    per tensor: block boundaries fall inside a tensor and between two."""
+    from xsrl.model.training import ADAM_BLOCK, _Adam, _views
     rng = np.random.default_rng(3)
-    shapes = {"big": (3, ADAM_BLOCK // 2 + 7), "small": (5, 4), "vector": (ADAM_BLOCK,)}
-    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-    expected = {name: p.copy() for name, p in params.items()}
-    state = {"step": 0, "m": {k: np.zeros_like(p) for k, p in params.items()},
-             "v": {k: np.zeros_like(p) for k, p in params.items()}}
-    adam = _Adam(params, learning_rate=0.01)
+    shapes = {"big": (2, ADAM_BLOCK // 2 + 3), "small": (5, 4),
+              "vector": (ADAM_BLOCK - 26,), "tail": (3,)}
+    offsets = np.cumsum([0, *(math.prod(shape) for shape in shapes.values())])
+    assert offsets[1] > ADAM_BLOCK  # the first boundary falls inside "big"
+    assert offsets[3] == 2 * ADAM_BLOCK  # the second between "vector" and "tail"
+    flat = rng.normal(size=offsets[-1])
+    expected = {name: p.copy() for name, p in _views(flat, shapes).items()}
+    state = {"step": 0, "m": {k: np.zeros_like(p) for k, p in expected.items()},
+             "v": {k: np.zeros_like(p) for k, p in expected.items()}}
+    adam = _Adam(flat, learning_rate=0.01)
     for _ in range(4):
-        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-        reference_adam_step(state, expected, {k: g.copy() for k, g in grads.items()}, 0.01)
-        adam.update(params, grads)
-    assert shapes["big"][0] * shapes["big"][1] % ADAM_BLOCK
+        grad = rng.normal(size=flat.shape)
+        reference_adam_step(state, expected,
+                            {k: g.copy() for k, g in _views(grad, shapes).items()}, 0.01)
+        adam.update(flat, grad)
     for name in shapes:
-        assert np.array_equal(params[name], expected[name])
-        assert np.array_equal(adam.m[name], state["m"][name])
-        assert np.array_equal(adam.v[name], state["v"][name])
+        assert np.array_equal(_views(flat, shapes)[name], expected[name])
+        assert np.array_equal(_views(adam.m, shapes)[name], state["m"][name])
+        assert np.array_equal(_views(adam.v, shapes)[name], state["v"][name])
