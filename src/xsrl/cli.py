@@ -203,12 +203,16 @@ def _alphas(text: str) -> list[float]:
     return [_probability(value) for value in text.split(",")]
 
 
-def _iterations(text: str) -> int:
-    """``--iterations``: an int >= 1."""
-    value = _number(text, int)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """The type of ``--iterations`` (low 1) and ``--seed`` (low 0)."""
+
+    def parse(text: str) -> int:
+        value = _number(text, int)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _smoothing(text: str) -> float:
@@ -230,8 +234,10 @@ def _buckets(text: str):
 def _seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("XSRL_SEED")
-    return int(env) if env else 42
+    try:
+        return _int_at_least(0)(os.environ.get("XSRL_SEED") or "42")
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"XSRL_SEED: {exc}") from None
 
 
 def cmd_align_train(args) -> int:
@@ -282,7 +288,7 @@ def _merge_corpora(paths: list[str], lang: str | None) -> Corpus:
     return Corpus.from_sentences(sentences)
 
 
-def _train_model(args, corpus: Corpus, seed: int):
+def _train_model(args, corpus: Corpus):
     config = _train_config(args)
     if corpus.sentences and any(not s.lang for s in corpus.sentences):
         raise ModelError("training sentences need language IDs")
@@ -293,13 +299,12 @@ def _train_model(args, corpus: Corpus, seed: int):
         config.word_dim = vectors.shape[1]
         vocab, word_table = vocabulary_with_table(words, vectors, corpus)
         config.train_word_table = False
-    return train(corpus, config, seed=seed, word_table=word_table, vocab=vocab)
+    return train(corpus, config, seed=_seed(args), word_table=word_table, vocab=vocab)
 
 
 def cmd_train(args) -> int:
     corpus = _merge_corpora(args.train_file, args.lang)
-    seed = _seed(args)
-    model, losses = _train_model(args, corpus, seed)
+    model, losses = _train_model(args, corpus)
     save_model(model, args.out)
     log_path = args.log or args.out + ".log"
     lines = "".join(f"epoch {i}\tloss {loss!r}\n" for i, loss in enumerate(losses, start=1))
@@ -385,7 +390,6 @@ def cmd_sweep_alpha(args) -> int:
     table = _load(load_table, args.table)
     dist = _load(load_pos_distribution, args.posdist)
     dev = _load_corpus(args.dev, lang=args.tgt_lang) if args.train else None
-    seed = _seed(args)
 
     header = ["alpha", *ProjectionStats.FIELDS]
     if args.train:
@@ -396,7 +400,7 @@ def cmd_sweep_alpha(args) -> int:
             src, list(translations.sentences), table, dist, ProjectionConfig(alpha=alpha))
         row = [repr(alpha)] + [str(getattr(stats, f)) for f in ProjectionStats.FIELDS]
         if args.train:
-            row.append(repr(_dev_f1(args, projected, dev, seed)))
+            row.append(repr(_dev_f1(args, projected, dev)))
         rows.append(",".join(row))
     text = "\n".join(rows) + "\n"
     _write_text(args.out, text)
@@ -404,7 +408,7 @@ def cmd_sweep_alpha(args) -> int:
     return 0
 
 
-def _dev_f1(args, projected: Corpus, dev: Corpus, seed: int) -> float:
+def _dev_f1(args, projected: Corpus, dev: Corpus) -> float:
     """Train on a projected corpus and score the dev file.
 
     An empty projected corpus cannot train a model; its F1 is 0 by the
@@ -412,7 +416,7 @@ def _dev_f1(args, projected: Corpus, dev: Corpus, seed: int) -> float:
     """
     if not any(s.frames for s in projected.sentences):
         return 0.0
-    model, _ = _train_model(args, projected, seed)
+    model, _ = _train_model(args, projected)
     return evaluation.srl_f1(dev, _relabel(model, dev)).f1
 
 
@@ -440,7 +444,7 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
 
     p = sub.add_parser("align-train", help="train an IBM Model 1 alignment table")
     p.add_argument("--parallel", required=True, help="bitext, 'src ||| tgt' per line")
-    p.add_argument("--iterations", type=_iterations, default=10)
+    p.add_argument("--iterations", type=_int_at_least(1), default=10)
     p.add_argument("--floor", type=_probability, default=0.0)
     p.add_argument("--lowercase", action="store_true")
     p.add_argument("--out", required=True)
@@ -476,7 +480,7 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--dev", help="gold dev corpus for --train")
     p.add_argument("--src-lang")
     p.add_argument("--tgt-lang")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--out", required=True)
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep_alpha)
@@ -485,7 +489,7 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--train-file", action="append", required=True,
                    help="repeatable; corpora are concatenated")
     p.add_argument("--lang", help="language for files without '# lang' comments")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="loss log path (default: <out>.log)")
     _add_train_flags(p)

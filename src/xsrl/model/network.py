@@ -42,7 +42,6 @@ __all__ = [
     "param_shapes",
     "training_shapes",
     "Gradients",
-    "gradient_buffers",
     "pgn_params",
     "language_similarity",
     "similarity_csv",
@@ -300,20 +299,6 @@ class Gradients:
     flats: np.ndarray | None = None
 
 
-def gradient_buffers(model: SrlModel, tensors: dict[str, np.ndarray] | None = None,
-                     ) -> Gradients:
-    """Gradient buffers for ``model``: ``tensors`` (one array per trained
-    tensor, in :func:`training_shapes` order) or new zeroed ones, and for
-    PGN two new (languages, P) blocks."""
-    trained, _, block = training_shapes(model.config, model.vocab)
-    dtype = np.dtype(model.config.dtype)
-    if tensors is None:
-        tensors = {name: np.zeros(shape, dtype=dtype) for name, shape in trained.items()}
-    if block is None:
-        return Gradients(tensors, tensors["bilstm"][None])
-    return Gradients(tensors, np.empty(block, dtype=dtype), np.empty(block, dtype=dtype))
-
-
 def _feature_ids(model: SrlModel, sentence: Sentence, pred_index: int) -> np.ndarray:
     """(n, 3) word, POS and predicate-indicator ids of one sentence."""
     if not 1 <= pred_index <= len(sentence.tokens):
@@ -441,36 +426,28 @@ def _language_groups(langs: np.ndarray) -> list[tuple[int, slice]]:
     return [(int(langs[start]), slice(start, end)) for start, end in zip(starts, ends)]
 
 
-def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows=None,
-                       grads: Gradients | None = None,
-                       ) -> tuple[float, dict[str, np.ndarray]]:
-    """Summed loss and summed gradients over the examples ``rows`` of ``data``.
+def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows, grads: Gradients) -> float:
+    """Summed loss, returned, and summed gradients, written into ``grads``,
+    over the examples ``rows`` of ``data``.
 
-    ``data`` comes from :func:`encode_examples`; ``rows`` defaults to all
-    of its examples.  The batch is ordered by language (stably; one group
-    for BASIC) and padded time-major once.  One BiLSTM forward and one
-    backward run every language group at once: each group's GEMMs use its
-    own weights on its own columns, trimmed to its longest sequence, and
-    the step loop runs once; the embedding, the CRF and their gradients
-    run over the whole batch.
+    ``data`` comes from :func:`encode_examples`.  The batch is ordered by
+    language (stably; one group for BASIC) and padded time-major once.
+    One BiLSTM forward and one backward run every language group at once:
+    each group's GEMMs use its own weights on its own columns, trimmed to
+    its longest sequence, and the step loop runs once; the embedding, the
+    CRF and their gradients run over the whole batch.
     Padded positions add exactly zero.  With a frozen word table
-    (``train_word_table`` false) its gradient is neither computed nor
-    returned.  The gradients are written into ``grads`` (new buffers from
-    :func:`gradient_buffers` when None), overwriting what they held;
-    the returned dict is ``grads.tensors``.
+    (``train_word_table`` false) its gradient is not computed.  ``grads``
+    are the buffers of the training workspace; the gradients overwrite
+    what they held.
     """
     config = model.config
     params = model.params
     spec = config.lstm_spec()
     emission_w = params["crf_emission"]
     k, width = emission_w.shape
-    # New gradient buffers come before the forward pass: allocated after it,
-    # above the forward caches, the desk model's 5 MB recurrent gradient
-    # left a hole that raised peak RSS by about 4 MB.
-    if grads is None:
-        grads = gradient_buffers(model)
     tensors = grads.tensors
-    rows = np.arange(len(data)) if rows is None else np.asarray(rows, dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
     rows = rows[np.argsort(data.langs[rows], kind="stable")]
     lang_groups = _language_groups(data.langs[rows])
     ids, lengths, valid, tokens = _pad(data, rows)
@@ -507,7 +484,7 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows=None,
         tensors["lang_table"].fill(0.0)
         for lang_id, d_flat in zip(lang_ids, d_flats):
             np.matmul(params["w_pgn"].T, d_flat, out=tensors["lang_table"][lang_id])
-    return loss, tensors
+    return loss
 
 
 def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:

@@ -1,16 +1,18 @@
 """Self-describing binary checkpoints for trained models.
 
 Layout: 8-byte magic, u32 format version, u32-length-prefixed JSON header
-(configuration and vocabulary), u32 tensor count, then per tensor a
-u32-length-prefixed name, u32 rank, u64 dimensions and row-major data in
-the configuration's dtype.  All numbers little-endian.  Version 1 files,
-which hold float64 data whatever the configuration says, still load; their
-tensors come back in the configuration's dtype.
+(configuration and vocabulary), u32 tensor count, then, in name order, per
+tensor a u32-length-prefixed name, u32 rank, u64 dimensions and row-major
+data in the configuration's dtype.  All numbers little-endian.  Version 1
+files, which hold float64 data whatever the configuration says, still
+load; their tensors come back in the configuration's dtype.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -59,27 +61,38 @@ def save_model(model: SrlModel, path: str) -> None:
             fh.write(encoded)
             fh.write(struct.pack("<I", tensor.ndim))
             fh.write(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
-            fh.write(tensor.tobytes())
+            fh.write(tensor.data)
+
+
+def _claim(fh, count: int) -> None:
+    """Refuse a read of ``count`` bytes past the end of the file."""
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError("unexpected end of container")
 
 
 def _read(fh, count: int) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise CheckpointError("unexpected end of container")
-    return data
+    _claim(fh, count)
+    return fh.read(count)
+
+
+def _u32(fh) -> int:
+    return struct.unpack("<I", _read(fh, 4))[0]
 
 
 def load_model(path: str) -> SrlModel:
+    """Read a checkpoint.  Every length and shape field is checked against
+    the configuration and the bytes left in the file before it is read,
+    and a tensor holding NaN or infinity is refused by name."""
     with open(path, "rb") as fh:
         if _read(fh, len(MAGIC)) != MAGIC:
             raise CheckpointError("not an xsrl model checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read(fh, 4))
+        version = _u32(fh)
         if version not in (1, VERSION):
             raise CheckpointError(
                 f"unsupported checkpoint version {version}, expected 1 or {VERSION}")
-        (header_len,) = struct.unpack("<I", _read(fh, 4))
+        text = _read(fh, _u32(fh))
         try:
-            header = json.loads(_read(fh, header_len).decode("utf-8"))
+            header = json.loads(text.decode("utf-8"))
             config = ModelConfig(**header["config"])
             vocab = Vocabulary(
                 words=tuple(header["vocab"]["words"]),
@@ -88,28 +101,29 @@ def load_model(path: str) -> SrlModel:
                 languages=tuple(header["vocab"]["languages"]),
             )
             dtype = _tensor_dtype(config)
+            expected = param_shapes(config, vocab)
         except (KeyError, TypeError, ValueError, ModelError) as exc:
             raise CheckpointError(f"malformed checkpoint header: {exc}") from None
-        (tensor_count,) = struct.unpack("<I", _read(fh, 4))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(tensor_count):
-            (name_len,) = struct.unpack("<I", _read(fh, 4))
-            name = _read(fh, name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", _read(fh, 4))
-            shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim))
-            size = int(np.prod(shape)) if shape else 1
-            stored = np.dtype("<f8") if version == 1 else dtype
-            data = _read(fh, stored.itemsize * size)
-            params[name] = np.frombuffer(data, dtype=stored).reshape(shape).astype(config.dtype)
-
-    expected = param_shapes(config, vocab)
-    if set(params) != set(expected):
-        raise CheckpointError(
-            f"checkpoint config mismatch: tensors {sorted(params)} do not match "
-            f"configuration ({sorted(expected)})")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
+        stored = np.dtype("<f8") if version == 1 else dtype
+        tensor_count = _u32(fh)
+        if tensor_count != len(expected):
             raise CheckpointError(
-                f"checkpoint config mismatch: {name} has shape {params[name].shape}, "
-                f"configuration implies {shape}")
+                f"checkpoint config mismatch: {tensor_count} tensors, configuration "
+                f"implies {len(expected)} ({sorted(expected)})")
+        params: dict[str, np.ndarray] = {}
+        for name, shape in sorted(expected.items()):
+            found = _read(fh, _u32(fh)).decode("utf-8", "replace")
+            ndim = _u32(fh)
+            dims = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim))
+            if (found, dims) != (name, shape):
+                raise CheckpointError(
+                    f"checkpoint config mismatch: tensor {found} has shape {dims}, "
+                    f"configuration implies {name} with shape {shape}")
+            _claim(fh, stored.itemsize * math.prod(shape))
+            tensor = np.empty(shape, dtype=stored)
+            if fh.readinto(tensor) != tensor.nbytes:
+                raise CheckpointError("unexpected end of container")
+            if tensor.size and not np.isfinite([tensor.min(), tensor.max()]).all():
+                raise CheckpointError(f"tensor {name} holds non-finite values")
+            params[name] = tensor.astype(config.dtype, copy=False)
     return SrlModel(config=config, vocab=vocab, params=params)

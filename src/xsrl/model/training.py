@@ -9,6 +9,7 @@ import numpy as np
 
 from ..corpus import Corpus
 from .network import (
+    Gradients,
     ModelConfig,
     ModelError,
     SrlModel,
@@ -16,7 +17,6 @@ from .network import (
     Vocabulary,
     encode_examples,
     examples_from_corpus,
-    gradient_buffers,
     init_model,
     loss_and_gradients,
     training_shapes,
@@ -119,22 +119,26 @@ def _check_memory(config: ModelConfig, vocab: Vocabulary) -> int:
     return needed
 
 
-def _workspace(model: SrlModel):
+def _workspace(model: SrlModel) -> tuple[np.ndarray, np.ndarray, Gradients]:
     """Move the trained tensors of ``model`` into one flat parameter buffer
-    and allocate the flat batch gradient and its :class:`Gradients` views.
+    and allocate the flat batch gradient and its :class:`Gradients` views,
+    with PGN's two (languages, P) blocks.
 
     Returns (parameters, gradient, gradient buffers).  The trained entries
     of ``model.params`` become views of the parameter buffer with the same
     values; a frozen word table stays where it is.
     """
-    trained, _, _ = training_shapes(model.config, model.vocab)
+    trained, _, block = training_shapes(model.config, model.vocab)
     size = sum(math.prod(shape) for shape in trained.values())
     params = np.empty(size, dtype=model.config.dtype)
     for name, view in _views(params, trained).items():
         view[...] = model.params[name]
         model.params[name] = view
     grad = np.empty_like(params)
-    return params, grad, gradient_buffers(model, _views(grad, trained))
+    tensors = _views(grad, trained)
+    if block is None:
+        return params, grad, Gradients(tensors, tensors["bilstm"][None])
+    return params, grad, Gradients(tensors, *(np.empty(block, grad.dtype) for _ in range(2)))
 
 
 def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
@@ -171,9 +175,9 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
         epoch_loss = 0.0
         for batch_no, start in enumerate(range(0, len(order), config.batch_size), start=1):
             rows = order[start:start + config.batch_size]
-            loss, tensors = loss_and_gradients(model, data, rows, grads)
+            loss = loss_and_gradients(model, data, rows, grads)
             grad /= len(rows)
-            norm = _global_norm(tensors)
+            norm = _global_norm(grads.tensors)
             if not (math.isfinite(loss) and math.isfinite(norm)):
                 raise TrainingError(
                     f"non-finite loss or gradient in epoch {epoch}, batch {batch_no}")
@@ -190,36 +194,34 @@ def gradient_check(model: SrlModel, examples: list[TrainingExample],
                    seed: int = 0) -> float:
     """Compare analytic gradients of a batch against central finite differences.
 
-    The examples are encoded as in training and run through the training
-    path, :func:`loss_and_gradients`, as one batch.  Samples at least
-    ``samples`` coordinates spread over every trained parameter tensor and
-    returns the maximum relative error |g_a - g_n| / max(|g_a|, |g_n|, 1e-4).
-    Requires 64-bit parameters.
+    Runs the examples as one batch through :func:`loss_and_gradients` into
+    the training workspace, built once, and keeps a copy of its flat
+    gradient; then perturbs the parameter views that Adam steps at least
+    ``samples`` coordinates spread over every trained tensor and returns the
+    maximum relative error |g_a - g_n| / max(|g_a|, |g_n|, 1e-4) (float64 only).
     """
     if any(p.dtype != np.float64 for p in model.params.values()):
         raise ModelError("gradient_check needs float64 parameters")
     data = encode_examples(model, examples)
-    _, analytic = loss_and_gradients(model, data)
-
-    def loss_only() -> float:
-        loss, _ = loss_and_gradients(model, data)
-        return loss
+    rows = np.arange(len(data))
+    params, grad, grads = _workspace(model)
+    loss_and_gradients(model, data, rows, grads)
+    shapes = {name: g.shape for name, g in grads.tensors.items()}
+    analytic = _views(grad.copy(), shapes)
 
     rng = np.random.default_rng(seed)
-    total_size = sum(g.size for g in analytic.values())
     worst = 0.0
-    for name in sorted(analytic):
-        tensor = model.params[name]
-        count = min(tensor.size, max(5, round(samples * tensor.size / total_size)))
+    for name, tensor in sorted(_views(params, shapes).items()):
+        count = min(tensor.size, max(5, round(samples * tensor.size / params.size)))
         coords = rng.choice(tensor.size, size=count, replace=False)
         flat = tensor.reshape(-1)
         grad_flat = analytic[name].reshape(-1)
         for c in coords:
             original = flat[c]
             flat[c] = original + epsilon
-            upper = loss_only()
+            upper = loss_and_gradients(model, data, rows, grads)
             flat[c] = original - epsilon
-            lower = loss_only()
+            lower = loss_and_gradients(model, data, rows, grads)
             flat[c] = original
             numeric = (upper - lower) / (2.0 * epsilon)
             ga = float(grad_flat[c])

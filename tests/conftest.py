@@ -1,10 +1,13 @@
+import json
+import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xsrl.corpus import Corpus, PredicateFrame, Sentence, Token, UNIVERSAL_TAGS
-from xsrl.model import OUTSIDE, encode_examples, loss_and_gradients, predict
+from xsrl.model import OUTSIDE, encode_examples, loss_and_gradients, predict, training
 from xsrl.model.network import examples_from_corpus
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "toy"
@@ -20,6 +23,34 @@ def toy_dir() -> Path:
 
 def read(path: Path) -> str:
     return path.read_text(encoding="utf-8")
+
+
+def checkpoint_layout(data: bytes):
+    """Where the fields of a version-2 checkpoint lie.
+
+    Returns ``(fields, tensors)``: ``fields`` lists the (offset, width) of
+    every length or shape field (the header length, the tensor count, and
+    each tensor's name length, rank and dimensions); ``tensors`` maps each
+    tensor name to the (offset, dtype, element count) of its data.
+    """
+    (header_len,) = struct.unpack_from("<I", data, 12)
+    dtype = np.dtype(json.loads(data[16:16 + header_len])["config"]["dtype"]).newbyteorder("<")
+    pos = 16 + header_len
+    fields, tensors = [(12, 4), (pos, 4)], {}
+    (count,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", data, pos)
+        name = data[pos + 4:pos + 4 + name_len].decode("utf-8")
+        pos += 4 + name_len
+        (ndim,) = struct.unpack_from("<I", data, pos)
+        shape = struct.unpack_from(f"<{ndim}Q", data, pos + 4)
+        fields += [(pos - 4 - name_len, 4), (pos, 4), *((pos + 4 + 8 * i, 8) for i in range(ndim))]
+        pos += 4 + 8 * ndim
+        tensors[name] = (pos, dtype, math.prod(shape))
+        pos += dtype.itemsize * math.prod(shape)
+    assert pos == len(data)
+    return fields, tensors
 
 
 def random_sentence(rng: np.random.Generator, max_len: int = 8,
@@ -79,6 +110,16 @@ def token_f1(model, corpus: Corpus) -> float:
     return 2 * p * r / (p + r) if p + r else 0.0
 
 
+def workspace_loss(model, data, rows=None):
+    """The loss and the gradients of :func:`loss_and_gradients` over the
+    examples ``rows`` of ``data`` (all of them by default), in a new
+    training workspace, so the gradients of two calls never share a
+    buffer."""
+    _, _, grads = training._workspace(model)
+    rows = np.arange(len(data)) if rows is None else rows
+    return loss_and_gradients(model, data, rows, grads), grads.tensors
+
+
 def freeze_onto(basic, pgn):
     """Make the lang_dim-1 PGN model ``pgn`` a copy of the BASIC model
     ``basic``: shared tensors copied, the generator set to BASIC's
@@ -96,8 +137,8 @@ def assert_frozen_pgn_equals_basic(basic, frozen, examples):
     :func:`freeze_onto` trains and predicts exactly like BASIC: equal
     losses, bit-equal gradients of every shared tensor, the generator's
     gradient equal to BASIC's recurrent gradient, and equal frames."""
-    loss_b, grads_b = loss_and_gradients(basic, encode_examples(basic, examples))
-    loss_p, grads_p = loss_and_gradients(frozen, encode_examples(frozen, examples))
+    loss_b, grads_b = workspace_loss(basic, encode_examples(basic, examples))
+    loss_p, grads_p = workspace_loss(frozen, encode_examples(frozen, examples))
     assert loss_b == loss_p
     shared = set(grads_b) - {"bilstm"}
     assert shared == set(grads_p) - {"w_pgn", "lang_table"}

@@ -241,6 +241,16 @@ def test_seed_env_fallback(toy, monkeypatch):
     assert (toy / "env.bin").read_bytes() == (toy / "flag.bin").read_bytes()
 
 
+@pytest.mark.parametrize("value, message", [("abc", "invalid int value: 'abc'"),
+                                            ("-1", "must be >= 0, got -1")])
+def test_bad_seed_variable_exits_2_naming_it(toy, capsys, monkeypatch, value, message):
+    monkeypatch.setenv("XSRL_SEED", value)
+    assert run("train", "--train-file", toy / "de_dev.conllu",
+               "--out", toy / "m.bin", *TRAIN_FLAGS) == 2
+    assert capsys.readouterr().err == f"xsrl: error: XSRL_SEED: {message}\n"
+    assert not (toy / "m.bin").exists()
+
+
 def test_internal_error_exits_3(toy, monkeypatch, capsys):
     import xsrl.cli as cli
 
@@ -417,6 +427,9 @@ BAD_FLAG_VALUES = [
     ("project", "--alpha", "2", "must be in [0, 1], got 2.0"),
     ("project", "--alpha", "nan", "must be in [0, 1], got nan"),
     ("sweep-alpha", "--alphas", "0.2,2", "must be in [0, 1], got 2.0"),
+    ("train", "--seed", "-1", "must be >= 0, got -1"),
+    ("train", "--seed", "1.5", "invalid int value: '1.5'"),
+    ("sweep-alpha", "--seed", "-1", "must be >= 0, got -1"),
 ]
 
 
@@ -427,6 +440,7 @@ def test_flag_value_error_names_its_flag(toy, capsys, command, flag, value, mess
                   "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv"]
     inputs = {"align-train": ["--parallel", toy / "bitext.txt"],
               "fit-pos": ["--tagged", toy / "de_tagged.conllu"],
+              "train": ["--train-file", toy / "de_dev.conllu"],
               "project": projection,
               "sweep-alpha": projection,
               "eval": ["--gold", toy / "de_dev.conllu", "--pred", toy / "de_dev.conllu"]}

@@ -20,6 +20,13 @@ from xsrl.model import (
     save_model,
 )
 
+from conftest import checkpoint_layout
+
+# One EN sentence with a predicate, for predict runs through the CLI.
+PROBE = "# lang = EN\n1\ta\ta\tNOUN\t_\t_\t2\tnsubj\t_\t_\t_\tA0\n" \
+        "2\tv\tv\tVERB\t_\t_\t0\troot\t_\t_\tv.01\t_\n\n"
+
+
 def make_model(variant=PGN, seed=1):
     corpus = Corpus.from_sentences([
         Sentence(tokens=(Token(1, "a", "a", "NOUN"), Token(2, "v", "v", "VERB")),
@@ -175,4 +182,93 @@ def test_non_float_dtype_is_a_malformed_header(tmp_path):
     path = tmp_path / "int.bin"
     write_version_1(model, str(path))
     with pytest.raises(CheckpointError, match="not a float type"):
+        load_model(str(path))
+
+
+def predict_exit(tmp_path, path):
+    """Exit code of ``xsrl predict`` with the checkpoint ``path``."""
+    from xsrl.cli import main
+
+    probe = tmp_path / "probe.conllu"
+    probe.write_text(PROBE, encoding="utf-8")
+    return main(["predict", "--model", str(path), "--input", str(probe),
+                 "--out", str(tmp_path / "pred.conllu")])
+
+
+def test_version_2_bytes_are_unchanged(tmp_path):
+    """The writer's layout, rebuilt field by field."""
+    model = make_model()
+    path = tmp_path / "model.bin"
+    save_model(model, str(path))
+    data = path.read_bytes()
+    _, tensors = checkpoint_layout(data)
+    assert list(tensors) == sorted(model.params)
+    for name, (offset, dtype, count) in tensors.items():
+        assert data[offset:offset + dtype.itemsize * count] == model.params[name].tobytes()
+    assert load_model(str(path)).params.keys() == model.params.keys()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["crf_emission", "w_pgn"])
+def test_non_finite_tensor_is_refused(tmp_path, capsys, name, value):
+    model = make_model()
+    model.params[name][...] = value
+    path = tmp_path / "model.bin"
+    save_model(model, str(path))
+    with pytest.raises(CheckpointError, match=f"tensor {name} holds non-finite values"):
+        load_model(str(path))
+    assert predict_exit(tmp_path, path) == 2
+    assert capsys.readouterr().err == (
+        f"xsrl: error: {path}: tensor {name} holds non-finite values\n")
+    assert not (tmp_path / "pred.conllu").exists()
+
+
+def test_oversized_tensor_shape_exits_2_naming_the_file(tmp_path, capsys):
+    """A dimension of 2**60 is refused before anything is read or allocated."""
+    path = tmp_path / "model.bin"
+    save_model(make_model(BASIC), str(path))
+    data = bytearray(path.read_bytes())
+    fields, _ = checkpoint_layout(bytes(data))
+    offset = next(offset for offset, width in fields if width == 8)
+    struct.pack_into("<Q", data, offset, 2**60)
+    path.write_bytes(bytes(data))
+    assert predict_exit(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"xsrl: error: {path}: checkpoint config mismatch: ")
+    assert str(2**60) in err
+
+
+# (field, value written there, message after "PATH: ")
+BAD_LENGTHS = [
+    ("header length", 2**32 - 1, "unexpected end of container"),
+    ("tensor count", 99, "checkpoint config mismatch: 99 tensors"),
+    ("name length", 2**32 - 1, "unexpected end of container"),
+    ("rank", 2**32 - 1, "unexpected end of container"),
+    ("rank", 2, "checkpoint config mismatch: tensor bilstm has shape ("),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_LENGTHS,
+                         ids=[f"{case[0]}-{case[1]}" for case in BAD_LENGTHS])
+def test_length_field_is_checked_before_reading(tmp_path, capsys, field, value, message):
+    path = tmp_path / "model.bin"
+    save_model(make_model(BASIC), str(path))
+    data = bytearray(path.read_bytes())
+    fields, _ = checkpoint_layout(bytes(data))
+    offset = {"header length": fields[0], "tensor count": fields[1],
+              "name length": fields[2], "rank": fields[3]}[field][0]
+    struct.pack_into("<I", data, offset, value)
+    path.write_bytes(bytes(data))
+    assert predict_exit(tmp_path, path) == 2
+    assert capsys.readouterr().err.startswith(f"xsrl: error: {path}: {message}")
+
+
+def test_tensor_larger_than_the_file_is_not_read(tmp_path):
+    """A checkpoint cut inside the last tensor's data: its declared size is
+    checked against the bytes left before anything is allocated."""
+    path = tmp_path / "model.bin"
+    save_model(make_model(BASIC), str(path))
+    data = path.read_bytes()
+    path.write_bytes(data[:-1])
+    with pytest.raises(CheckpointError, match="unexpected end of container"):
         load_model(str(path))

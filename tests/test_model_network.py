@@ -15,7 +15,6 @@ from xsrl.model import (
     encode_examples,
     init_model,
     language_similarity,
-    loss_and_gradients,
     pgn_params,
     predict,
     similarity_csv,
@@ -31,7 +30,7 @@ from xsrl.model.network import (
     examples_from_corpus,
 )
 
-from conftest import assert_frozen_pgn_equals_basic, freeze_onto
+from conftest import assert_frozen_pgn_equals_basic, freeze_onto, workspace_loss
 
 
 def make_sentence(forms, pred=1, lang="EN", roles=None):
@@ -140,7 +139,7 @@ def test_encode_shapes(corpus):
                     TrainingExample(single, single.frames[0], ("O",))]
         data = encode_examples(model, examples)
         for rows in (None, [0], [1]):
-            loss, grads = loss_and_gradients(model, data, rows)
+            loss, grads = workspace_loss(model, data, rows)
             assert np.isfinite(loss) and loss > 0
             assert {name: g.shape for name, g in grads.items()} == {
                 name: p.shape for name, p in model.params.items()}
@@ -181,8 +180,8 @@ def test_distinct_language_embeddings_distinct_states(corpus):
     model = init_model(small_config(PGN), Vocabulary.from_corpus(corpus), seed=3)
     ex = examples_from_corpus(corpus)[0]
     as_de = replace(ex, sentence=replace(ex.sentence, lang="DE"))
-    loss_en, grads_en = loss_and_gradients(model, encode_examples(model, [ex]))
-    loss_de, grads_de = loss_and_gradients(model, encode_examples(model, [as_de]))
+    loss_en, grads_en = workspace_loss(model, encode_examples(model, [ex]))
+    loss_de, grads_de = workspace_loss(model, encode_examples(model, [as_de]))
     assert loss_en != loss_de
     # the emission gradient is d_emissions^T @ states: it sees the states
     assert np.max(np.abs(grads_en["crf_emission"] - grads_de["crf_emission"])) > 1e-9
@@ -355,7 +354,7 @@ def test_merged_recurrence_matches_each_group_alone(layers):
         sent = make_sentence(forms, pred=1 + n // 2, lang=lang)
         examples.append(TrainingExample(sent, sent.frames[0], tuple(roles)))
     data = encode_examples(model, examples)
-    loss, grads = loss_and_gradients(model, data)
+    loss, grads = workspace_loss(model, data)
     ref_loss, ref_grads, ref_states, groups, lengths = per_group_loss_and_gradients(model, data)
     assert [(lang, cols.stop - cols.start) for lang, cols in groups] == [(0, 1), (1, 4), (2, 2)]
     assert loss == ref_loss

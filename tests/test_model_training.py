@@ -19,7 +19,7 @@ from xsrl.model import (
 )
 from xsrl.model.network import TrainingExample, examples_from_corpus
 
-from conftest import token_f1
+from conftest import token_f1, workspace_loss
 
 
 def sentence(forms, pred, roles, lang="EN"):
@@ -52,6 +52,38 @@ def test_gradient_check_all_tensors(mixed_corpus, variant, layers):
     assert error < 1e-4
 
 
+@pytest.mark.parametrize("variant", [BASIC, PGN])
+def test_gradient_check_perturbs_the_training_workspace(mixed_corpus, monkeypatch, variant):
+    """gradient_check builds the training workspace once; its first loss
+    sees the parameters as built, and every later one sees exactly one
+    coordinate of the flat parameter buffer moved, through the views
+    that Adam steps."""
+    from xsrl.model import training
+
+    built, moved = [], []
+    workspace, loss_and_grads = training._workspace, training.loss_and_gradients
+
+    def recording_workspace(model):
+        result = workspace(model)
+        built.append((result[0], result[0].copy()))
+        return result
+
+    def recording_loss(model, data, rows, grads):
+        params, start = built[-1]
+        trained = grads.tensors.keys()
+        assert all(np.shares_memory(model.params[name], params) for name in trained)
+        moved.append(int(np.count_nonzero(params != start)))
+        return loss_and_grads(model, data, rows, grads)
+
+    monkeypatch.setattr(training, "_workspace", recording_workspace)
+    monkeypatch.setattr(training, "loss_and_gradients", recording_loss)
+    model = init_model(grad_config(variant, 1), Vocabulary.from_corpus(mixed_corpus), seed=11)
+    example = examples_from_corpus(mixed_corpus)[0]
+    assert gradient_check(model, [example], samples=30) < 1e-4
+    assert len(built) == 1
+    assert moved[0] == 0 and len(moved) > 60 and set(moved[1:]) == {1}
+
+
 def test_gradient_check_requires_float64(mixed_corpus):
     config = grad_config(BASIC, 1)
     config.dtype = "float32"
@@ -69,7 +101,7 @@ def test_saturated_example_has_zero_gradients(mixed_corpus):
     model = init_model(grad_config(BASIC, 1), vocab, seed=2)
     example = TrainingExample(single.sentences[0], single.sentences[0].frames[0],
                               ("A0", "A0"))
-    loss, grads = loss_and_gradients(model, encode_examples(model, [example]))
+    loss, grads = workspace_loss(model, encode_examples(model, [example]))
     assert abs(loss) < 1e-12
     for g in grads.values():
         assert np.max(np.abs(g)) < 1e-8
@@ -174,8 +206,8 @@ def test_batch_equals_sum_of_batches_of_one(variant, layers):
     assert {ex.sentence.lang for ex in batch} == {"EN", "DE"}
     model = init_model(grad_config(variant, layers), PADDED_VOCAB, seed=4)
     data = encode_examples(model, batch)
-    loss, grads = loss_and_gradients(model, data)
-    singles = [loss_and_gradients(model, data, [i]) for i in range(len(batch))]
+    loss, grads = workspace_loss(model, data)
+    singles = [workspace_loss(model, data, [i]) for i in range(len(batch))]
     assert loss == pytest.approx(sum(l for l, _ in singles), abs=1e-12)
     for name, g in grads.items():
         summed = sum(single[name] for _, single in singles)
@@ -215,8 +247,8 @@ def test_unequal_language_groups_equal_batches_of_one(variant, layers):
     assert max(lengths["EN"]) < max(lengths["DE"]) and len(lengths["FR"]) == 1
     model = init_model(grad_config(variant, layers), UNEQUAL_VOCAB, seed=6)
     data = encode_examples(model, batch)
-    loss, grads = loss_and_gradients(model, data)
-    singles = [loss_and_gradients(model, data, [i]) for i in range(len(batch))]
+    loss, grads = workspace_loss(model, data)
+    singles = [workspace_loss(model, data, [i]) for i in range(len(batch))]
     assert loss == pytest.approx(sum(l for l, _ in singles), abs=1e-12)
     for name, g in grads.items():
         summed = sum(single[name] for _, single in singles)
@@ -247,7 +279,7 @@ def test_frozen_word_table_has_no_gradient(mixed_corpus):
     config = grad_config(BASIC, 1)
     config.train_word_table = False
     model = init_model(config, Vocabulary.from_corpus(mixed_corpus), seed=1)
-    _, grads = loss_and_gradients(model, encode_examples(model, examples_from_corpus(mixed_corpus)))
+    _, grads = workspace_loss(model, encode_examples(model, examples_from_corpus(mixed_corpus)))
     assert "word_table" not in grads
     assert set(grads) == set(model.params) - {"word_table"}
 
@@ -310,8 +342,8 @@ def test_training_peak_memory_is_the_preflight_estimate(toy_dir, variant):
 @pytest.mark.parametrize("variant,train_word_table", [(BASIC, True), (PGN, True), (PGN, False)])
 def test_workspace_reuse_matches_fresh_buffers(variant, train_word_table):
     """Two batches with disjoint rows into one training workspace that
-    starts out full of NaN: each gives the loss and gradients of new
-    buffers.  The first batch has three PGN language groups, the second
+    starts out full of NaN: each gives the loss and gradients of a new
+    workspace.  The first batch has three PGN language groups, the second
     one, and rows the second does not touch (words a and b, the EN and FR
     language rows) must not keep the first batch's values."""
     from xsrl.model import training
@@ -333,9 +365,9 @@ def test_workspace_reuse_matches_fresh_buffers(variant, train_word_table):
         if block is not None:
             block.fill(np.nan)
     for rows in ([0, 1, 2], [3, 4]):
-        loss, tensors = loss_and_gradients(model, data, rows, grads)
-        fresh_loss, fresh = loss_and_gradients(model, data, rows)
-        assert tensors is grads.tensors
+        loss = loss_and_gradients(model, data, rows, grads)
+        tensors = grads.tensors
+        fresh_loss, fresh = workspace_loss(model, data, rows)
         assert loss == fresh_loss
         assert list(tensors) == list(fresh)
         assert ("word_table" in tensors) == train_word_table
