@@ -5,18 +5,22 @@ project, sweep-alpha, train, predict, eval, aggregate, stats.  Exit codes:
 0 success, 2 usage or input error, 3 internal invariant violation or a
 non-finite training loss.  A flat
 "key = value" config file can preset any flag; explicit flags win.  The
-seed falls back to the XSRL_SEED environment variable, then 42.
+seed falls back to the XSRL_SEED environment variable, then 42.  numpy's
+BLAS runs on one thread, so the outputs do not depend on
+OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
+from . import blas
 from . import eval as evaluation
 from .alignment import AlignmentError, ibm1_train, load_table, read_parallel_corpus, save_table
 from .corpus import Corpus, CorpusError, corpus_stats, parse_srl_corpus, write_srl_corpus
@@ -70,6 +74,15 @@ def _keep_freed_pages() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
     mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD)
+
+
+@functools.cache
+def _one_blas_thread() -> None:
+    """Run BLAS on one thread (:mod:`xsrl.blas`), once per process; warn
+    where that cannot be done."""
+    if not blas.use_one_thread():
+        print("xsrl: warning: cannot set numpy's BLAS to one thread; outputs may "
+              "depend on OPENBLAS_NUM_THREADS", file=sys.stderr)
 
 
 @contextmanager
@@ -434,9 +447,11 @@ def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--embeddings", help="pretrained word vector file (frozen table)")
 
 
+@functools.cache
 def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
-    """The CLI parser; with ``suppress_defaults`` a parse holds only the
-    flags that were given."""
+    """The CLI parser, built once per process (about 4 ms); with
+    ``suppress_defaults`` a parse holds only the flags that were given.
+    Subcommand ``NAME`` runs ``cmd_NAME``, looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="xsrl",
         description="Cross-lingual SRL: corpus translation and role labeling.")
@@ -448,14 +463,12 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--floor", type=_probability, default=0.0)
     p.add_argument("--lowercase", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_align_train)
 
     p = sub.add_parser("fit-pos", help="fit a POS emission distribution from a tagged corpus")
     p.add_argument("--tagged", required=True)
     p.add_argument("--lang")
     p.add_argument("--k", type=_smoothing, default=0.1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit_pos)
 
     p = sub.add_parser("project", help="project source frames onto translations")
     p.add_argument("--src", required=True)
@@ -467,7 +480,6 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--tgt-lang")
     p.add_argument("--out", required=True)
     p.add_argument("--stats", help="stats report path (default: <out>.stats)")
-    p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("sweep-alpha", help="projection statistics per threshold")
     p.add_argument("--src", required=True)
@@ -483,7 +495,6 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--out", required=True)
     _add_train_flags(p)
-    p.set_defaults(func=cmd_sweep_alpha)
 
     p = sub.add_parser("train", help="train a role labeler")
     p.add_argument("--train-file", action="append", required=True,
@@ -493,14 +504,12 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="loss log path (default: <out>.log)")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="re-label the predicates of a corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--lang")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predictions against gold")
     p.add_argument("--gold", required=True)
@@ -508,23 +517,19 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--lang")
     p.add_argument("--buckets", type=_buckets, default="1-2,3-6,7+")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("aggregate", help="average several evaluation reports")
     p.add_argument("reports", nargs="+")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("stats", help="corpus statistics")
     p.add_argument("--input", required=True)
     p.add_argument("--lang")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("similarity", help="language-embedding distance matrix as CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_similarity)
 
     for command in sub.choices.values():
         command.add_argument("--config", help="flat 'key = value' preset file")
@@ -537,10 +542,11 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     _keep_freed_pages()
+    _one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         _apply_config_file(args, argv)
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except _INPUT_ERRORS as exc:
         print(f"xsrl: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

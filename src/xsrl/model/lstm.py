@@ -21,15 +21,32 @@ recurrent product and the weight gradients) runs per group on its own
 columns, trimmed to the group's longest sequence, so each group computes
 exactly what it would alone; the step loop and its elementwise gate and
 cell work run once over the whole batch.
+
+The two directions of a layer do not depend on each other until the
+layer joins them, so the right-to-left one goes through a runner while
+this process runs the left-to-right one.  :func:`right_to_left_runner`
+gives a forked :class:`Partner` process when this one may use a second
+CPU, and :class:`Inline` otherwise; both run the same recurrence on the
+same inputs, so the outputs are bit-identical either way.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
+import platform
+import signal
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LstmSpec", "bilstm_forward", "bilstm_backward"]
+from .. import blas
+
+__all__ = ["LstmSpec", "bilstm_forward", "bilstm_backward", "right_to_left_runner",
+           "shared_array"]
 
 
 @dataclass(frozen=True)
@@ -232,33 +249,314 @@ def _direction(views, layer: int, direction: int) -> list:
     return [v[layer][direction] for v in views]
 
 
+class Inline:
+    """Runs the right-to-left direction in this process.
+
+    :meth:`forward` and :meth:`backward` do the work when called and
+    return a function that gives the result, as :class:`Partner`'s do.
+    """
+
+    def __init__(self, spec: LstmSpec):
+        self.spec = spec
+
+    def forward(self, layer, flats, spans, inputs, keep_cache):
+        result = _cell_forward(self._direction(flats, layer), spans, inputs, keep_cache)
+        return lambda: result
+
+    def backward(self, layer, flats, d_flats, spans, cache, d_states):
+        d_inputs = _cell_backward(self._direction(flats, layer), spans, cache, d_states,
+                                  self._direction(d_flats, layer))
+        return lambda: d_inputs
+
+    def _direction(self, flats, layer: int) -> list:
+        return [self.spec.views(flat)[layer][1] for flat in flats]
+
+
+class PartnerError(RuntimeError):
+    """Raised when the partner process fails or ends."""
+
+
+# Words of the control block at the start of the exchange mapping, then
+# five per group: flat, d_flat, first column, end column, steps.
+_REQUEST, _DONE, _FAILED, _OP, _LAYER, _KEEP, _COUNT, _SHAPE = range(8)
+_GROUPS = _SHAPE + 3
+_STOP, _FORWARD, _BACKWARD = range(3)
+_ERROR_BYTES = 1024
+# A wait yields the CPU between its first _SPINS polls (about 2 ms), then
+# sleeps _NAP seconds between polls, so a process that idles for long, as
+# the partner does while this process runs the CRF and Adam, leaves the
+# CPU to others; every _CHECK_EVERY polls it checks the other process is
+# still there.
+_SPINS = 2000
+_NAP = 2e-5
+_CHECK_EVERY = 256
+
+
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
+def _aligned(offset: int) -> int:
+    return -(-offset // 64) * 64
+
+
+def _await(ctl: np.ndarray, slot: int, value: int, alive) -> bool:
+    """Poll ``ctl[slot]`` until it reads ``value``; False, without
+    waiting longer, once ``alive()`` says the other process is gone."""
+    polls = 0
+    while ctl[slot] != value:
+        if polls < _SPINS:
+            os.sched_yield()
+        else:
+            time.sleep(_NAP)
+        polls += 1
+        if polls % _CHECK_EVERY == 0 and not alive():
+            return False
+    return True
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process runs on (field 39 of /proc/self/stat), or None."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+class Partner:
+    """Runs the right-to-left direction in a forked child process.
+
+    The constructor forks the child and :meth:`close` reaps it.  The
+    child reads the weight vectors ``flats`` and writes the weight
+    gradients into ``d_flats`` in place, so a flat must be shared memory
+    (:func:`shared_array`) or stay unchanged after the fork, and a d_flat
+    must be shared memory; calls name them by address, since a row taken
+    again is a new view.  Each call's input, the child's states and its
+    input gradients pass through a shared exchange mapping sized for
+    batches of up to ``steps`` x ``rows``.
+
+    A hand-off is a sequence number written into that mapping, which the
+    waiting side polls (:func:`_await`): pipes and semaphores were slower,
+    as they wake the waiter on the waker's CPU.
+    The child runs on the CPUs of the affinity mask other than the one
+    this process runs on at the fork, leaves through ``os._exit``, never
+    writes to stdout or stderr, and exits when this process does.  A
+    failure in the child is raised here as :class:`PartnerError`.
+    """
+
+    def __init__(self, spec: LstmSpec, flats, d_flats, steps: int, rows: int):
+        self.spec = spec
+        self._steps, self._rows = steps, rows
+        self._keys = {_address(flat): key for key, flat in enumerate(flats)}
+        self._d_keys = {_address(d_flat): key for key, d_flat in enumerate(d_flats)}
+        dtype = flats[0].dtype
+        words = _GROUPS + 5 * len(flats)
+        self._error_at = 8 * words
+        width = steps * rows * max(spec.input_dim, 2 * spec.hidden)
+        x_at = _aligned(self._error_at + _ERROR_BYTES)
+        h_at = _aligned(x_at + width * dtype.itemsize)
+        height = steps * rows * spec.hidden
+        self._map = mmap.mmap(-1, h_at + height * dtype.itemsize)
+        self._ctl = np.frombuffer(self._map, np.int64, words)
+        self._x = np.frombuffer(self._map, dtype, width, x_at)
+        self._h = np.frombuffer(self._map, dtype, height, h_at)
+        self._seq = 0
+        self._busy = False
+        self._status = None
+        parent, cpu = os.getpid(), _current_cpu()
+        self._pid = os.fork()
+        if self._pid == 0:
+            code = 1
+            try:
+                self._serve(parent, cpu, flats, d_flats)
+                code = 0
+            except BaseException as exc:  # noqa: BLE001 - reported, then os._exit
+                self._fail(exc)
+            finally:
+                os._exit(code)
+
+    # -- this process -----------------------------------------------------
+
+    def forward(self, layer, flats, spans, inputs, keep_cache):
+        steps, batch, _ = inputs.shape
+        self._x[:inputs.size].reshape(inputs.shape)[...] = inputs
+        self._post(_FORWARD, layer, flats, None, spans, inputs.shape, keep_cache)
+
+        def result():
+            self._wait()
+            return self._h[:steps * batch * self.spec.hidden].reshape(steps, batch, -1), None
+
+        return result
+
+    def backward(self, layer, flats, d_flats, spans, cache, d_states):
+        steps, batch, _ = d_states.shape
+        shape = (steps, batch, self.spec.layer_input_dim(layer))
+        self._h[:d_states.size].reshape(d_states.shape)[...] = d_states
+        self._post(_BACKWARD, layer, flats, d_flats, spans, shape, False)
+
+        def result():
+            self._wait()
+            return self._x[:math.prod(shape)].reshape(shape)
+
+        return result
+
+    def close(self) -> None:
+        """Stop and reap the child; kill it if it is still running a call."""
+        if self._pid is None:
+            return
+        if self._busy:
+            os.kill(self._pid, signal.SIGKILL)
+        else:
+            self._ctl[_OP] = _STOP
+            self._seq += 1
+            self._ctl[_REQUEST] = self._seq
+        os.waitpid(self._pid, 0)
+        self._pid = None
+
+    def _post(self, op, layer, flats, d_flats, spans, shape, keep_cache) -> None:
+        steps, batch, _ = shape
+        if steps > self._steps or batch > self._rows:
+            raise ValueError(f"a batch of {steps} steps x {batch} rows exceeds the "
+                             f"partner's {self._steps} x {self._rows}")
+        ctl = self._ctl
+        ctl[_OP], ctl[_LAYER], ctl[_KEEP], ctl[_COUNT] = op, layer, keep_cache, len(spans)
+        ctl[_SHAPE:_GROUPS] = shape
+        for g, (flat, (cols, n)) in enumerate(zip(flats, spans)):
+            start, end, stride = cols.indices(batch)
+            try:
+                keys = (self._keys[_address(flat)],
+                        -1 if d_flats is None else self._d_keys[_address(d_flats[g])])
+            except KeyError:
+                raise ValueError("weights that were not given to the partner") from None
+            if stride != 1:
+                raise ValueError("a group's columns must be a contiguous slice")
+            ctl[_GROUPS + 5 * g:_GROUPS + 5 * g + 5] = (*keys, start, end, n)
+        self._seq += 1
+        self._busy = True
+        ctl[_REQUEST] = self._seq
+
+    def _wait(self) -> None:
+        ended = not _await(self._ctl, _DONE, self._seq, self._running)
+        self._busy = False
+        if self._ctl[_FAILED]:
+            error = self._map[self._error_at:self._error_at + _ERROR_BYTES]
+            raise PartnerError(error.rstrip(b"\0").decode("utf-8", "replace"))
+        if ended:
+            raise PartnerError(f"the right-to-left partner process ended "
+                               f"(wait status {self._status})")
+
+    def _running(self) -> bool:
+        """Whether the child still runs; reaps it if it ended."""
+        pid, status = os.waitpid(self._pid, os.WNOHANG)
+        if pid:
+            self._pid, self._status = None, status
+        return not pid
+
+    # -- the child --------------------------------------------------------
+
+    def _serve(self, parent: int, cpu: int | None, flats, d_flats) -> None:
+        others = os.sched_getaffinity(0) - {cpu}
+        if cpu is not None and others:
+            os.sched_setaffinity(0, others)
+        views = [self.spec.views(flat) for flat in flats]
+        d_views = [self.spec.views(d_flat) for d_flat in d_flats]
+        caches = {}
+        ctl, h = self._ctl, self.spec.hidden
+        while True:
+            self._seq += 1
+            if not _await(ctl, _REQUEST, self._seq, lambda: os.getppid() == parent):
+                return
+            op, layer, keep_cache, count = ctl[_OP:_SHAPE].tolist()
+            if op == _STOP:
+                return
+            steps, batch, width = ctl[_SHAPE:_GROUPS].tolist()
+            groups = ctl[_GROUPS:_GROUPS + 5 * count].reshape(count, 5).tolist()
+            spans = [(slice(start, end), n) for _, _, start, end, n in groups]
+            weights = [views[key][layer][1] for key, *_ in groups]
+            if op == _FORWARD:
+                inputs = self._x[:steps * batch * width].reshape(steps, batch, width).copy()
+                states, caches[layer] = _cell_forward(weights, spans, inputs, keep_cache)
+                self._h[:states.size] = states.reshape(-1)
+            else:
+                d_weights = [d_views[d_key][layer][1] for _, d_key, *_ in groups]
+                d_states = self._h[:steps * batch * h].reshape(steps, batch, h)
+                d_inputs = _cell_backward(weights, spans, caches.pop(layer), d_states, d_weights)
+                self._x[:d_inputs.size] = d_inputs.reshape(-1)
+            ctl[_DONE] = self._seq
+
+    def _fail(self, exc: BaseException) -> None:
+        text = f"right-to-left partner: {type(exc).__name__}: {exc}".encode()[:_ERROR_BYTES]
+        self._map[self._error_at:self._error_at + len(text)] = text
+        self._ctl[_FAILED] = 1
+        self._ctl[_DONE] = self._seq
+
+
+def _partner_available() -> bool:
+    """Whether a :class:`Partner` can run: fork, a second CPU in the
+    affinity mask, BLAS on one thread (:mod:`xsrl.blas`), and x86, whose
+    stores reach the other CPU in program order, so a sequence number
+    published last needs no fence."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and platform.machine().lower() in ("x86_64", "amd64")
+            and len(os.sched_getaffinity(0)) >= 2 and blas.threads() == 1)
+
+
+@contextmanager
+def right_to_left_runner(spec: LstmSpec, flats, d_flats=(), steps: int = 1, rows: int = 1):
+    """The runner of the right-to-left direction for one train or predict
+    call: a :class:`Partner` over ``flats`` and ``d_flats`` for batches
+    of up to ``steps`` x ``rows`` when one can run, else :class:`Inline`.
+    A partner is reaped on exit, whether or not the body raised."""
+    if not len(flats) or not _partner_available():
+        yield Inline(spec)
+        return
+    partner = Partner(spec, flats, d_flats, steps, rows)
+    try:
+        yield partner
+    finally:
+        partner.close()
+
+
+def shared_array(size: int, dtype) -> np.ndarray:
+    """A zeroed 1-D array in an anonymous shared mapping, which a forked
+    :class:`Partner` reads and writes as this process does."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype, size)
+
+
 def bilstm_forward(spec: LstmSpec, groups, inputs: np.ndarray, lengths=None,
-                   keep_cache=True):
+                   keep_cache=True, right_to_left=None):
     """Encode a padded batch ``inputs`` (T, B, input_dim) into (T, B, 2*hidden).
 
     ``groups`` holds one ``(flat, cols)`` pair per weight group: columns
     ``cols`` (a slice of the batch axis) run with the parameter vector
     ``flat``; one group over the whole batch is ``[(flat, slice(None))]``.
     ``lengths`` (B,) holds each sequence's length; None means every
-    sequence fills all T steps.  Returns (states, caches); pass ``caches``
-    to :func:`bilstm_backward`.  Without ``keep_cache`` (inference) caches
-    is None and each layer's gate block is freed before the next layer
-    runs.  States at padded positions are finite but meaningless.
+    sequence fills all T steps.  ``right_to_left`` (from
+    :func:`right_to_left_runner`; :class:`Inline` when None) runs each
+    layer's right-to-left direction while this process runs the other.
+    Returns (states, caches); pass ``caches`` to :func:`bilstm_backward`.
+    Without ``keep_cache`` (inference) caches is None and each layer's
+    gate block is freed before the next layer runs.  States at padded
+    positions are finite but meaningless.
     """
     steps = inputs.shape[0]
     lengths = None if lengths is None else np.asarray(lengths)
     spans = _spans(groups, lengths, steps)
     rev = _reversal(steps, lengths)
-    views = [spec.views(flat) for flat, _ in groups]
+    right_to_left = right_to_left or Inline(spec)
+    flats = [flat for flat, _ in groups]
+    views = [spec.views(flat) for flat in flats]
     caches = []
     layer_in = inputs
     for layer in range(spec.layers):
+        pending = right_to_left.forward(layer, flats, spans, _reverse(layer_in, rev), keep_cache)
         fwd, cache_f = _cell_forward(_direction(views, layer, 0), spans, layer_in, keep_cache)
-        bwd_rev, cache_b = _cell_forward(_direction(views, layer, 1), spans,
-                                         _reverse(layer_in, rev), keep_cache)
+        bwd_rev, cache_b = pending()
         caches.append((cache_f, cache_b))
         layer_in = np.concatenate([fwd, _reverse(bwd_rev, rev)], axis=2)
-    return layer_in, ((spans, rev, caches) if keep_cache else None)
+    return layer_in, ((spans, rev, right_to_left, caches) if keep_cache else None)
 
 
 def bilstm_backward(spec: LstmSpec, groups, caches, d_out: np.ndarray,
@@ -266,21 +564,22 @@ def bilstm_backward(spec: LstmSpec, groups, caches, d_out: np.ndarray,
     """Backprop through the stack; returns (d_inputs, d_flats).
 
     ``groups`` and ``caches`` are those of the :func:`bilstm_forward`
-    call.  ``d_out`` must be zero at padded positions; padding then adds
-    exactly zero to every gradient.  Row g of ``d_flats`` (one row per
-    group, each shaped like its ``flat``) is overwritten with group g's
-    gradient.
+    call, whose runner runs the right-to-left direction again.  ``d_out``
+    must be zero at padded positions; padding then adds exactly zero to
+    every gradient.  Row g of ``d_flats`` (one row per group, each shaped
+    like its ``flat``) is overwritten with group g's gradient.
     """
     h = spec.hidden
-    spans, rev, layer_caches = caches
+    spans, rev, right_to_left, layer_caches = caches
     d_views = [spec.views(d_flat) for d_flat in d_flats]
-    views = [spec.views(flat) for flat, _ in groups]
+    flats = [flat for flat, _ in groups]
+    views = [spec.views(flat) for flat in flats]
     d_layer = d_out
     for layer in range(spec.layers - 1, -1, -1):
         cache_f, cache_b = layer_caches[layer]
+        pending = right_to_left.backward(layer, flats, d_flats, spans, cache_b,
+                                         _reverse(d_layer[..., h:], rev))
         d_in_f = _cell_backward(_direction(views, layer, 0), spans, cache_f,
                                 d_layer[..., :h], _direction(d_views, layer, 0))
-        d_in_b = _cell_backward(_direction(views, layer, 1), spans, cache_b,
-                                _reverse(d_layer[..., h:], rev), _direction(d_views, layer, 1))
-        d_layer = d_in_f + _reverse(d_in_b, rev)
+        d_layer = d_in_f + _reverse(pending(), rev)
     return d_layer, d_flats

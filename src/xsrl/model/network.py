@@ -27,7 +27,7 @@ import numpy as np
 
 from ..corpus import UNIVERSAL_TAGS, Corpus, PredicateFrame, Sentence
 from . import crf
-from .lstm import LstmSpec, bilstm_backward, bilstm_forward
+from .lstm import LstmSpec, bilstm_backward, bilstm_forward, right_to_left_runner
 
 __all__ = [
     "ModelError",
@@ -292,11 +292,14 @@ class Gradients:
     recurrent gradient of the batch's language group g: for BASIC it is
     the ``bilstm`` gradient as one row; for PGN it is a (languages, P)
     block, and ``flats``, a second one, holds the generated vectors.
+    ``right_to_left`` runs the BiLSTM's right-to-left direction (see
+    :func:`~xsrl.model.lstm.right_to_left_runner`); None runs it inline.
     """
 
     tensors: dict[str, np.ndarray]
     d_flats: np.ndarray
     flats: np.ndarray | None = None
+    right_to_left: object = None
 
 
 def _feature_ids(model: SrlModel, sentence: Sentence, pred_index: int) -> np.ndarray:
@@ -460,7 +463,8 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows, grads: Grad
     else:
         groups = [(pgn_params(params["w_pgn"], params["lang_table"][lang_id], out=flat), cols)
                   for (lang_id, cols), flat in zip(lang_groups, grads.flats)]
-    states, caches = bilstm_forward(spec, groups, features, lengths)
+    states, caches = bilstm_forward(spec, groups, features, lengths,
+                                    right_to_left=grads.right_to_left)
     emissions = states @ emission_w.T
     loss, d_emissions, d_trans = crf.nll_gradients(
         emissions, params["crf_transition"], labels, lengths)
@@ -496,28 +500,38 @@ def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:
     encoded as in training.  Rows are grouped by language (one group for
     BASIC), ordered by sentence length within a group (stable in request
     order) and run forward-only in padded batches of PREDICT_ROWS rows, so
-    the encoder's working set is one batch whatever the corpus size.  A
+    the encoder's working set is one batch whatever the corpus size.  Every
+    language's recurrent vector is made first; then one partner process,
+    where one can run, runs the right-to-left direction of every batch
+    (:func:`~xsrl.model.lstm.right_to_left_runner`).  A
     predicate position itself never becomes an argument; each frame keeps
     the sentence's sense for its predicate.
     """
     requests = [(sentence, list(preds), lang) for sentence, preds, lang in requests]
     data = _encode(model, [(sentence, p, lang) for sentence, preds, lang in requests
                            for p in preds])
-    order = np.lexsort((np.diff(data.offsets), data.langs))
+    sizes = np.diff(data.offsets)
+    order = np.lexsort((sizes, data.langs))
     paths: list = [None] * len(data)
     spec = model.config.lstm_spec()
-    for lang_id, cols in _language_groups(data.langs[order]):
-        flat = _recurrent_vector(model, lang_id)
-        group = order[cols]
-        for start in range(0, len(group), PREDICT_ROWS):
-            batch = group[start:start + PREDICT_ROWS]
-            ids, lengths, _, _ = _pad(data, batch)
-            states, _ = bilstm_forward(spec, [(flat, slice(None))], _embed(model, ids), lengths,
-                                       keep_cache=False)
-            emissions = states @ model.params["crf_emission"].T
-            for row, path in zip(
-                    batch, crf.viterbi(emissions, model.params["crf_transition"], lengths)):
-                paths[row] = path
+    lang_groups = _language_groups(data.langs[order])
+    # every language's vector exists before a partner is forked, which
+    # reads them unchanged
+    flats = [_recurrent_vector(model, lang_id) for lang_id, _ in lang_groups]
+    with right_to_left_runner(spec, flats, steps=int(sizes.max(initial=1)),
+                              rows=min(PREDICT_ROWS, len(data))) as right_to_left:
+        for (_, cols), flat in zip(lang_groups, flats):
+            group = order[cols]
+            for start in range(0, len(group), PREDICT_ROWS):
+                batch = group[start:start + PREDICT_ROWS]
+                ids, lengths, _, _ = _pad(data, batch)
+                states, _ = bilstm_forward(spec, [(flat, slice(None))], _embed(model, ids),
+                                           lengths, keep_cache=False,
+                                           right_to_left=right_to_left)
+                emissions = states @ model.params["crf_emission"].T
+                for row, path in zip(
+                        batch, crf.viterbi(emissions, model.params["crf_transition"], lengths)):
+                    paths[row] = path
     labels = model.vocab.labels
     rows = iter(paths)
     out = []

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
 from ..corpus import Corpus
+from .lstm import right_to_left_runner, shared_array
 from .network import (
     Gradients,
     ModelConfig,
@@ -124,21 +127,40 @@ def _workspace(model: SrlModel) -> tuple[np.ndarray, np.ndarray, Gradients]:
     and allocate the flat batch gradient and its :class:`Gradients` views,
     with PGN's two (languages, P) blocks.
 
-    Returns (parameters, gradient, gradient buffers).  The trained entries
-    of ``model.params`` become views of the parameter buffer with the same
+    Returns (parameters, gradient, gradient buffers).  The four buffers
+    share one anonymous shared mapping, so a forked right-to-left partner
+    (:func:`_right_to_left`) reads the parameters as Adam steps them and
+    writes its gradients in place.  The trained entries of
+    ``model.params`` become views of the parameter buffer with the same
     values; a frozen word table stays where it is.
     """
     trained, _, block = training_shapes(model.config, model.vocab)
     size = sum(math.prod(shape) for shape in trained.values())
-    params = np.empty(size, dtype=model.config.dtype)
+    per_block = math.prod(block) if block else 0
+    arena = shared_array(2 * size + 2 * per_block, model.config.dtype)
+    params, grad = arena[:size], arena[size:2 * size]
     for name, view in _views(params, trained).items():
         view[...] = model.params[name]
         model.params[name] = view
-    grad = np.empty_like(params)
     tensors = _views(grad, trained)
     if block is None:
         return params, grad, Gradients(tensors, tensors["bilstm"][None])
-    return params, grad, Gradients(tensors, *(np.empty(block, grad.dtype) for _ in range(2)))
+    d_flats, flats = arena[2 * size:].reshape(2, *block)
+    return params, grad, Gradients(tensors, d_flats, flats)
+
+
+@contextmanager
+def _right_to_left(model: SrlModel, grads: Gradients, data, rows: int):
+    """``grads`` with the runner of the BiLSTM's right-to-left direction
+    (:func:`~xsrl.model.lstm.right_to_left_runner`) for batches of up to
+    ``rows`` examples of ``data``: it reads the recurrent weights and
+    writes their gradients in the shared workspace.  A forked partner is
+    reaped on exit."""
+    flats = [model.params["bilstm"]] if grads.flats is None else grads.flats
+    steps = int(np.diff(data.offsets).max())
+    with right_to_left_runner(model.config.lstm_spec(), flats, grads.d_flats, steps,
+                              min(rows, len(data))) as runner:
+        yield replace(grads, right_to_left=runner)
 
 
 def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
@@ -152,7 +174,9 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     with ``seed``; each batch runs as one padded minibatch, its gradient is
     averaged over the batch, and the returned log holds the mean loss of
     every epoch.  The parameters, their gradient and Adam's moments are
-    allocated once, as flat buffers, before the first batch.  Identical
+    allocated once, as flat buffers, before the first batch; a forked
+    partner runs the BiLSTM's right-to-left direction (:func:`_right_to_left`)
+    and is reaped before this returns or raises.  Identical
     corpus, config and seed give bit-identical models.  A non-finite loss
     or gradient raises :class:`TrainingError` naming the epoch and batch.
     """
@@ -170,22 +194,23 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     rng = np.random.default_rng(seed + 1)
 
     losses: list[float] = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(examples))
-        epoch_loss = 0.0
-        for batch_no, start in enumerate(range(0, len(order), config.batch_size), start=1):
-            rows = order[start:start + config.batch_size]
-            loss = loss_and_gradients(model, data, rows, grads)
-            grad /= len(rows)
-            norm = _global_norm(grads.tensors)
-            if not (math.isfinite(loss) and math.isfinite(norm)):
-                raise TrainingError(
-                    f"non-finite loss or gradient in epoch {epoch}, batch {batch_no}")
-            if config.clip_norm > 0 and norm > config.clip_norm:
-                grad *= config.clip_norm / norm
-            optimizer.update(params, grad)
-            epoch_loss += loss
-        losses.append(epoch_loss / len(examples))
+    with _right_to_left(model, grads, data, config.batch_size) as grads:
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(len(examples))
+            epoch_loss = 0.0
+            for batch_no, start in enumerate(range(0, len(order), config.batch_size), start=1):
+                rows = order[start:start + config.batch_size]
+                loss = loss_and_gradients(model, data, rows, grads)
+                grad /= len(rows)
+                norm = _global_norm(grads.tensors)
+                if not (math.isfinite(loss) and math.isfinite(norm)):
+                    raise TrainingError(
+                        f"non-finite loss or gradient in epoch {epoch}, batch {batch_no}")
+                if config.clip_norm > 0 and norm > config.clip_norm:
+                    grad *= config.clip_norm / norm
+                optimizer.update(params, grad)
+                epoch_loss += loss
+            losses.append(epoch_loss / len(examples))
     return model, losses
 
 
@@ -195,8 +220,8 @@ def gradient_check(model: SrlModel, examples: list[TrainingExample],
     """Compare analytic gradients of a batch against central finite differences.
 
     Runs the examples as one batch through :func:`loss_and_gradients` into
-    the training workspace, built once, and keeps a copy of its flat
-    gradient; then perturbs the parameter views that Adam steps at least
+    the training workspace, built once with the right-to-left runner that
+    :func:`train` uses, and keeps a copy of its flat gradient; then perturbs the parameter views that Adam steps at least
     ``samples`` coordinates spread over every trained tensor and returns the
     maximum relative error |g_a - g_n| / max(|g_a|, |g_n|, 1e-4) (float64 only).
     """
@@ -205,26 +230,27 @@ def gradient_check(model: SrlModel, examples: list[TrainingExample],
     data = encode_examples(model, examples)
     rows = np.arange(len(data))
     params, grad, grads = _workspace(model)
-    loss_and_gradients(model, data, rows, grads)
-    shapes = {name: g.shape for name, g in grads.tensors.items()}
-    analytic = _views(grad.copy(), shapes)
+    with _right_to_left(model, grads, data, len(data)) as grads:
+        loss_and_gradients(model, data, rows, grads)
+        shapes = {name: g.shape for name, g in grads.tensors.items()}
+        analytic = _views(grad.copy(), shapes)
 
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for name, tensor in sorted(_views(params, shapes).items()):
-        count = min(tensor.size, max(5, round(samples * tensor.size / params.size)))
-        coords = rng.choice(tensor.size, size=count, replace=False)
-        flat = tensor.reshape(-1)
-        grad_flat = analytic[name].reshape(-1)
-        for c in coords:
-            original = flat[c]
-            flat[c] = original + epsilon
-            upper = loss_and_gradients(model, data, rows, grads)
-            flat[c] = original - epsilon
-            lower = loss_and_gradients(model, data, rows, grads)
-            flat[c] = original
-            numeric = (upper - lower) / (2.0 * epsilon)
-            ga = float(grad_flat[c])
-            rel = abs(ga - numeric) / max(abs(ga), abs(numeric), 1e-4)
-            worst = max(worst, rel)
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for name, tensor in sorted(_views(params, shapes).items()):
+            count = min(tensor.size, max(5, round(samples * tensor.size / params.size)))
+            coords = rng.choice(tensor.size, size=count, replace=False)
+            flat = tensor.reshape(-1)
+            grad_flat = analytic[name].reshape(-1)
+            for c in coords:
+                original = flat[c]
+                flat[c] = original + epsilon
+                upper = loss_and_gradients(model, data, rows, grads)
+                flat[c] = original - epsilon
+                lower = loss_and_gradients(model, data, rows, grads)
+                flat[c] = original
+                numeric = (upper - lower) / (2.0 * epsilon)
+                ga = float(grad_flat[c])
+                rel = abs(ga - numeric) / max(abs(ga), abs(numeric), 1e-4)
+                worst = max(worst, rel)
     return worst

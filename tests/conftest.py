@@ -6,11 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xsrl import blas
 from xsrl.corpus import Corpus, PredicateFrame, Sentence, Token, UNIVERSAL_TAGS
 from xsrl.model import OUTSIDE, encode_examples, loss_and_gradients, predict, training
 from xsrl.model.network import examples_from_corpus
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "toy"
+
+
+def pytest_configure(config):
+    """BLAS on one thread, as ``xsrl.cli.main`` runs it, so library calls
+    fork the right-to-left partner as the command line does."""
+    blas.use_one_thread()
 
 ROLES = ("A0", "A1", "A2", "AM-TMP", "AM-LOC")
 FORMS = ("alpha", "beta", "gamma", "delta", "kappa", "sigma", "tau", "omega")

@@ -26,6 +26,7 @@ from xsrl.model import (
     predict,
     train,
 )
+from xsrl.model import lstm
 from xsrl.model.network import TrainingExample, examples_from_corpus
 from xsrl.postag import fit_pos_emission
 from xsrl.projection import ProjectionConfig, project_corpus, project_sentence
@@ -79,7 +80,17 @@ def _grad_corpus():
     return Corpus.from_sentences(sentences)
 
 
-def test_criterion_2_gradient_check():
+def test_criterion_2_gradient_check(monkeypatch):
+    """Where a right-to-left partner can run, it computes that direction's
+    gradients during the check, as it does in training."""
+    posted = []
+    post = lstm.Partner._post
+
+    def recording_post(partner, op, *args):
+        posted.append(op)
+        return post(partner, op, *args)
+
+    monkeypatch.setattr(lstm.Partner, "_post", recording_post)
     started = time.time()
     corpus = _grad_corpus()
     vocab = Vocabulary.from_corpus(corpus)
@@ -90,13 +101,17 @@ def test_criterion_2_gradient_check():
             config = ModelConfig(word_dim=8, pos_dim=4, pred_dim=4, lang_dim=4,
                                  hidden=8, layers=layers, variant=variant)
             model = init_model(config, vocab, seed=17)
+            posted.clear()
             error = gradient_check(model, [example], epsilon=1e-5, samples=220)
             assert error < 1e-4, (variant, layers, error)
+            assert (lstm._BACKWARD in posted) == lstm._partner_available()
             worst = max(worst, error)
     elapsed = time.time() - started
     assert elapsed < 60.0
+    where = "a partner process" if lstm._partner_available() else "this process"
     ok(f"criterion 2: analytic vs central-difference gradients, max relative "
-       f"error {worst:.2e} < 1e-4 over BASIC/PGN x layers 1/3 in {elapsed:.1f}s")
+       f"error {worst:.2e} < 1e-4 over BASIC/PGN x layers 1/3, right-to-left "
+       f"direction in {where}, in {elapsed:.1f}s")
 
 
 # 3 ---------------------------------------------------------------------

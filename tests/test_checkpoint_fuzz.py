@@ -8,8 +8,6 @@ names the checkpoint first; the loader checks every one of these fields,
 so each case exits 2.
 """
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -52,10 +50,7 @@ def mutations(data: bytes):
             yield "non-finite", f"{value} in {name}", bytes(bad)
 
 
-def test_mutated_checkpoint_exits_2_naming_it(checkpoint, tmp_path, capsys, monkeypatch):
-    # main builds its argparse parser on every call, about 4 ms; sharing
-    # one keeps the two thousand cases near a second
-    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
+def test_mutated_checkpoint_exits_2_naming_it(checkpoint, tmp_path, capsys):
     corpus, data = checkpoint
     path, out = tmp_path / "model.bin", tmp_path / "pred.conllu"
     argv = ["predict", "--model", str(path), "--input", str(corpus), "--out", str(out)]

@@ -257,7 +257,7 @@ def test_internal_error_exits_3(toy, monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("simulated bug")
 
-    # main() builds the parser after the patch, so the stub is picked up
+    # main() looks the command up when it runs, so the stub is picked up
     monkeypatch.setattr(cli, "cmd_stats", boom)
     assert cli.main(["stats", "--input", str(toy / "en_srl.conllu")]) == 3
     assert "internal error" in capsys.readouterr().err

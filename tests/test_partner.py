@@ -1,0 +1,171 @@
+"""The right-to-left partner process: same bytes as inline, and no child left.
+
+``train`` and ``predict`` fork a partner that runs every layer's
+right-to-left direction when a second CPU is in the affinity mask, and
+run that direction inline otherwise.  Both paths must write the same
+checkpoint and the same predictions, and the partner must be reaped
+before ``train`` or ``predict`` returns or raises.
+"""
+
+import os
+import signal
+
+import numpy as np
+import pytest
+
+from xsrl import blas, cli
+from xsrl.corpus import Corpus, parse_srl_corpus
+from xsrl.model import BASIC, PGN, ModelConfig, TrainingError, Vocabulary, lstm, predict, train
+from xsrl.model.serialize import save_model
+
+from conftest import DATA
+
+needs_partner = pytest.mark.skipif(
+    not lstm._partner_available(), reason="the partner needs fork, x86, a second CPU and "
+                                          "BLAS on one thread")
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Variable-length EN and DE sentences, interleaved so a batch holds
+    both languages."""
+    en, de = (parse_srl_corpus((DATA / name).read_text(encoding="utf-8"),
+                               default_lang=lang).sentences[:16]
+              for name, lang in (("en_srl.conllu", "EN"), ("de_dev.conllu", "DE")))
+    return Corpus.from_sentences(s for pair in zip(en, de) for s in pair)
+
+
+def config(variant, layers):
+    return ModelConfig(word_dim=12, pos_dim=4, pred_dim=4, lang_dim=3, hidden=10,
+                       layers=layers, variant=variant, batch_size=6, epochs=2,
+                       learning_rate=0.01)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def train_and_predict(corpus, variant, layers, path):
+    """(checkpoint bytes, predicted frames) of one train and predict."""
+    model, _ = train(corpus, config(variant, layers), seed=3)
+    save_model(model, str(path))
+    requests = [(s, [f.pred_index for f in s.frames], s.lang) for s in corpus.sentences]
+    return path.read_bytes(), predict(model, requests)
+
+
+@needs_partner
+@pytest.mark.parametrize("variant", [BASIC, PGN])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_partner_and_inline_write_the_same_bytes(corpus, forks, monkeypatch, tmp_path,
+                                                 variant, layers):
+    partnered = train_and_predict(corpus, variant, layers, tmp_path / "partner.bin")
+    assert len(forks) == 2
+    assert_reaped(forks)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = train_and_predict(corpus, variant, layers, tmp_path / "inline.bin")
+    assert len(forks) == 2
+    assert partnered[0] == inline[0]
+    assert partnered[1] == inline[1]
+
+
+@pytest.mark.parametrize("limit", ["one CPU", "two BLAS threads"])
+def test_inline_runs_without_a_free_cpu(corpus, monkeypatch, tmp_path, limit):
+    if limit == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(blas, "threads", lambda: 2)
+
+    def no_fork():
+        raise AssertionError(f"forked with {limit}")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    checkpoint, frames = train_and_predict(corpus, PGN, 2, tmp_path / "m.bin")
+    assert checkpoint and len(frames) == len(corpus.sentences)
+
+
+@needs_partner
+def test_no_child_after_a_non_finite_loss(corpus, forks):
+    cfg = config(BASIC, 1)
+    vocab = Vocabulary.from_corpus(corpus)
+    table = np.full((len(vocab.words), cfg.word_dim), np.inf)
+    with pytest.raises(TrainingError, match="epoch 1, batch 1"):
+        train(corpus, cfg, seed=1, word_table=table, vocab=vocab)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def fail_in_child(monkeypatch, name, failure):
+    """Make ``lstm.<name>`` call ``failure`` when it runs in a child."""
+    real, parent = getattr(lstm, name), os.getpid()
+
+    def patched(*args, **kwargs):
+        if os.getpid() != parent:
+            failure()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lstm, name, patched)
+
+
+def simulated_failure():
+    raise RuntimeError("simulated partner failure")
+
+
+@needs_partner
+@pytest.mark.parametrize("name", ["_cell_forward", "_cell_backward"])
+def test_partner_failure_is_raised_and_reaped(corpus, forks, monkeypatch, name):
+    fail_in_child(monkeypatch, name, simulated_failure)
+    with pytest.raises(lstm.PartnerError,
+                       match="right-to-left partner: RuntimeError: simulated partner failure"):
+        train(corpus, config(PGN, 2), seed=3)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+@needs_partner
+def test_killed_partner_is_raised_and_reaped(corpus, forks, monkeypatch, tmp_path):
+    fail_in_child(monkeypatch, "_cell_forward", lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(lstm.PartnerError, match="partner process ended"):
+        train_and_predict(corpus, BASIC, 1, tmp_path / "m.bin")
+    assert_reaped(forks)
+
+
+@needs_partner
+def test_partner_failure_exits_3(tmp_path, forks, monkeypatch, capsys):
+    fail_in_child(monkeypatch, "_cell_forward", simulated_failure)
+    argv = ["train", "--train-file", str(DATA / "de_dev.conllu"), "--out", str(tmp_path / "m"),
+            "--variant", "basic", "--hidden", "4", "--word-dim", "4", "--pos-dim", "2",
+            "--pred-dim", "2", "--layers", "1", "--epochs", "1"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("xsrl: internal error: right-to-left partner: RuntimeError"), err
+    assert not (tmp_path / "m").exists()
+    assert_reaped(forks)
+
+
+@needs_partner
+def test_no_child_after_predict_raises(corpus, forks, monkeypatch):
+    model, _ = train(corpus, config(BASIC, 1), seed=3)
+    fail_in_child(monkeypatch, "_cell_forward", simulated_failure)
+    requests = [(s, [f.pred_index for f in s.frames], s.lang) for s in corpus.sentences]
+    with pytest.raises(lstm.PartnerError):
+        predict(model, requests)
+    assert len(forks) == 2
+    assert_reaped(forks)
