@@ -27,7 +27,9 @@ layer joins them, so the right-to-left one goes through a runner while
 this process runs the left-to-right one.  :func:`right_to_left_runner`
 gives a forked :class:`Partner` process when this one may use a second
 CPU, and :class:`Inline` otherwise; both run the same recurrence on the
-same inputs, so the outputs are bit-identical either way.
+same inputs, so the outputs are bit-identical either way.  A runner can
+also be given a tail step, which training uses to step the second half
+of Adam's vector in the partner while this process steps the first.
 """
 
 from __future__ import annotations
@@ -105,8 +107,6 @@ class LstmSpec:
                 pairs.append((offset + h, offset + 2 * h))
                 offset += 4 * h
         return pairs
-
-
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -250,14 +250,17 @@ def _direction(views, layer: int, direction: int) -> list:
 
 
 class Inline:
-    """Runs the right-to-left direction in this process.
+    """Runs the right-to-left direction, and the tail step ``tail``, in
+    this process.
 
-    :meth:`forward` and :meth:`backward` do the work when called and
-    return a function that gives the result, as :class:`Partner`'s do.
+    :meth:`forward`, :meth:`backward` and :meth:`step` do the work when
+    called and return a function that gives the result, as
+    :class:`Partner`'s do.
     """
 
-    def __init__(self, spec: LstmSpec):
+    def __init__(self, spec: LstmSpec, tail=None):
         self.spec = spec
+        self.tail = tail
 
     def forward(self, layer, flats, spans, inputs, keep_cache):
         result = _cell_forward(self._direction(flats, layer), spans, inputs, keep_cache)
@@ -267,6 +270,10 @@ class Inline:
         d_inputs = _cell_backward(self._direction(flats, layer), spans, cache, d_states,
                                   self._direction(d_flats, layer))
         return lambda: d_inputs
+
+    def step(self):
+        self.tail()
+        return lambda: None
 
     def _direction(self, flats, layer: int) -> list:
         return [self.spec.views(flat)[layer][1] for flat in flats]
@@ -280,13 +287,13 @@ class PartnerError(RuntimeError):
 # five per group: flat, d_flat, first column, end column, steps.
 _REQUEST, _DONE, _FAILED, _OP, _LAYER, _KEEP, _COUNT, _SHAPE = range(8)
 _GROUPS = _SHAPE + 3
-_STOP, _FORWARD, _BACKWARD = range(3)
+_STOP, _FORWARD, _BACKWARD, _STEP = range(4)
 _ERROR_BYTES = 1024
 # A wait yields the CPU between its first _SPINS polls (about 2 ms), then
 # sleeps _NAP seconds between polls, so a process that idles for long, as
-# the partner does while this process runs the CRF and Adam, leaves the
-# CPU to others; every _CHECK_EVERY polls it checks the other process is
-# still there.
+# the partner does while this process runs the embeddings, the CRF and the
+# gradient norm, leaves the CPU to others; every _CHECK_EVERY polls it
+# checks the other process is still there.
 _SPINS = 2000
 _NAP = 2e-5
 _CHECK_EVERY = 256
@@ -325,7 +332,8 @@ def _current_cpu() -> int | None:
 
 
 class Partner:
-    """Runs the right-to-left direction in a forked child process.
+    """Runs the right-to-left direction, and the tail step ``tail``, in a
+    forked child process.
 
     The constructor forks the child and :meth:`close` reaps it.  The
     child reads the weight vectors ``flats`` and writes the weight
@@ -334,7 +342,11 @@ class Partner:
     must be shared memory; calls name them by address, since a row taken
     again is a new view.  Each call's input, the child's states and its
     input gradients pass through a shared exchange mapping sized for
-    batches of up to ``steps`` x ``rows``.
+    batches of up to ``steps`` x ``rows``.  :meth:`step` runs the
+    callable ``tail`` in the child, with the state it had at the fork:
+    training passes the step of the second half of Adam's vector, whose
+    moments the child owns from the fork on and whose parameters and
+    gradient are shared memory.
 
     A hand-off is a sequence number written into that mapping, which the
     waiting side polls (:func:`_await`): pipes and semaphores were slower,
@@ -345,7 +357,7 @@ class Partner:
     failure in the child is raised here as :class:`PartnerError`.
     """
 
-    def __init__(self, spec: LstmSpec, flats, d_flats, steps: int, rows: int):
+    def __init__(self, spec: LstmSpec, flats, d_flats, steps: int, rows: int, tail=None):
         self.spec = spec
         self._steps, self._rows = steps, rows
         self._keys = {_address(flat): key for key, flat in enumerate(flats)}
@@ -369,7 +381,7 @@ class Partner:
         if self._pid == 0:
             code = 1
             try:
-                self._serve(parent, cpu, flats, d_flats)
+                self._serve(parent, cpu, flats, d_flats, tail)
                 code = 0
             except BaseException as exc:  # noqa: BLE001 - reported, then os._exit
                 self._fail(exc)
@@ -401,6 +413,12 @@ class Partner:
 
         return result
 
+    def step(self):
+        """Start the tail step in the child; returns the function that
+        waits for it."""
+        self._publish(_STEP)
+        return self._wait
+
     def close(self) -> None:
         """Stop and reap the child; kill it if it is still running a call."""
         if self._pid is None:
@@ -408,9 +426,7 @@ class Partner:
         if self._busy:
             os.kill(self._pid, signal.SIGKILL)
         else:
-            self._ctl[_OP] = _STOP
-            self._seq += 1
-            self._ctl[_REQUEST] = self._seq
+            self._publish(_STOP)
         os.waitpid(self._pid, 0)
         self._pid = None
 
@@ -420,7 +436,7 @@ class Partner:
             raise ValueError(f"a batch of {steps} steps x {batch} rows exceeds the "
                              f"partner's {self._steps} x {self._rows}")
         ctl = self._ctl
-        ctl[_OP], ctl[_LAYER], ctl[_KEEP], ctl[_COUNT] = op, layer, keep_cache, len(spans)
+        ctl[_LAYER], ctl[_KEEP], ctl[_COUNT] = layer, keep_cache, len(spans)
         ctl[_SHAPE:_GROUPS] = shape
         for g, (flat, (cols, n)) in enumerate(zip(flats, spans)):
             start, end, stride = cols.indices(batch)
@@ -432,9 +448,14 @@ class Partner:
             if stride != 1:
                 raise ValueError("a group's columns must be a contiguous slice")
             ctl[_GROUPS + 5 * g:_GROUPS + 5 * g + 5] = (*keys, start, end, n)
+        self._publish(op)
+
+    def _publish(self, op) -> None:
+        """Hand the child the call ``op``, whose operands are in place."""
+        self._ctl[_OP] = op
         self._seq += 1
         self._busy = True
-        ctl[_REQUEST] = self._seq
+        self._ctl[_REQUEST] = self._seq
 
     def _wait(self) -> None:
         ended = not _await(self._ctl, _DONE, self._seq, self._running)
@@ -455,7 +476,7 @@ class Partner:
 
     # -- the child --------------------------------------------------------
 
-    def _serve(self, parent: int, cpu: int | None, flats, d_flats) -> None:
+    def _serve(self, parent: int, cpu: int | None, flats, d_flats, tail) -> None:
         others = os.sched_getaffinity(0) - {cpu}
         if cpu is not None and others:
             os.sched_setaffinity(0, others)
@@ -470,6 +491,10 @@ class Partner:
             op, layer, keep_cache, count = ctl[_OP:_SHAPE].tolist()
             if op == _STOP:
                 return
+            if op == _STEP:
+                tail()
+                ctl[_DONE] = self._seq
+                continue
             steps, batch, width = ctl[_SHAPE:_GROUPS].tolist()
             groups = ctl[_GROUPS:_GROUPS + 5 * count].reshape(count, 5).tolist()
             spans = [(slice(start, end), n) for _, _, start, end, n in groups]
@@ -503,15 +528,17 @@ def _partner_available() -> bool:
 
 
 @contextmanager
-def right_to_left_runner(spec: LstmSpec, flats, d_flats=(), steps: int = 1, rows: int = 1):
+def right_to_left_runner(spec: LstmSpec, flats, d_flats=(), steps: int = 1, rows: int = 1,
+                         tail=None):
     """The runner of the right-to-left direction for one train or predict
     call: a :class:`Partner` over ``flats`` and ``d_flats`` for batches
     of up to ``steps`` x ``rows`` when one can run, else :class:`Inline`.
+    Its :meth:`step` runs the callable ``tail`` where the runner runs.
     A partner is reaped on exit, whether or not the body raised."""
     if not len(flats) or not _partner_available():
-        yield Inline(spec)
+        yield Inline(spec, tail)
         return
-    partner = Partner(spec, flats, d_flats, steps, rows)
+    partner = Partner(spec, flats, d_flats, steps, rows, tail)
     try:
         yield partner
     finally:

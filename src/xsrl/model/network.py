@@ -21,6 +21,7 @@ group into forward-only batches of sentences of similar length.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -501,9 +502,11 @@ def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:
     BASIC), ordered by sentence length within a group (stable in request
     order) and run forward-only in padded batches of PREDICT_ROWS rows, so
     the encoder's working set is one batch whatever the corpus size.  Every
-    language's recurrent vector is made first; then one partner process,
-    where one can run, runs the right-to-left direction of every batch
-    (:func:`~xsrl.model.lstm.right_to_left_runner`).  A
+    language's recurrent vector is made first; then, when there is more
+    than one batch, one partner process, where one can run, runs the
+    right-to-left direction of every batch
+    (:func:`~xsrl.model.lstm.right_to_left_runner`); a single batch runs
+    it inline, as the fork would cost more than it saves.  A
     predicate position itself never becomes an argument; each frame keeps
     the sentence's sense for its predicate.
     """
@@ -518,20 +521,21 @@ def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:
     # every language's vector exists before a partner is forked, which
     # reads them unchanged
     flats = [_recurrent_vector(model, lang_id) for lang_id, _ in lang_groups]
-    with right_to_left_runner(spec, flats, steps=int(sizes.max(initial=1)),
-                              rows=min(PREDICT_ROWS, len(data))) as right_to_left:
-        for (_, cols), flat in zip(lang_groups, flats):
-            group = order[cols]
-            for start in range(0, len(group), PREDICT_ROWS):
-                batch = group[start:start + PREDICT_ROWS]
-                ids, lengths, _, _ = _pad(data, batch)
-                states, _ = bilstm_forward(spec, [(flat, slice(None))], _embed(model, ids),
-                                           lengths, keep_cache=False,
-                                           right_to_left=right_to_left)
-                emissions = states @ model.params["crf_emission"].T
-                for row, path in zip(
-                        batch, crf.viterbi(emissions, model.params["crf_transition"], lengths)):
-                    paths[row] = path
+    batches = [(flat, order[cols][start:start + PREDICT_ROWS])
+               for (_, cols), flat in zip(lang_groups, flats)
+               for start in range(0, cols.stop - cols.start, PREDICT_ROWS)]
+    runner = (right_to_left_runner(spec, flats, steps=int(sizes.max(initial=1)),
+                                   rows=min(PREDICT_ROWS, len(data)))
+              if len(batches) > 1 else nullcontext())
+    with runner as right_to_left:
+        for flat, batch in batches:
+            ids, lengths, _, _ = _pad(data, batch)
+            states, _ = bilstm_forward(spec, [(flat, slice(None))], _embed(model, ids),
+                                       lengths, keep_cache=False, right_to_left=right_to_left)
+            emissions = states @ model.params["crf_emission"].T
+            for row, path in zip(
+                    batch, crf.viterbi(emissions, model.params["crf_transition"], lengths)):
+                paths[row] = path
     labels = model.vocab.labels
     rows = iter(paths)
     out = []

@@ -129,8 +129,9 @@ def _workspace(model: SrlModel) -> tuple[np.ndarray, np.ndarray, Gradients]:
 
     Returns (parameters, gradient, gradient buffers).  The four buffers
     share one anonymous shared mapping, so a forked right-to-left partner
-    (:func:`_right_to_left`) reads the parameters as Adam steps them and
-    writes its gradients in place.  The trained entries of
+    (:func:`_right_to_left`) reads the parameters as Adam steps them,
+    writes its gradients in place and steps the second half of the
+    parameters itself.  The trained entries of
     ``model.params`` become views of the parameter buffer with the same
     values; a frozen word table stays where it is.
     """
@@ -150,16 +151,16 @@ def _workspace(model: SrlModel) -> tuple[np.ndarray, np.ndarray, Gradients]:
 
 
 @contextmanager
-def _right_to_left(model: SrlModel, grads: Gradients, data, rows: int):
+def _right_to_left(model: SrlModel, grads: Gradients, data, rows: int, tail=None):
     """``grads`` with the runner of the BiLSTM's right-to-left direction
     (:func:`~xsrl.model.lstm.right_to_left_runner`) for batches of up to
     ``rows`` examples of ``data``: it reads the recurrent weights and
-    writes their gradients in the shared workspace.  A forked partner is
-    reaped on exit."""
+    writes their gradients in the shared workspace, and its ``step()``
+    runs the callable ``tail``.  A forked partner is reaped on exit."""
     flats = [model.params["bilstm"]] if grads.flats is None else grads.flats
     steps = int(np.diff(data.offsets).max())
     with right_to_left_runner(model.config.lstm_spec(), flats, grads.d_flats, steps,
-                              min(rows, len(data))) as runner:
+                              min(rows, len(data)), tail) as runner:
         yield replace(grads, right_to_left=runner)
 
 
@@ -176,7 +177,9 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     every epoch.  The parameters, their gradient and Adam's moments are
     allocated once, as flat buffers, before the first batch; a forked
     partner runs the BiLSTM's right-to-left direction (:func:`_right_to_left`)
-    and is reaped before this returns or raises.  Identical
+    and steps the second half of the parameter vector while this process
+    steps the first, and it is reaped before this returns or raises.
+    Adam is elementwise, so the halves give the bits of one step.  Identical
     corpus, config and seed give bit-identical models.  A non-finite loss
     or gradient raises :class:`TrainingError` naming the epoch and batch.
     """
@@ -190,11 +193,16 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     config = model.config
     data = encode_examples(model, examples)
     params, grad, grads = _workspace(model)
-    optimizer = _Adam(params, config.learning_rate)
+    # both optimizers exist before a partner is forked; from the fork on
+    # the partner owns the tail's moments, which this process never touches
+    split = params.size // 2
+    head = _Adam(params[:split], config.learning_rate)
+    tail = _Adam(params[split:], config.learning_rate)
     rng = np.random.default_rng(seed + 1)
 
     losses: list[float] = []
-    with _right_to_left(model, grads, data, config.batch_size) as grads:
+    with _right_to_left(model, grads, data, config.batch_size,
+                        tail=lambda: tail.update(params[split:], grad[split:])) as grads:
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(len(examples))
             epoch_loss = 0.0
@@ -208,7 +216,9 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
                         f"non-finite loss or gradient in epoch {epoch}, batch {batch_no}")
                 if config.clip_norm > 0 and norm > config.clip_norm:
                     grad *= config.clip_norm / norm
-                optimizer.update(params, grad)
+                tail_step = grads.right_to_left.step()
+                head.update(params[:split], grad[:split])
+                tail_step()
                 epoch_loss += loss
             losses.append(epoch_loss / len(examples))
     return model, losses
@@ -221,9 +231,12 @@ def gradient_check(model: SrlModel, examples: list[TrainingExample],
 
     Runs the examples as one batch through :func:`loss_and_gradients` into
     the training workspace, built once with the right-to-left runner that
-    :func:`train` uses, and keeps a copy of its flat gradient; then perturbs the parameter views that Adam steps at least
-    ``samples`` coordinates spread over every trained tensor and returns the
-    maximum relative error |g_a - g_n| / max(|g_a|, |g_n|, 1e-4) (float64 only).
+    :func:`train` uses, and keeps a copy of its flat gradient as the
+    analytic result.  Then it perturbs, through the parameter views that
+    Adam steps, about ``samples`` coordinates spread over the trained
+    tensors (at least five of each, or all of a smaller one), and returns
+    the maximum relative error |g_a - g_n| / max(|g_a|, |g_n|, 1e-4)
+    (float64 only).
     """
     if any(p.dtype != np.float64 for p in model.params.values()):
         raise ModelError("gradient_check needs float64 parameters")

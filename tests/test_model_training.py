@@ -18,6 +18,7 @@ from xsrl.model import (
     train,
 )
 from xsrl.model.network import TrainingExample, examples_from_corpus
+from xsrl.model.training import ADAM_BLOCK, _Adam
 
 from conftest import token_f1, workspace_loss
 
@@ -411,7 +412,7 @@ def reference_adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e
 def test_blocked_adam_matches_per_tensor_step():
     """The flat optimiser, stepped in blocks, against one whole-tensor step
     per tensor: block boundaries fall inside a tensor and between two."""
-    from xsrl.model.training import ADAM_BLOCK, _Adam, _views
+    from xsrl.model.training import _views
     rng = np.random.default_rng(3)
     shapes = {"big": (2, ADAM_BLOCK // 2 + 3), "small": (5, 4),
               "vector": (ADAM_BLOCK - 26,), "tail": (3,)}
@@ -432,3 +433,33 @@ def test_blocked_adam_matches_per_tensor_step():
         assert np.array_equal(_views(flat, shapes)[name], expected[name])
         assert np.array_equal(_views(adam.m, shapes)[name], state["m"][name])
         assert np.array_equal(_views(adam.v, shapes)[name], state["v"][name])
+
+
+@pytest.mark.parametrize("shapes", [
+    {"big": (3, ADAM_BLOCK // 2 + 5), "vector": (ADAM_BLOCK + 11,), "tail": (7,)},
+    {"odd": (2 * ADAM_BLOCK + 2001,)},
+    {"small": (31, 17), "tail": (3,)},
+], ids=["inside a tensor", "odd size", "under one block"])
+def test_split_adam_matches_one_step(shapes):
+    """Two optimizers over the halves that train splits the vector into,
+    against one over the whole vector: the parameters and both moments
+    agree bit for bit after four steps.  The split falls inside a tensor
+    and off every ADAM_BLOCK edge."""
+    rng = np.random.default_rng(5)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    size = sum(sizes)
+    split = size // 2
+    assert split % ADAM_BLOCK and split not in np.cumsum(sizes)
+    flat = rng.normal(size=size)
+    whole_params = flat.copy()
+    whole = _Adam(whole_params, learning_rate=0.01)
+    head, tail = _Adam(flat[:split], learning_rate=0.01), _Adam(flat[split:], learning_rate=0.01)
+    for _ in range(4):
+        # gradients spread over several orders of magnitude
+        grad = rng.normal(size=size) * 10.0 ** rng.integers(-6, 3, size=size)
+        whole.update(whole_params, grad.copy())
+        tail.update(flat[split:], grad[split:])
+        head.update(flat[:split], grad[:split])
+    assert flat.tobytes() == whole_params.tobytes()
+    assert np.concatenate([head.m, tail.m]).tobytes() == whole.m.tobytes()
+    assert np.concatenate([head.v, tail.v]).tobytes() == whole.v.tobytes()

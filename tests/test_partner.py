@@ -1,10 +1,11 @@
 """The right-to-left partner process: same bytes as inline, and no child left.
 
-``train`` and ``predict`` fork a partner that runs every layer's
-right-to-left direction when a second CPU is in the affinity mask, and
-run that direction inline otherwise.  Both paths must write the same
-checkpoint and the same predictions, and the partner must be reaped
-before ``train`` or ``predict`` returns or raises.
+``train`` and ``predict`` (of more than one batch) fork a partner that
+runs every layer's right-to-left direction when a second CPU is in the
+affinity mask, and run that direction inline otherwise; ``train``'s
+partner also steps the second half of Adam's vector.  Both paths must
+write the same checkpoint and the same predictions, and the partner must
+be reaped before ``train`` or ``predict`` returns or raises.
 """
 
 import os
@@ -15,7 +16,8 @@ import pytest
 
 from xsrl import blas, cli
 from xsrl.corpus import Corpus, parse_srl_corpus
-from xsrl.model import BASIC, PGN, ModelConfig, TrainingError, Vocabulary, lstm, predict, train
+from xsrl.model import (BASIC, PGN, ModelConfig, TrainingError, Vocabulary, lstm, predict,
+                        network, train, training)
 from xsrl.model.serialize import save_model
 
 from conftest import DATA
@@ -63,12 +65,15 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+def requests_of(sentences):
+    return [(s, [f.pred_index for f in s.frames], s.lang) for s in sentences]
+
+
 def train_and_predict(corpus, variant, layers, path):
     """(checkpoint bytes, predicted frames) of one train and predict."""
     model, _ = train(corpus, config(variant, layers), seed=3)
     save_model(model, str(path))
-    requests = [(s, [f.pred_index for f in s.frames], s.lang) for s in corpus.sentences]
-    return path.read_bytes(), predict(model, requests)
+    return path.read_bytes(), predict(model, requests_of(corpus.sentences))
 
 
 @needs_partner
@@ -106,22 +111,23 @@ def test_no_child_after_a_non_finite_loss(corpus, forks):
     cfg = config(BASIC, 1)
     vocab = Vocabulary.from_corpus(corpus)
     table = np.full((len(vocab.words), cfg.word_dim), np.inf)
-    with pytest.raises(TrainingError, match="epoch 1, batch 1"):
+    with pytest.raises(TrainingError, match="epoch 1, batch 1"), \
+            pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
         train(corpus, cfg, seed=1, word_table=table, vocab=vocab)
     assert len(forks) == 1
     assert_reaped(forks)
 
 
-def fail_in_child(monkeypatch, name, failure):
-    """Make ``lstm.<name>`` call ``failure`` when it runs in a child."""
-    real, parent = getattr(lstm, name), os.getpid()
+def fail_in_child(monkeypatch, name, failure, owner=lstm):
+    """Make ``owner.<name>`` call ``failure`` when it runs in a child."""
+    real, parent = getattr(owner, name), os.getpid()
 
     def patched(*args, **kwargs):
         if os.getpid() != parent:
             failure()
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lstm, name, patched)
+    monkeypatch.setattr(owner, name, patched)
 
 
 def simulated_failure():
@@ -164,8 +170,71 @@ def test_partner_failure_exits_3(tmp_path, forks, monkeypatch, capsys):
 def test_no_child_after_predict_raises(corpus, forks, monkeypatch):
     model, _ = train(corpus, config(BASIC, 1), seed=3)
     fail_in_child(monkeypatch, "_cell_forward", simulated_failure)
-    requests = [(s, [f.pred_index for f in s.frames], s.lang) for s in corpus.sentences]
     with pytest.raises(lstm.PartnerError):
-        predict(model, requests)
+        predict(model, requests_of(corpus.sentences))
     assert len(forks) == 2
     assert_reaped(forks)
+
+
+@pytest.fixture
+def adam_steps(monkeypatch):
+    """Adam steps counted by optimizer and process, in shared memory so a
+    child's count is seen here: row 0 is the first optimizer ``train``
+    builds (the head), row 1 the second (the tail); column 0 counts steps
+    in this process, column 1 steps in a child."""
+    counts = lstm.shared_array(4, np.int64).reshape(2, 2)
+    parent, built = os.getpid(), []
+
+    class CountingAdam(training._Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.index = len(built)
+            built.append(self)
+
+        def update(self, params, grad):
+            counts[self.index, int(os.getpid() != parent)] += 1
+            super().update(params, grad)
+
+    monkeypatch.setattr(training, "_Adam", CountingAdam)
+    return counts
+
+
+@pytest.mark.parametrize("runner", [pytest.param("partner", marks=needs_partner), "inline"])
+def test_the_tail_step_runs_where_the_direction_runs(corpus, forks, monkeypatch, adam_steps,
+                                                     runner):
+    if runner == "inline":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cfg = config(BASIC, 1)
+    train(corpus, cfg, seed=3)
+    examples = sum(len(s.frames) for s in corpus.sentences)
+    batches = cfg.epochs * -(-examples // cfg.batch_size)
+    in_child = runner == "partner"
+    assert adam_steps.tolist() == [[batches, 0], [batches * (not in_child), batches * in_child]]
+    assert len(forks) == in_child
+    assert_reaped(forks)
+
+
+@needs_partner
+def test_tail_step_failure_is_raised_and_reaped(corpus, forks, monkeypatch):
+    fail_in_child(monkeypatch, "update", simulated_failure, owner=training._Adam)
+    with pytest.raises(lstm.PartnerError,
+                       match="right-to-left partner: RuntimeError: simulated partner failure"):
+        train(corpus, config(BASIC, 2), seed=3)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_one_batch_predict_forks_nothing(corpus, forks):
+    """EN's rows fill one batch: predicting them alone forks no partner and
+    gives the frames they get beside DE's, where EN's batch is the same and
+    two batches fork one where a partner can run."""
+    model, _ = train(corpus, config(PGN, 2), seed=3)
+    forks.clear()
+    english = [s for s in corpus.sentences if s.lang == "EN"]
+    alone = predict(model, requests_of(english))
+    assert sum(len(s.frames) for s in english) <= network.PREDICT_ROWS
+    assert forks == []
+    beside = predict(model, requests_of(corpus.sentences))
+    assert len(forks) == lstm._partner_available()
+    assert_reaped(forks)
+    assert [frames for s, frames in zip(corpus.sentences, beside) if s.lang == "EN"] == alone
