@@ -30,7 +30,8 @@ DEFAULT_BUCKETS = ((1, 2), (3, 6), (7, None))
 
 
 class EvalError(ValueError):
-    """Raised for misaligned corpora or invalid bucket definitions."""
+    """Raised for misaligned corpora, invalid bucket definitions or a
+    malformed report."""
 
 
 @dataclass(frozen=True)
@@ -186,26 +187,58 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SCORES = ("precision", "recall", "f1")
+_COUNTS = ("gold_args", "pred_args")
+
+
+def _report_value(text: str, lineno: int, count: bool = False):
+    """A report field: a count >= 0, or a score in [0, 1]."""
+    try:
+        value = int(text) if count else float(text)
+    except ValueError:
+        value = -1
+    valid = value >= 0 if count else 0.0 <= value <= 1.0
+    if valid:
+        return value
+    what = "a count" if count else "a score in [0, 1]"
+    raise EvalError(f"line {lineno}: expected {what}, got {text!r}")
+
+
 def parse_report(text: str) -> EvalReport:
+    """Read back a :func:`format_report` text.  A malformed line, an unknown
+    name or section, a score outside [0, 1] (NaN included) or a missing
+    top-level line raises :class:`EvalError` naming the line."""
     top: dict[str, float] = {}
     tables: dict[str, dict[str, RoleScore]] = {"per_role": {}, "per_distance": {}}
     section = None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("["):
             section = line.strip("[]")
+            if section not in tables:
+                raise EvalError(f"line {lineno}: unknown section {line.strip()}")
             continue
         if section is None:
-            key, value = line.split("\t")
-            top[key] = float(value)
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise EvalError(f"line {lineno}: expected a name, a tab and a value")
+            key, value = fields
+            if key not in _SCORES + _COUNTS:
+                raise EvalError(f"line {lineno}: unknown name {key!r}")
+            top[key] = _report_value(value, lineno, key in _COUNTS)
         elif not line.startswith(("role,", "bucket,")):
-            name, p, r, f, support = line.split(",")
-            tables[section][name] = RoleScore(float(p), float(r), float(f), int(support))
-    return EvalReport(
-        precision=top["precision"], recall=top["recall"], f1=top["f1"],
-        gold_args=int(top["gold_args"]), pred_args=int(top["pred_args"]),
-        per_role=tables["per_role"], per_distance=tables["per_distance"])
+            fields = line.split(",")
+            if len(fields) != 5:
+                raise EvalError(f"line {lineno}: expected 'name,precision,recall,f1,support', "
+                                f"got {len(fields)} fields")
+            name, *scores, support = fields
+            tables[section][name] = RoleScore(*(_report_value(s, lineno) for s in scores),
+                                              _report_value(support, lineno, count=True))
+    for key in _SCORES + _COUNTS:
+        if key not in top:
+            raise EvalError(f"no {key!r} line")
+    return EvalReport(**top, per_role=tables["per_role"], per_distance=tables["per_distance"])
 
 
 def aggregate_reports(reports: list[EvalReport]) -> EvalReport:

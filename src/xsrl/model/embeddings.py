@@ -8,6 +8,9 @@ frozen during training; an all-zero row for unknown words is prepended by
 
 from __future__ import annotations
 
+import math
+from array import array
+
 import numpy as np
 
 from ..corpus import Corpus
@@ -25,8 +28,12 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
             count, dim = int(header[0]), int(header[1])
         except ValueError:
             raise ModelError("line 1: expected integer count and dim") from None
+        if count < 0 or dim < 1:
+            raise ModelError(
+                f"line 1: expected a count >= 0 and a dim >= 1, got {count} {dim}")
         words: list[str] = []
-        vectors = np.empty((count, dim), dtype=np.float64)
+        # grows with the vectors read, not with the declared count
+        values = array("d")
         for lineno, line in enumerate(fh, start=2):
             fields = line.rstrip("\n").split(" ")
             if len(fields) != dim + 1:
@@ -37,14 +44,15 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
                 raise ModelError(f"line {lineno}: more vectors than the declared {count}")
             words.append(fields[0])
             try:
-                vectors[len(words) - 1] = [float(v) for v in fields[1:]]
+                row = [float(v) for v in fields[1:]]
             except ValueError:
                 raise ModelError(f"line {lineno}: malformed float value") from None
-            if not np.isfinite(vectors[len(words) - 1]).all():
+            if not all(map(math.isfinite, row)):
                 raise ModelError(f"line {lineno}: non-finite value")
+            values.extend(row)
     if len(words) != count:
         raise ModelError(f"expected {count} vectors, file has {len(words)}")
-    return words, vectors
+    return words, np.frombuffer(values, dtype=np.float64).reshape(count, dim)
 
 
 def vocabulary_with_table(words: list[str], vectors: np.ndarray,

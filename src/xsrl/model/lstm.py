@@ -24,12 +24,15 @@ cell work run once over the whole batch.
 
 The two directions of a layer do not depend on each other until the
 layer joins them, so the right-to-left one goes through a runner while
-this process runs the left-to-right one.  :func:`right_to_left_runner`
-gives a forked :class:`Partner` process when this one may use a second
-CPU, and :class:`Inline` otherwise; both run the same recurrence on the
-same inputs, so the outputs are bit-identical either way.  A runner can
-also be given a tail step, which training uses to step the second half
-of Adam's vector in the partner while this process steps the first.
+this process runs the left-to-right one.  The runner owns the weight
+vectors and their gradient vectors, and a group names its vector by its
+index into them.  :func:`right_to_left_runner` gives a forked
+:class:`Partner` process when this one may use a second CPU, and
+:class:`Inline` otherwise; the partner's child serves each call through
+:class:`Inline`'s code on the same inputs, so the outputs are
+bit-identical either way.  A runner can also be given a tail step, which
+training uses to step the second half of Adam's vector in the partner
+while this process steps the first.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ import numpy as np
 
 from .. import blas
 
-__all__ = ["LstmSpec", "bilstm_forward", "bilstm_backward", "right_to_left_runner",
-           "shared_array"]
+__all__ = ["LstmSpec", "Inline", "bilstm_forward", "bilstm_backward",
+           "right_to_left_runner", "shared_array"]
 
 
 @dataclass(frozen=True)
@@ -94,19 +97,6 @@ class LstmSpec:
                 directions.append((w_x, w_h, b))
             out.append(directions)
         return out
-
-    def forget_bias_offsets(self) -> list[tuple[int, int]]:
-        """(start, end) ranges of every forget-gate bias segment in the flat vector."""
-        h = self.hidden
-        pairs = []
-        offset = 0
-        for layer in range(self.layers):
-            d = self.layer_input_dim(layer)
-            for _ in range(2):
-                offset += 4 * h * d + 4 * h * h
-                pairs.append((offset + h, offset + 2 * h))
-                offset += 4 * h
-        return pairs
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -245,38 +235,40 @@ def _spans(groups, lengths, steps: int) -> list[tuple[slice, int]]:
             for _, cols in groups]
 
 
-def _direction(views, layer: int, direction: int) -> list:
-    return [v[layer][direction] for v in views]
-
-
 class Inline:
-    """Runs the right-to-left direction, and the tail step ``tail``, in
-    this process.
+    """Owns the BiLSTM's weight vectors ``flats`` and gradient vectors
+    ``d_flats`` (a group names both by its index into them), and runs the
+    right-to-left direction, and the tail step ``tail``, in this process.
 
-    :meth:`forward`, :meth:`backward` and :meth:`step` do the work when
-    called and return a function that gives the result, as
-    :class:`Partner`'s do.
+    ``views`` and ``d_views`` hold every vector's :meth:`LstmSpec.views`,
+    built once.  :meth:`forward`, :meth:`backward` and :meth:`step` do the
+    work when called and return a function that gives the result, as
+    :class:`Partner`'s do; the right-to-left caches stay here from a
+    layer's forward to its backward.
     """
 
-    def __init__(self, spec: LstmSpec, tail=None):
+    def __init__(self, spec: LstmSpec, flats, d_flats=(), tail=None):
         self.spec = spec
+        self.flats, self.d_flats = flats, d_flats
+        self.views = [spec.views(flat) for flat in flats]
+        self.d_views = [spec.views(d_flat) for d_flat in d_flats]
         self.tail = tail
+        self._caches = {}
 
-    def forward(self, layer, flats, spans, inputs, keep_cache):
-        result = _cell_forward(self._direction(flats, layer), spans, inputs, keep_cache)
-        return lambda: result
+    def forward(self, layer, keys, spans, inputs, keep_cache):
+        weights = [self.views[key][layer][1] for key in keys]
+        states, self._caches[layer] = _cell_forward(weights, spans, inputs, keep_cache)
+        return lambda: states
 
-    def backward(self, layer, flats, d_flats, spans, cache, d_states):
-        d_inputs = _cell_backward(self._direction(flats, layer), spans, cache, d_states,
-                                  self._direction(d_flats, layer))
+    def backward(self, layer, keys, spans, d_states):
+        weights = [self.views[key][layer][1] for key in keys]
+        d_weights = [self.d_views[key][layer][1] for key in keys]
+        d_inputs = _cell_backward(weights, spans, self._caches.pop(layer), d_states, d_weights)
         return lambda: d_inputs
 
     def step(self):
         self.tail()
         return lambda: None
-
-    def _direction(self, flats, layer: int) -> list:
-        return [self.spec.views(flat)[layer][1] for flat in flats]
 
 
 class PartnerError(RuntimeError):
@@ -284,7 +276,7 @@ class PartnerError(RuntimeError):
 
 
 # Words of the control block at the start of the exchange mapping, then
-# five per group: flat, d_flat, first column, end column, steps.
+# four per group: key, first column, end column, steps.
 _REQUEST, _DONE, _FAILED, _OP, _LAYER, _KEEP, _COUNT, _SHAPE = range(8)
 _GROUPS = _SHAPE + 3
 _STOP, _FORWARD, _BACKWARD, _STEP = range(4)
@@ -297,10 +289,6 @@ _ERROR_BYTES = 1024
 _SPINS = 2000
 _NAP = 2e-5
 _CHECK_EVERY = 256
-
-
-def _address(array: np.ndarray) -> int:
-    return array.__array_interface__["data"][0]
 
 
 def _aligned(offset: int) -> int:
@@ -331,22 +319,22 @@ def _current_cpu() -> int | None:
         return None
 
 
-class Partner:
+class Partner(Inline):
     """Runs the right-to-left direction, and the tail step ``tail``, in a
     forked child process.
 
     The constructor forks the child and :meth:`close` reaps it.  The
-    child reads the weight vectors ``flats`` and writes the weight
-    gradients into ``d_flats`` in place, so a flat must be shared memory
-    (:func:`shared_array`) or stay unchanged after the fork, and a d_flat
-    must be shared memory; calls name them by address, since a row taken
-    again is a new view.  Each call's input, the child's states and its
-    input gradients pass through a shared exchange mapping sized for
-    batches of up to ``steps`` x ``rows``.  :meth:`step` runs the
-    callable ``tail`` in the child, with the state it had at the fork:
-    training passes the step of the second half of Adam's vector, whose
-    moments the child owns from the fork on and whose parameters and
-    gradient are shared memory.
+    child serves each call through :meth:`Inline.forward` and
+    :meth:`Inline.backward`: it reads the weight vectors ``flats`` and
+    writes the weight gradients into ``d_flats`` in place, so a flat must
+    be shared memory (:func:`shared_array`) or stay unchanged after the
+    fork, and a d_flat must be shared memory.  Each call's input, the
+    child's states and its input gradients pass through a shared exchange
+    mapping sized for batches of up to ``steps`` x ``rows``.  :meth:`step`
+    runs the callable ``tail`` in the child, with the state it had at the
+    fork: training passes the step of the second half of Adam's vector,
+    whose moments the child owns from the fork on and whose parameters
+    and gradient are shared memory.
 
     A hand-off is a sequence number written into that mapping, which the
     waiting side polls (:func:`_await`): pipes and semaphores were slower,
@@ -358,12 +346,10 @@ class Partner:
     """
 
     def __init__(self, spec: LstmSpec, flats, d_flats, steps: int, rows: int, tail=None):
-        self.spec = spec
+        super().__init__(spec, flats, d_flats, tail)
         self._steps, self._rows = steps, rows
-        self._keys = {_address(flat): key for key, flat in enumerate(flats)}
-        self._d_keys = {_address(d_flat): key for key, d_flat in enumerate(d_flats)}
         dtype = flats[0].dtype
-        words = _GROUPS + 5 * len(flats)
+        words = _GROUPS + 4 * len(flats)
         self._error_at = 8 * words
         width = steps * rows * max(spec.input_dim, 2 * spec.hidden)
         x_at = _aligned(self._error_at + _ERROR_BYTES)
@@ -381,7 +367,7 @@ class Partner:
         if self._pid == 0:
             code = 1
             try:
-                self._serve(parent, cpu, flats, d_flats, tail)
+                self._serve(parent, cpu)
                 code = 0
             except BaseException as exc:  # noqa: BLE001 - reported, then os._exit
                 self._fail(exc)
@@ -390,22 +376,22 @@ class Partner:
 
     # -- this process -----------------------------------------------------
 
-    def forward(self, layer, flats, spans, inputs, keep_cache):
+    def forward(self, layer, keys, spans, inputs, keep_cache):
         steps, batch, _ = inputs.shape
         self._x[:inputs.size].reshape(inputs.shape)[...] = inputs
-        self._post(_FORWARD, layer, flats, None, spans, inputs.shape, keep_cache)
+        self._post(_FORWARD, layer, keys, spans, inputs.shape, keep_cache)
 
         def result():
             self._wait()
-            return self._h[:steps * batch * self.spec.hidden].reshape(steps, batch, -1), None
+            return self._h[:steps * batch * self.spec.hidden].reshape(steps, batch, -1)
 
         return result
 
-    def backward(self, layer, flats, d_flats, spans, cache, d_states):
+    def backward(self, layer, keys, spans, d_states):
         steps, batch, _ = d_states.shape
         shape = (steps, batch, self.spec.layer_input_dim(layer))
         self._h[:d_states.size].reshape(d_states.shape)[...] = d_states
-        self._post(_BACKWARD, layer, flats, d_flats, spans, shape, False)
+        self._post(_BACKWARD, layer, keys, spans, shape, False)
 
         def result():
             self._wait()
@@ -430,7 +416,7 @@ class Partner:
         os.waitpid(self._pid, 0)
         self._pid = None
 
-    def _post(self, op, layer, flats, d_flats, spans, shape, keep_cache) -> None:
+    def _post(self, op, layer, keys, spans, shape, keep_cache) -> None:
         steps, batch, _ = shape
         if steps > self._steps or batch > self._rows:
             raise ValueError(f"a batch of {steps} steps x {batch} rows exceeds the "
@@ -438,16 +424,11 @@ class Partner:
         ctl = self._ctl
         ctl[_LAYER], ctl[_KEEP], ctl[_COUNT] = layer, keep_cache, len(spans)
         ctl[_SHAPE:_GROUPS] = shape
-        for g, (flat, (cols, n)) in enumerate(zip(flats, spans)):
+        for g, (key, (cols, n)) in enumerate(zip(keys, spans)):
             start, end, stride = cols.indices(batch)
-            try:
-                keys = (self._keys[_address(flat)],
-                        -1 if d_flats is None else self._d_keys[_address(d_flats[g])])
-            except KeyError:
-                raise ValueError("weights that were not given to the partner") from None
             if stride != 1:
                 raise ValueError("a group's columns must be a contiguous slice")
-            ctl[_GROUPS + 5 * g:_GROUPS + 5 * g + 5] = (*keys, start, end, n)
+            ctl[_GROUPS + 4 * g:_GROUPS + 4 * g + 4] = (key, start, end, n)
         self._publish(op)
 
     def _publish(self, op) -> None:
@@ -476,13 +457,10 @@ class Partner:
 
     # -- the child --------------------------------------------------------
 
-    def _serve(self, parent: int, cpu: int | None, flats, d_flats, tail) -> None:
+    def _serve(self, parent: int, cpu: int | None) -> None:
         others = os.sched_getaffinity(0) - {cpu}
         if cpu is not None and others:
             os.sched_setaffinity(0, others)
-        views = [self.spec.views(flat) for flat in flats]
-        d_views = [self.spec.views(d_flat) for d_flat in d_flats]
-        caches = {}
         ctl, h = self._ctl, self.spec.hidden
         while True:
             self._seq += 1
@@ -492,21 +470,20 @@ class Partner:
             if op == _STOP:
                 return
             if op == _STEP:
-                tail()
+                self.tail()
                 ctl[_DONE] = self._seq
                 continue
             steps, batch, width = ctl[_SHAPE:_GROUPS].tolist()
-            groups = ctl[_GROUPS:_GROUPS + 5 * count].reshape(count, 5).tolist()
-            spans = [(slice(start, end), n) for _, _, start, end, n in groups]
-            weights = [views[key][layer][1] for key, *_ in groups]
+            groups = ctl[_GROUPS:_GROUPS + 4 * count].reshape(count, 4).tolist()
+            keys = [key for key, *_ in groups]
+            spans = [(slice(start, end), n) for _, start, end, n in groups]
             if op == _FORWARD:
                 inputs = self._x[:steps * batch * width].reshape(steps, batch, width).copy()
-                states, caches[layer] = _cell_forward(weights, spans, inputs, keep_cache)
+                states = Inline.forward(self, layer, keys, spans, inputs, keep_cache)()
                 self._h[:states.size] = states.reshape(-1)
             else:
-                d_weights = [d_views[d_key][layer][1] for _, d_key, *_ in groups]
                 d_states = self._h[:steps * batch * h].reshape(steps, batch, h)
-                d_inputs = _cell_backward(weights, spans, caches.pop(layer), d_states, d_weights)
+                d_inputs = Inline.backward(self, layer, keys, spans, d_states)()
                 self._x[:d_inputs.size] = d_inputs.reshape(-1)
             ctl[_DONE] = self._seq
 
@@ -535,8 +512,8 @@ def right_to_left_runner(spec: LstmSpec, flats, d_flats=(), steps: int = 1, rows
     of up to ``steps`` x ``rows`` when one can run, else :class:`Inline`.
     Its :meth:`step` runs the callable ``tail`` where the runner runs.
     A partner is reaped on exit, whether or not the body raised."""
-    if not len(flats) or not _partner_available():
-        yield Inline(spec, tail)
+    if not _partner_available():
+        yield Inline(spec, flats, d_flats, tail)
         return
     partner = Partner(spec, flats, d_flats, steps, rows, tail)
     try:
@@ -552,17 +529,18 @@ def shared_array(size: int, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype, size)
 
 
-def bilstm_forward(spec: LstmSpec, groups, inputs: np.ndarray, lengths=None,
-                   keep_cache=True, right_to_left=None):
+def bilstm_forward(runner: Inline, groups, inputs: np.ndarray, lengths=None,
+                   keep_cache=True):
     """Encode a padded batch ``inputs`` (T, B, input_dim) into (T, B, 2*hidden).
 
-    ``groups`` holds one ``(flat, cols)`` pair per weight group: columns
-    ``cols`` (a slice of the batch axis) run with the parameter vector
-    ``flat``; one group over the whole batch is ``[(flat, slice(None))]``.
-    ``lengths`` (B,) holds each sequence's length; None means every
-    sequence fills all T steps.  ``right_to_left`` (from
-    :func:`right_to_left_runner`; :class:`Inline` when None) runs each
+    ``runner`` (:class:`Inline`, or a :class:`Partner` from
+    :func:`right_to_left_runner`) owns the weight vectors and runs each
     layer's right-to-left direction while this process runs the other.
+    ``groups`` holds one ``(key, cols)`` pair per weight group: columns
+    ``cols`` (a slice of the batch axis) run with the runner's vector
+    number ``key``; one group over the whole batch is
+    ``[(key, slice(None))]``.  ``lengths`` (B,) holds each sequence's
+    length; None means every sequence fills all T steps.
     Returns (states, caches); pass ``caches`` to :func:`bilstm_backward`.
     Without ``keep_cache`` (inference) caches is None and each layer's
     gate block is freed before the next layer runs.  States at padded
@@ -572,41 +550,34 @@ def bilstm_forward(spec: LstmSpec, groups, inputs: np.ndarray, lengths=None,
     lengths = None if lengths is None else np.asarray(lengths)
     spans = _spans(groups, lengths, steps)
     rev = _reversal(steps, lengths)
-    right_to_left = right_to_left or Inline(spec)
-    flats = [flat for flat, _ in groups]
-    views = [spec.views(flat) for flat in flats]
+    keys = [key for key, _ in groups]
     caches = []
     layer_in = inputs
-    for layer in range(spec.layers):
-        pending = right_to_left.forward(layer, flats, spans, _reverse(layer_in, rev), keep_cache)
-        fwd, cache_f = _cell_forward(_direction(views, layer, 0), spans, layer_in, keep_cache)
-        bwd_rev, cache_b = pending()
-        caches.append((cache_f, cache_b))
-        layer_in = np.concatenate([fwd, _reverse(bwd_rev, rev)], axis=2)
-    return layer_in, ((spans, rev, right_to_left, caches) if keep_cache else None)
+    for layer in range(runner.spec.layers):
+        pending = runner.forward(layer, keys, spans, _reverse(layer_in, rev), keep_cache)
+        weights = [runner.views[key][layer][0] for key in keys]
+        fwd, cache = _cell_forward(weights, spans, layer_in, keep_cache)
+        caches.append(cache)
+        layer_in = np.concatenate([fwd, _reverse(pending(), rev)], axis=2)
+    return layer_in, ((runner, keys, spans, rev, caches) if keep_cache else None)
 
 
-def bilstm_backward(spec: LstmSpec, groups, caches, d_out: np.ndarray,
-                    d_flats: np.ndarray):
-    """Backprop through the stack; returns (d_inputs, d_flats).
+def bilstm_backward(caches, d_out: np.ndarray) -> np.ndarray:
+    """Backprop through the stack; returns d_inputs.
 
-    ``groups`` and ``caches`` are those of the :func:`bilstm_forward`
-    call, whose runner runs the right-to-left direction again.  ``d_out``
-    must be zero at padded positions; padding then adds exactly zero to
-    every gradient.  Row g of ``d_flats`` (one row per group, each shaped
-    like its ``flat``) is overwritten with group g's gradient.
+    ``caches`` are those of the :func:`bilstm_forward` call, whose runner
+    runs the right-to-left direction again.  ``d_out`` must be zero at
+    padded positions; padding then adds exactly zero to every gradient.
+    Each group's weight gradient overwrites the runner's gradient vector
+    of the group's key.
     """
-    h = spec.hidden
-    spans, rev, right_to_left, layer_caches = caches
-    d_views = [spec.views(d_flat) for d_flat in d_flats]
-    flats = [flat for flat, _ in groups]
-    views = [spec.views(flat) for flat in flats]
+    runner, keys, spans, rev, layer_caches = caches
+    h = runner.spec.hidden
     d_layer = d_out
-    for layer in range(spec.layers - 1, -1, -1):
-        cache_f, cache_b = layer_caches[layer]
-        pending = right_to_left.backward(layer, flats, d_flats, spans, cache_b,
-                                         _reverse(d_layer[..., h:], rev))
-        d_in_f = _cell_backward(_direction(views, layer, 0), spans, cache_f,
-                                d_layer[..., :h], _direction(d_views, layer, 0))
+    for layer in range(runner.spec.layers - 1, -1, -1):
+        pending = runner.backward(layer, keys, spans, _reverse(d_layer[..., h:], rev))
+        weights = [runner.views[key][layer][0] for key in keys]
+        d_weights = [runner.d_views[key][layer][0] for key in keys]
+        d_in_f = _cell_backward(weights, spans, layer_caches[layer], d_layer[..., :h], d_weights)
         d_layer = d_in_f + _reverse(pending(), rev)
-    return d_layer, d_flats
+    return d_layer

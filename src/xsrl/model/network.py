@@ -28,7 +28,7 @@ import numpy as np
 
 from ..corpus import UNIVERSAL_TAGS, Corpus, PredicateFrame, Sentence
 from . import crf
-from .lstm import LstmSpec, bilstm_backward, bilstm_forward, right_to_left_runner
+from .lstm import Inline, LstmSpec, bilstm_backward, bilstm_forward, right_to_left_runner
 
 __all__ = [
     "ModelError",
@@ -232,8 +232,9 @@ def init_model(config: ModelConfig, vocab: Vocabulary, seed: int = 42,
     params["pred_table"] = uniform(2, config.pred_dim)
     if config.variant == BASIC:
         flat = uniform(spec.total_params)
-        for start, end in spec.forget_bias_offsets():
-            flat[start:end] = 1.0
+        for directions in spec.views(flat):
+            for _, _, b in directions:
+                b[config.hidden:2 * config.hidden] = 1.0
         params["bilstm"] = flat
     else:
         if not vocab.languages:
@@ -289,18 +290,17 @@ class Gradients:
     """The buffers one :func:`loss_and_gradients` call writes into.
 
     ``tensors`` maps every trained tensor to its gradient, in
-    :func:`training_shapes` order.  Row g of ``d_flats`` receives the
-    recurrent gradient of the batch's language group g: for BASIC it is
-    the ``bilstm`` gradient as one row; for PGN it is a (languages, P)
-    block, and ``flats``, a second one, holds the generated vectors.
-    ``right_to_left`` runs the BiLSTM's right-to-left direction (see
-    :func:`~xsrl.model.lstm.right_to_left_runner`); None runs it inline.
+    :func:`training_shapes` order.  ``right_to_left`` is the BiLSTM's
+    runner (:class:`~xsrl.model.lstm.Inline`, or the partner of
+    :func:`~xsrl.model.lstm.right_to_left_runner`), which owns the
+    recurrent vectors: for BASIC its one weight row is ``bilstm`` and its
+    one gradient row is the ``bilstm`` gradient; for PGN they are two
+    (languages, P) blocks, and row g of each holds the generated vector
+    and the recurrent gradient of the batch's language group g.
     """
 
     tensors: dict[str, np.ndarray]
-    d_flats: np.ndarray
-    flats: np.ndarray | None = None
-    right_to_left: object = None
+    right_to_left: Inline
 
 
 def _feature_ids(model: SrlModel, sentence: Sentence, pred_index: int) -> np.ndarray:
@@ -447,7 +447,6 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows, grads: Grad
     """
     config = model.config
     params = model.params
-    spec = config.lstm_spec()
     emission_w = params["crf_emission"]
     k, width = emission_w.shape
     tensors = grads.tensors
@@ -459,13 +458,12 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows, grads: Grad
     labels[valid] = data.labels[tokens]
     features = _embed(model, ids)
 
-    if config.variant == BASIC:
-        groups = [(params["bilstm"], cols) for _, cols in lang_groups]
-    else:
-        groups = [(pgn_params(params["w_pgn"], params["lang_table"][lang_id], out=flat), cols)
-                  for (lang_id, cols), flat in zip(lang_groups, grads.flats)]
-    states, caches = bilstm_forward(spec, groups, features, lengths,
-                                    right_to_left=grads.right_to_left)
+    runner = grads.right_to_left
+    if config.variant == PGN:
+        for (lang_id, _), flat in zip(lang_groups, runner.flats):
+            pgn_params(params["w_pgn"], params["lang_table"][lang_id], out=flat)
+    groups = [(key, cols) for key, (_, cols) in enumerate(lang_groups)]
+    states, caches = bilstm_forward(runner, groups, features, lengths)
     emissions = states @ emission_w.T
     loss, d_emissions, d_trans = crf.nll_gradients(
         emissions, params["crf_transition"], labels, lengths)
@@ -473,8 +471,7 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows, grads: Grad
     np.matmul(d_emissions.reshape(-1, k).T, states.reshape(-1, width),
               out=tensors["crf_emission"])
     tensors["crf_transition"][...] = d_trans
-    d_flats = grads.d_flats[:len(groups)]
-    d_features, _ = bilstm_backward(spec, groups, caches, d_emissions @ emission_w, d_flats)
+    d_features = bilstm_backward(caches, d_emissions @ emission_w)
     used_ids, d_rows = ids[valid], d_features[valid]
     offsets = np.cumsum([0, config.word_dim, config.pos_dim, config.pred_dim])
     for column, name in enumerate(("word_table", "pos_table", "pred_table")):
@@ -485,6 +482,7 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows, grads: Grad
 
     if config.variant == PGN:
         lang_ids = [lang_id for lang_id, _ in lang_groups]
+        d_flats = runner.d_flats[:len(groups)]
         np.matmul(d_flats.T, params["lang_table"][lang_ids], out=tensors["w_pgn"])
         tensors["lang_table"].fill(0.0)
         for lang_id, d_flat in zip(lang_ids, d_flats):
@@ -521,17 +519,17 @@ def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:
     # every language's vector exists before a partner is forked, which
     # reads them unchanged
     flats = [_recurrent_vector(model, lang_id) for lang_id, _ in lang_groups]
-    batches = [(flat, order[cols][start:start + PREDICT_ROWS])
-               for (_, cols), flat in zip(lang_groups, flats)
+    batches = [(key, order[cols][start:start + PREDICT_ROWS])
+               for key, (_, cols) in enumerate(lang_groups)
                for start in range(0, cols.stop - cols.start, PREDICT_ROWS)]
     runner = (right_to_left_runner(spec, flats, steps=int(sizes.max(initial=1)),
                                    rows=min(PREDICT_ROWS, len(data)))
-              if len(batches) > 1 else nullcontext())
+              if len(batches) > 1 else nullcontext(Inline(spec, flats)))
     with runner as right_to_left:
-        for flat, batch in batches:
+        for key, batch in batches:
             ids, lengths, _, _ = _pad(data, batch)
-            states, _ = bilstm_forward(spec, [(flat, slice(None))], _embed(model, ids),
-                                       lengths, keep_cache=False, right_to_left=right_to_left)
+            states, _ = bilstm_forward(right_to_left, [(key, slice(None))],
+                                       _embed(model, ids), lengths, keep_cache=False)
             emissions = states @ model.params["crf_emission"].T
             for row, path in zip(
                     batch, crf.viterbi(emissions, model.params["crf_transition"], lengths)):

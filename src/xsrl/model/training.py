@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..corpus import Corpus
-from .lstm import right_to_left_runner, shared_array
+from .lstm import Inline, right_to_left_runner, shared_array
 from .network import (
     Gradients,
     ModelConfig,
@@ -48,8 +48,11 @@ class _Adam:
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
-        self.m = np.zeros_like(params)
-        self.v = np.zeros_like(params)
+        # np.zeros, unlike zeros_like, leaves large moments' pages unwritten
+        # until a step touches them: the main process never steps the
+        # partner's half, so it never holds those pages
+        self.m = np.zeros(params.shape, params.dtype)
+        self.v = np.zeros(params.shape, params.dtype)
 
     def update(self, params: np.ndarray, grad: np.ndarray) -> None:
         """One step of the flat ``params`` along the flat ``grad``.
@@ -125,7 +128,9 @@ def _check_memory(config: ModelConfig, vocab: Vocabulary) -> int:
 def _workspace(model: SrlModel) -> tuple[np.ndarray, np.ndarray, Gradients]:
     """Move the trained tensors of ``model`` into one flat parameter buffer
     and allocate the flat batch gradient and its :class:`Gradients` views,
-    with PGN's two (languages, P) blocks.
+    with an :class:`~xsrl.model.lstm.Inline` runner over the recurrent
+    vectors: BASIC's ``bilstm`` vector and its gradient, one row each, or
+    PGN's two (languages, P) blocks.
 
     Returns (parameters, gradient, gradient buffers).  The four buffers
     share one anonymous shared mapping, so a forked right-to-left partner
@@ -144,22 +149,26 @@ def _workspace(model: SrlModel) -> tuple[np.ndarray, np.ndarray, Gradients]:
         view[...] = model.params[name]
         model.params[name] = view
     tensors = _views(grad, trained)
+    spec = model.config.lstm_spec()
     if block is None:
-        return params, grad, Gradients(tensors, tensors["bilstm"][None])
-    d_flats, flats = arena[2 * size:].reshape(2, *block)
-    return params, grad, Gradients(tensors, d_flats, flats)
+        runner = Inline(spec, model.params["bilstm"][None], tensors["bilstm"][None])
+    else:
+        d_flats, flats = arena[2 * size:].reshape(2, *block)
+        runner = Inline(spec, flats, d_flats)
+    return params, grad, Gradients(tensors, runner)
 
 
 @contextmanager
-def _right_to_left(model: SrlModel, grads: Gradients, data, rows: int, tail=None):
+def _right_to_left(grads: Gradients, data, rows: int, tail=None):
     """``grads`` with the runner of the BiLSTM's right-to-left direction
-    (:func:`~xsrl.model.lstm.right_to_left_runner`) for batches of up to
-    ``rows`` examples of ``data``: it reads the recurrent weights and
-    writes their gradients in the shared workspace, and its ``step()``
-    runs the callable ``tail``.  A forked partner is reaped on exit."""
-    flats = [model.params["bilstm"]] if grads.flats is None else grads.flats
+    (:func:`~xsrl.model.lstm.right_to_left_runner`) over the workspace's
+    recurrent vectors, for batches of up to ``rows`` examples of ``data``:
+    it reads the recurrent weights and writes their gradients in the
+    shared workspace, and its ``step()`` runs the callable ``tail``.  A
+    forked partner is reaped on exit."""
+    inline = grads.right_to_left
     steps = int(np.diff(data.offsets).max())
-    with right_to_left_runner(model.config.lstm_spec(), flats, grads.d_flats, steps,
+    with right_to_left_runner(inline.spec, inline.flats, inline.d_flats, steps,
                               min(rows, len(data)), tail) as runner:
         yield replace(grads, right_to_left=runner)
 
@@ -201,7 +210,7 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     rng = np.random.default_rng(seed + 1)
 
     losses: list[float] = []
-    with _right_to_left(model, grads, data, config.batch_size,
+    with _right_to_left(grads, data, config.batch_size,
                         tail=lambda: tail.update(params[split:], grad[split:])) as grads:
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(len(examples))
@@ -243,7 +252,7 @@ def gradient_check(model: SrlModel, examples: list[TrainingExample],
     data = encode_examples(model, examples)
     rows = np.arange(len(data))
     params, grad, grads = _workspace(model)
-    with _right_to_left(model, grads, data, len(data)) as grads:
+    with _right_to_left(grads, data, len(data)) as grads:
         loss_and_gradients(model, data, rows, grads)
         shapes = {name: g.shape for name, g in grads.tensors.items()}
         analytic = _views(grad.copy(), shapes)

@@ -455,6 +455,9 @@ def test_flag_value_error_names_its_flag(toy, capsys, command, flag, value, mess
 
 
 TOKEN = "1\thund\thund\tNOUN\t_\t_\t0\troot\t_\t_\t_\n"
+REPORT = (b"precision\t1.0\nrecall\t1.0\nf1\t1.0\ngold_args\t3\npred_args\t3\n\n"
+          b"[per_role]\nrole,precision,recall,f1,support\nA0,1.0,1.0,1.0,3\n\n"
+          b"[per_distance]\nbucket,precision,recall,f1,support\n1-2,1.0,1.0,1.0,3\n")
 
 # (command, argv with "BAD" for the malformed file, its bytes, message after
 # "PATH: "); "table.tsv" and "pos.tsv" are the toy recipe's.
@@ -490,6 +493,27 @@ BAD_INPUTS = [
     ("eval", ["--gold", "de_dev.conllu", "--pred", "BAD"],
      ("# lang = DE\n" + TOKEN.replace("\t0\t", "\troot\t") + "\n").encode(),
      "line 2: HEAD 'root' is not an integer"),
+    ("train", ["--train-file", "de_dev.conllu", "--embeddings", "BAD", "--out", "m.bin",
+               *TRAIN_FLAGS],
+     b"-1 4\n", "line 1: expected a count >= 0 and a dim >= 1, got -1 4"),
+    ("train", ["--train-file", "de_dev.conllu", "--embeddings", "BAD", "--out", "m.bin",
+               *TRAIN_FLAGS],
+     b"1 0\n", "line 1: expected a count >= 0 and a dim >= 1, got 1 0"),
+    ("train", ["--train-file", "de_dev.conllu", "--embeddings", "BAD", "--out", "m.bin",
+               *TRAIN_FLAGS],
+     b"100000000000 300\n", "expected 100000000000 vectors, file has 0"),
+    ("aggregate", ["BAD"], REPORT.replace(b"f1\t1.0\n", b""), "no 'f1' line"),
+    ("aggregate", ["BAD"], REPORT + b"\n[bogus]\n", "line 15: unknown section [bogus]"),
+    ("aggregate", ["BAD"], REPORT.replace(b"gold_args\t3", b"gold_args\t1e309"),
+     "line 4: expected a count, got '1e309'"),
+    ("aggregate", ["BAD"], REPORT.replace(b"precision\t1.0", b"precision 1.0"),
+     "line 1: expected a name, a tab and a value"),
+    ("aggregate", ["BAD"], REPORT.replace(b"precision\t1.0", b"precision\tx"),
+     "line 1: expected a score in [0, 1], got 'x'"),
+    ("aggregate", ["BAD"], REPORT.replace(b"recall\t1.0", b"recall\tnan"),
+     "line 2: expected a score in [0, 1], got 'nan'"),
+    ("aggregate", ["BAD"], REPORT.replace(b"A0,1.0,1.0,1.0,3", b"A0,1.0,1.0"),
+     "line 9: expected 'name,precision,recall,f1,support', got 3 fields"),
 ]
 
 

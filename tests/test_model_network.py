@@ -19,7 +19,7 @@ from xsrl.model import (
     predict,
     similarity_csv,
 )
-from xsrl.model.lstm import LstmSpec, bilstm_backward, bilstm_forward
+from xsrl.model.lstm import Inline, LstmSpec, bilstm_backward, bilstm_forward
 from xsrl.model.network import (
     PREDICT_ROWS,
     TrainingExample,
@@ -170,9 +170,9 @@ def test_reversal_swaps_direction_trajectories():
     for fv, bv in zip(f_views, b_views):
         bv[...] = fv
     x = rng.normal(size=(6, 4))
-    whole = [(flat, slice(None))]
-    h_fwd_of_reversed, _ = bilstm_forward(spec, whole, x[::-1, None])
-    h, _ = bilstm_forward(spec, whole, x[:, None])
+    runner, whole = Inline(spec, [flat]), [(0, slice(None))]
+    h_fwd_of_reversed, _ = bilstm_forward(runner, whole, x[::-1, None])
+    h, _ = bilstm_forward(runner, whole, x[:, None])
     np.testing.assert_allclose(h_fwd_of_reversed[:, 0, :3], h[::-1, 0, 3:], atol=1e-12)
 
 
@@ -226,10 +226,11 @@ def test_basic_forget_gate_bias_initialized():
     vocab = Vocabulary(words=("<unk>", "a"), pos_tags=("NOUN", "_"),
                        labels=("A0", "O"), languages=("EN",))
     model = init_model(cfg, vocab, seed=0)
-    spec = cfg.lstm_spec()
-    flat = model.params["bilstm"]
-    for start, end in spec.forget_bias_offsets():
-        np.testing.assert_array_equal(flat[start:end], np.ones(end - start))
+    h = cfg.hidden
+    for directions in cfg.lstm_spec().views(model.params["bilstm"]):
+        for _, _, b in directions:
+            np.testing.assert_array_equal(b[h:2 * h], np.ones(h))
+            assert np.all(np.abs(np.delete(b, np.s_[h:2 * h])) <= 0.1)
 
 
 def test_padded_batch_states_match_single_sequences():
@@ -238,13 +239,13 @@ def test_padded_batch_states_match_single_sequences():
     flat = rng.normal(size=spec.total_params)
     lengths = np.array([5, 1, 3, 5, 2])
     batch = rng.normal(size=(5, len(lengths), 4))
-    whole = [(flat, slice(None))]
-    states, _ = bilstm_forward(spec, whole, batch, lengths)
-    inference, no_cache = bilstm_forward(spec, whole, batch, lengths, keep_cache=False)
+    runner, whole = Inline(spec, [flat]), [(0, slice(None))]
+    states, _ = bilstm_forward(runner, whole, batch, lengths)
+    inference, no_cache = bilstm_forward(runner, whole, batch, lengths, keep_cache=False)
     assert no_cache is None
     assert np.array_equal(inference, states)
     for b, n in enumerate(lengths):
-        single, _ = bilstm_forward(spec, whole, batch[:n, b:b + 1])
+        single, _ = bilstm_forward(runner, whole, batch[:n, b:b + 1])
         np.testing.assert_allclose(states[:n, b], single[:, 0], rtol=0, atol=1e-12)
 
 
@@ -260,29 +261,30 @@ def test_batched_predict_matches_one_predicate_at_a_time(corpus):
 
 
 def test_backward_writes_the_flat_gradient_into_out():
-    """Each group's gradient lands in its own row of the ``d_flats`` buffer,
-    whatever the buffer held before."""
+    """Each group's gradient lands in its own row of the runner's gradient
+    vectors, whatever they held before."""
     spec = LstmSpec(input_dim=4, hidden=3, layers=2)
     rng = np.random.default_rng(9)
-    groups = [(rng.normal(size=spec.total_params), slice(0, 2)),
-              (rng.normal(size=spec.total_params), slice(2, 3))]
+    flats = rng.normal(size=(2, spec.total_params))
+    groups = [(0, slice(0, 2)), (1, slice(2, 3))]
     lengths = np.array([4, 2, 3])
-    states, caches = bilstm_forward(spec, groups, rng.normal(size=(4, 3, 4)), lengths)
-    d_out = rng.normal(size=states.shape) * (np.arange(4)[:, None] < lengths)[..., None]
+    inputs = rng.normal(size=(4, 3, 4))
     stale = np.full((2, spec.total_params), np.nan)
-    d_inputs, d_flats = bilstm_backward(spec, groups, caches, d_out, stale)
-    assert d_flats is stale and np.isfinite(d_flats).all()
+    states, caches = bilstm_forward(Inline(spec, flats, stale), groups, inputs, lengths)
+    d_out = rng.normal(size=states.shape) * (np.arange(4)[:, None] < lengths)[..., None]
+    d_inputs = bilstm_backward(caches, d_out)
+    assert np.isfinite(stale).all()
     buffer = np.zeros((3, spec.total_params))
-    d_inputs_out, d_flats_out = bilstm_backward(spec, groups, caches, d_out, buffer[1:])
-    assert np.shares_memory(d_flats_out, buffer[1:])
-    assert np.array_equal(buffer[1:], d_flats)
+    _, caches = bilstm_forward(Inline(spec, flats, buffer[1:]), groups, inputs, lengths)
+    d_inputs_out = bilstm_backward(caches, d_out)
+    assert np.array_equal(buffer[1:], stale)
     assert np.array_equal(d_inputs_out, d_inputs)
     assert not buffer[0].any()
 
 
 def test_bilstm_forward_takes_inputs_third():
     # the benchmark tracer counts tokens from the third positional argument
-    assert list(inspect.signature(bilstm_forward).parameters)[:3] == ["spec", "groups", "inputs"]
+    assert list(inspect.signature(bilstm_forward).parameters)[2] == "inputs"
 
 
 def per_group_loss_and_gradients(model, data):
@@ -306,11 +308,12 @@ def per_group_loss_and_gradients(model, data):
     runs = []
     for lang_id, cols in groups:
         steps = int(lengths[cols].max())
-        flat = _recurrent_vector(model, lang_id)
-        group_states, caches = bilstm_forward(spec, [(flat, slice(None))],
+        d_flat = np.empty(spec.total_params)
+        runner = Inline(spec, [_recurrent_vector(model, lang_id)], [d_flat])
+        group_states, caches = bilstm_forward(runner, [(0, slice(None))],
                                               features[:steps, cols], lengths[cols])
         states[:steps, cols] = group_states
-        runs.append((cols, steps, flat, caches))
+        runs.append((cols, steps, d_flat, caches))
     loss, d_emissions, d_trans = crf.nll_gradients(
         states @ emission_w.T, params["crf_transition"], labels, lengths)
     grads["crf_emission"] = d_emissions.reshape(-1, k).T @ states.reshape(-1, width)
@@ -318,11 +321,8 @@ def per_group_loss_and_gradients(model, data):
     d_states = d_emissions @ emission_w
     d_features = np.zeros_like(features)
     d_flats = []
-    for cols, steps, flat, caches in runs:
-        d_group, (d_flat,) = bilstm_backward(spec, [(flat, slice(None))], caches,
-                                             d_states[:steps, cols],
-                                             np.empty((1, spec.total_params)))
-        d_features[:steps, cols] = d_group
+    for cols, steps, d_flat, caches in runs:
+        d_features[:steps, cols] = bilstm_backward(caches, d_states[:steps, cols])
         d_flats.append(d_flat)
     offsets = np.cumsum([0, model.config.word_dim, model.config.pos_dim, model.config.pred_dim])
     for column, name in enumerate(("word_table", "pos_table", "pred_table")):
@@ -363,9 +363,10 @@ def test_merged_recurrence_matches_each_group_alone(layers):
         assert np.array_equal(grad, ref_grads[name]), name
     rows = np.argsort(data.langs, kind="stable")
     ids, _, _, _ = _pad(data, rows)
-    spec = model.config.lstm_spec()
-    states, _ = bilstm_forward(spec, [(_recurrent_vector(model, lang_id), cols)
-                                      for lang_id, cols in groups], _embed(model, ids), lengths)
+    runner = Inline(model.config.lstm_spec(),
+                    [_recurrent_vector(model, lang_id) for lang_id, _ in groups])
+    states, _ = bilstm_forward(runner, [(key, cols) for key, (_, cols) in enumerate(groups)],
+                               _embed(model, ids), lengths)
     for _, cols in groups:
         steps = int(lengths[cols].max())
         assert np.array_equal(states[:steps, cols], ref_states[:steps, cols])

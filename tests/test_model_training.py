@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -373,9 +374,10 @@ def test_workspace_reuse_matches_fresh_buffers(variant, train_word_table):
     data = encode_examples(model, examples_from_corpus(corpus))
     _, grad, grads = training._workspace(model)
     grad.fill(np.nan)
-    for block in (grads.flats, grads.d_flats):
-        if block is not None:
-            block.fill(np.nan)
+    if variant == PGN:
+        # BASIC's runner rows are the parameter and gradient views themselves
+        grads.right_to_left.flats.fill(np.nan)
+        grads.right_to_left.d_flats.fill(np.nan)
     for rows in ([0, 1, 2], [3, 4]):
         loss = loss_and_gradients(model, data, rows, grads)
         tensors = grads.tensors
@@ -463,3 +465,19 @@ def test_split_adam_matches_one_step(shapes):
     assert flat.tobytes() == whole_params.tobytes()
     assert np.concatenate([head.m, tail.m]).tobytes() == whole.m.tobytes()
     assert np.concatenate([head.v, tail.v]).tobytes() == whole.v.tobytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_adam_moments_stay_unwritten_until_stepped():
+    """Building an optimizer writes none of its moments' pages: in training
+    the partner owns the tail's moments, and the main process must not keep
+    them resident."""
+    def resident_bytes():
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    params = np.zeros(2 ** 23)
+    before = resident_bytes()
+    adam = _Adam(params, learning_rate=0.01)
+    grown = resident_bytes() - before
+    assert grown < (adam.m.nbytes + adam.v.nbytes) / 4, grown
