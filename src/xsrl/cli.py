@@ -217,7 +217,10 @@ def _alphas(text: str) -> list[float]:
 
 
 def _int_at_least(low: int):
-    """The type of ``--iterations`` (low 1) and ``--seed`` (low 0)."""
+    """The type of ``--seed`` (low 0), and of ``--iterations`` and the
+    model's sizes and schedule (low 1): ``--word-dim``, ``--pos-dim``,
+    ``--pred-dim``, ``--lang-dim``, ``--hidden``, ``--layers``,
+    ``--batch-size`` and ``--epochs``."""
 
     def parse(text: str) -> int:
         value = _number(text, int)
@@ -233,6 +236,14 @@ def _smoothing(text: str) -> float:
     value = _number(text)
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {value}")
+    return value
+
+
+def _learning_rate(text: str) -> float:
+    """``--learning-rate``: a finite float > 0."""
+    value = _number(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value}")
     return value
 
 
@@ -435,15 +446,15 @@ def _dev_f1(args, projected: Corpus, dev: Corpus) -> float:
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--variant", choices=[BASIC, PGN], default=ModelConfig.variant)
-    sub.add_argument("--word-dim", type=int, default=ModelConfig.word_dim)
-    sub.add_argument("--pos-dim", type=int, default=ModelConfig.pos_dim)
-    sub.add_argument("--pred-dim", type=int, default=ModelConfig.pred_dim)
-    sub.add_argument("--lang-dim", type=int, default=ModelConfig.lang_dim)
-    sub.add_argument("--hidden", type=int, default=ModelConfig.hidden)
-    sub.add_argument("--layers", type=int, default=ModelConfig.layers)
-    sub.add_argument("--learning-rate", type=float, default=ModelConfig.learning_rate)
-    sub.add_argument("--batch-size", type=int, default=ModelConfig.batch_size)
-    sub.add_argument("--epochs", type=int, default=ModelConfig.epochs)
+    sub.add_argument("--word-dim", type=_int_at_least(1), default=ModelConfig.word_dim)
+    sub.add_argument("--pos-dim", type=_int_at_least(1), default=ModelConfig.pos_dim)
+    sub.add_argument("--pred-dim", type=_int_at_least(1), default=ModelConfig.pred_dim)
+    sub.add_argument("--lang-dim", type=_int_at_least(1), default=ModelConfig.lang_dim)
+    sub.add_argument("--hidden", type=_int_at_least(1), default=ModelConfig.hidden)
+    sub.add_argument("--layers", type=_int_at_least(1), default=ModelConfig.layers)
+    sub.add_argument("--learning-rate", type=_learning_rate, default=ModelConfig.learning_rate)
+    sub.add_argument("--batch-size", type=_int_at_least(1), default=ModelConfig.batch_size)
+    sub.add_argument("--epochs", type=_int_at_least(1), default=ModelConfig.epochs)
     sub.add_argument("--embeddings", help="pretrained word vector file (frozen table)")
 
 

@@ -505,8 +505,7 @@ def _partner_available() -> bool:
 
 
 @contextmanager
-def right_to_left_runner(spec: LstmSpec, flats, d_flats=(), steps: int = 1, rows: int = 1,
-                         tail=None):
+def right_to_left_runner(spec: LstmSpec, flats, d_flats, steps: int, rows: int, tail=None):
     """The runner of the right-to-left direction for one train or predict
     call: a :class:`Partner` over ``flats`` and ``d_flats`` for batches
     of up to ``steps`` x ``rows`` when one can run, else :class:`Inline`.

@@ -42,7 +42,6 @@ __all__ = [
     "init_model",
     "param_shapes",
     "training_shapes",
-    "Gradients",
     "pgn_params",
     "language_similarity",
     "similarity_csv",
@@ -77,26 +76,19 @@ class ModelConfig:
     learning_rate: float = 0.0005
     batch_size: int = 50
     epochs: int = 80
-    clip_norm: float = 5.0
     train_word_table: bool = True
-    dtype: str = "float64"
 
     def __post_init__(self):
         if self.variant not in (BASIC, PGN):
             raise ModelError(f"unknown variant {self.variant!r}")
-        for name in ("word_dim", "pos_dim", "pred_dim", "hidden", "layers"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be >= 1")
-        if self.variant == PGN and self.lang_dim < 1:
-            raise ModelError("lang_dim must be >= 1")
-        for flag, value in (("--batch-size", self.batch_size), ("--epochs", self.epochs)):
+        names = ("word_dim", "pos_dim", "pred_dim", "hidden", "layers", "batch_size", "epochs")
+        for name in names + (("lang_dim",) if self.variant == PGN else ()):
+            value = getattr(self, name)
             if value < 1:
-                raise ModelError(f"{flag} must be >= 1, got {value}")
+                raise ModelError(f"{name} must be >= 1, got {value}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ModelError(
-                f"--learning-rate must be a finite number > 0, got {self.learning_rate}")
-        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
-            raise ModelError(f"clip_norm must be a finite number >= 0, got {self.clip_norm}")
+                f"learning_rate must be a finite number > 0, got {self.learning_rate}")
 
     @property
     def feature_dim(self) -> int:
@@ -188,18 +180,6 @@ class SrlModel:
     vocab: Vocabulary
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def word_table(self) -> np.ndarray:
-        return self.params["word_table"]
-
-    @property
-    def lang_table(self) -> np.ndarray:
-        return self.params["lang_table"]
-
-    @property
-    def w_pgn(self) -> np.ndarray:
-        return self.params["w_pgn"]
-
 
 def init_model(config: ModelConfig, vocab: Vocabulary, seed: int = 42,
                word_table: np.ndarray | None = None) -> SrlModel:
@@ -210,14 +190,13 @@ def init_model(config: ModelConfig, vocab: Vocabulary, seed: int = 42,
     ``word_table`` installs pretrained vectors instead of random ones.
     """
     rng = np.random.default_rng(seed)
-    dtype = np.dtype(config.dtype)
     config = replace(config,
                      label_count=len(vocab.labels),
                      language_count=len(vocab.languages))
     spec = config.lstm_spec()
 
     def uniform(*shape):
-        return rng.uniform(-0.1, 0.1, shape).astype(dtype, copy=False)
+        return rng.uniform(-0.1, 0.1, shape)
 
     params: dict[str, np.ndarray] = {}
     if word_table is not None:
@@ -225,7 +204,7 @@ def init_model(config: ModelConfig, vocab: Vocabulary, seed: int = 42,
             raise ModelError(
                 f"word table shape {word_table.shape} does not match vocab "
                 f"({len(vocab.words)}, {config.word_dim})")
-        params["word_table"] = word_table.astype(dtype, copy=True)
+        params["word_table"] = word_table.astype(np.float64)
     else:
         params["word_table"] = uniform(len(vocab.words), config.word_dim)
     params["pos_table"] = uniform(len(vocab.pos_tags), config.pos_dim)
@@ -283,24 +262,6 @@ def training_shapes(config: ModelConfig, vocab: Vocabulary):
         trained["lang_table"] = trained.pop("lang_table")
         block = (len(vocab.languages), trained["w_pgn"][0])
     return trained, frozen, block
-
-
-@dataclass(frozen=True)
-class Gradients:
-    """The buffers one :func:`loss_and_gradients` call writes into.
-
-    ``tensors`` maps every trained tensor to its gradient, in
-    :func:`training_shapes` order.  ``right_to_left`` is the BiLSTM's
-    runner (:class:`~xsrl.model.lstm.Inline`, or the partner of
-    :func:`~xsrl.model.lstm.right_to_left_runner`), which owns the
-    recurrent vectors: for BASIC its one weight row is ``bilstm`` and its
-    one gradient row is the ``bilstm`` gradient; for PGN they are two
-    (languages, P) blocks, and row g of each holds the generated vector
-    and the recurrent gradient of the batch's language group g.
-    """
-
-    tensors: dict[str, np.ndarray]
-    right_to_left: Inline
 
 
 def _feature_ids(model: SrlModel, sentence: Sentence, pred_index: int) -> np.ndarray:
@@ -430,9 +391,10 @@ def _language_groups(langs: np.ndarray) -> list[tuple[int, slice]]:
     return [(int(langs[start]), slice(start, end)) for start, end in zip(starts, ends)]
 
 
-def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows, grads: Gradients) -> float:
-    """Summed loss, returned, and summed gradients, written into ``grads``,
-    over the examples ``rows`` of ``data``.
+def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows,
+                       tensors: dict[str, np.ndarray], runner: Inline) -> float:
+    """Summed loss, returned, and summed gradients, written into ``tensors``
+    and ``runner``, over the examples ``rows`` of ``data``.
 
     ``data`` comes from :func:`encode_examples`.  The batch is ordered by
     language (stably; one group for BASIC) and padded time-major once.
@@ -441,15 +403,22 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows, grads: Grad
     its longest sequence, and the step loop runs once; the embedding, the
     CRF and their gradients run over the whole batch.
     Padded positions add exactly zero.  With a frozen word table
-    (``train_word_table`` false) its gradient is not computed.  ``grads``
-    are the buffers of the training workspace; the gradients overwrite
-    what they held.
+    (``train_word_table`` false) its gradient is not computed.
+
+    ``tensors`` maps every trained tensor to its gradient buffer, in
+    :func:`training_shapes` order.  ``runner`` runs the BiLSTM's
+    right-to-left direction (:class:`~xsrl.model.lstm.Inline`, or the
+    partner of :func:`~xsrl.model.lstm.right_to_left_runner`) and owns
+    the recurrent vectors: for BASIC its one weight row is ``bilstm`` and
+    its one gradient row is the ``bilstm`` gradient; for PGN they are two
+    (languages, P) blocks, and row g of each holds the generated vector
+    and the recurrent gradient of the batch's language group g.  The
+    gradients overwrite what the buffers held.
     """
     config = model.config
     params = model.params
     emission_w = params["crf_emission"]
     k, width = emission_w.shape
-    tensors = grads.tensors
     rows = np.asarray(rows, dtype=np.intp)
     rows = rows[np.argsort(data.langs[rows], kind="stable")]
     lang_groups = _language_groups(data.langs[rows])
@@ -458,7 +427,6 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows, grads: Grad
     labels[valid] = data.labels[tokens]
     features = _embed(model, ids)
 
-    runner = grads.right_to_left
     if config.variant == PGN:
         for (lang_id, _), flat in zip(lang_groups, runner.flats):
             pgn_params(params["w_pgn"], params["lang_table"][lang_id], out=flat)
@@ -522,7 +490,7 @@ def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:
     batches = [(key, order[cols][start:start + PREDICT_ROWS])
                for key, (_, cols) in enumerate(lang_groups)
                for start in range(0, cols.stop - cols.start, PREDICT_ROWS)]
-    runner = (right_to_left_runner(spec, flats, steps=int(sizes.max(initial=1)),
+    runner = (right_to_left_runner(spec, flats, (), steps=int(sizes.max(initial=1)),
                                    rows=min(PREDICT_ROWS, len(data)))
               if len(batches) > 1 else nullcontext(Inline(spec, flats)))
     with runner as right_to_left:

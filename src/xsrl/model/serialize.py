@@ -3,9 +3,10 @@
 Layout: 8-byte magic, u32 format version, u32-length-prefixed JSON header
 (configuration and vocabulary), u32 tensor count, then, in name order, per
 tensor a u32-length-prefixed name, u32 rank, u64 dimensions and row-major
-data in the configuration's dtype.  All numbers little-endian.  Version 1
-files, which hold float64 data whatever the configuration says, still
-load; their tensors come back in the configuration's dtype.
+float64 data.  All numbers little-endian.  The header's configuration
+also records the tensors' dtype, always ``float64``, and the training
+clip norm; the loader refuses any other dtype and ignores the clip norm.
+Versions 1 and 2 read the same way.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .network import ModelConfig, ModelError, SrlModel, Vocabulary, param_shapes
+from .training import CLIP_NORM
 
 __all__ = ["CheckpointError", "save_model", "load_model"]
 
@@ -30,17 +32,12 @@ class CheckpointError(ValueError):
     """Raised for unreadable or inconsistent checkpoint files."""
 
 
-def _tensor_dtype(config: ModelConfig) -> np.dtype:
-    dtype = np.dtype(config.dtype)
-    if dtype.kind != "f":
-        raise ValueError(f"dtype {config.dtype!r} is not a float type")
-    return dtype.newbyteorder("<")
-
-
 def save_model(model: SrlModel, path: str) -> None:
-    dtype = _tensor_dtype(model.config)
+    config = asdict(model.config)
+    train_word_table = config.pop("train_word_table")
     header = json.dumps({
-        "config": asdict(model.config),
+        "config": {**config, "clip_norm": CLIP_NORM, "train_word_table": train_word_table,
+                   "dtype": "float64"},
         "vocab": {
             "words": list(model.vocab.words),
             "pos_tags": list(model.vocab.pos_tags),
@@ -55,7 +52,7 @@ def save_model(model: SrlModel, path: str) -> None:
         fh.write(header)
         fh.write(struct.pack("<I", len(model.params)))
         for name in sorted(model.params):
-            tensor = np.ascontiguousarray(model.params[name], dtype=dtype)
+            tensor = np.ascontiguousarray(model.params[name], dtype="<f8")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
@@ -82,7 +79,8 @@ def _u32(fh) -> int:
 def load_model(path: str) -> SrlModel:
     """Read a checkpoint.  Every length and shape field is checked against
     the configuration and the bytes left in the file before it is read,
-    and a tensor holding NaN or infinity is refused by name."""
+    and a tensor holding NaN or infinity is refused by name, as is a
+    header whose dtype is not float64."""
     with open(path, "rb") as fh:
         if _read(fh, len(MAGIC)) != MAGIC:
             raise CheckpointError("not an xsrl model checkpoint (bad magic)")
@@ -93,18 +91,22 @@ def load_model(path: str) -> SrlModel:
         text = _read(fh, _u32(fh))
         try:
             header = json.loads(text.decode("utf-8"))
-            config = ModelConfig(**header["config"])
+            fields = dict(header["config"])
+            dtype = fields.pop("dtype")
+            fields.pop("clip_norm", None)
+            config = ModelConfig(**fields)
             vocab = Vocabulary(
                 words=tuple(header["vocab"]["words"]),
                 pos_tags=tuple(header["vocab"]["pos_tags"]),
                 labels=tuple(header["vocab"]["labels"]),
                 languages=tuple(header["vocab"]["languages"]),
             )
-            dtype = _tensor_dtype(config)
             expected = param_shapes(config, vocab)
         except (KeyError, TypeError, ValueError, ModelError) as exc:
             raise CheckpointError(f"malformed checkpoint header: {exc}") from None
-        stored = np.dtype("<f8") if version == 1 else dtype
+        if dtype != "float64":
+            raise CheckpointError(f"unsupported tensor dtype {dtype!r}: "
+                                  "checkpoints hold float64 tensors")
         tensor_count = _u32(fh)
         if tensor_count != len(expected):
             raise CheckpointError(
@@ -119,11 +121,11 @@ def load_model(path: str) -> SrlModel:
                 raise CheckpointError(
                     f"checkpoint config mismatch: tensor {found} has shape {dims}, "
                     f"configuration implies {name} with shape {shape}")
-            _claim(fh, stored.itemsize * math.prod(shape))
-            tensor = np.empty(shape, dtype=stored)
+            _claim(fh, 8 * math.prod(shape))
+            tensor = np.empty(shape, dtype="<f8")
             if fh.readinto(tensor) != tensor.nbytes:
                 raise CheckpointError("unexpected end of container")
             if tensor.size and not np.isfinite([tensor.min(), tensor.max()]).all():
                 raise CheckpointError(f"tensor {name} holds non-finite values")
-            params[name] = tensor.astype(config.dtype, copy=False)
+            params[name] = tensor
     return SrlModel(config=config, vocab=vocab, params=params)

@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
 from ..corpus import Corpus
-from .lstm import Inline, right_to_left_runner, shared_array
+from .lstm import right_to_left_runner, shared_array
 from .network import (
-    Gradients,
     ModelConfig,
     ModelError,
     SrlModel,
@@ -27,6 +24,8 @@ from .network import (
 
 __all__ = ["TrainingError", "train", "gradient_check"]
 
+# Global gradient norm above which a batch gradient is scaled down to it.
+CLIP_NORM = 5.0
 # Flat buffers of the trained parameters' size that training keeps: the
 # parameters, Adam's two moments and the batch gradient.
 LIVE_COPIES = 4
@@ -113,7 +112,7 @@ def _check_memory(config: ModelConfig, vocab: Vocabulary) -> int:
     trained, frozen, block = training_shapes(config, vocab)
     count = sum(math.prod(shape) for shape in trained.values())
     other = (math.prod(frozen) if frozen else 0) + (2 * math.prod(block) if block else 0)
-    needed = (count * LIVE_COPIES + other) * np.dtype(config.dtype).itemsize
+    needed = (count * LIVE_COPIES + other) * np.dtype(np.float64).itemsize
     available = _physical_memory()
     if needed > available:
         raise ModelError(
@@ -125,52 +124,36 @@ def _check_memory(config: ModelConfig, vocab: Vocabulary) -> int:
     return needed
 
 
-def _workspace(model: SrlModel) -> tuple[np.ndarray, np.ndarray, Gradients]:
+def _workspace(model: SrlModel):
     """Move the trained tensors of ``model`` into one flat parameter buffer
-    and allocate the flat batch gradient and its :class:`Gradients` views,
-    with an :class:`~xsrl.model.lstm.Inline` runner over the recurrent
-    vectors: BASIC's ``bilstm`` vector and its gradient, one row each, or
-    PGN's two (languages, P) blocks.
+    and allocate the flat batch gradient, with a view of it per trained
+    tensor, and the recurrent vectors with their gradients: BASIC's
+    ``bilstm`` vector and its gradient, one row each, or PGN's two
+    (languages, P) blocks.
 
-    Returns (parameters, gradient, gradient buffers).  The four buffers
-    share one anonymous shared mapping, so a forked right-to-left partner
-    (:func:`_right_to_left`) reads the parameters as Adam steps them,
-    writes its gradients in place and steps the second half of the
-    parameters itself.  The trained entries of
-    ``model.params`` become views of the parameter buffer with the same
-    values; a frozen word table stays where it is.
+    Returns (parameters, gradient, gradient views, recurrent vectors,
+    their gradients): the buffers :func:`loss_and_gradients` writes and
+    the BiLSTM runner (:func:`~xsrl.model.lstm.right_to_left_runner`)
+    owns.  They share one anonymous shared mapping, so a forked
+    right-to-left partner reads the parameters as Adam steps them, writes
+    its gradients in place and steps the second half of the parameters
+    itself.  The trained entries of ``model.params`` become views of the
+    parameter buffer with the same values; a frozen word table stays
+    where it is.
     """
     trained, _, block = training_shapes(model.config, model.vocab)
     size = sum(math.prod(shape) for shape in trained.values())
     per_block = math.prod(block) if block else 0
-    arena = shared_array(2 * size + 2 * per_block, model.config.dtype)
+    arena = shared_array(2 * size + 2 * per_block, np.float64)
     params, grad = arena[:size], arena[size:2 * size]
     for name, view in _views(params, trained).items():
         view[...] = model.params[name]
         model.params[name] = view
     tensors = _views(grad, trained)
-    spec = model.config.lstm_spec()
     if block is None:
-        runner = Inline(spec, model.params["bilstm"][None], tensors["bilstm"][None])
-    else:
-        d_flats, flats = arena[2 * size:].reshape(2, *block)
-        runner = Inline(spec, flats, d_flats)
-    return params, grad, Gradients(tensors, runner)
-
-
-@contextmanager
-def _right_to_left(grads: Gradients, data, rows: int, tail=None):
-    """``grads`` with the runner of the BiLSTM's right-to-left direction
-    (:func:`~xsrl.model.lstm.right_to_left_runner`) over the workspace's
-    recurrent vectors, for batches of up to ``rows`` examples of ``data``:
-    it reads the recurrent weights and writes their gradients in the
-    shared workspace, and its ``step()`` runs the callable ``tail``.  A
-    forked partner is reaped on exit."""
-    inline = grads.right_to_left
-    steps = int(np.diff(data.offsets).max())
-    with right_to_left_runner(inline.spec, inline.flats, inline.d_flats, steps,
-                              min(rows, len(data)), tail) as runner:
-        yield replace(grads, right_to_left=runner)
+        return params, grad, tensors, model.params["bilstm"][None], tensors["bilstm"][None]
+    d_flats, flats = arena[2 * size:].reshape(2, *block)
+    return params, grad, tensors, flats, d_flats
 
 
 def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
@@ -185,12 +168,16 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     averaged over the batch, and the returned log holds the mean loss of
     every epoch.  The parameters, their gradient and Adam's moments are
     allocated once, as flat buffers, before the first batch; a forked
-    partner runs the BiLSTM's right-to-left direction (:func:`_right_to_left`)
-    and steps the second half of the parameter vector while this process
-    steps the first, and it is reaped before this returns or raises.
-    Adam is elementwise, so the halves give the bits of one step.  Identical
-    corpus, config and seed give bit-identical models.  A non-finite loss
-    or gradient raises :class:`TrainingError` naming the epoch and batch.
+    partner runs the BiLSTM's right-to-left direction
+    (:func:`~xsrl.model.lstm.right_to_left_runner`) and steps the second
+    half of the parameter vector while this process steps the first, and
+    it is reaped before this returns or raises.  Adam is elementwise, so
+    the halves give the bits of one step.  A batch gradient whose global
+    norm exceeds CLIP_NORM is scaled down to it.  Identical corpus, config
+    and seed give bit-identical models.  A non-finite loss or gradient
+    raises :class:`TrainingError` naming the epoch and batch; numpy's
+    floating-point warnings are silenced in both processes, as that error
+    reports the divergence.
     """
     examples = examples_from_corpus(corpus)
     if not examples:
@@ -201,7 +188,7 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     model = init_model(config, vocab, seed=seed, word_table=word_table)
     config = model.config
     data = encode_examples(model, examples)
-    params, grad, grads = _workspace(model)
+    params, grad, tensors, flats, d_flats = _workspace(model)
     # both optimizers exist before a partner is forked; from the fork on
     # the partner owns the tail's moments, which this process never touches
     split = params.size // 2
@@ -210,22 +197,25 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     rng = np.random.default_rng(seed + 1)
 
     losses: list[float] = []
-    with _right_to_left(grads, data, config.batch_size,
-                        tail=lambda: tail.update(params[split:], grad[split:])) as grads:
+    # the partner forks inside errstate, so it inherits it
+    with np.errstate(all="ignore"), right_to_left_runner(
+            config.lstm_spec(), flats, d_flats, int(np.diff(data.offsets).max()),
+            min(config.batch_size, len(data)),
+            tail=lambda: tail.update(params[split:], grad[split:])) as runner:
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(len(examples))
             epoch_loss = 0.0
             for batch_no, start in enumerate(range(0, len(order), config.batch_size), start=1):
                 rows = order[start:start + config.batch_size]
-                loss = loss_and_gradients(model, data, rows, grads)
+                loss = loss_and_gradients(model, data, rows, tensors, runner)
                 grad /= len(rows)
-                norm = _global_norm(grads.tensors)
+                norm = _global_norm(tensors)
                 if not (math.isfinite(loss) and math.isfinite(norm)):
                     raise TrainingError(
                         f"non-finite loss or gradient in epoch {epoch}, batch {batch_no}")
-                if config.clip_norm > 0 and norm > config.clip_norm:
-                    grad *= config.clip_norm / norm
-                tail_step = grads.right_to_left.step()
+                if norm > CLIP_NORM:
+                    grad *= CLIP_NORM / norm
+                tail_step = runner.step()
                 head.update(params[:split], grad[:split])
                 tail_step()
                 epoch_loss += loss
@@ -244,17 +234,15 @@ def gradient_check(model: SrlModel, examples: list[TrainingExample],
     analytic result.  Then it perturbs, through the parameter views that
     Adam steps, about ``samples`` coordinates spread over the trained
     tensors (at least five of each, or all of a smaller one), and returns
-    the maximum relative error |g_a - g_n| / max(|g_a|, |g_n|, 1e-4)
-    (float64 only).
+    the maximum relative error |g_a - g_n| / max(|g_a|, |g_n|, 1e-4).
     """
-    if any(p.dtype != np.float64 for p in model.params.values()):
-        raise ModelError("gradient_check needs float64 parameters")
     data = encode_examples(model, examples)
     rows = np.arange(len(data))
-    params, grad, grads = _workspace(model)
-    with _right_to_left(grads, data, len(data)) as grads:
-        loss_and_gradients(model, data, rows, grads)
-        shapes = {name: g.shape for name, g in grads.tensors.items()}
+    params, grad, tensors, flats, d_flats = _workspace(model)
+    with right_to_left_runner(model.config.lstm_spec(), flats, d_flats,
+                              int(np.diff(data.offsets).max()), len(data)) as runner:
+        loss_and_gradients(model, data, rows, tensors, runner)
+        shapes = {name: g.shape for name, g in tensors.items()}
         analytic = _views(grad.copy(), shapes)
 
         rng = np.random.default_rng(seed)
@@ -267,9 +255,9 @@ def gradient_check(model: SrlModel, examples: list[TrainingExample],
             for c in coords:
                 original = flat[c]
                 flat[c] = original + epsilon
-                upper = loss_and_gradients(model, data, rows, grads)
+                upper = loss_and_gradients(model, data, rows, tensors, runner)
                 flat[c] = original - epsilon
-                lower = loss_and_gradients(model, data, rows, grads)
+                lower = loss_and_gradients(model, data, rows, tensors, runner)
                 flat[c] = original
                 numeric = (upper - lower) / (2.0 * epsilon)
                 ga = float(grad_flat[c])

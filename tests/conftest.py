@@ -1,4 +1,3 @@
-import json
 import math
 import struct
 from pathlib import Path
@@ -9,6 +8,7 @@ import pytest
 from xsrl import blas
 from xsrl.corpus import Corpus, PredicateFrame, Sentence, Token, UNIVERSAL_TAGS
 from xsrl.model import OUTSIDE, encode_examples, loss_and_gradients, predict, training
+from xsrl.model.lstm import Inline
 from xsrl.model.network import examples_from_corpus
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "toy"
@@ -41,7 +41,7 @@ def checkpoint_layout(data: bytes):
     tensor name to the (offset, dtype, element count) of its data.
     """
     (header_len,) = struct.unpack_from("<I", data, 12)
-    dtype = np.dtype(json.loads(data[16:16 + header_len])["config"]["dtype"]).newbyteorder("<")
+    dtype = np.dtype("<f8")
     pos = 16 + header_len
     fields, tensors = [(12, 4), (pos, 4)], {}
     (count,) = struct.unpack_from("<I", data, pos)
@@ -122,9 +122,10 @@ def workspace_loss(model, data, rows=None):
     examples ``rows`` of ``data`` (all of them by default), in a new
     training workspace, so the gradients of two calls never share a
     buffer."""
-    _, _, grads = training._workspace(model)
+    _, _, tensors, flats, d_flats = training._workspace(model)
     rows = np.arange(len(data)) if rows is None else rows
-    return loss_and_gradients(model, data, rows, grads), grads.tensors
+    runner = Inline(model.config.lstm_spec(), flats, d_flats)
+    return loss_and_gradients(model, data, rows, tensors, runner), tensors
 
 
 def freeze_onto(basic, pgn):

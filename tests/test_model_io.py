@@ -1,6 +1,5 @@
 import json
 import struct
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -128,61 +127,50 @@ def test_load_embeddings_rejects_non_finite_values(tmp_path, value):
         load_embeddings(str(path))
 
 
-def write_version_1(model, path):
-    """The version-1 writer: every tensor as float64, whatever the config dtype."""
-    header = json.dumps({
-        "config": asdict(model.config),
-        "vocab": {"words": list(model.vocab.words), "pos_tags": list(model.vocab.pos_tags),
-                  "labels": list(model.vocab.labels),
-                  "languages": list(model.vocab.languages)},
-    }).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(b"XSRLMODL" + struct.pack("<II", 1, len(header)) + header)
-        fh.write(struct.pack("<I", len(model.params)))
-        for name in sorted(model.params):
-            tensor = np.ascontiguousarray(model.params[name], dtype="<f8")
-            fh.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
-            fh.write(struct.pack(f"<I{tensor.ndim}Q", tensor.ndim, *tensor.shape))
-            fh.write(tensor.tobytes())
+def with_header(data: bytes, **config) -> bytes:
+    """Checkpoint bytes with the given configuration fields rewritten."""
+    (length,) = struct.unpack_from("<I", data, 12)
+    header = json.loads(data[16:16 + length])
+    header["config"].update(config)
+    text = json.dumps(header).encode("utf-8")
+    return data[:12] + struct.pack("<I", len(text)) + text + data[16 + length:]
 
 
-def float32_model(variant):
-    model = make_model(variant)
-    model.config.dtype = "float32"
-    model.params = {name: p.astype(np.float32) for name, p in model.params.items()}
-    return model
-
-
-@pytest.mark.parametrize("variant", [BASIC, PGN])
-def test_float32_round_trip_keeps_dtype(tmp_path, variant):
-    model = float32_model(variant)
-    path = tmp_path / "model.bin"
-    save_model(model, str(path))
-    loaded = load_model(str(path))
-    for name, tensor in model.params.items():
-        assert loaded.params[name].dtype == np.float32
-        assert np.array_equal(loaded.params[name], tensor)
-
-
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_version_1_checkpoints_still_load(tmp_path, dtype):
-    model = make_model() if dtype == "float64" else float32_model(PGN)
+def test_version_1_checkpoints_still_load(tmp_path):
+    """Version 1 wrote float64 tensors in the version-2 layout."""
+    model = make_model()
     path = tmp_path / "v1.bin"
-    write_version_1(model, str(path))
+    save_model(model, str(path))
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 8, 1)
+    path.write_bytes(bytes(data))
     loaded = load_model(str(path))
     assert loaded.config == model.config
     for name, tensor in model.params.items():
-        assert loaded.params[name].dtype == np.dtype(dtype)
+        assert loaded.params[name].dtype == np.float64
         assert np.array_equal(loaded.params[name], tensor)
 
 
-def test_non_float_dtype_is_a_malformed_header(tmp_path):
+def test_clip_norm_in_the_header_is_ignored(tmp_path):
     model = make_model()
-    model.config.dtype = "int8"
-    path = tmp_path / "int.bin"
-    write_version_1(model, str(path))
-    with pytest.raises(CheckpointError, match="not a float type"):
+    path = tmp_path / "model.bin"
+    save_model(model, str(path))
+    path.write_bytes(with_header(path.read_bytes(), clip_norm=0.0))
+    assert load_model(str(path)).config == model.config
+
+
+@pytest.mark.parametrize("dtype", ["float32", "int8"])
+def test_non_float64_dtype_exits_2_naming_the_file(tmp_path, capsys, dtype):
+    path = tmp_path / "model.bin"
+    save_model(make_model(), str(path))
+    path.write_bytes(with_header(path.read_bytes(), dtype=dtype))
+    with pytest.raises(CheckpointError, match="float64"):
         load_model(str(path))
+    assert predict_exit(tmp_path, path) == 2
+    assert capsys.readouterr().err == (
+        f"xsrl: error: {path}: unsupported tensor dtype {dtype!r}: "
+        f"checkpoints hold float64 tensors\n")
+    assert not (tmp_path / "pred.conllu").exists()
 
 
 def predict_exit(tmp_path, path):

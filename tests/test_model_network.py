@@ -58,12 +58,18 @@ def corpus():
 def test_config_validation():
     with pytest.raises(ModelError):
         ModelConfig(variant="fancy")
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="hidden must be >= 1, got 0"):
         ModelConfig(hidden=0)
-    for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ModelError, match="clip_norm must be"):
-            ModelConfig(clip_norm=bad)
-    ModelConfig(clip_norm=0.0)
+    with pytest.raises(ModelError, match="batch_size must be >= 1, got 0"):
+        ModelConfig(batch_size=0)
+    with pytest.raises(ModelError, match="epochs must be >= 1, got -1"):
+        ModelConfig(epochs=-1)
+    with pytest.raises(ModelError, match="lang_dim must be >= 1, got 0"):
+        ModelConfig(lang_dim=0)
+    ModelConfig(lang_dim=0, variant="basic")
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ModelError, match="learning_rate must be a finite number > 0"):
+            ModelConfig(learning_rate=bad)
 
 
 def test_examples_from_corpus(corpus):

@@ -18,6 +18,7 @@ from xsrl.model import (
     loss_and_gradients,
     train,
 )
+from xsrl.model.lstm import Inline
 from xsrl.model.network import TrainingExample, examples_from_corpus
 from xsrl.model.training import ADAM_BLOCK, _Adam
 
@@ -70,12 +71,11 @@ def test_gradient_check_perturbs_the_training_workspace(mixed_corpus, monkeypatc
         built.append((result[0], result[0].copy()))
         return result
 
-    def recording_loss(model, data, rows, grads):
+    def recording_loss(model, data, rows, tensors, runner):
         params, start = built[-1]
-        trained = grads.tensors.keys()
-        assert all(np.shares_memory(model.params[name], params) for name in trained)
+        assert all(np.shares_memory(model.params[name], params) for name in tensors)
         moved.append(int(np.count_nonzero(params != start)))
-        return loss_and_grads(model, data, rows, grads)
+        return loss_and_grads(model, data, rows, tensors, runner)
 
     monkeypatch.setattr(training, "_workspace", recording_workspace)
     monkeypatch.setattr(training, "loss_and_gradients", recording_loss)
@@ -84,15 +84,6 @@ def test_gradient_check_perturbs_the_training_workspace(mixed_corpus, monkeypatc
     assert gradient_check(model, [example], samples=30) < 1e-4
     assert len(built) == 1
     assert moved[0] == 0 and len(moved) > 60 and set(moved[1:]) == {1}
-
-
-def test_gradient_check_requires_float64(mixed_corpus):
-    config = grad_config(BASIC, 1)
-    config.dtype = "float32"
-    model = init_model(config, Vocabulary.from_corpus(mixed_corpus), seed=1)
-    example = examples_from_corpus(mixed_corpus)[0]
-    with pytest.raises(ModelError, match="float64"):
-        gradient_check(model, [example])
 
 
 def test_saturated_example_has_zero_gradients(mixed_corpus):
@@ -157,15 +148,6 @@ def test_overfit_all_outside_frame_predicts_empty_args():
     assert frame.args == ()
     (frame,), = predict(model, [(sentences[0], [1], "EN")])
     assert frame.args == ((2, "A0"),)
-
-
-def test_float32_mode_trains():
-    corpus = Corpus.from_sentences([sentence(["a", "b"], 1, [(2, "A0")])])
-    config = grad_config(BASIC, 1)
-    config.dtype, config.epochs, config.batch_size = "float32", 2, 1
-    model, losses = train(corpus, config, seed=1)
-    assert model.params["bilstm"].dtype == np.float32
-    assert all(np.isfinite(loss) for loss in losses)
 
 
 def test_frozen_word_table_stays_put(mixed_corpus):
@@ -372,15 +354,15 @@ def test_workspace_reuse_matches_fresh_buffers(variant, train_word_table):
     config.train_word_table = train_word_table
     model = init_model(config, Vocabulary.from_corpus(corpus), seed=4)
     data = encode_examples(model, examples_from_corpus(corpus))
-    _, grad, grads = training._workspace(model)
+    _, grad, tensors, flats, d_flats = training._workspace(model)
     grad.fill(np.nan)
     if variant == PGN:
-        # BASIC's runner rows are the parameter and gradient views themselves
-        grads.right_to_left.flats.fill(np.nan)
-        grads.right_to_left.d_flats.fill(np.nan)
+        # BASIC's recurrent rows are the parameter and gradient views themselves
+        flats.fill(np.nan)
+        d_flats.fill(np.nan)
+    runner = Inline(config.lstm_spec(), flats, d_flats)
     for rows in ([0, 1, 2], [3, 4]):
-        loss = loss_and_gradients(model, data, rows, grads)
-        tensors = grads.tensors
+        loss = loss_and_gradients(model, data, rows, tensors, runner)
         fresh_loss, fresh = workspace_loss(model, data, rows)
         assert loss == fresh_loss
         assert list(tensors) == list(fresh)
