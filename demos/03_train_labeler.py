@@ -7,7 +7,7 @@ and a decoded example show the CRF head producing coherent role spans.
 
 from pathlib import Path
 
-from xsrl.corpus import parse_srl_corpus
+from xsrl.corpus import Corpus, parse_srl_corpus
 from xsrl.model import BASIC, ModelConfig, predict, train
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "toy"
@@ -24,7 +24,7 @@ def main():
 
     sentence = corpus.sentences[0]
     frame = sentence.frames[0]
-    (hyp,), = predict(model, [(sentence, [frame.pred_index], sentence.lang)])
+    hyp = predict(model, Corpus((sentence,))).sentences[0].frames[0]
     forms = " ".join(t.form for t in sentence.tokens)
     print(f"\nsentence: {forms}")
     print(f"gold args:      {frame.args}")

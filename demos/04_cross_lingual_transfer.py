@@ -7,7 +7,6 @@ alignments, a model is trained on it (optionally mixed with the English
 source), and the result is scored against held-out gold German sentences.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 from xsrl.alignment import ibm1_train, read_parallel_corpus
@@ -18,13 +17,6 @@ from xsrl.postag import fit_pos_emission
 from xsrl.projection import ProjectionConfig, project_corpus
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "toy"
-
-
-def evaluate(model, dev):
-    frames = predict(model, [(s, [f.pred_index for f in s.frames], s.lang)
-                             for s in dev.sentences])
-    predicted = [replace(s, frames=f) for s, f in zip(dev.sentences, frames)]
-    return srl_f1(dev, Corpus.from_sentences(predicted))
 
 
 def main():
@@ -47,11 +39,11 @@ def main():
                          learning_rate=0.01, batch_size=20, epochs=40)
 
     target_only = train(target, config, seed=42)[0]
-    print(f"target-only model   dev F1 {evaluate(target_only, dev).f1:.3f}")
+    print(f"target-only model   dev F1 {srl_f1(dev, predict(target_only, dev)).f1:.3f}")
 
     mixed = Corpus.from_sentences(source.sentences + target.sentences)
     mixed_model = train(mixed, config, seed=42)[0]
-    report = evaluate(mixed_model, dev)
+    report = srl_f1(dev, predict(mixed_model, dev))
     print(f"source+target model dev F1 {report.f1:.3f}")
 
     print("\nper-role scores of the mixed model:")

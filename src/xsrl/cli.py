@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 
 from . import blas
 from . import eval as evaluation
@@ -62,8 +61,10 @@ MALLOC_TRIM_THRESHOLD = 256 * 2**20
 MALLOC_MMAP_THRESHOLD = 32 * 2**20
 
 
+@functools.cache
 def _keep_freed_pages() -> None:
-    """Apply the malloc settings above; does nothing without ``mallopt``."""
+    """Apply the malloc settings above, once per process; does nothing
+    without ``mallopt``."""
     import ctypes
 
     try:
@@ -87,7 +88,8 @@ def _one_blas_thread() -> None:
 
 @contextmanager
 def _reading(path: str):
-    """Name ``path`` in every input error raised while reading it.
+    """Name ``path`` in every input error raised in the block: while
+    reading it, or while using what was read from it.
 
     Undecodable bytes become ``PATH: line N: not valid UTF-8``, N being the
     line of the first byte that is not UTF-8.
@@ -282,7 +284,8 @@ def cmd_project(args) -> int:
     table = _load(load_table, args.table)
     dist = _load(load_pos_distribution, args.posdist)
     config = ProjectionConfig(alpha=args.alpha)
-    out, stats = project_corpus(src, list(translations.sentences), table, dist, config)
+    with _reading(args.posdist):  # a source tag outside its tagset
+        out, stats = project_corpus(src, list(translations.sentences), table, dist, config)
     _write_bytes(args.out, write_srl_corpus(out))
     stats_text = stats.as_lines()
     _write_text(args.stats or args.out + ".stats", stats_text)
@@ -337,25 +340,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _relabel(model, corpus: Corpus) -> Corpus:
-    frames = predict(model, [(sent, [f.pred_index for f in sent.frames], sent.lang)
-                             for sent in corpus.sentences])
-    return Corpus.from_sentences(
-        replace(sent, frames=sent_frames)
-        for sent, sent_frames in zip(corpus.sentences, frames))
-
-
 def cmd_predict(args) -> int:
     model = _load(load_model, args.model)
     corpus = _load_corpus(args.input, lang=args.lang)
-    _write_bytes(args.out, write_srl_corpus(_relabel(model, corpus)))
+    with _reading(args.input):  # a language the model does not know
+        predicted = predict(model, corpus)
+    _write_bytes(args.out, write_srl_corpus(predicted))
     return 0
 
 
 def cmd_eval(args) -> int:
     gold = _load_corpus(args.gold, lang=args.lang)
     pred = _load_corpus(args.pred, lang=args.lang)
-    report = evaluation.srl_f1(gold, pred, buckets=args.buckets)
+    try:
+        report = evaluation.srl_f1(gold, pred, buckets=args.buckets)
+    except evaluation.EvalError as exc:  # sentences or predicates that differ
+        raise evaluation.EvalError(
+            f"--pred {args.pred} does not match --gold {args.gold}: {exc}") from None
     text = evaluation.format_report(report)
     if args.out:
         _write_text(args.out, text)
@@ -420,8 +421,9 @@ def cmd_sweep_alpha(args) -> int:
         header.append("f1")
     rows = [",".join(header)]
     for alpha in alphas:
-        projected, stats = project_corpus(
-            src, list(translations.sentences), table, dist, ProjectionConfig(alpha=alpha))
+        with _reading(args.posdist):  # a source tag outside its tagset
+            projected, stats = project_corpus(
+                src, list(translations.sentences), table, dist, ProjectionConfig(alpha=alpha))
         row = [repr(alpha)] + [str(getattr(stats, f)) for f in ProjectionStats.FIELDS]
         if args.train:
             row.append(repr(_dev_f1(args, projected, dev)))
@@ -441,7 +443,8 @@ def _dev_f1(args, projected: Corpus, dev: Corpus) -> float:
     if not any(s.frames for s in projected.sentences):
         return 0.0
     model, _ = _train_model(args, projected)
-    return evaluation.srl_f1(dev, _relabel(model, dev)).f1
+    with _reading(args.dev):  # a language the model does not know
+        return evaluation.srl_f1(dev, predict(model, dev)).f1
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:

@@ -10,10 +10,8 @@ from .network import (
     ModelConfig,
     ModelError,
     SrlModel,
-    TrainingExample,
     Vocabulary,
     encode_examples,
-    examples_from_corpus,
     init_model,
     language_similarity,
     loss_and_gradients,
@@ -34,11 +32,9 @@ __all__ = [
     "ModelError",
     "SrlModel",
     "TrainingError",
-    "TrainingExample",
     "Vocabulary",
     "CheckpointError",
     "encode_examples",
-    "examples_from_corpus",
     "gradient_check",
     "init_model",
     "language_similarity",

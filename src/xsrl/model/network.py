@@ -6,16 +6,17 @@ sentence's language: a parameter-generation matrix maps the language
 embedding to the full flattened BiLSTM weight block, so each language
 gets its own encoder while sharing the generator.
 
-The model runs through two entry points, and a single example is a batch
-of one in both.  :func:`loss_and_gradients` is the training path: it
-takes examples encoded once into integer arrays by
-:func:`encode_examples` (:class:`EncodedExamples`), orders a batch by
-language group (one per language for PGN, one for BASIC) and pads it
-once, time-major; one BiLSTM call runs every group on its own columns
-with its own generated weight block, and the embedding, the CRF and
-their gradients run over the whole batch.  :func:`predict` is the
-inference path: it takes a whole corpus at once and cuts each language
-group into forward-only batches of sentences of similar length.
+Both entry points take a corpus; one row is one (sentence, predicate
+frame) pair, and a single row is a batch of one.
+:func:`loss_and_gradients` is the training path: it takes a corpus
+encoded once into integer arrays by :func:`encode_examples`
+(:class:`EncodedExamples`), orders a batch by language group (one per
+language for PGN, one for BASIC) and pads it once, time-major; one
+BiLSTM call runs every group on its own columns with its own generated
+weight block, and the embedding, the CRF and their gradients run over
+the whole batch.  :func:`predict` is the inference path: it relabels a
+whole corpus at once, cutting each language group into forward-only
+batches of sentences of similar length.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..corpus import UNIVERSAL_TAGS, Corpus, PredicateFrame, Sentence
+from ..corpus import UNIVERSAL_TAGS, Corpus, Sentence
 from . import crf
 from .lstm import Inline, LstmSpec, bilstm_backward, bilstm_forward, right_to_left_runner
 
@@ -34,10 +35,8 @@ __all__ = [
     "ModelError",
     "ModelConfig",
     "Vocabulary",
-    "TrainingExample",
     "EncodedExamples",
     "SrlModel",
-    "examples_from_corpus",
     "encode_examples",
     "init_model",
     "param_shapes",
@@ -70,8 +69,6 @@ class ModelConfig:
     lang_dim: int = 32
     hidden: int = 650
     layers: int = 3
-    label_count: int = 0
-    language_count: int = 0
     variant: str = PGN
     learning_rate: float = 0.0005
     batch_size: int = 50
@@ -148,25 +145,6 @@ class Vocabulary:
             raise ModelError(f"unknown language ID {lang!r}") from None
 
 
-@dataclass(frozen=True)
-class TrainingExample:
-    """One (sentence, predicate) pair with its per-token gold role sequence."""
-
-    sentence: Sentence
-    frame: PredicateFrame
-    labels: tuple[str, ...]
-
-
-def examples_from_corpus(corpus: Corpus) -> list[TrainingExample]:
-    out = []
-    for sent in corpus.sentences:
-        for frame in sent.frames:
-            roles = dict(frame.args)
-            labels = tuple(roles.get(t.index, OUTSIDE) for t in sent.tokens)
-            out.append(TrainingExample(sentence=sent, frame=frame, labels=labels))
-    return out
-
-
 @dataclass
 class SrlModel:
     """Trainable parameters plus the configuration and vocab that shaped them.
@@ -190,9 +168,7 @@ def init_model(config: ModelConfig, vocab: Vocabulary, seed: int = 42,
     ``word_table`` installs pretrained vectors instead of random ones.
     """
     rng = np.random.default_rng(seed)
-    config = replace(config,
-                     label_count=len(vocab.labels),
-                     language_count=len(vocab.languages))
+    config = replace(config)  # its own copy: the caller's may change
     spec = config.lstm_spec()
 
     def uniform(*shape):
@@ -275,12 +251,6 @@ def _feature_ids(model: SrlModel, sentence: Sentence, pred_index: int) -> np.nda
                      for t in sentence.tokens], dtype=np.intp)
 
 
-def _label_ids(model: SrlModel, labels, count: int) -> np.ndarray:
-    if len(labels) != count:
-        raise ModelError(f"{len(labels)} gold labels for {count} tokens")
-    return np.array([model.vocab.label_id(l) for l in labels], dtype=np.intp)
-
-
 def _lang_code(model: SrlModel, lang: str) -> int:
     """Language id of ``lang``; 0 for BASIC, which ignores the language."""
     return 0 if model.config.variant == BASIC else model.vocab.lang_id(lang)
@@ -288,12 +258,13 @@ def _lang_code(model: SrlModel, lang: str) -> int:
 
 @dataclass(frozen=True)
 class EncodedExamples:
-    """Examples coded as integer arrays, stored ragged without padding.
+    """A corpus's rows coded as integer arrays, stored ragged without padding.
 
-    Example i owns rows ``offsets[i]:offsets[i + 1]`` of ``ids`` (word,
-    POS and predicate-indicator ids, one row per token) and of ``labels``
-    (its gold label ids; empty when encoded without gold labels).
-    ``langs[i]`` is its language id, 0 for every example of a BASIC model.
+    Row i, one (sentence, frame) pair, owns ``offsets[i]:offsets[i + 1]``
+    of ``ids`` (word, POS and predicate-indicator ids, one line per token)
+    and of ``labels`` (its gold label ids; empty when encoded without gold
+    labels).
+    ``langs[i]`` is its language id, 0 for every row of a BASIC model.
     """
 
     ids: np.ndarray
@@ -305,23 +276,30 @@ class EncodedExamples:
         return len(self.langs)
 
 
-def _encode(model: SrlModel, rows, gold=()) -> EncodedExamples:
-    """Encode ``(sentence, pred_index, lang)`` rows, with one gold label
-    sequence per row in ``gold`` when given."""
-    ids = [_feature_ids(model, sentence, p) for sentence, p, _ in rows]
-    labels = [_label_ids(model, seq, len(row)) for seq, row in zip(gold, ids)]
+def encode_examples(model: SrlModel, corpus: Corpus, gold: bool = True) -> EncodedExamples:
+    """Encode one row per (sentence, frame) of ``corpus``, sentences in
+    order and each sentence's frames in order, in the sentence's language.
+
+    A row's gold labels are its frame's role at each argument and OUTSIDE
+    at every other token; with ``gold`` false (prediction) they are left
+    out, so roles the model does not know are no error.  Training encodes
+    its corpus once, before the first epoch.
+    """
+    rows = [(sentence, frame) for sentence in corpus.sentences for frame in sentence.frames]
+    ids = [_feature_ids(model, sentence, frame.pred_index) for sentence, frame in rows]
+    labels = []
+    if gold:
+        label_id = model.vocab.label_id
+        for sentence, frame in rows:
+            roles = dict(frame.args)
+            labels.append(np.array([label_id(roles.get(t.index, OUTSIDE))
+                                    for t in sentence.tokens], dtype=np.intp))
     return EncodedExamples(
         ids=np.concatenate([np.zeros((0, 3), dtype=np.intp), *ids]),
         labels=np.concatenate([np.zeros(0, dtype=np.intp), *labels]),
         offsets=np.cumsum([0, *map(len, ids)], dtype=np.intp),
-        langs=np.array([_lang_code(model, lang) for _, _, lang in rows], dtype=np.intp))
-
-
-def encode_examples(model: SrlModel, examples: list[TrainingExample]) -> EncodedExamples:
-    """Encode training examples and their gold labels; training does it once
-    per corpus, before the first epoch."""
-    return _encode(model, [(ex.sentence, ex.frame.pred_index, ex.sentence.lang)
-                           for ex in examples], [ex.labels for ex in examples])
+        langs=np.array([_lang_code(model, sentence.lang) for sentence, _ in rows],
+                       dtype=np.intp))
 
 
 def _embed(model: SrlModel, ids: np.ndarray) -> np.ndarray:
@@ -394,7 +372,7 @@ def _language_groups(langs: np.ndarray) -> list[tuple[int, slice]]:
 def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows,
                        tensors: dict[str, np.ndarray], runner: Inline) -> float:
     """Summed loss, returned, and summed gradients, written into ``tensors``
-    and ``runner``, over the examples ``rows`` of ``data``.
+    and ``runner``, over the rows ``rows`` of ``data``.
 
     ``data`` comes from :func:`encode_examples`.  The batch is ordered by
     language (stably; one group for BASIC) and padded time-major once.
@@ -458,27 +436,24 @@ def loss_and_gradients(model: SrlModel, data: EncodedExamples, rows,
     return loss
 
 
-def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:
-    """Label the arguments of the given predicates of many sentences.
+def predict(model: SrlModel, corpus: Corpus) -> Corpus:
+    """Relabel the arguments of every predicate frame of ``corpus``.
 
-    ``requests`` holds ``(sentence, pred_indices, lang)`` triples; the
-    result holds one tuple of frames per request, in request order, one
-    frame per predicate index.  One row is one (sentence, predicate) pair,
-    encoded as in training.  Rows are grouped by language (one group for
-    BASIC), ordered by sentence length within a group (stable in request
-    order) and run forward-only in padded batches of PREDICT_ROWS rows, so
-    the encoder's working set is one batch whatever the corpus size.  Every
-    language's recurrent vector is made first; then, when there is more
-    than one batch, one partner process, where one can run, runs the
-    right-to-left direction of every batch
+    Returns the corpus with each frame's arguments replaced by the model's,
+    at the predicate position and with the sense the frame gives; a
+    predicate position itself never becomes an argument.  One row is one
+    (sentence, frame) pair, encoded as in training in the sentence's
+    language (:func:`encode_examples`, without gold labels).  Rows are
+    grouped by language (one group for BASIC), ordered by sentence length
+    within a group (stable in corpus order) and run forward-only in padded
+    batches of PREDICT_ROWS rows, so the encoder's working set is one batch
+    whatever the corpus size.  Every language's recurrent vector is made
+    first; then, when there is more than one batch, one partner process,
+    where one can run, runs the right-to-left direction of every batch
     (:func:`~xsrl.model.lstm.right_to_left_runner`); a single batch runs
-    it inline, as the fork would cost more than it saves.  A
-    predicate position itself never becomes an argument; each frame keeps
-    the sentence's sense for its predicate.
+    it inline, as the fork would cost more than it saves.
     """
-    requests = [(sentence, list(preds), lang) for sentence, preds, lang in requests]
-    data = _encode(model, [(sentence, p, lang) for sentence, preds, lang in requests
-                           for p in preds])
+    data = encode_examples(model, corpus, gold=False)
     sizes = np.diff(data.offsets)
     order = np.lexsort((sizes, data.langs))
     paths: list = [None] * len(data)
@@ -504,14 +479,9 @@ def predict(model: SrlModel, requests) -> list[tuple[PredicateFrame, ...]]:
                 paths[row] = path
     labels = model.vocab.labels
     rows = iter(paths)
-    out = []
-    for sentence, preds, _ in requests:
-        senses: dict[int, str] = {}
-        for frame in sentence.frames:
-            senses.setdefault(frame.pred_index, frame.sense)
-        out.append(tuple(
-            PredicateFrame(pred_index=p, sense=senses.get(p, "_"), args=tuple(
-                (i + 1, labels[y]) for i, y in enumerate(path)
-                if labels[y] != OUTSIDE and i + 1 != p))
-            for p, path in zip(preds, rows)))
-    return out
+    return Corpus(tuple(
+        replace(sentence, frames=tuple(
+            replace(frame, args=tuple((i + 1, labels[y]) for i, y in enumerate(next(rows))
+                                      if labels[y] != OUTSIDE and i + 1 != frame.pred_index))
+            for frame in sentence.frames))
+        for sentence in corpus.sentences))

@@ -3,10 +3,14 @@
 Layout: 8-byte magic, u32 format version, u32-length-prefixed JSON header
 (configuration and vocabulary), u32 tensor count, then, in name order, per
 tensor a u32-length-prefixed name, u32 rank, u64 dimensions and row-major
-float64 data.  All numbers little-endian.  The header's configuration
-also records the tensors' dtype, always ``float64``, and the training
-clip norm; the loader refuses any other dtype and ignores the clip norm.
-Versions 1 and 2 read the same way.
+float64 data.  All numbers little-endian.  Besides the
+:class:`~xsrl.model.network.ModelConfig` fields, the header's
+configuration records the label and language counts (written from the
+vocabulary, before ``variant``), the training clip norm (before
+``train_word_table``) and the tensors' dtype, always ``float64`` (last).
+The loader ignores the counts and the clip norm, as the vocabulary and
+the training code hold them, and refuses any other dtype.  Versions 1
+and 2 read the same way.
 """
 
 from __future__ import annotations
@@ -33,11 +37,16 @@ class CheckpointError(ValueError):
 
 
 def save_model(model: SrlModel, path: str) -> None:
-    config = asdict(model.config)
-    train_word_table = config.pop("train_word_table")
+    config = {}
+    for name, value in asdict(model.config).items():
+        if name == "variant":
+            config["label_count"] = len(model.vocab.labels)
+            config["language_count"] = len(model.vocab.languages)
+        elif name == "train_word_table":
+            config["clip_norm"] = CLIP_NORM
+        config[name] = value
     header = json.dumps({
-        "config": {**config, "clip_norm": CLIP_NORM, "train_word_table": train_word_table,
-                   "dtype": "float64"},
+        "config": {**config, "dtype": "float64"},
         "vocab": {
             "words": list(model.vocab.words),
             "pos_tags": list(model.vocab.pos_tags),
@@ -93,7 +102,8 @@ def load_model(path: str) -> SrlModel:
             header = json.loads(text.decode("utf-8"))
             fields = dict(header["config"])
             dtype = fields.pop("dtype")
-            fields.pop("clip_norm", None)
+            for name in ("label_count", "language_count", "clip_norm"):
+                fields.pop(name, None)
             config = ModelConfig(**fields)
             vocab = Vocabulary(
                 words=tuple(header["vocab"]["words"]),

@@ -13,10 +13,8 @@ from .network import (
     ModelConfig,
     ModelError,
     SrlModel,
-    TrainingExample,
     Vocabulary,
     encode_examples,
-    examples_from_corpus,
     init_model,
     loss_and_gradients,
     training_shapes,
@@ -162,8 +160,8 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
           ) -> tuple[SrlModel, list[float]]:
     """Train a model on a (possibly mixed-language) corpus.
 
-    One example per (sentence, predicate); the examples are encoded once,
-    before the first epoch.  Epoch order is shuffled by a generator seeded
+    One row per (sentence, predicate frame); the corpus is encoded once
+    (:func:`~xsrl.model.network.encode_examples`), before the first epoch.  Epoch order is shuffled by a generator seeded
     with ``seed``; each batch runs as one padded minibatch, its gradient is
     averaged over the batch, and the returned log holds the mean loss of
     every epoch.  The parameters, their gradient and Adam's moments are
@@ -179,15 +177,14 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     floating-point warnings are silenced in both processes, as that error
     reports the divergence.
     """
-    examples = examples_from_corpus(corpus)
-    if not examples:
+    if not any(sentence.frames for sentence in corpus.sentences):
         raise ModelError("corpus has no predicate frames to train on")
     if vocab is None:
         vocab = Vocabulary.from_corpus(corpus)
     _check_memory(config, vocab)
     model = init_model(config, vocab, seed=seed, word_table=word_table)
     config = model.config
-    data = encode_examples(model, examples)
+    data = encode_examples(model, corpus)
     params, grad, tensors, flats, d_flats = _workspace(model)
     # both optimizers exist before a partner is forked; from the fork on
     # the partner owns the tail's moments, which this process never touches
@@ -203,7 +200,7 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
             min(config.batch_size, len(data)),
             tail=lambda: tail.update(params[split:], grad[split:])) as runner:
         for epoch in range(1, config.epochs + 1):
-            order = rng.permutation(len(examples))
+            order = rng.permutation(len(data))
             epoch_loss = 0.0
             for batch_no, start in enumerate(range(0, len(order), config.batch_size), start=1):
                 rows = order[start:start + config.batch_size]
@@ -219,16 +216,17 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
                 head.update(params[:split], grad[:split])
                 tail_step()
                 epoch_loss += loss
-            losses.append(epoch_loss / len(examples))
+            losses.append(epoch_loss / len(data))
     return model, losses
 
 
-def gradient_check(model: SrlModel, examples: list[TrainingExample],
+def gradient_check(model: SrlModel, corpus: Corpus,
                    epsilon: float = 1e-5, samples: int = 200,
                    seed: int = 0) -> float:
     """Compare analytic gradients of a batch against central finite differences.
 
-    Runs the examples as one batch through :func:`loss_and_gradients` into
+    Runs every (sentence, predicate frame) row of ``corpus``, encoded as
+    :func:`train` encodes it, as one batch through :func:`loss_and_gradients` into
     the training workspace, built once with the right-to-left runner that
     :func:`train` uses, and keeps a copy of its flat gradient as the
     analytic result.  Then it perturbs, through the parameter views that
@@ -236,7 +234,7 @@ def gradient_check(model: SrlModel, examples: list[TrainingExample],
     tensors (at least five of each, or all of a smaller one), and returns
     the maximum relative error |g_a - g_n| / max(|g_a|, |g_n|, 1e-4).
     """
-    data = encode_examples(model, examples)
+    data = encode_examples(model, corpus)
     rows = np.arange(len(data))
     params, grad, tensors, flats, d_flats = _workspace(model)
     with right_to_left_runner(model.config.lstm_spec(), flats, d_flats,

@@ -124,6 +124,8 @@ def load_pos_distribution(path: str) -> PosDistribution:
     word_ids, tag_ids, probs = [], [], []
     for start in range(1, len(lines), _CHUNK_LINES):
         chunk = list(filter(None, lines[start:start + _CHUNK_LINES]))
+        if not chunk:
+            continue
         if list(map(str.count, chunk, repeat("\t"))).count(2) != len(chunk):
             raise _first_line_error(lines, dist)
         cells = "\t".join(chunk).split("\t")

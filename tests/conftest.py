@@ -9,7 +9,6 @@ from xsrl import blas
 from xsrl.corpus import Corpus, PredicateFrame, Sentence, Token, UNIVERSAL_TAGS
 from xsrl.model import OUTSIDE, encode_examples, loss_and_gradients, predict, training
 from xsrl.model.lstm import Inline
-from xsrl.model.network import examples_from_corpus
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "toy"
 
@@ -96,22 +95,22 @@ def token_f1(model, corpus: Corpus) -> float:
     """Token-level role F1 of one :func:`predict` call over the corpus
     against its gold frames, one token sequence per (sentence, predicate).
     predict never labels a predicate's own token."""
-    predicted = predict(model, [(s, [f.pred_index for f in s.frames], s.lang)
-                                for s in corpus.sentences])
-    frames = [frame for sentence_frames in predicted for frame in sentence_frames]
+    predicted = predict(model, corpus)
     tp = fp = fn = 0
-    for ex, frame in zip(examples_from_corpus(corpus), frames, strict=True):
-        roles = dict(frame.args)
-        for token, gold in zip(ex.sentence.tokens, ex.labels):
-            got = roles.get(token.index, OUTSIDE)
-            if gold != OUTSIDE and got == gold:
-                tp += 1
-            elif gold == OUTSIDE and got != OUTSIDE:
-                fp += 1
-            elif gold != OUTSIDE:
-                fn += 1
-                if got != OUTSIDE:
+    for sentence, relabelled in zip(corpus.sentences, predicted.sentences, strict=True):
+        for gold_frame, frame in zip(sentence.frames, relabelled.frames, strict=True):
+            gold_roles, roles = dict(gold_frame.args), dict(frame.args)
+            for token in sentence.tokens:
+                gold = gold_roles.get(token.index, OUTSIDE)
+                got = roles.get(token.index, OUTSIDE)
+                if gold != OUTSIDE and got == gold:
+                    tp += 1
+                elif gold == OUTSIDE and got != OUTSIDE:
                     fp += 1
+                elif gold != OUTSIDE:
+                    fn += 1
+                    if got != OUTSIDE:
+                        fp += 1
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
     return 2 * p * r / (p + r) if p + r else 0.0
@@ -119,7 +118,7 @@ def token_f1(model, corpus: Corpus) -> float:
 
 def workspace_loss(model, data, rows=None):
     """The loss and the gradients of :func:`loss_and_gradients` over the
-    examples ``rows`` of ``data`` (all of them by default), in a new
+    rows ``rows`` of ``data`` (all of them by default), in a new
     training workspace, so the gradients of two calls never share a
     buffer."""
     _, _, tensors, flats, d_flats = training._workspace(model)
@@ -140,18 +139,18 @@ def freeze_onto(basic, pgn):
     return pgn
 
 
-def assert_frozen_pgn_equals_basic(basic, frozen, examples):
-    """On one batch of one language group, the frozen PGN of
-    :func:`freeze_onto` trains and predicts exactly like BASIC: equal
-    losses, bit-equal gradients of every shared tensor, the generator's
-    gradient equal to BASIC's recurrent gradient, and equal frames."""
-    loss_b, grads_b = workspace_loss(basic, encode_examples(basic, examples))
-    loss_p, grads_p = workspace_loss(frozen, encode_examples(frozen, examples))
+def assert_frozen_pgn_equals_basic(basic, frozen, corpus):
+    """On the rows of ``corpus`` as one batch of one language group, the
+    frozen PGN of :func:`freeze_onto` trains and predicts exactly like
+    BASIC: equal losses, bit-equal gradients of every shared tensor, the
+    generator's gradient equal to BASIC's recurrent gradient, and equal
+    frames."""
+    loss_b, grads_b = workspace_loss(basic, encode_examples(basic, corpus))
+    loss_p, grads_p = workspace_loss(frozen, encode_examples(frozen, corpus))
     assert loss_b == loss_p
     shared = set(grads_b) - {"bilstm"}
     assert shared == set(grads_p) - {"w_pgn", "lang_table"}
     for name in shared:
         assert np.array_equal(grads_b[name], grads_p[name]), name
     assert np.array_equal(grads_p["w_pgn"][:, 0], grads_b["bilstm"])
-    requests = [(ex.sentence, [ex.frame.pred_index], ex.sentence.lang) for ex in examples]
-    assert predict(basic, requests) == predict(frozen, requests)
+    assert predict(basic, corpus) == predict(frozen, corpus)

@@ -6,7 +6,6 @@ checklist.  Tolerances are fixed here, not configurable.
 
 import itertools
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from xsrl.corpus import Corpus, PredicateFrame, Sentence, Token, parse_srl_corpu
 from xsrl.eval import parse_report, srl_f1
 from xsrl.model import (
     BASIC,
+    OUTSIDE,
     PGN,
     ModelConfig,
     Vocabulary,
@@ -27,7 +27,6 @@ from xsrl.model import (
     train,
 )
 from xsrl.model import lstm
-from xsrl.model.network import TrainingExample, examples_from_corpus
 from xsrl.postag import fit_pos_emission
 from xsrl.projection import ProjectionConfig, project_corpus, project_sentence
 
@@ -94,7 +93,7 @@ def test_criterion_2_gradient_check(monkeypatch):
     started = time.time()
     corpus = _grad_corpus()
     vocab = Vocabulary.from_corpus(corpus)
-    example = examples_from_corpus(corpus)[0]
+    first = Corpus(corpus.sentences[:1])
     worst = 0.0
     for variant in (BASIC, PGN):
         for layers in (1, 3):
@@ -102,7 +101,7 @@ def test_criterion_2_gradient_check(monkeypatch):
                                  hidden=8, layers=layers, variant=variant)
             model = init_model(config, vocab, seed=17)
             posted.clear()
-            error = gradient_check(model, [example], epsilon=1e-5, samples=220)
+            error = gradient_check(model, first, epsilon=1e-5, samples=220)
             assert error < 1e-4, (variant, layers, error)
             assert (lstm._BACKWARD in posted) == lstm._partner_available()
             worst = max(worst, error)
@@ -145,13 +144,14 @@ def test_criterion_3_pgn_algebra():
         n = int(rng.integers(1, 7))
         tokens = tuple(Token(i + 1, f"w{rng.integers(6)}", "_", "NOUN")
                        for i in range(n))
-        sent = Sentence(tokens=tokens, lang="EN")
         labels = tuple(vocab.labels[i] for i in label_rng.integers(len(vocab.labels), size=n))
-        probes.append(TrainingExample(
-            sent, PredicateFrame(int(rng.integers(1, n + 1)), "p.01"), labels))
-    assert_frozen_pgn_equals_basic(basic, frozen, probes)
+        # gold labels at every token, the predicate's own included
+        args = tuple((i, label) for i, label in enumerate(labels, start=1) if label != OUTSIDE)
+        frame = PredicateFrame(int(rng.integers(1, n + 1)), "p.01", args)
+        probes.append(Sentence(tokens=tokens, lang="EN", frames=(frame,)))
+    assert_frozen_pgn_equals_basic(basic, frozen, Corpus(tuple(probes)))
     for probe in probes:
-        assert_frozen_pgn_equals_basic(basic, frozen, [probe])
+        assert_frozen_pgn_equals_basic(basic, frozen, Corpus((probe,)))
     ok("criterion 3: generation linearity to 1e-12 on 100 draws; frozen "
        "single-language generator matches BASIC bit-for-bit (loss, gradients, "
        "predicted frames) on 20 probes, as one batch and one by one")
@@ -321,10 +321,7 @@ def test_criterion_8_pgn_directional():
                              hidden=16, layers=1, variant=variant,
                              learning_rate=0.01, batch_size=10, epochs=40)
         model, _ = train(train_corpus, config, seed=seed)
-        frames = predict(model, [(s, [f.pred_index for f in s.frames], s.lang)
-                                 for s in dev_corpus.sentences])
-        predicted = [replace(s, frames=f) for s, f in zip(dev_corpus.sentences, frames)]
-        return srl_f1(dev_corpus, Corpus.from_sentences(predicted)).f1
+        return srl_f1(dev_corpus, predict(model, dev_corpus)).f1
 
     basic_scores = [dev_f1(BASIC, seed) for seed in range(5)]
     pgn_scores = [dev_f1(PGN, seed) for seed in range(5)]

@@ -117,8 +117,28 @@ def test_train_two_languages_and_determinism(toy, capsys):
     assert model_a.read_bytes() == model_b.read_bytes()
     from xsrl.model import load_model
     model = load_model(str(model_a))
-    assert model.config.language_count == 2
     assert model.vocab.languages == ("DE", "EN")
+
+
+def test_a_second_command_leaves_no_cyclic_garbage(toy, capsys):
+    """Once a first command has set up the process, a second one leaves
+    nothing for the cyclic collector to free."""
+    import gc
+
+    argv = ["stats", "--input", toy / "en_srl.conllu"]
+    assert run(*argv) == 0
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(*argv) == 0
+        found = gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert found == 0, garbage
 
 
 def test_train_missing_language_exits_2(toy, capsys):
@@ -478,6 +498,8 @@ REPORT = (b"precision\t1.0\nrecall\t1.0\nf1\t1.0\ngold_args\t3\npred_args\t3\n\n
           b"[per_role]\nrole,precision,recall,f1,support\nA0,1.0,1.0,1.0,3\n\n"
           b"[per_distance]\nbucket,precision,recall,f1,support\n1-2,1.0,1.0,1.0,3\n")
 
+DEV = (DATA / "de_dev.conllu").read_bytes()
+
 # (command, argv with "BAD" for the malformed file, its bytes, message after
 # "PATH: "); "table.tsv" and "pos.tsv" are the toy recipe's.
 BAD_INPUTS = [
@@ -494,6 +516,9 @@ BAD_INPUTS = [
     ("project", ["--src", "en_srl.conllu", "--translations", "de_trans.conllu",
                  "--table", "table.tsv", "--posdist", "BAD", "--out", "o.conllu"],
      b"tagset\tNOUN,VERB\nhund\tNOUN\n", "line 2: expected 'word\\ttag\\tprob'"),
+    ("project", ["--src", "en_srl.conllu", "--translations", "de_trans.conllu",
+                 "--table", "table.tsv", "--posdist", "BAD", "--out", "o.conllu"],
+     b"tagset\tNOUN,ADJ\n", "unknown POS tag 'VERB'"),
     ("project", ["--src", "en_srl.conllu", "--translations", "BAD",
                  "--table", "table.tsv", "--posdist", "pos.tsv", "--out", "o.conllu"],
      ("# lang = DE\n" + TOKEN + "\n# lang = DE\n").encode()
@@ -547,3 +572,41 @@ def test_input_error_names_its_file(toy, capsys, command, argv, data, message):
             for a in argv]
     assert run(command, *argv) == 2
     assert capsys.readouterr().err == f"xsrl: error: {bad}: {message}\n"
+
+
+def test_eval_of_unlike_corpora_exits_2_naming_both(toy, capsys):
+    """Either file may be the one that is cut short: the error names both."""
+    short = toy / "short.conllu"
+    short.write_bytes(b"\n\n".join(DEV.split(b"\n\n")[:3]) + b"\n\n")
+    gold = toy / "de_dev.conllu"
+    assert run("eval", "--gold", gold, "--pred", short) == 2
+    assert capsys.readouterr().err == (f"xsrl: error: --pred {short} does not match --gold "
+                                       f"{gold}: gold has 20 sentences, prediction 3\n")
+
+
+def test_predict_in_an_unknown_language_exits_2_naming_the_input(toy, capsys):
+    """A PGN model trained on DE cannot label FR sentences; the error
+    names the corpus."""
+    assert run("train", "--train-file", toy / "de_dev.conllu", "--out", toy / "m.bin",
+               *TRAIN_FLAGS) == 0
+    (toy / "fr.conllu").write_bytes(DEV.replace(b"# lang = DE", b"# lang = FR", 1))
+    capsys.readouterr()
+    assert run("predict", "--model", toy / "m.bin", "--input", toy / "fr.conllu",
+               "--out", toy / "p.conllu") == 2
+    assert capsys.readouterr().err == (
+        f"xsrl: error: {toy / 'fr.conllu'}: unknown language ID 'FR'\n")
+
+
+def test_sweep_dev_in_an_unknown_language_exits_2_naming_it(toy, capsys):
+    """``sweep-alpha --train`` scores the dev corpus with a PGN model
+    trained on the projected DE corpus, which cannot label FR sentences."""
+    _prepare(toy)
+    (toy / "fr.conllu").write_bytes(DEV.replace(b"# lang = DE", b"# lang = FR", 1))
+    capsys.readouterr()
+    assert run("sweep-alpha", "--src", toy / "en_srl.conllu",
+               "--translations", toy / "de_trans.conllu",
+               "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv",
+               "--alphas", "0.4", "--train", "--dev", toy / "fr.conllu",
+               "--seed", "3", "--out", toy / "sweep.csv", *TRAIN_FLAGS) == 2
+    assert capsys.readouterr().err == (
+        f"xsrl: error: {toy / 'fr.conllu'}: unknown language ID 'FR'\n")

@@ -255,15 +255,23 @@ def test_validate_codes_each_invariant():
     assert "frame-empty-role" in _codes(
         sent(ok, (PredicateFrame(1, "x.01", ((2, ""),)),)))
     assert "frame-bad-sense" in _codes(sent(ok, (PredicateFrame(1, ""),)))
-    bad_inventory = Corpus(
-        sentences=(Sentence(tokens=ok, lang="EN",
-                            frames=(PredicateFrame(1, "x.01", ((2, "A0"),)),)),),
-        role_inventory=("A9",))
-    assert "corpus-roles" in _codes(bad_inventory)
     good = Corpus.from_sentences(
         [Sentence(tokens=ok, lang="EN",
                   frames=(PredicateFrame(1, "x.01", ((2, "A0"),)),))])
     assert _codes(good) == set()
+
+
+def test_role_inventory_is_derived_from_the_sentences():
+    """A corpus built directly reports the sorted roles of its arguments,
+    as one built by ``from_sentences`` does."""
+    rng = np.random.default_rng(21)
+    sentences = random_corpus(rng, 6).sentences
+    direct, built = Corpus(sentences=sentences), Corpus.from_sentences(list(sentences))
+    roles = sorted({r for s in sentences for f in s.frames for _, r in f.args})
+    assert len(roles) > 1
+    assert direct.role_inventory == built.role_inventory == tuple(roles)
+    assert direct == built
+    assert Corpus().role_inventory == ()
 
 
 def test_stats_toy_manifest(toy_dir):

@@ -22,12 +22,10 @@ from xsrl.model import (
 from xsrl.model.lstm import Inline, LstmSpec, bilstm_backward, bilstm_forward
 from xsrl.model.network import (
     PREDICT_ROWS,
-    TrainingExample,
     _embed,
     _language_groups,
     _pad,
     _recurrent_vector,
-    examples_from_corpus,
 )
 
 from conftest import assert_frozen_pgn_equals_basic, freeze_onto, workspace_loss
@@ -72,16 +70,19 @@ def test_config_validation():
             ModelConfig(learning_rate=bad)
 
 
-def test_examples_from_corpus(corpus):
-    examples = examples_from_corpus(corpus)
-    assert len(examples) == 2
-    assert examples[0].labels == ("A0", "O", "A1")
-    assert examples[1].labels == ("O", "A1")
+def test_gold_labels_are_the_frame_roles(corpus):
+    model = init_model(small_config(), Vocabulary.from_corpus(corpus), seed=0)
+    data = encode_examples(model, corpus)
+    assert len(data) == 2
+    labels = [model.vocab.labels[i] for i in data.labels]
+    assert labels[:3] == ["A0", "O", "A1"]
+    assert labels[3:] == ["O", "A1"]
+    assert encode_examples(model, corpus, gold=False).labels.size == 0
 
 
 def test_feature_shape_and_indicator(corpus):
     model = init_model(small_config(), Vocabulary.from_corpus(corpus), seed=0)
-    data = encode_examples(model, examples_from_corpus(corpus))
+    data = encode_examples(model, corpus)
     assert data.ids.shape == (3 + 2, 3)
     assert data.offsets.tolist() == [0, 3, 5]
     vocab = model.vocab
@@ -97,9 +98,9 @@ def test_feature_dim_arithmetic():
 
 def test_indicator_only_difference(corpus):
     model = init_model(small_config(), Vocabulary.from_corpus(corpus), seed=0)
-    sent = corpus.sentences[0]
-    data = encode_examples(model, [TrainingExample(sent, PredicateFrame(p, "x.01"), ("O",) * 3)
-                                   for p in (1, 2)])
+    sent = replace(corpus.sentences[0],
+                   frames=tuple(PredicateFrame(p, "x.01") for p in (1, 2)))
+    data = encode_examples(model, Corpus((sent,)))
     x1, x2 = data.ids[:3], data.ids[3:]
     np.testing.assert_array_equal(x1[:, :2], x2[:, :2])
     assert x1[:, 2].tolist() == [1, 0, 0] and x2[:, 2].tolist() == [0, 1, 0]
@@ -108,7 +109,7 @@ def test_indicator_only_difference(corpus):
 def test_oov_maps_to_unknown_row(corpus):
     model = init_model(small_config(), Vocabulary.from_corpus(corpus), seed=0)
     sent = make_sentence(["zzz", "a"], pred=1)
-    data = encode_examples(model, [TrainingExample(sent, sent.frames[0], ("O", "O"))])
+    data = encode_examples(model, Corpus((sent,)))
     assert model.vocab.words[0] == "<unk>"
     assert model.vocab.word_id("a") != 0
     assert data.ids[:, 0].tolist() == [0, model.vocab.word_id("a")]
@@ -141,9 +142,8 @@ def test_encode_shapes(corpus):
     single = make_sentence(["a"], pred=1)
     for variant in (BASIC, PGN):
         model = init_model(small_config(variant, layers=3), vocab, seed=1)
-        examples = [examples_from_corpus(corpus)[0],
-                    TrainingExample(single, single.frames[0], ("O",))]
-        data = encode_examples(model, examples)
+        two = Corpus((corpus.sentences[0], single))
+        data = encode_examples(model, two)
         for rows in (None, [0], [1]):
             loss, grads = workspace_loss(model, data, rows)
             assert np.isfinite(loss) and loss > 0
@@ -151,20 +151,21 @@ def test_encode_shapes(corpus):
                 name: p.shape for name, p in model.params.items()}
             assert all(np.all(np.isfinite(g)) for g in grads.values())
         assert grads["crf_emission"].shape == (len(vocab.labels), 10)
-        frames = predict(model, [(ex.sentence, [ex.frame.pred_index], "EN")
-                                 for ex in examples])
-        assert [[f.pred_index for f in fs] for fs in frames] == [[2], [1]]
-        assert frames[1][0].args == ()
+        predicted = predict(model, two).sentences
+        assert [[f.pred_index for f in s.frames] for s in predicted] == [[2], [1]]
+        assert predicted[1].frames[0].args == ()
 
 
 def test_unknown_language_errors(corpus):
     model = init_model(small_config(PGN), Vocabulary.from_corpus(corpus), seed=1)
-    sent = corpus.sentences[0]
+    english = Corpus(corpus.sentences[:1])
+    finnish = Corpus((replace(english.sentences[0], lang="FI"),))
     with pytest.raises(ModelError, match="unknown language"):
-        predict(model, [(sent, [2], "FI")])
+        predict(model, finnish)
     # BASIC ignores the language entirely
     basic = init_model(small_config(BASIC), Vocabulary.from_corpus(corpus), seed=1)
-    assert predict(basic, [(sent, [2], "FI")]) == predict(basic, [(sent, [2], "EN")])
+    assert (predict(basic, finnish).sentences[0].frames
+            == predict(basic, english).sentences[0].frames)
 
 
 def test_reversal_swaps_direction_trajectories():
@@ -184,10 +185,10 @@ def test_reversal_swaps_direction_trajectories():
 
 def test_distinct_language_embeddings_distinct_states(corpus):
     model = init_model(small_config(PGN), Vocabulary.from_corpus(corpus), seed=3)
-    ex = examples_from_corpus(corpus)[0]
-    as_de = replace(ex, sentence=replace(ex.sentence, lang="DE"))
-    loss_en, grads_en = workspace_loss(model, encode_examples(model, [ex]))
-    loss_de, grads_de = workspace_loss(model, encode_examples(model, [as_de]))
+    sent = corpus.sentences[0]
+    as_de = replace(sent, lang="DE")
+    loss_en, grads_en = workspace_loss(model, encode_examples(model, Corpus((sent,))))
+    loss_de, grads_de = workspace_loss(model, encode_examples(model, Corpus((as_de,))))
     assert loss_en != loss_de
     # the emission gradient is d_emissions^T @ states: it sees the states
     assert np.max(np.abs(grads_en["crf_emission"] - grads_de["crf_emission"])) > 1e-9
@@ -197,8 +198,8 @@ def test_frozen_pgn_equals_basic_bitwise(corpus):
     vocab = Vocabulary.from_corpus(corpus)
     basic = init_model(small_config(BASIC, layers=2), vocab, seed=4)
     pgn = freeze_onto(basic, init_model(small_config(PGN, layers=2, lang_dim=1), vocab, seed=5))
-    for example in examples_from_corpus(corpus):
-        assert_frozen_pgn_equals_basic(basic, pgn, [example])
+    for sentence in corpus.sentences:
+        assert_frozen_pgn_equals_basic(basic, pgn, Corpus((sentence,)))
 
 
 def test_model_level_crf_loss_two_paths(corpus):
@@ -219,12 +220,12 @@ def test_model_level_crf_loss_two_paths(corpus):
 def test_predict_contract(corpus):
     model = init_model(small_config(BASIC), Vocabulary.from_corpus(corpus), seed=6)
     sent = corpus.sentences[0]
-    (frame,), = predict(model, [(sent, [2], "EN")])
+    (frame,) = predict(model, Corpus((sent,))).sentences[0].frames
     assert frame.pred_index == 2
     assert frame.sense == "x.01"
     assert all(1 <= a <= 3 and a != 2 for a, _ in frame.args)
     with pytest.raises(ModelError, match="predicate index"):
-        predict(model, [(sent, [9], "EN")])
+        predict(model, Corpus((replace(sent, frames=(PredicateFrame(9, "x.01"),)),)))
 
 
 def test_basic_forget_gate_bias_initialized():
@@ -257,13 +258,17 @@ def test_padded_batch_states_match_single_sequences():
 
 def test_batched_predict_matches_one_predicate_at_a_time(corpus):
     sent = make_sentence(["a", "b", "c", "d", "b"], pred=2, roles=((1, "A0"),))
+    sent = replace(sent, frames=(PredicateFrame(1), *sent.frames, PredicateFrame(5)))
     for variant in (BASIC, PGN):
         model = init_model(small_config(variant, layers=2),
                            Vocabulary.from_corpus(corpus), seed=8)
-        frames, = predict(model, [(sent, [1, 2, 5], "EN")])
-        assert frames == tuple(predict(model, [(sent, [p], "EN")])[0][0] for p in (1, 2, 5))
+        frames = predict(model, Corpus((sent,))).sentences[0].frames
+        assert frames == tuple(
+            predict(model, Corpus((replace(sent, frames=(f,)),))).sentences[0].frames[0]
+            for f in sent.frames)
         assert [f.sense for f in frames] == ["_", "x.01", "_"]
-    assert predict(model, [(sent, [], "EN")]) == [()]
+    bare = Corpus((replace(sent, frames=()),))
+    assert predict(model, bare) == bare
 
 
 def test_backward_writes_the_flat_gradient_into_out():
@@ -352,14 +357,15 @@ def test_merged_recurrence_matches_each_group_alone(layers):
     rng = np.random.default_rng(15)
     for tensor in model.params.values():
         tensor[...] = rng.normal(size=tensor.shape) * 0.5
-    examples = []
+    sentences = []
     for lang, n in [("EN", 5), ("FR", 4), ("DE", 2), ("EN", 3), ("FR", 1), ("EN", 6),
                     ("EN", 2)]:
         forms = [str(f) for f in rng.choice(list("abcdef"), size=n)]
         roles = [str(r) for r in rng.choice(["A0", "A1", "O"], size=n)]
-        sent = make_sentence(forms, pred=1 + n // 2, lang=lang)
-        examples.append(TrainingExample(sent, sent.frames[0], tuple(roles)))
-    data = encode_examples(model, examples)
+        # gold labels at every token, the predicate's own included
+        sentences.append(make_sentence(forms, pred=1 + n // 2, lang=lang, roles=[
+            (i, role) for i, role in enumerate(roles, start=1) if role != "O"]))
+    data = encode_examples(model, Corpus(tuple(sentences)))
     loss, grads = workspace_loss(model, data)
     ref_loss, ref_grads, ref_states, groups, lengths = per_group_loss_and_gradients(model, data)
     assert [(lang, cols.stop - cols.start) for lang, cols in groups] == [(0, 1), (1, 4), (2, 2)]
@@ -383,44 +389,51 @@ PREDICT_VOCAB = Vocabulary(words=("<unk>", *"abcde"), pos_tags=("NOUN", "VERB", 
                            labels=("A0", "A1", "O"), languages=("DE", "EN"))
 
 
-def predict_requests():
-    """Mixed EN/DE requests: lengths 1 to 7, a sentence without frames,
-    predicate indices that are no frame's, and more rows than one batch."""
+def predict_corpus():
+    """Mixed EN/DE sentences: lengths 1 to 7, one without frames, frames
+    without a sense or out of order, and more rows than one batch."""
     rng = np.random.default_rng(11)
-    requests = []
+    sentences = []
     for i in range(2 * PREDICT_ROWS):
         n = 1 + i % 7
         forms = [str(f) for f in rng.choice(list("abcdef"), size=n)]
         lang = ("EN", "DE")[i % 3 % 2]
         preds = sorted({int(p) for p in rng.integers(1, n + 1, size=1 + i % 3)})
         sent = make_sentence(forms, pred=preds[0], lang=lang)
-        requests.append((sent, preds, lang))
-    requests.append((Sentence(tokens=make_sentence(["c", "a"]).tokens, lang="DE"), [], "DE"))
-    requests.append((Sentence(tokens=make_sentence(["e", "b", "d"]).tokens, lang="EN"),
-                     [3, 1], "EN"))
-    return requests
+        sentences.append(replace(sent, frames=(
+            *sent.frames, *(PredicateFrame(p) for p in preds[1:]))))
+    sentences.append(Sentence(tokens=make_sentence(["c", "a"]).tokens, lang="DE"))
+    sentences.append(Sentence(tokens=make_sentence(["e", "b", "d"]).tokens, lang="EN",
+                              frames=(PredicateFrame(3), PredicateFrame(1))))
+    return Corpus(tuple(sentences))
+
+
+def without_args(corpus):
+    return [replace(s, frames=tuple(replace(f, args=()) for f in s.frames))
+            for s in corpus.sentences]
 
 
 @pytest.mark.parametrize("variant", [BASIC, PGN])
 @pytest.mark.parametrize("layers", [1, 2])
-def test_corpus_predict_matches_each_request_alone(variant, layers):
-    requests = predict_requests()
+def test_corpus_predict_matches_each_sentence_alone(variant, layers):
+    corpus = predict_corpus()
     model = init_model(small_config(variant, layers=layers), PREDICT_VOCAB, seed=12)
     # unit-scale weights, so the untrained model's labels vary
     rng = np.random.default_rng(13)
     for tensor in model.params.values():
         tensor[...] = rng.normal(size=tensor.shape)
     for lang in ("EN", "DE"):
-        assert sum(len(p) for _, p, l in requests if l == lang) > PREDICT_ROWS
-    frames = predict(model, requests)
-    assert frames == [predict(model, [request])[0] for request in requests]
-    assert [tuple(f.pred_index for f in fs) for fs in frames] == [
-        tuple(preds) for _, preds, _ in requests]
-    assert frames[::-1] == predict(model, requests[::-1])
-    assert frames[-2] == ()
-    assert [f.sense for f in frames[-1]] == ["_", "_"]
-    labelled = sum(len(f.args) for fs in frames for f in fs)
-    assert 0 < labelled < sum(len(s.tokens) - 1 for s, preds, _ in requests for _ in preds)
+        assert sum(len(s.frames) for s in corpus.sentences if s.lang == lang) > PREDICT_ROWS
+    predicted = predict(model, corpus).sentences
+    assert predicted == tuple(predict(model, Corpus((s,))).sentences[0]
+                              for s in corpus.sentences)
+    # only the arguments change: tokens, language, frames and senses are kept
+    assert without_args(Corpus(predicted)) == without_args(corpus)
+    assert predict(model, Corpus(corpus.sentences[::-1])).sentences == predicted[::-1]
+    assert predicted[-2].frames == ()
+    assert [f.sense for f in predicted[-1].frames] == ["_", "_"]
+    labelled = sum(len(f.args) for s in predicted for f in s.frames)
+    assert 0 < labelled < sum(len(s.tokens) - 1 for s in predicted for _ in s.frames)
 
 
 def make_pgn_model(n_langs):

@@ -19,7 +19,6 @@ from xsrl.model import (
     train,
 )
 from xsrl.model.lstm import Inline
-from xsrl.model.network import TrainingExample, examples_from_corpus
 from xsrl.model.training import ADAM_BLOCK, _Adam
 
 from conftest import token_f1, workspace_loss
@@ -49,9 +48,9 @@ def grad_config(variant, layers):
 def test_gradient_check_all_tensors(mixed_corpus, variant, layers):
     model = init_model(grad_config(variant, layers),
                        Vocabulary.from_corpus(mixed_corpus), seed=11)
-    example = examples_from_corpus(mixed_corpus)[0]
-    assert len(example.labels) == 3
-    error = gradient_check(model, [example], epsilon=1e-5, samples=220)
+    first = Corpus(mixed_corpus.sentences[:1])
+    assert len(first.sentences[0].tokens) == 3
+    error = gradient_check(model, first, epsilon=1e-5, samples=220)
     assert error < 1e-4
 
 
@@ -80,25 +79,26 @@ def test_gradient_check_perturbs_the_training_workspace(mixed_corpus, monkeypatc
     monkeypatch.setattr(training, "_workspace", recording_workspace)
     monkeypatch.setattr(training, "loss_and_gradients", recording_loss)
     model = init_model(grad_config(variant, 1), Vocabulary.from_corpus(mixed_corpus), seed=11)
-    example = examples_from_corpus(mixed_corpus)[0]
-    assert gradient_check(model, [example], samples=30) < 1e-4
+    assert gradient_check(model, Corpus(mixed_corpus.sentences[:1]), samples=30) < 1e-4
     assert len(built) == 1
     assert moved[0] == 0 and len(moved) > 60 and set(moved[1:]) == {1}
 
 
 def test_saturated_example_has_zero_gradients(mixed_corpus):
-    """With a single label every path is the gold path: loss and grads vanish."""
-    single = Corpus.from_sentences([sentence(["a", "b"], 1, [(2, "A0")])])
+    """With a single label every path is the gold path: loss and grads vanish.
+    The frame's arguments cover every token, its predicate's own included,
+    so every gold label is A0."""
+    single = Corpus.from_sentences([sentence(["a", "b"], 1, [(1, "A0"), (2, "A0")])])
     vocab = Vocabulary(words=("<unk>", "a", "b"), pos_tags=("NOUN", "_"),
                        labels=("A0",), languages=("EN",))
     model = init_model(grad_config(BASIC, 1), vocab, seed=2)
-    example = TrainingExample(single.sentences[0], single.sentences[0].frames[0],
-                              ("A0", "A0"))
-    loss, grads = workspace_loss(model, encode_examples(model, [example]))
+    data = encode_examples(model, single)
+    assert data.labels.tolist() == [0, 0]
+    loss, grads = workspace_loss(model, data)
     assert abs(loss) < 1e-12
     for g in grads.values():
         assert np.max(np.abs(g)) < 1e-8
-    assert gradient_check(model, [example], samples=50) < 1e-4
+    assert gradient_check(model, single, samples=50) < 1e-4
 
 
 def test_overfit_small_corpus():
@@ -144,9 +144,9 @@ def test_overfit_all_outside_frame_predicts_empty_args():
     config = ModelConfig(word_dim=8, pos_dim=4, pred_dim=4, hidden=16, layers=1,
                          variant=BASIC, learning_rate=0.02, batch_size=2, epochs=80)
     model, _ = train(corpus, config, seed=3)
-    (frame,), = predict(model, [(sentences[1], [1], "EN")])
+    (frame,) = predict(model, Corpus((sentences[1],))).sentences[0].frames
     assert frame.args == ()
-    (frame,), = predict(model, [(sentences[0], [1], "EN")])
+    (frame,) = predict(model, Corpus((sentences[0],))).sentences[0].frames
     assert frame.args == ((2, "A0"),)
 
 
@@ -177,21 +177,16 @@ def padded_corpus():
     ])
 
 
-def padded_batch():
-    """Mixed-language examples of lengths 1 to 6, several per sentence."""
-    return examples_from_corpus(padded_corpus())
-
-
 @pytest.mark.parametrize("variant", [BASIC, PGN])
 @pytest.mark.parametrize("layers", [1, 2])
 def test_batch_equals_sum_of_batches_of_one(variant, layers):
-    batch = padded_batch()
-    assert len({len(ex.labels) for ex in batch}) > 2
-    assert {ex.sentence.lang for ex in batch} == {"EN", "DE"}
+    corpus = padded_corpus()
+    assert len({len(s.tokens) for s in corpus.sentences}) > 2
+    assert {s.lang for s in corpus.sentences} == {"EN", "DE"}
     model = init_model(grad_config(variant, layers), PADDED_VOCAB, seed=4)
-    data = encode_examples(model, batch)
+    data = encode_examples(model, corpus)
     loss, grads = workspace_loss(model, data)
-    singles = [workspace_loss(model, data, [i]) for i in range(len(batch))]
+    singles = [workspace_loss(model, data, [i]) for i in range(len(data))]
     assert loss == pytest.approx(sum(l for l, _ in singles), abs=1e-12)
     for name, g in grads.items():
         summed = sum(single[name] for _, single in singles)
@@ -201,38 +196,37 @@ def test_batch_equals_sum_of_batches_of_one(variant, layers):
 @pytest.mark.parametrize("variant", [BASIC, PGN])
 @pytest.mark.parametrize("layers", [1, 3])
 def test_gradient_check_padded_mixed_language_batch(variant, layers):
-    batch = padded_batch()
     model = init_model(grad_config(variant, layers), PADDED_VOCAB, seed=12)
-    assert gradient_check(model, batch, epsilon=1e-5, samples=220) < 1e-4
+    assert gradient_check(model, padded_corpus(), epsilon=1e-5, samples=220) < 1e-4
 
 
 UNEQUAL_VOCAB = Vocabulary(words=("<unk>", *"abcde"), pos_tags=("NOUN", "VERB", "_"),
                            labels=("A0", "A1", "O"), languages=("DE", "EN", "FR"))
 
 
-def unequal_groups_batch():
+def unequal_groups_corpus():
     """Interleaved languages: the EN group's longest sentence is shorter
     than the DE group's, and FR is a one-row group."""
-    return examples_from_corpus(Corpus.from_sentences([
+    return Corpus.from_sentences([
         sentence(["a", "b", "c", "d", "e", "a"], 2, [(1, "A0"), (6, "A1")], lang="DE"),
         sentence(["b", "c"], 1, [(2, "A1")]),
         sentence(["e", "d", "c", "b"], 4, [(1, "A0")], lang="FR"),
         sentence(["c", "a", "b"], 3, [(1, "A0"), (2, "A1")]),
         sentence(["d"], 1, [], lang="DE"),
-    ]))
+    ])
 
 
 @pytest.mark.parametrize("variant", [BASIC, PGN])
 @pytest.mark.parametrize("layers", [1, 2])
 def test_unequal_language_groups_equal_batches_of_one(variant, layers):
-    batch = unequal_groups_batch()
-    lengths = {lang: [len(ex.labels) for ex in batch if ex.sentence.lang == lang]
+    corpus = unequal_groups_corpus()
+    lengths = {lang: [len(s.tokens) for s in corpus.sentences if s.lang == lang]
                for lang in UNEQUAL_VOCAB.languages}
     assert max(lengths["EN"]) < max(lengths["DE"]) and len(lengths["FR"]) == 1
     model = init_model(grad_config(variant, layers), UNEQUAL_VOCAB, seed=6)
-    data = encode_examples(model, batch)
+    data = encode_examples(model, corpus)
     loss, grads = workspace_loss(model, data)
-    singles = [workspace_loss(model, data, [i]) for i in range(len(batch))]
+    singles = [workspace_loss(model, data, [i]) for i in range(len(data))]
     assert loss == pytest.approx(sum(l for l, _ in singles), abs=1e-12)
     for name, g in grads.items():
         summed = sum(single[name] for _, single in singles)
@@ -240,7 +234,7 @@ def test_unequal_language_groups_equal_batches_of_one(variant, layers):
     # padding indexes the <unk> row; no real token is unknown
     assert not np.any(data.ids[:, 0] == 0)
     assert not grads["word_table"][0].any()
-    assert gradient_check(model, batch, epsilon=1e-5, samples=220) < 1e-4
+    assert gradient_check(model, corpus, epsilon=1e-5, samples=220) < 1e-4
 
 
 def test_training_encodes_the_corpus_once(monkeypatch):
@@ -256,14 +250,14 @@ def test_training_encodes_the_corpus_once(monkeypatch):
     config = grad_config(PGN, 1)
     config.epochs, config.batch_size = 3, 2
     train(corpus, config, seed=1)
-    assert len(calls) == sum(len(ex.labels) for ex in examples_from_corpus(corpus))
+    assert len(calls) == sum(len(s.tokens) * len(s.frames) for s in corpus.sentences)
 
 
 def test_frozen_word_table_has_no_gradient(mixed_corpus):
     config = grad_config(BASIC, 1)
     config.train_word_table = False
     model = init_model(config, Vocabulary.from_corpus(mixed_corpus), seed=1)
-    _, grads = workspace_loss(model, encode_examples(model, examples_from_corpus(mixed_corpus)))
+    _, grads = workspace_loss(model, encode_examples(model, mixed_corpus))
     assert "word_table" not in grads
     assert set(grads) == set(model.params) - {"word_table"}
 
@@ -353,7 +347,7 @@ def test_workspace_reuse_matches_fresh_buffers(variant, train_word_table):
     config = grad_config(variant, 2)
     config.train_word_table = train_word_table
     model = init_model(config, Vocabulary.from_corpus(corpus), seed=4)
-    data = encode_examples(model, examples_from_corpus(corpus))
+    data = encode_examples(model, corpus)
     _, grad, tensors, flats, d_flats = training._workspace(model)
     grad.fill(np.nan)
     if variant == PGN:

@@ -66,15 +66,11 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-def requests_of(sentences):
-    return [(s, [f.pred_index for f in s.frames], s.lang) for s in sentences]
-
-
 def train_and_predict(corpus, variant, layers, path):
-    """(checkpoint bytes, predicted frames) of one train and predict."""
+    """(checkpoint bytes, predicted corpus) of one train and predict."""
     model, _ = train(corpus, config(variant, layers), seed=3)
     save_model(model, str(path))
-    return path.read_bytes(), predict(model, requests_of(corpus.sentences))
+    return path.read_bytes(), predict(model, corpus)
 
 
 @needs_partner
@@ -103,8 +99,8 @@ def test_inline_runs_without_a_free_cpu(corpus, monkeypatch, tmp_path, limit):
         raise AssertionError(f"forked with {limit}")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    checkpoint, frames = train_and_predict(corpus, PGN, 2, tmp_path / "m.bin")
-    assert checkpoint and len(frames) == len(corpus.sentences)
+    checkpoint, predicted = train_and_predict(corpus, PGN, 2, tmp_path / "m.bin")
+    assert checkpoint and len(predicted.sentences) == len(corpus.sentences)
 
 
 @needs_partner
@@ -174,7 +170,7 @@ def test_no_child_after_predict_raises(corpus, forks, monkeypatch):
     model, _ = train(corpus, config(BASIC, 1), seed=3)
     fail_in_child(monkeypatch, "_cell_forward", simulated_failure)
     with pytest.raises(lstm.PartnerError):
-        predict(model, requests_of(corpus.sentences))
+        predict(model, corpus)
     assert len(forks) == 2
     assert_reaped(forks)
 
@@ -233,11 +229,11 @@ def test_one_batch_predict_forks_nothing(corpus, forks):
     two batches fork one where a partner can run."""
     model, _ = train(corpus, config(PGN, 2), seed=3)
     forks.clear()
-    english = [s for s in corpus.sentences if s.lang == "EN"]
-    alone = predict(model, requests_of(english))
-    assert sum(len(s.frames) for s in english) <= network.PREDICT_ROWS
+    english = Corpus(tuple(s for s in corpus.sentences if s.lang == "EN"))
+    alone = predict(model, english)
+    assert sum(len(s.frames) for s in english.sentences) <= network.PREDICT_ROWS
     assert forks == []
-    beside = predict(model, requests_of(corpus.sentences))
+    beside = predict(model, corpus)
     assert len(forks) == lstm._partner_available()
     assert_reaped(forks)
-    assert [frames for s, frames in zip(corpus.sentences, beside) if s.lang == "EN"] == alone
+    assert tuple(s for s in beside.sentences if s.lang == "EN") == alone.sentences

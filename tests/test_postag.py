@@ -105,6 +105,18 @@ def test_round_trip(tmp_path):
         assert np.array_equal(loaded.dist[word], dist.dist[word])
 
 
+def test_round_trip_of_an_untagged_corpus(tmp_path):
+    """A corpus with no tags fits a distribution with no words; its file is
+    the tagset line alone, which loads as that distribution."""
+    dist = fit_pos_emission(tagged(("dog", "_"), ("cat", "_")), k=0.1)
+    assert dist.dist == {}
+    path = tmp_path / "pos.tsv"
+    save_pos_distribution(dist, str(path))
+    loaded = load_pos_distribution(str(path))
+    assert loaded.tagset == dist.tagset
+    assert loaded.dist == {}
+
+
 def test_load_rejects_bad_sums(tmp_path):
     path = tmp_path / "pos.tsv"
     path.write_text("tagset\tNOUN,VERB\nw\tNOUN\t0.6\nw\tVERB\t0.6\n")
