@@ -39,7 +39,8 @@ from .model import (
 )
 from .model.serialize import CheckpointError
 from .postag import PosError, fit_pos_emission, load_pos_distribution, save_pos_distribution
-from .projection import ProjectionConfig, ProjectionError, ProjectionStats, project_corpus
+from .projection import (ProjectionConfig, ProjectionError, ProjectionStats, SourceError,
+                         TranslationError, project_corpus)
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -87,9 +88,9 @@ def _one_blas_thread() -> None:
 
 
 @contextmanager
-def _reading(path: str):
-    """Name ``path`` in every input error raised in the block: while
-    reading it, or while using what was read from it.
+def _reading(path: str, errors=_FILE_ERRORS):
+    """Name ``path`` in every input error of the types ``errors`` raised in
+    the block: while reading it, or while using what was read from it.
 
     Undecodable bytes become ``PATH: line N: not valid UTF-8``, N being the
     line of the first byte that is not UTF-8.
@@ -105,7 +106,7 @@ def _reading(path: str):
             line = data.count(b"\n", 0, exc.start) + 1
             raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
         raise
-    except _FILE_ERRORS as exc:
+    except errors as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -278,14 +279,35 @@ def cmd_align_train(args) -> int:
     return 0
 
 
-def cmd_project(args) -> int:
+def _projection_inputs(args):
+    """The source corpus, its translations (one per sentence), the table and
+    the POS distribution of ``project`` and ``sweep-alpha``."""
     src = _load_corpus(args.src, lang=args.src_lang)
     translations = _load_corpus(args.translations, lang=args.tgt_lang, require_pred=False)
+    if len(translations.sentences) != len(src.sentences):
+        raise TranslationError(
+            f"{args.translations}: translation count {len(translations.sentences)} != "
+            f"sentence count {len(src.sentences)} in --src {args.src}")
     table = _load(load_table, args.table)
     dist = _load(load_pos_distribution, args.posdist)
+    return src, list(translations.sentences), table, dist
+
+
+@contextmanager
+def _projecting(args):
+    """Name the file at fault in a projection's input errors: --src for an
+    untagged source word, --translations for an empty translation and
+    --posdist for a source tag outside its tagset."""
+    with (_reading(args.src, SourceError), _reading(args.translations, TranslationError),
+          _reading(args.posdist)):
+        yield
+
+
+def cmd_project(args) -> int:
+    src, translations, table, dist = _projection_inputs(args)
     config = ProjectionConfig(alpha=args.alpha)
-    with _reading(args.posdist):  # a source tag outside its tagset
-        out, stats = project_corpus(src, list(translations.sentences), table, dist, config)
+    with _projecting(args):
+        out, stats = project_corpus(src, translations, table, dist, config)
     _write_bytes(args.out, write_srl_corpus(out))
     stats_text = stats.as_lines()
     _write_text(args.stats or args.out + ".stats", stats_text)
@@ -410,10 +432,7 @@ def cmd_sweep_alpha(args) -> int:
     if args.train and not args.dev:
         raise ValueError("--train needs a --dev corpus to score against")
 
-    src = _load_corpus(args.src, lang=args.src_lang)
-    translations = _load_corpus(args.translations, lang=args.tgt_lang, require_pred=False)
-    table = _load(load_table, args.table)
-    dist = _load(load_pos_distribution, args.posdist)
+    src, translations, table, dist = _projection_inputs(args)
     dev = _load_corpus(args.dev, lang=args.tgt_lang) if args.train else None
 
     header = ["alpha", *ProjectionStats.FIELDS]
@@ -421,9 +440,9 @@ def cmd_sweep_alpha(args) -> int:
         header.append("f1")
     rows = [",".join(header)]
     for alpha in alphas:
-        with _reading(args.posdist):  # a source tag outside its tagset
+        with _projecting(args):
             projected, stats = project_corpus(
-                src, list(translations.sentences), table, dist, ProjectionConfig(alpha=alpha))
+                src, translations, table, dist, ProjectionConfig(alpha=alpha))
         row = [repr(alpha)] + [str(getattr(stats, f)) for f in ProjectionStats.FIELDS]
         if args.train:
             row.append(repr(_dev_f1(args, projected, dev)))

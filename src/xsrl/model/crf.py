@@ -1,47 +1,27 @@
-"""Linear-chain CRF: loss and gradients, decoding, and the partition function.
+"""Linear-chain CRF: loss and gradients, and decoding.
 
 The model trains through :func:`nll_gradients` and decodes through
-:func:`viterbi`; :func:`log_partition` is the forward algorithm alone,
-kept as the quantity the brute-force oracle tests check.
-
-Emissions ``o`` are (n, K) for one sequence of K real labels, or a
-time-major padded batch (T, B, K) whose sequence b occupies positions
-0..lengths[b]-1; padding follows each sequence and is ignored.  A single
-sequence is a batch of one.  The transition matrix is (K+2, K+2): index
-K is the begin state entered before position 1, index K+1 the end state
-left after position n.  Rows into BOS and out of EOS are never used.  A
-sequence scores sum_i o[i, y_i] plus the chained transitions including
-the boundary ones; probabilities normalize by the partition sum over all
-K^n label sequences.
+:func:`viterbi`.  Both take emissions ``o`` as a time-major padded batch
+(T, B, K) of K real labels and (B,) integer lengths: sequence b occupies
+positions 0..lengths[b]-1, and the padding that follows it is ignored.  A
+single sequence is a batch of one.  The transition matrix is (K+2, K+2):
+index K is the begin state entered before position 1, index K+1 the end
+state left after position n.  Rows into BOS and out of EOS are never
+used.  A sequence scores sum_i o[i, y_i] plus the chained transitions
+including the boundary ones; probabilities normalize by the partition sum
+over all K^n label sequences.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "log_partition",
-    "nll_gradients",
-    "viterbi",
-]
+__all__ = ["nll_gradients", "viterbi"]
 
 
 def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     m = np.max(x, axis=axis)
     return m + np.log(np.sum(np.exp(x - np.expand_dims(m, axis)), axis=axis))
-
-
-def _batch(o: np.ndarray, lengths, labels=None):
-    """(o, lengths, labels, single): a lone (n, K) sequence as a batch of one."""
-    single = o.ndim == 2
-    if single:
-        o = o[:, None]
-        if labels is not None:
-            labels = np.asarray(labels)[:, None]
-    if lengths is None:
-        lengths = np.full(o.shape[1], o.shape[0])
-    labels = None if labels is None else np.asarray(labels, dtype=np.intp)
-    return o, np.asarray(lengths, dtype=np.intp), labels, single
 
 
 def _forward(o: np.ndarray, trans: np.ndarray, posteriors: bool = False):
@@ -105,16 +85,10 @@ def _path_scores(o: np.ndarray, trans: np.ndarray, path) -> np.ndarray:
             + np.bincount(seq, weights=trans[src, dst], minlength=batch))
 
 
-def log_partition(o: np.ndarray, trans: np.ndarray, lengths=None):
-    """log Z: a float for one sequence, (B,) for a batch."""
-    o, lengths, _, single = _batch(o, lengths)
-    alphas, _ = _forward(o, trans)
-    logz = _lse(_final_scores(alphas, trans, lengths), axis=1)
-    return float(logz[0]) if single else logz
-
-
-def nll_gradients(o: np.ndarray, trans: np.ndarray, labels, lengths=None):
-    """Summed loss and its gradients w.r.t. emissions and transitions.
+def nll_gradients(o: np.ndarray, trans: np.ndarray, labels: np.ndarray,
+                  lengths: np.ndarray):
+    """Summed loss of the gold ``labels`` (T, B) and its gradients w.r.t.
+    emissions and transitions.
 
     The partition gradient is obtained by backpropagating through the
     forward recursion, which reproduces the marginal path statistics; the
@@ -122,7 +96,6 @@ def nll_gradients(o: np.ndarray, trans: np.ndarray, labels, lengths=None):
     backward recursion starts at its own last position, so the emission
     gradient is exactly zero on padding.
     """
-    o, lengths, labels, single = _batch(o, lengths, labels)
     steps, batch, k = o.shape
     bos, eos = k, k + 1
     cols = np.arange(batch)
@@ -132,36 +105,30 @@ def nll_gradients(o: np.ndarray, trans: np.ndarray, labels, lengths=None):
     path = _gold_path(labels, lengths, k)
     loss = float(np.sum(logz - _path_scores(o, trans, path)))
 
+    # d_o[t] gathers the gradient of log Z w.r.t. alphas[t]: the end
+    # probabilities at each last position, then what flows back from t + 1
     d_o = np.zeros_like(o)
     d_trans = np.zeros_like(trans)
     end = np.exp(final - logz[:, None])
     d_trans[:k, eos] += end.sum(axis=0)
-    starts = np.zeros_like(o)
-    starts[lengths - 1, cols] = end
-    d_alpha = starts[steps - 1]
+    d_o[lengths - 1, cols] = end
     for step in range(steps - 1, 0, -1):
-        d_o[step] = d_alpha
         # post[step] becomes the expected transition counts into step
-        post[step] *= d_alpha[:, None, :]
-        d_alpha = post[step].sum(axis=2) + starts[step - 1]
-    d_o[0] = d_alpha
+        post[step] *= d_o[step][:, None, :]
+        d_o[step - 1] += post[step].sum(axis=2)
     d_trans[:k, :k] += post[1:].sum(axis=(0, 1))
-    d_trans[bos, :k] += d_alpha.sum(axis=0)
+    d_trans[bos, :k] += d_o[0].sum(axis=0)
 
     (t, b, y), (_, src, dst) = path
     d_o[t, b, y] -= 1.0
     d_trans -= np.bincount(src * (k + 2) + dst,
                            minlength=(k + 2) ** 2).reshape(k + 2, k + 2)
-    return loss, (d_o[:, 0] if single else d_o), d_trans
+    return loss, d_o, d_trans
 
 
-def viterbi(o: np.ndarray, trans: np.ndarray, lengths=None):
-    """Highest-scoring label sequence; ties pick the lower label index.
-
-    Returns a list of labels for one sequence, one such list per sequence
-    for a batch.
-    """
-    o, lengths, _, single = _batch(o, lengths)
+def viterbi(o: np.ndarray, trans: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
+    """Highest-scoring label sequence of every sequence, as one list of
+    labels per sequence; ties pick the lower label index."""
     steps, batch, k = o.shape
     delta = o[0] + trans[k, :k]
     back = np.zeros((steps, batch, k), dtype=np.intp)
@@ -177,6 +144,4 @@ def viterbi(o: np.ndarray, trans: np.ndarray, lengths=None):
         paths[t] = last
         if t:
             last = np.where(t < lengths, back[t, cols, last], last)
-    if single:
-        return paths[:, 0].tolist()
     return [paths[:n, j].tolist() for j, n in enumerate(lengths)]

@@ -216,10 +216,10 @@ def _cell_backward(weights, spans, cache, d_states, d_weights):
     return d_inputs
 
 
-def _reversal(steps: int, lengths):
+def _reversal(steps: int, lengths: np.ndarray):
     """Index pair that reverses every sequence within its length, or None
     when all sequences fill the batch and a plain reversal does."""
-    if lengths is None or np.all(np.asarray(lengths) == steps):
+    if np.all(lengths == steps):
         return None
     t = np.arange(steps)[:, None]
     return np.where(t < lengths, lengths - 1 - t, t), np.arange(len(lengths))
@@ -229,10 +229,9 @@ def _reverse(x: np.ndarray, rev) -> np.ndarray:
     return x[::-1] if rev is None else x[rev]
 
 
-def _spans(groups, lengths, steps: int) -> list[tuple[slice, int]]:
+def _spans(groups, lengths: np.ndarray) -> list[tuple[slice, int]]:
     """(columns, steps) of every group: its longest sequence bounds its steps."""
-    return [(cols, steps if lengths is None else int(np.max(lengths[cols])))
-            for _, cols in groups]
+    return [(cols, int(np.max(lengths[cols]))) for _, cols in groups]
 
 
 class Inline:
@@ -528,7 +527,7 @@ def shared_array(size: int, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype, size)
 
 
-def bilstm_forward(runner: Inline, groups, inputs: np.ndarray, lengths=None,
+def bilstm_forward(runner: Inline, groups, inputs: np.ndarray, lengths: np.ndarray,
                    keep_cache=True):
     """Encode a padded batch ``inputs`` (T, B, input_dim) into (T, B, 2*hidden).
 
@@ -538,17 +537,15 @@ def bilstm_forward(runner: Inline, groups, inputs: np.ndarray, lengths=None,
     ``groups`` holds one ``(key, cols)`` pair per weight group: columns
     ``cols`` (a slice of the batch axis) run with the runner's vector
     number ``key``; one group over the whole batch is
-    ``[(key, slice(None))]``.  ``lengths`` (B,) holds each sequence's
-    length; None means every sequence fills all T steps.
+    ``[(key, slice(None))]``.  ``lengths`` (B,), an integer array, holds
+    each sequence's length.
     Returns (states, caches); pass ``caches`` to :func:`bilstm_backward`.
     Without ``keep_cache`` (inference) caches is None and each layer's
     gate block is freed before the next layer runs.  States at padded
     positions are finite but meaningless.
     """
-    steps = inputs.shape[0]
-    lengths = None if lengths is None else np.asarray(lengths)
-    spans = _spans(groups, lengths, steps)
-    rev = _reversal(steps, lengths)
+    spans = _spans(groups, lengths)
+    rev = _reversal(inputs.shape[0], lengths)
     keys = [key for key, _ in groups]
     caches = []
     layer_in = inputs

@@ -33,6 +33,8 @@ from .postag import PosDistribution, pos_prob
 
 __all__ = [
     "ProjectionError",
+    "SourceError",
+    "TranslationError",
     "ProjectionConfig",
     "ProjectionStats",
     "project_sentence",
@@ -42,6 +44,14 @@ __all__ = [
 
 class ProjectionError(ValueError):
     """Raised for invalid projection inputs."""
+
+
+class SourceError(ProjectionError):
+    """Raised when the source corpus cannot be projected."""
+
+
+class TranslationError(ProjectionError):
+    """Raised when the translations do not fit the source corpus."""
 
 
 @dataclass(frozen=True)
@@ -85,12 +95,14 @@ def project_sentence(src: Sentence, tgt: Sentence, table: AlignmentTable,
     frames, alpha = src.frames, config.alpha
     tgt_forms = [t.form for t in tgt.tokens]
     if frames and not tgt_forms:
-        raise ProjectionError("empty target sentence")
+        raise TranslationError("empty target sentence")
     placed: dict[int, tuple[int, float]] = {}  # source index -> (target index, score)
     for frame in frames:
         for i in (frame.pred_index, *(i for i, _ in frame.args)):
             if i not in placed:
                 src_tok = src.tokens[i - 1]
+                if src_tok.upos == "_":  # no tag to score the target words against
+                    raise SourceError(f"token {i} ({src_tok.form!r}) has no POS tag")
                 j, a = best_target(table, src_tok.form, tgt_forms)
                 p = pos_prob(dist, tgt_forms[j - 1], src_tok.upos)
                 if not 0.0 <= a <= 1.0:
@@ -141,17 +153,21 @@ def project_corpus(src_corpus: Corpus, translations: list[Sentence],
                    table: AlignmentTable, dist: PosDistribution,
                    config: ProjectionConfig | None = None,
                    ) -> tuple[Corpus, ProjectionStats]:
-    """Project a whole corpus onto its index-aligned translations."""
+    """Project a whole corpus onto its index-aligned translations; an input
+    error of one sentence pair names the pair by its 1-based number."""
     if config is None:
         config = ProjectionConfig()
     if len(translations) != len(src_corpus.sentences):
-        raise ProjectionError(
+        raise TranslationError(
             f"translation count {len(translations)} != sentence count "
             f"{len(src_corpus.sentences)}")
     sentences: list[Sentence] = []
     totals = dict.fromkeys(ProjectionStats.FIELDS, 0)
-    for src, tgt in zip(src_corpus.sentences, translations):
-        sent, stats = project_sentence(src, tgt, table, dist, config)
+    for number, (src, tgt) in enumerate(zip(src_corpus.sentences, translations), start=1):
+        try:
+            sent, stats = project_sentence(src, tgt, table, dist, config)
+        except ProjectionError as exc:
+            raise type(exc)(f"sentence {number}: {exc}") from None
         sentences.append(sent)
         for name in totals:
             totals[name] += getattr(stats, name)

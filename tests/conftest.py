@@ -59,6 +59,14 @@ def checkpoint_layout(data: bytes):
     return fields, tensors
 
 
+def batch_of_one(*columns):
+    """A lone sequence as the CRF and the BiLSTM take it: each of its
+    time-major ``columns`` (its emissions, labels or inputs) as a batch of
+    one on a new axis 1, then its (1,) lengths."""
+    batch = [np.asarray(column)[:, None] for column in columns]
+    return (*batch, np.array([len(batch[0])]))
+
+
 def random_sentence(rng: np.random.Generator, max_len: int = 8,
                     max_frames: int = 2, lang: str = "EN") -> Sentence:
     n = int(rng.integers(1, max_len + 1))

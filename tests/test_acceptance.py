@@ -42,7 +42,13 @@ def ok(line):
 
 
 def test_criterion_1_crf_oracle_equivalence():
+    """Each instance runs as training and prediction run the CRF: a padded
+    batch of one, with random emissions and labels past its length."""
     rng = np.random.default_rng(101)
+    # the padding and the gold path draw from their own stream, so the
+    # instances (n, k, o, trans) depend on seed 101 alone
+    pad_rng = np.random.default_rng(102)
+    steps = 6
     started = time.time()
     for _ in range(500):
         n = int(rng.integers(1, 6))
@@ -57,12 +63,19 @@ def test_criterion_1_crf_oracle_equivalence():
         scores += trans[paths[:, -1], k + 1]
         m = scores.max()
         brute_logz = m + np.log(np.exp(scores - m).sum())
-        assert abs(crf.log_partition(o, trans) - brute_logz) < 1e-8
-        assert crf.viterbi(o, trans) == list(paths[int(np.argmax(scores))])
+        gold = int(pad_rng.integers(len(paths)))
+        padded = pad_rng.normal(size=(steps, 1, k))
+        padded[:n, 0] = o
+        labels = pad_rng.integers(k, size=(steps, 1))
+        labels[:n, 0] = paths[gold]
+        lengths = np.array([n])
+        loss, _, _ = crf.nll_gradients(padded, trans, labels, lengths)
+        assert abs(loss - (brute_logz - scores[gold])) < 1e-8
+        assert crf.viterbi(padded, trans, lengths) == [list(paths[int(np.argmax(scores))])]
     elapsed = time.time() - started
     assert elapsed < 10.0
-    ok(f"criterion 1: CRF log Z within 1e-8 and Viterbi exact on 500 random "
-       f"instances in {elapsed:.1f}s")
+    ok(f"criterion 1: CRF loss within 1e-8 of brute-force log Z minus the gold "
+       f"score, and Viterbi exact, on 500 random padded instances in {elapsed:.1f}s")
 
 
 # 2 ---------------------------------------------------------------------

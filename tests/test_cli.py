@@ -61,14 +61,57 @@ def test_project_round_trips_and_stats_keys(toy, capsys):
     assert keys == list(ProjectionStats.FIELDS)
 
 
-def test_project_sentence_count_mismatch_exits_2(toy, capsys):
+def _project_inputs(toy, command, src="en_srl.conllu", translations="de_trans.conllu"):
+    """The argv of ``project`` or ``sweep-alpha`` over the toy recipe's
+    files, with ``src`` and ``translations`` from ``toy``."""
+    alphas = ("--alphas", "0.5") if command == "sweep-alpha" else ()
+    return (command, "--src", toy / src, "--translations", toy / translations,
+            "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv", *alphas,
+            "--out", toy / "out")
+
+
+def _comments_only(block: str) -> str:
+    return "\n".join(line for line in block.split("\n") if line.startswith("#"))
+
+
+# (command, the blocks of de_trans.conllu that a cut translations file
+# keeps, the sentences it then holds); a translation of comment lines only
+# is no sentence, so the later ones would pair with the wrong sources
+CUT_TRANSLATIONS = [
+    ("project", lambda blocks: blocks[:5], 5),
+    ("sweep-alpha", lambda blocks: blocks[:5], 5),
+    ("project", lambda blocks: [*blocks[:2], _comments_only(blocks[2]), *blocks[3:]], 49),
+]
+
+
+@pytest.mark.parametrize("command, cut, count", CUT_TRANSLATIONS,
+                         ids=["project", "sweep-alpha", "project-comments-only"])
+def test_project_sentence_count_mismatch_exits_2(toy, capsys, command, cut, count):
+    """Translations that do not pair up with the source sentences are
+    blamed on --translations, with both counts and the --src file."""
     _prepare(toy)
-    short = "\n".join((toy / "de_trans.conllu").read_text().split("\n\n")[:3]) + "\n\n"
-    (toy / "short.conllu").write_text(short)
-    assert run("project", "--src", toy / "en_srl.conllu",
-               "--translations", toy / "short.conllu",
-               "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv",
-               "--out", toy / "p.conllu") == 2
+    blocks = (toy / "de_trans.conllu").read_text().split("\n\n")
+    (toy / "cut.conllu").write_text("\n\n".join(cut(blocks)))
+    capsys.readouterr()
+    assert run(*_project_inputs(toy, command, translations="cut.conllu")) == 2
+    assert capsys.readouterr().err == (
+        f"xsrl: error: {toy / 'cut.conllu'}: translation count {count} != sentence count 50 "
+        f"in --src {toy / 'en_srl.conllu'}\n")
+
+
+@pytest.mark.parametrize("command", ["project", "sweep-alpha"])
+def test_project_untagged_source_token_exits_2_naming_src(toy, capsys, command):
+    """A source argument whose UPOS is ``_`` cannot be scored against the
+    POS distribution; the source corpus is the file to fix."""
+    _prepare(toy)
+    text = (toy / "en_srl.conllu").read_text()
+    (toy / "untagged.conllu").write_text(
+        text.replace("2\tcat\tcat\tNOUN\t", "2\tcat\tcat\t_\t", 1))
+    capsys.readouterr()
+    assert run(*_project_inputs(toy, command, src="untagged.conllu")) == 2
+    assert capsys.readouterr().err == (
+        f"xsrl: error: {toy / 'untagged.conllu'}: sentence 1: token 2 ('cat') "
+        f"has no POS tag\n")
 
 
 def test_project_alpha_monotone(toy, capsys):

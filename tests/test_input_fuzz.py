@@ -1,11 +1,13 @@
 """A seeded, bounded fuzz of the command line's input contract.
 
-The toy recipe's inputs (the SRL corpora, the alignment table, the POS
-distribution, an evaluation report and two config files) each take every
-mutation below ROUNDS times, at seeded positions, and go to a command
-that reads them: ``stats``, ``predict`` and both sides of ``eval`` for
-the corpora, ``project`` for the table and the distribution,
-``aggregate`` for the report, ``align-train`` and ``train`` for the
+The toy recipe's inputs (the SRL corpora, the translations, the bitext,
+the alignment table, the POS distribution, an evaluation report, a word
+vector file and two config files) each take every mutation below ROUNDS
+times, at seeded positions, and go to a command that reads them:
+``stats``, ``predict``, both sides of ``eval`` and ``project --src`` for
+the corpora, ``project`` for the translations, the table and the
+distribution, ``align-train`` for the bitext, ``aggregate`` for the
+report, ``train`` for the vectors, ``align-train`` and ``train`` for the
 configs.  The contract: exit 0 or 2, and on 2 a message that names the mutated file
 first or names a flag; never exit 3 and never a traceback.  A config that
 loses its size lines leaves the paper-sized defaults, which the memory
@@ -27,6 +29,8 @@ from conftest import DATA
 TINY_CONFIG = (b"variant = pgn\nword_dim = 1\npos_dim = 1\npred_dim = 1\nlang_dim = 1\n"
                b"hidden = 1\nlayers = 1\nepochs = 1\nbatch_size = 2\nseed = 1\n")
 ALIGN_CONFIG = b"iterations = 2\nfloor = 0.0\nlowercase = false\n"
+# Two-dimensional vectors for three words of the training corpus.
+EMBEDDINGS = b"3 2\nwagen 0.25 -0.5\nsieht 1.0 0.0\nfrau -0.75 0.125\n"
 NUMBER = re.compile(rb"\d+(?:\.\d+)?")
 ROUNDS = 3
 
@@ -61,8 +65,10 @@ def duplicate_line(rng, data):
     return b"\n".join(lines[:at + 1] + lines[at:])
 
 
-# column separators: TSV, CSV and the config files' "key = value"
-SEPARATORS = (b"\t", b",", b" = ")
+# column separators, the first that a line holds splitting it: TSV, CSV,
+# the config files' "key = value", the bitext's "src ||| tgt" and the
+# spaces of the word vectors
+SEPARATORS = (b"\t", b",", b" = ", b" ||| ", b" ")
 
 
 def drop_column(rng, data):
@@ -77,7 +83,10 @@ def drop_column(rng, data):
 
 def number_to(text: bytes):
     def mutate(rng, data):
-        match = rng.choice(list(NUMBER.finditer(data)))
+        matches = list(NUMBER.finditer(data))
+        if not matches:  # the bitext holds no number
+            return data
+        match = rng.choice(matches)
         return data[:match.start()] + text + data[match.end():]
 
     mutate.__name__ = f"number_to_{text.decode()}"
@@ -101,14 +110,15 @@ MUTATIONS = [truncate, truncate_at_line, flip_bit, delete_line, duplicate_line, 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """The valid inputs, by name: the toy files, a table, a POS
-    distribution, a report, a small training corpus, the two configs and
-    a tiny PGN model trained on DE."""
+    distribution, a report, a small training corpus, word vectors, the
+    two configs and a tiny PGN model trained on DE."""
     work = tmp_path_factory.mktemp("contract")
     files = {name: (DATA / name).read_bytes()
              for name in ("en_srl.conllu", "de_dev.conllu", "de_trans.conllu", "bitext.txt")}
     blocks = files["de_dev.conllu"].split(b"\n\n")
     files["small.conllu"] = b"\n\n".join(blocks[:2]) + b"\n\n"
     files["tiny.cfg"], files["align.cfg"] = TINY_CONFIG, ALIGN_CONFIG
+    files["vectors.txt"] = EMBEDDINGS
     for name, data in files.items():
         (work / name).write_bytes(data)
     for argv in (["align-train", "--parallel", work / "bitext.txt", "--iterations", "2",
@@ -132,9 +142,16 @@ TARGETS = [
                    "--table", "BAD", "--posdist", "pos.tsv"]),
     ("pos.tsv", ["project", "--src", "en_srl.conllu", "--translations", "de_trans.conllu",
                  "--table", "table.tsv", "--posdist", "BAD"]),
+    ("de_trans.conllu", ["project", "--src", "en_srl.conllu", "--translations", "BAD",
+                         "--table", "table.tsv", "--posdist", "pos.tsv"]),
+    ("en_srl.conllu", ["project", "--src", "BAD", "--translations", "de_trans.conllu",
+                       "--table", "table.tsv", "--posdist", "pos.tsv"]),
+    ("bitext.txt", ["align-train", "--parallel", "BAD", "--iterations", "2"]),
     ("report.txt", ["aggregate", "BAD", "report.txt"]),
     ("align.cfg", ["align-train", "--parallel", "bitext.txt", "--config", "BAD"]),
     ("tiny.cfg", ["train", "--train-file", "small.conllu", "--config", "BAD"]),
+    ("vectors.txt", ["train", "--train-file", "small.conllu", "--config", "tiny.cfg",
+                     "--embeddings", "BAD"]),
 ]
 
 

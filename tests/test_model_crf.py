@@ -5,6 +5,8 @@ import pytest
 
 from xsrl.model import crf
 
+from conftest import batch_of_one
+
 
 def brute_force_paths(o, trans):
     """Score every label sequence directly from the definition."""
@@ -24,31 +26,34 @@ def logsumexp(x):
 
 
 def test_single_position_two_labels():
-    o = np.array([[1.0, -0.5]])
+    o, labels, lengths = batch_of_one([[1.0, -0.5]], [0])
     trans = np.zeros((4, 4))
     trans[2] = [0.3, 0.1, 0.0, 0.0]  # BOS row
     trans[:, 3] = [0.2, 0.7, 0.0, 0.0]  # into EOS
     path_scores = np.array([1.0 + 0.3 + 0.2, -0.5 + 0.1 + 0.7])
-    gold, _, _ = crf.nll_gradients(o, trans, [0])
+    gold, _, _ = crf.nll_gradients(o, trans, labels, lengths)
     expected = logsumexp(path_scores) - path_scores[0]
     assert gold == pytest.approx(expected, abs=1e-12)
-    assert crf.viterbi(o, trans) == [0]
+    assert crf.viterbi(o, trans, lengths) == [[0]]
 
 
 def test_two_positions_three_labels_enumeration():
     rng = np.random.default_rng(1)
     o = rng.normal(size=(2, 3))
     trans = rng.normal(size=(5, 5))
-    _, scores = brute_force_paths(o, trans)
-    assert crf.log_partition(o, trans) == pytest.approx(logsumexp(scores), abs=1e-10)
+    paths, scores = brute_force_paths(o, trans)
+    for path, score in zip(paths, scores):
+        batch, labels, lengths = batch_of_one(o, path)
+        loss, _, _ = crf.nll_gradients(batch, trans, labels, lengths)
+        assert loss == pytest.approx(logsumexp(scores) - score, abs=1e-10)
 
 
 def test_uniform_scores_symmetric_loss():
     n, k = 4, 3
-    o = np.zeros((n, k))
+    o, labels, lengths = batch_of_one(np.zeros((n, k)), [0, 1, 2, 0])
     trans = np.zeros((k + 2, k + 2))
     # all k^n paths score identically, so any gold path has probability k^-n
-    loss, _, _ = crf.nll_gradients(o, trans, [0, 1, 2, 0])
+    loss, _, _ = crf.nll_gradients(o, trans, labels, lengths)
     assert loss == pytest.approx(n * np.log(k), abs=1e-12)
 
 
@@ -60,9 +65,11 @@ def test_forward_and_viterbi_match_brute_force():
         o = rng.normal(size=(n, k))
         trans = rng.normal(size=(k + 2, k + 2))
         paths, scores = brute_force_paths(o, trans)
-        assert crf.log_partition(o, trans) == pytest.approx(
-            logsumexp(scores), abs=1e-8)
-        assert crf.viterbi(o, trans) == list(paths[int(np.argmax(scores))])
+        gold = int(rng.integers(len(paths)))
+        batch, labels, lengths = batch_of_one(o, paths[gold])
+        loss, _, _ = crf.nll_gradients(batch, trans, labels, lengths)
+        assert loss == pytest.approx(logsumexp(scores) - scores[gold], abs=1e-8)
+        assert crf.viterbi(batch, trans, lengths) == [list(paths[int(np.argmax(scores))])]
 
 
 def test_path_probabilities_sum_to_one():
@@ -71,28 +78,32 @@ def test_path_probabilities_sum_to_one():
         n, k = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         o = rng.normal(size=(n, k))
         trans = rng.normal(size=(k + 2, k + 2))
-        _, scores = brute_force_paths(o, trans)
-        logz = crf.log_partition(o, trans)
-        assert np.exp(scores - logz).sum() == pytest.approx(1.0, abs=1e-8)
+        paths, _ = brute_force_paths(o, trans)
+        total = 0.0
+        for path in paths:
+            batch, labels, lengths = batch_of_one(o, path)
+            loss, _, _ = crf.nll_gradients(batch, trans, labels, lengths)
+            total += np.exp(-loss)
+        assert total == pytest.approx(1.0, abs=1e-8)
 
 
 def test_emission_shift_invariance():
     rng = np.random.default_rng(12)
-    o = rng.normal(size=(5, 4))
+    o, lengths = batch_of_one(rng.normal(size=(5, 4)))
     trans = rng.normal(size=(6, 6))
-    assert crf.viterbi(o, trans) == crf.viterbi(o + 3.7, trans)
+    assert crf.viterbi(o, trans, lengths) == crf.viterbi(o + 3.7, trans, lengths)
 
 
 def test_viterbi_tie_breaks_to_lower_label():
-    o = np.zeros((3, 3))
+    o, lengths = batch_of_one(np.zeros((3, 3)))
     trans = np.zeros((5, 5))
-    assert crf.viterbi(o, trans) == [0, 0, 0]
+    assert crf.viterbi(o, trans, lengths) == [[0, 0, 0]]
 
 
 def test_strong_emissions_dominate_neutral_transitions():
-    o = np.array([[9.0, 0.0, 0.0], [0.0, 9.0, 0.0], [0.0, 0.0, 9.0]])
+    o, lengths = batch_of_one([[9.0, 0.0, 0.0], [0.0, 9.0, 0.0], [0.0, 0.0, 9.0]])
     trans = np.zeros((5, 5))
-    assert crf.viterbi(o, trans) == [0, 1, 2]
+    assert crf.viterbi(o, trans, lengths) == [[0, 1, 2]]
 
 
 def test_nll_gradients_match_finite_differences():
@@ -101,23 +112,25 @@ def test_nll_gradients_match_finite_differences():
         n, k = int(rng.integers(1, 5)), int(rng.integers(2, 4))
         o = rng.normal(size=(n, k))
         trans = rng.normal(size=(k + 2, k + 2))
-        labels = [int(rng.integers(k)) for _ in range(n)]
-        _, d_o, d_trans = crf.nll_gradients(o, trans, labels)
+        o, labels, lengths = batch_of_one(o, [int(rng.integers(k)) for _ in range(n)])
+        _, d_o, d_trans = crf.nll_gradients(o, trans, labels, lengths)
         eps = 1e-6
         for arr, grad in ((o, d_o), (trans, d_trans)):
             flat, gflat = arr.reshape(-1), grad.reshape(-1)
             for c in rng.choice(flat.size, size=min(10, flat.size), replace=False):
                 original = flat[c]
                 flat[c] = original + eps
-                upper, _, _ = crf.nll_gradients(o, trans, labels)
+                upper, _, _ = crf.nll_gradients(o, trans, labels, lengths)
                 flat[c] = original - eps
-                lower, _, _ = crf.nll_gradients(o, trans, labels)
+                lower, _, _ = crf.nll_gradients(o, trans, labels, lengths)
                 flat[c] = original
                 numeric = (upper - lower) / (2 * eps)
                 assert gflat[c] == pytest.approx(numeric, abs=1e-6)
 
 
 def test_padded_batch_matches_single_sequences():
+    """Every column of a padded batch scores, differentiates and decodes
+    as its own unpadded batch of one, and as a batch of one still padded."""
     rng = np.random.default_rng(21)
     k = 3
     lengths = np.array([4, 1, 2, 4, 3])
@@ -126,17 +139,20 @@ def test_padded_batch_matches_single_sequences():
     labels = rng.integers(k, size=(4, len(lengths)))
     loss, d_o, d_trans = crf.nll_gradients(o, trans, labels, lengths)
     paths = crf.viterbi(o, trans, lengths)
-    logz = crf.log_partition(o, trans, lengths)
     total, summed_trans = 0.0, np.zeros_like(trans)
     for b, n in enumerate(lengths):
+        single_o, single_labels, one = batch_of_one(o[:n, b], labels[:n, b])
         single_loss, single_d_o, single_d_trans = crf.nll_gradients(
-            o[:n, b], trans, labels[:n, b])
+            single_o, trans, single_labels, one)
+        column = np.s_[:, b:b + 1]
+        padded_loss, padded_d_o, _ = crf.nll_gradients(
+            o[column], trans, labels[column], lengths[b:b + 1])
         total += single_loss
         summed_trans += single_d_trans
-        np.testing.assert_allclose(d_o[:n, b], single_d_o, rtol=0, atol=1e-12)
-        assert np.all(d_o[n:, b] == 0.0)
-        assert paths[b] == crf.viterbi(o[:n, b], trans)
-        assert logz[b] == pytest.approx(crf.log_partition(o[:n, b], trans), abs=1e-12)
+        np.testing.assert_allclose(d_o[:n, b], single_d_o[:, 0], rtol=0, atol=1e-12)
+        assert np.all(d_o[n:, b] == 0.0) and np.all(padded_d_o[n:] == 0.0)
+        assert padded_loss == pytest.approx(single_loss, abs=1e-12)
+        assert paths[b] == crf.viterbi(single_o, trans, one)[0]
     assert loss == pytest.approx(total, abs=1e-12)
     np.testing.assert_allclose(d_trans, summed_trans, rtol=0, atol=1e-12)
 

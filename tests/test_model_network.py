@@ -28,7 +28,8 @@ from xsrl.model.network import (
     _recurrent_vector,
 )
 
-from conftest import assert_frozen_pgn_equals_basic, freeze_onto, workspace_loss
+from conftest import (assert_frozen_pgn_equals_basic, batch_of_one, freeze_onto,
+                      workspace_loss)
 
 
 def make_sentence(forms, pred=1, lang="EN", roles=None):
@@ -178,8 +179,8 @@ def test_reversal_swaps_direction_trajectories():
         bv[...] = fv
     x = rng.normal(size=(6, 4))
     runner, whole = Inline(spec, [flat]), [(0, slice(None))]
-    h_fwd_of_reversed, _ = bilstm_forward(runner, whole, x[::-1, None])
-    h, _ = bilstm_forward(runner, whole, x[:, None])
+    h_fwd_of_reversed, _ = bilstm_forward(runner, whole, *batch_of_one(x[::-1]))
+    h, _ = bilstm_forward(runner, whole, *batch_of_one(x))
     np.testing.assert_allclose(h_fwd_of_reversed[:, 0, :3], h[::-1, 0, 3:], atol=1e-12)
 
 
@@ -211,9 +212,10 @@ def test_model_level_crf_loss_two_paths(corpus):
     states = np.array([[2.0, 3.0]])  # n=1, 2*hidden=2
     scores = states[0] @ model.params["crf_emission"].T
     expected = -np.log(np.exp(scores[0]) / np.exp(scores).sum())
-    emissions = states @ model.params["crf_emission"].T
+    emissions, labels, lengths = batch_of_one(states @ model.params["crf_emission"].T,
+                                              [vocab.label_id("A0")])
     loss, _, _ = crf.nll_gradients(emissions, model.params["crf_transition"],
-                                   [vocab.label_id("A0")])
+                                   labels, lengths)
     assert loss == pytest.approx(expected, abs=1e-12)
 
 
@@ -252,7 +254,7 @@ def test_padded_batch_states_match_single_sequences():
     assert no_cache is None
     assert np.array_equal(inference, states)
     for b, n in enumerate(lengths):
-        single, _ = bilstm_forward(runner, whole, batch[:n, b:b + 1])
+        single, _ = bilstm_forward(runner, whole, *batch_of_one(batch[:n, b]))
         np.testing.assert_allclose(states[:n, b], single[:, 0], rtol=0, atol=1e-12)
 
 

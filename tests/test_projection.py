@@ -10,6 +10,8 @@ from xsrl.projection import (
     ProjectionConfig,
     ProjectionError,
     ProjectionStats,
+    SourceError,
+    TranslationError,
     project_corpus,
     project_sentence,
 )
@@ -220,9 +222,28 @@ def test_alpha_zero_keeps_everything():
 
 
 def test_project_corpus_length_mismatch():
-    with pytest.raises(ProjectionError, match="translation count"):
+    with pytest.raises(TranslationError, match=r"^translation count 1 != sentence count 0$"):
         project_corpus(Corpus(), [sentence(["x"], ["NOUN"], lang="DE")],
                        AlignmentTable(), uniform_pos({}))
+
+
+def test_project_corpus_names_the_sentence_at_fault():
+    """An empty translation is the translations' fault, an untagged source
+    predicate or argument the source's; either names its sentence."""
+    frame = PredicateFrame(2, "run.01", ((1, "A0"),))
+    src = sentence(["dog", "runs"], ["NOUN", "VERB"], [frame])
+    tgt = sentence(["hund", "laeuft"], ["NOUN", "VERB"], lang="DE")
+    table, dist = AlignmentTable(), uniform_pos({})
+    empty = Sentence(tokens=(), lang="DE")
+    with pytest.raises(TranslationError, match=r"^sentence 2: empty target sentence$"):
+        project_corpus(Corpus((src, src)), [tgt, empty], table, dist)
+    untagged = sentence(["dog", "runs"], ["_", "VERB"], [frame])
+    with pytest.raises(SourceError, match=r"^sentence 3: token 1 \('dog'\) has no POS tag$"):
+        project_corpus(Corpus((src, src, untagged)), [tgt] * 3, table, dist)
+    # a source sentence without frames needs neither tags nor a translation
+    bare = sentence(["dog"], ["_"])
+    out, _ = project_corpus(Corpus((bare,)), [empty], table, dist)
+    assert out.sentences == (empty,)
 
 
 def test_project_empty_corpus():
@@ -376,7 +397,7 @@ def project_frame(frame: PredicateFrame, src: Sentence, tgt: Sentence,
     carry universal POS tags.
     """
     if not tgt.tokens:
-        raise ProjectionError("empty target sentence")
+        raise TranslationError("empty target sentence")
     tgt_forms = [t.form for t in tgt.tokens]
     out: list[ProjectionCandidate] = []
 
