@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 from . import blas
 from . import eval as evaluation
@@ -39,7 +40,7 @@ from .model import (
 )
 from .model.serialize import CheckpointError
 from .postag import PosError, fit_pos_emission, load_pos_distribution, save_pos_distribution
-from .projection import (ProjectionConfig, ProjectionError, ProjectionStats, SourceError,
+from .projection import (ProjectionConfig, ProjectionStats, SourceError, TranslationCountError,
                          TranslationError, project_corpus)
 
 USAGE_ERROR = 2
@@ -48,9 +49,6 @@ INTERNAL_ERROR = 3
 # Errors about the content of an input file: their messages get its path.
 _FILE_ERRORS = (AlignmentError, CorpusError, ModelError, PosError, CheckpointError,
                 evaluation.EvalError)
-_INPUT_ERRORS = (AlignmentError, CorpusError, ModelError, PosError,
-                 ProjectionError, CheckpointError, evaluation.EvalError,
-                 OSError, ValueError)
 
 # glibc malloc settings: keep up to 256 MB of freed memory instead of giving
 # it back, and serve blocks below 32 MB (glibc's upper limit for this
@@ -110,14 +108,10 @@ def _reading(path: str, errors=_FILE_ERRORS):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_corpus(path: str, lang: str | None = None, require_pred: bool = True) -> Corpus:
     with _reading(path):
-        return parse_srl_corpus(_read_text(path), default_lang=lang, require_pred=require_pred)
+        return parse_srl_corpus(Path(path).read_text(encoding="utf-8"), default_lang=lang,
+                                require_pred=require_pred)
 
 
 def _load(reader, path: str):
@@ -126,21 +120,11 @@ def _load(reader, path: str):
         return reader(path)
 
 
-def _write_bytes(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
     """Each key of a "key = value" file, with its line number and raw value."""
     values: dict[str, tuple[int, str]] = {}
     with _reading(path):
-        text = _read_text(path)
+        text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -269,7 +253,7 @@ def _seed(args: argparse.Namespace) -> int:
 
 def cmd_align_train(args) -> int:
     with _reading(args.parallel):
-        pairs = read_parallel_corpus(_read_text(args.parallel))
+        pairs = read_parallel_corpus(Path(args.parallel).read_text(encoding="utf-8"))
     log: list[float] = []
     table = ibm1_train(pairs, iterations=args.iterations, floor=args.floor,
                        lowercase=args.lowercase, log=log)
@@ -284,10 +268,6 @@ def _projection_inputs(args):
     the POS distribution of ``project`` and ``sweep-alpha``."""
     src = _load_corpus(args.src, lang=args.src_lang)
     translations = _load_corpus(args.translations, lang=args.tgt_lang, require_pred=False)
-    if len(translations.sentences) != len(src.sentences):
-        raise TranslationError(
-            f"{args.translations}: translation count {len(translations.sentences)} != "
-            f"sentence count {len(src.sentences)} in --src {args.src}")
     table = _load(load_table, args.table)
     dist = _load(load_pos_distribution, args.posdist)
     return src, list(translations.sentences), table, dist
@@ -296,11 +276,15 @@ def _projection_inputs(args):
 @contextmanager
 def _projecting(args):
     """Name the file at fault in a projection's input errors: --src for an
-    untagged source word, --translations for an empty translation and
-    --posdist for a source tag outside its tagset."""
-    with (_reading(args.src, SourceError), _reading(args.translations, TranslationError),
-          _reading(args.posdist)):
-        yield
+    untagged source word, --translations for an empty translation or a
+    count that differs from --src's (naming --src too), and --posdist for a
+    source tag outside its tagset."""
+    try:
+        with (_reading(args.src, SourceError), _reading(args.translations, TranslationError),
+              _reading(args.posdist)):
+            yield
+    except TranslationCountError as exc:
+        raise TranslationCountError(f"{exc} in --src {args.src}") from None
 
 
 def cmd_project(args) -> int:
@@ -308,9 +292,9 @@ def cmd_project(args) -> int:
     config = ProjectionConfig(alpha=args.alpha)
     with _projecting(args):
         out, stats = project_corpus(src, translations, table, dist, config)
-    _write_bytes(args.out, write_srl_corpus(out))
+    Path(args.out).write_bytes(write_srl_corpus(out))
     stats_text = stats.as_lines()
-    _write_text(args.stats or args.out + ".stats", stats_text)
+    Path(args.stats or args.out + ".stats").write_text(stats_text, encoding="utf-8")
     sys.stdout.write(stats_text)
     return 0
 
@@ -357,7 +341,7 @@ def cmd_train(args) -> int:
     save_model(model, args.out)
     log_path = args.log or args.out + ".log"
     lines = "".join(f"epoch {i}\tloss {loss!r}\n" for i, loss in enumerate(losses, start=1))
-    _write_text(log_path, lines)
+    Path(log_path).write_text(lines, encoding="utf-8")
     sys.stderr.write(lines)
     return 0
 
@@ -367,7 +351,7 @@ def cmd_predict(args) -> int:
     corpus = _load_corpus(args.input, lang=args.lang)
     with _reading(args.input):  # a language the model does not know
         predicted = predict(model, corpus)
-    _write_bytes(args.out, write_srl_corpus(predicted))
+    Path(args.out).write_bytes(write_srl_corpus(predicted))
     return 0
 
 
@@ -381,7 +365,7 @@ def cmd_eval(args) -> int:
             f"--pred {args.pred} does not match --gold {args.gold}: {exc}") from None
     text = evaluation.format_report(report)
     if args.out:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 
@@ -390,10 +374,10 @@ def cmd_aggregate(args) -> int:
     reports = []
     for path in args.reports:
         with _reading(path):
-            reports.append(evaluation.parse_report(_read_text(path)))
+            reports.append(evaluation.parse_report(Path(path).read_text(encoding="utf-8")))
     text = evaluation.format_report(evaluation.aggregate_reports(reports))
     if args.out:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 
@@ -408,7 +392,7 @@ def cmd_stats(args) -> int:
     lines.extend(f"role:{role}\t{count}" for role, count in stats.roles.items())
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 
@@ -417,7 +401,7 @@ def cmd_similarity(args) -> int:
     model = _load(load_model, args.model)
     text = similarity_csv(model)
     if args.out:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 
@@ -448,7 +432,7 @@ def cmd_sweep_alpha(args) -> int:
             row.append(repr(_dev_f1(args, projected, dev)))
         rows.append(",".join(row))
     text = "\n".join(rows) + "\n"
-    _write_text(args.out, text)
+    Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 
@@ -580,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(args, argv)
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except _INPUT_ERRORS as exc:
+    except (OSError, ValueError) as exc:  # every input error class is a ValueError
         print(f"xsrl: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except TrainingError as exc:

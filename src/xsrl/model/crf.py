@@ -126,9 +126,11 @@ def nll_gradients(o: np.ndarray, trans: np.ndarray, labels: np.ndarray,
     return loss, d_o, d_trans
 
 
-def viterbi(o: np.ndarray, trans: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
+def viterbi(o: np.ndarray, trans: np.ndarray, lengths=None) -> list[list[int]]:
     """Highest-scoring label sequence of every sequence, as one list of
     labels per sequence; ties pick the lower label index."""
+    if lengths is None:  # one unpadded (T, K) sequence, as bench/test_bench.py calls it
+        o, lengths = o[:, None], np.array([len(o)])
     steps, batch, k = o.shape
     delta = o[0] + trans[k, :k]
     back = np.zeros((steps, batch, k), dtype=np.intp)

@@ -35,6 +35,7 @@ __all__ = [
     "ProjectionError",
     "SourceError",
     "TranslationError",
+    "TranslationCountError",
     "ProjectionConfig",
     "ProjectionStats",
     "project_sentence",
@@ -52,6 +53,10 @@ class SourceError(ProjectionError):
 
 class TranslationError(ProjectionError):
     """Raised when the translations do not fit the source corpus."""
+
+
+class TranslationCountError(TranslationError):
+    """Raised when the translations and the source sentences differ in number."""
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,7 @@ def project_corpus(src_corpus: Corpus, translations: list[Sentence],
     if config is None:
         config = ProjectionConfig()
     if len(translations) != len(src_corpus.sentences):
-        raise TranslationError(
+        raise TranslationCountError(
             f"translation count {len(translations)} != sentence count "
             f"{len(src_corpus.sentences)}")
     sentences: list[Sentence] = []

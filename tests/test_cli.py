@@ -88,7 +88,8 @@ CUT_TRANSLATIONS = [
                          ids=["project", "sweep-alpha", "project-comments-only"])
 def test_project_sentence_count_mismatch_exits_2(toy, capsys, command, cut, count):
     """Translations that do not pair up with the source sentences are
-    blamed on --translations, with both counts and the --src file."""
+    blamed on --translations, with both counts and the --src file; the
+    count check is the library's own."""
     _prepare(toy)
     blocks = (toy / "de_trans.conllu").read_text().split("\n\n")
     (toy / "cut.conllu").write_text("\n\n".join(cut(blocks)))

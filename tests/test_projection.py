@@ -11,6 +11,7 @@ from xsrl.projection import (
     ProjectionError,
     ProjectionStats,
     SourceError,
+    TranslationCountError,
     TranslationError,
     project_corpus,
     project_sentence,
@@ -222,7 +223,7 @@ def test_alpha_zero_keeps_everything():
 
 
 def test_project_corpus_length_mismatch():
-    with pytest.raises(TranslationError, match=r"^translation count 1 != sentence count 0$"):
+    with pytest.raises(TranslationCountError, match=r"^translation count 1 != sentence count 0$"):
         project_corpus(Corpus(), [sentence(["x"], ["NOUN"], lang="DE")],
                        AlignmentTable(), uniform_pos({}))
 
