@@ -114,6 +114,14 @@ def _load_corpus(path: str, lang: str | None = None, require_pred: bool = True) 
                                 require_pred=require_pred)
 
 
+def _emit(text: str, path: str | None, stream=None) -> None:
+    """Write ``text`` to ``path`` when one is given, then print it to
+    ``stream`` (standard output by default)."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    (stream or sys.stdout).write(text)
+
+
 def _load(reader, path: str):
     """``reader(path)``, with ``path`` named in the input errors it raises."""
     with _reading(path):
@@ -234,6 +242,14 @@ def _learning_rate(text: str) -> float:
     return value
 
 
+def _lang(text: str) -> str:
+    """``--lang``, ``--src-lang``, ``--tgt-lang``: one token with no spaces,
+    as a ``# lang = XX`` comment holds."""
+    if text.split() != [text]:
+        raise argparse.ArgumentTypeError(f"must be one token with no spaces, got {text!r}")
+    return text
+
+
 def _buckets(text: str):
     """``--buckets``: distance buckets such as ``1-2,3-6,7+``."""
     try:
@@ -293,9 +309,7 @@ def cmd_project(args) -> int:
     with _projecting(args):
         out, stats = project_corpus(src, translations, table, dist, config)
     Path(args.out).write_bytes(write_srl_corpus(out))
-    stats_text = stats.as_lines()
-    Path(args.stats or args.out + ".stats").write_text(stats_text, encoding="utf-8")
-    sys.stdout.write(stats_text)
+    _emit(stats.as_lines(), args.stats or args.out + ".stats")
     return 0
 
 
@@ -323,8 +337,6 @@ def _merge_corpora(paths: list[str], lang: str | None) -> Corpus:
 
 def _train_model(args, corpus: Corpus):
     config = _train_config(args)
-    if corpus.sentences and any(not s.lang for s in corpus.sentences):
-        raise ModelError("training sentences need language IDs")
     word_table = None
     vocab = None
     if args.embeddings:
@@ -339,10 +351,8 @@ def cmd_train(args) -> int:
     corpus = _merge_corpora(args.train_file, args.lang)
     model, losses = _train_model(args, corpus)
     save_model(model, args.out)
-    log_path = args.log or args.out + ".log"
-    lines = "".join(f"epoch {i}\tloss {loss!r}\n" for i, loss in enumerate(losses, start=1))
-    Path(log_path).write_text(lines, encoding="utf-8")
-    sys.stderr.write(lines)
+    _emit("".join(f"epoch {i}\tloss {loss!r}\n" for i, loss in enumerate(losses, start=1)),
+          args.log or args.out + ".log", sys.stderr)
     return 0
 
 
@@ -363,10 +373,7 @@ def cmd_eval(args) -> int:
     except evaluation.EvalError as exc:  # sentences or predicates that differ
         raise evaluation.EvalError(
             f"--pred {args.pred} does not match --gold {args.gold}: {exc}") from None
-    text = evaluation.format_report(report)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    _emit(evaluation.format_report(report), args.out)
     return 0
 
 
@@ -375,34 +382,21 @@ def cmd_aggregate(args) -> int:
     for path in args.reports:
         with _reading(path):
             reports.append(evaluation.parse_report(Path(path).read_text(encoding="utf-8")))
-    text = evaluation.format_report(evaluation.aggregate_reports(reports))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    _emit(evaluation.format_report(evaluation.aggregate_reports(reports)), args.out)
     return 0
 
 
 def cmd_stats(args) -> int:
     stats = corpus_stats(_load_corpus(args.input, lang=args.lang))
-    lines = [
-        f"sentences\t{stats.sentences}",
-        f"predicates\t{stats.predicates}",
-        f"arguments\t{stats.arguments}",
-    ]
-    lines.extend(f"role:{role}\t{count}" for role, count in stats.roles.items())
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    rows = [("sentences", stats.sentences), ("predicates", stats.predicates),
+            ("arguments", stats.arguments),
+            *((f"role:{role}", count) for role, count in stats.roles.items())]
+    _emit("".join(f"{name}\t{value}\n" for name, value in rows), args.out)
     return 0
 
 
 def cmd_similarity(args) -> int:
-    model = _load(load_model, args.model)
-    text = similarity_csv(model)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    _emit(similarity_csv(_load(load_model, args.model)), args.out)
     return 0
 
 
@@ -431,9 +425,7 @@ def cmd_sweep_alpha(args) -> int:
         if args.train:
             row.append(repr(_dev_f1(args, projected, dev)))
         rows.append(",".join(row))
-    text = "\n".join(rows) + "\n"
-    Path(args.out).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    _emit("\n".join(rows) + "\n", args.out)
     return 0
 
 
@@ -483,7 +475,7 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-pos", help="fit a POS emission distribution from a tagged corpus")
     p.add_argument("--tagged", required=True)
-    p.add_argument("--lang")
+    p.add_argument("--lang", type=_lang)
     p.add_argument("--k", type=_smoothing, default=0.1)
     p.add_argument("--out", required=True)
 
@@ -493,8 +485,8 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--posdist", required=True)
     p.add_argument("--alpha", type=_probability, default=0.4)
-    p.add_argument("--src-lang")
-    p.add_argument("--tgt-lang")
+    p.add_argument("--src-lang", type=_lang)
+    p.add_argument("--tgt-lang", type=_lang)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", help="stats report path (default: <out>.stats)")
 
@@ -507,8 +499,8 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--train", action="store_true",
                    help="also train per alpha and report dev F1")
     p.add_argument("--dev", help="gold dev corpus for --train")
-    p.add_argument("--src-lang")
-    p.add_argument("--tgt-lang")
+    p.add_argument("--src-lang", type=_lang)
+    p.add_argument("--tgt-lang", type=_lang)
     p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--out", required=True)
     _add_train_flags(p)
@@ -516,7 +508,7 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a role labeler")
     p.add_argument("--train-file", action="append", required=True,
                    help="repeatable; corpora are concatenated")
-    p.add_argument("--lang", help="language for files without '# lang' comments")
+    p.add_argument("--lang", type=_lang, help="language for files without '# lang' comments")
     p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="loss log path (default: <out>.log)")
@@ -525,14 +517,14 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="re-label the predicates of a corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--lang")
+    p.add_argument("--lang", type=_lang)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval", help="score predictions against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--lang")
-    p.add_argument("--buckets", type=_buckets, default="1-2,3-6,7+")
+    p.add_argument("--lang", type=_lang)
+    p.add_argument("--buckets", type=_buckets, default=evaluation.DEFAULT_BUCKETS)
     p.add_argument("--out")
 
     p = sub.add_parser("aggregate", help="average several evaluation reports")
@@ -541,7 +533,7 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="corpus statistics")
     p.add_argument("--input", required=True)
-    p.add_argument("--lang")
+    p.add_argument("--lang", type=_lang)
     p.add_argument("--out")
 
     p = sub.add_parser("similarity", help="language-embedding distance matrix as CSV")

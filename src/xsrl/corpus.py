@@ -135,8 +135,8 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     frame-empty-role, frame-bad-sense.
     """
     out: list[Violation] = []
-    for si, sent in enumerate(corpus.sentences):
-        where = f"sentence {si}"
+    for number, sent in enumerate(corpus.sentences, start=1):
+        where = f"sentence {number}"
         n = len(sent.tokens)
         for tok in sent.tokens:
             if tok.index < 1:

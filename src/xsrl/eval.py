@@ -53,16 +53,11 @@ class EvalReport:
     per_distance: dict[str, RoleScore] = field(default_factory=dict)
 
 
-def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+def _score(tp: int, fp: int, fn: int) -> RoleScore:
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0
-    return p, r, f
-
-
-def bucket_label(bucket: tuple[int, int | None]) -> str:
-    low, high = bucket
-    return f"{low}+" if high is None else f"{low}-{high}"
+    return RoleScore(p, r, f, support=tp + fn)
 
 
 def parse_buckets(text: str) -> tuple[tuple[int, int | None], ...]:
@@ -99,73 +94,58 @@ def _check_buckets(buckets) -> None:
         raise EvalError("buckets must cover every distance >= 1")
 
 
-def _bucket_of(distance: int, buckets) -> str:
-    for bucket in buckets:
-        low, high = bucket
+def _bucket_of(distance: int, bins) -> list[int]:
+    for (low, high), counts in bins:
         if distance >= low and (high is None or distance <= high):
-            return bucket_label(bucket)
+            return counts
     raise EvalError(f"no bucket for distance {distance}")
 
 
 def _paired_frames(gold: Corpus, pred: Corpus):
+    """(pred_index, gold_args, pred_args) of every predicate, each argument
+    set holding (token index, role) pairs."""
     if len(gold.sentences) != len(pred.sentences):
         raise EvalError(
             f"gold has {len(gold.sentences)} sentences, prediction "
             f"{len(pred.sentences)}")
-    for si, (gs, ps) in enumerate(zip(gold.sentences, pred.sentences)):
-        gold_preds = {f.pred_index: f for f in gs.frames}
-        pred_preds = {f.pred_index: f for f in ps.frames}
+    for number, (gs, ps) in enumerate(zip(gold.sentences, pred.sentences), start=1):
+        gold_preds = {f.pred_index: f.args for f in gs.frames}
+        pred_preds = {f.pred_index: f.args for f in ps.frames}
         if gold_preds.keys() != pred_preds.keys():
             raise EvalError(
-                f"sentence {si}: predicate sets differ "
+                f"sentence {number}: predicate sets differ "
                 f"({sorted(gold_preds)} vs {sorted(pred_preds)})")
         for index in sorted(gold_preds):
-            yield gold_preds[index], pred_preds[index]
+            yield index, set(gold_preds[index]), set(pred_preds[index])
 
 
 def srl_f1(gold: Corpus, pred: Corpus,
            buckets=DEFAULT_BUCKETS) -> EvalReport:
-    """Micro P/R/F1 with full per-role and per-distance breakdowns."""
+    """Micro P/R/F1 with full per-role and per-distance breakdowns.
+
+    Each argument adds one to the [tp, fp, fn] counts of the whole report,
+    of its role and of its distance bucket.
+    """
     _check_buckets(buckets)
-    tp = fp = fn = 0
-    role_counts: dict[str, list[int]] = {}
-    dist_counts: dict[str, list[int]] = {b: [0, 0, 0] for b in map(bucket_label, buckets)}
-    gold_total = pred_total = 0
-
-    def tally(table, key, kind):
-        table.setdefault(key, [0, 0, 0])[kind] += 1
-
-    for gframe, pframe in _paired_frames(gold, pred):
-        gold_set = set(gframe.args)
-        pred_set = set(pframe.args)
-        gold_total += len(gold_set)
-        pred_total += len(pred_set)
-        for arg, role in gold_set & pred_set:
-            tp += 1
-            tally(role_counts, role, 0)
-            dist_counts[_bucket_of(abs(arg - gframe.pred_index), buckets)][0] += 1
-        for arg, role in pred_set - gold_set:
-            fp += 1
-            tally(role_counts, role, 1)
-            dist_counts[_bucket_of(abs(arg - pframe.pred_index), buckets)][1] += 1
-        for arg, role in gold_set - pred_set:
-            fn += 1
-            tally(role_counts, role, 2)
-            dist_counts[_bucket_of(abs(arg - gframe.pred_index), buckets)][2] += 1
-
-    precision, recall, f1 = _prf(tp, fp, fn)
-    per_role = {
-        role: RoleScore(*_prf(c[0], c[1], c[2]), support=c[0] + c[2])
-        for role, c in sorted(role_counts.items())
-    }
-    per_distance = {
-        label: RoleScore(*_prf(c[0], c[1], c[2]), support=c[0] + c[2])
-        for label, c in dist_counts.items()
-    }
+    total = [0, 0, 0]
+    per_role: dict[str, list[int]] = {}
+    per_distance = {f"{low}+" if high is None else f"{low}-{high}": [0, 0, 0]
+                    for low, high in buckets}
+    bins = list(zip(buckets, per_distance.values()))
+    for index, gold_args, pred_args in _paired_frames(gold, pred):
+        kinds = (gold_args & pred_args, pred_args - gold_args, gold_args - pred_args)
+        for kind, args in enumerate(kinds):
+            for arg, role in args:
+                bucket = _bucket_of(abs(arg - index), bins)
+                for counts in (total, per_role.setdefault(role, [0, 0, 0]), bucket):
+                    counts[kind] += 1
+    tp, fp, fn = total
+    overall = _score(tp, fp, fn)
     return EvalReport(
-        precision=precision, recall=recall, f1=f1,
-        gold_args=gold_total, pred_args=pred_total,
-        per_role=per_role, per_distance=per_distance)
+        precision=overall.precision, recall=overall.recall, f1=overall.f1,
+        gold_args=tp + fn, pred_args=tp + fp,
+        per_role={role: _score(*c) for role, c in sorted(per_role.items())},
+        per_distance={label: _score(*c) for label, c in per_distance.items()})
 
 
 def format_report(report: EvalReport) -> str:
@@ -250,23 +230,15 @@ def aggregate_reports(reports: list[EvalReport]) -> EvalReport:
         return sum(values) / len(values)
 
     def mean_table(key):
-        names = sorted({name for r in reports for name in getattr(r, key)})
+        tables = [getattr(r, key) for r in reports]
         out = {}
-        for name in names:
-            rows = [getattr(r, key)[name] for r in reports if name in getattr(r, key)]
-            out[name] = RoleScore(
-                precision=mean([s.precision for s in rows]),
-                recall=mean([s.recall for s in rows]),
-                f1=mean([s.f1 for s in rows]),
-                support=round(mean([s.support for s in rows])),
-            )
+        for name in sorted({name for table in tables for name in table}):
+            rows = [table[name] for table in tables if name in table]
+            out[name] = RoleScore(*(mean([getattr(s, f) for s in rows]) for f in _SCORES),
+                                  support=round(mean([s.support for s in rows])))
         return out
 
     return EvalReport(
-        precision=mean([r.precision for r in reports]),
-        recall=mean([r.recall for r in reports]),
-        f1=mean([r.f1 for r in reports]),
-        gold_args=round(mean([r.gold_args for r in reports])),
-        pred_args=round(mean([r.pred_args for r in reports])),
-        per_role=mean_table("per_role"),
-        per_distance=mean_table("per_distance"))
+        *(mean([getattr(r, f) for r in reports]) for f in _SCORES),
+        *(round(mean([getattr(r, c) for r in reports])) for c in _COUNTS),
+        per_role=mean_table("per_role"), per_distance=mean_table("per_distance"))

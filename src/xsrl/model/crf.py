@@ -24,33 +24,31 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     return m + np.log(np.sum(np.exp(x - np.expand_dims(m, axis)), axis=axis))
 
 
-def _forward(o: np.ndarray, trans: np.ndarray, posteriors: bool = False):
-    """Forward-algorithm log scores over a batch.
+def _forward(o: np.ndarray, trans: np.ndarray):
+    """Forward-algorithm log scores over a batch, with the transition
+    posteriors.
 
-    alphas[t, b, j] sums the paths of sequence b ending in j at t.  With
-    ``posteriors``, also returns post[t, b, i, j], the probability that
-    label i precedes label j at t given the paths ending in j there.
+    alphas[t, b, j] sums the paths of sequence b ending in j at t, and
+    post[t, b, i, j] is the probability that label i precedes label j at t
+    given the paths ending in j there.
     """
     steps, batch, k = o.shape
     inner = trans[:k, :k]
     alphas = np.empty_like(o)
     np.add(o[0], trans[k, :k], out=alphas[0])
-    # each step's exponentiated scores are built in place, in post[t] or in
-    # one buffer; post is normalized by the step totals after the loop
-    post = np.empty((steps, batch, k, k), dtype=o.dtype) if posteriors else None
+    # each step's exponentiated scores are built in place in post[t], then
+    # normalized by the step totals after the loop
+    post = np.empty((steps, batch, k, k), dtype=o.dtype)
     totals = np.empty_like(o)
-    scores = None if posteriors else np.empty((batch, k, k), dtype=o.dtype)
     for t in range(1, steps):
-        if posteriors:
-            scores = post[t]
+        scores = post[t]
         np.add(alphas[t - 1][:, :, None], inner, out=scores)
         m = np.maximum.reduce(scores, axis=1)
         scores -= m[:, None, :]
         np.exp(scores, out=scores)
         np.add(o[t], m, out=alphas[t])
         alphas[t] += np.log(np.add.reduce(scores, axis=1, out=totals[t]))
-    if posteriors:
-        post[1:] /= totals[1:, :, None, :]
+    post[1:] /= totals[1:, :, None, :]
     return alphas, post
 
 
@@ -99,7 +97,7 @@ def nll_gradients(o: np.ndarray, trans: np.ndarray, labels: np.ndarray,
     steps, batch, k = o.shape
     bos, eos = k, k + 1
     cols = np.arange(batch)
-    alphas, post = _forward(o, trans, posteriors=True)
+    alphas, post = _forward(o, trans)
     final = _final_scores(alphas, trans, lengths)
     logz = _lse(final, axis=1)
     path = _gold_path(labels, lengths, k)

@@ -416,29 +416,66 @@ def test_prep_outputs_match_recorded_digests(toy, capsys):
 # runs on data/toy (EN and DE, so PGN batches mix two language groups),
 # recorded from the per-group recurrence that training ran before the
 # groups shared one, with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; a
-# faster training path must write the same bytes.
+# faster training path must write the same bytes.  The loss logs, the eval
+# report of each prediction against de_dev, their aggregate and the PGN
+# model's similarity CSV were recorded from the three-loop `srl_f1` and the
+# per-command writers that one tally and one writer replaced.
 TRAIN_DIGESTS = {
     "pgn.bin": "bbd69a2ff5b26e54133196bb9079a57f41f4c9f9c14a9a1c56b90eb77344614e",
     "pgn.conllu": "d7934d20885c2f1ab2ad9c45a409626d81a1a7f3c60d05cac3fcdc96c6a9c8c0",
     "basic.bin": "cce2406d1266ff44ab5eef06e1602b02ea7267db34775dc08fcf524e16841320",
     "basic.conllu": "9e97bd4c474feaae97cf6131ace874c4ecc182d4380b4054c1be29be01fd94d9",
+    "pgn.bin.log": "d6a0bfd78937ab8c2356c4363da46b297d872968da7307d919432154c4bd196a",
+    "pgn.report": "af3fd1b030af8a30c80dc571e07d05e95173bf3618f3f01d940d35e34b9d40d7",
+    "basic.bin.log": "d8b3854341c55f67aaf1b37e7b8481de8c40d1e226dab79eb52b802924b1afd4",
+    "basic.report": "b86c11479d52499f86f1ceeec3e80a8acb36f7a23f7c7c0743e001dabd0a8627",
+    "aggregate.report": "f55dff35da73577ac52f915cfe8f81a987fcf98ae8a1de48e7ffdf061a4b1447",
+    "similarity.csv": "0bf108440e9cc0047f5b16442ca04fb7988b89eb30fabbb3f91a9d12f990a11c",
 }
 
 
-@pytest.mark.parametrize("variant", ["pgn", "basic"])
-def test_train_outputs_match_recorded_digests(toy, capsys, variant):
+@pytest.fixture(scope="module")
+def trained_toy(tmp_path_factory):
+    """A directory with the short PGN and BASIC runs of TRAIN_DIGESTS: each
+    variant's checkpoint, loss log, prediction of de_dev and eval report."""
+    toy = tmp_path_factory.mktemp("trained")
+    for name in ("en_srl.conllu", "de_dev.conllu"):
+        shutil.copy(DATA / name, toy / name)
+    for variant in ("pgn", "basic"):
+        flags = list(TRAIN_FLAGS)
+        for flag, value in (("--variant", variant), ("--epochs", "3"),
+                            ("--learning-rate", "0.05")):
+            flags[flags.index(flag) + 1] = value
+        assert run("train", "--train-file", toy / "en_srl.conllu",
+                   "--train-file", toy / "de_dev.conllu", "--seed", "5",
+                   "--out", toy / f"{variant}.bin", *flags) == 0
+        assert run("predict", "--model", toy / f"{variant}.bin",
+                   "--input", toy / "de_dev.conllu", "--out", toy / f"{variant}.conllu") == 0
+        assert run("eval", "--gold", toy / "de_dev.conllu", "--pred", toy / f"{variant}.conllu",
+                   "--out", toy / f"{variant}.report") == 0
+    return toy
+
+
+def _sha256(path: Path) -> str:
     import hashlib
 
-    flags = list(TRAIN_FLAGS)
-    for flag, value in (("--variant", variant), ("--epochs", "3"), ("--learning-rate", "0.05")):
-        flags[flags.index(flag) + 1] = value
-    assert run("train", "--train-file", toy / "en_srl.conllu",
-               "--train-file", toy / "de_dev.conllu", "--seed", "5",
-               "--out", toy / f"{variant}.bin", *flags) == 0
-    assert run("predict", "--model", toy / f"{variant}.bin", "--input", toy / "de_dev.conllu",
-               "--out", toy / f"{variant}.conllu") == 0
-    for name in (f"{variant}.bin", f"{variant}.conllu"):
-        assert hashlib.sha256((toy / name).read_bytes()).hexdigest() == TRAIN_DIGESTS[name]
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("variant", ["pgn", "basic"])
+def test_train_outputs_match_recorded_digests(trained_toy, variant):
+    for name in (f"{variant}.bin", f"{variant}.conllu", f"{variant}.bin.log",
+                 f"{variant}.report"):
+        assert _sha256(trained_toy / name) == TRAIN_DIGESTS[name], name
+
+
+def test_aggregate_and_similarity_match_recorded_digests(trained_toy, capsys):
+    assert run("aggregate", trained_toy / "pgn.report", trained_toy / "basic.report",
+               "--out", trained_toy / "aggregate.report") == 0
+    assert run("similarity", "--model", trained_toy / "pgn.bin",
+               "--out", trained_toy / "similarity.csv") == 0
+    for name in ("aggregate.report", "similarity.csv"):
+        assert _sha256(trained_toy / name) == TRAIN_DIGESTS[name], name
 
 
 # (command, config text, message after "PATH:"); the command line leaves
@@ -455,6 +492,8 @@ BAD_CONFIG_VALUES = [
     ("train", "batch_size = 0", "1: --batch-size: must be >= 1, got 0"),
     ("train", "epochs = 1\npos_dim = -1", "2: --pos-dim: must be >= 1, got -1"),
     ("train", "learning-rate = nan", "1: --learning-rate: must be a finite number > 0, got nan"),
+    ("train", "lang = D E", "1: --lang: must be one token with no spaces, got 'D E'"),
+    ("eval", "epochs = 1\nlang =", "2: --lang: must be one token with no spaces, got ''"),
 ]
 
 
@@ -513,6 +552,13 @@ BAD_FLAG_VALUES = [
     ("train", "--learning-rate", "-1", "must be a finite number > 0, got -1.0"),
     ("train", "--learning-rate", "nan", "must be a finite number > 0, got nan"),
     ("train", "--learning-rate", "inf", "must be a finite number > 0, got inf"),
+    ("train", "--lang", "", "must be one token with no spaces, got ''"),
+    ("fit-pos", "--lang", "D E", "must be one token with no spaces, got 'D E'"),
+    ("predict", "--lang", " DE", "must be one token with no spaces, got ' DE'"),
+    ("eval", "--lang", "", "must be one token with no spaces, got ''"),
+    ("stats", "--lang", "DE\t", "must be one token with no spaces, got 'DE\\t'"),
+    ("project", "--src-lang", "", "must be one token with no spaces, got ''"),
+    ("sweep-alpha", "--tgt-lang", "a b", "must be one token with no spaces, got 'a b'"),
 ]
 
 
@@ -526,6 +572,8 @@ def test_flag_value_error_names_its_flag(toy, capsys, command, flag, value, mess
               "train": ["--train-file", toy / "de_dev.conllu"],
               "project": projection,
               "sweep-alpha": projection,
+              "predict": ["--model", toy / "m.bin", "--input", toy / "de_dev.conllu"],
+              "stats": ["--input", toy / "de_dev.conllu"],
               "eval": ["--gold", toy / "de_dev.conllu", "--pred", toy / "de_dev.conllu"]}
     with pytest.raises(SystemExit) as exc:
         run(command, *inputs[command], flag, value, "--out", toy / "out")
@@ -570,6 +618,8 @@ BAD_INPUTS = [
      "line 5: not valid UTF-8"),
     ("stats", ["--input", "BAD"], TOKEN.encode() + b"\n",
      "line 1: sentence has no '# lang = XX' comment and no default language was given"),
+    ("stats", ["--input", "BAD"], ("# lang = DE\n" + TOKEN + TOKEN + "\n").encode(),
+     "sent-indices: sentence 1: token indices not contiguous 1..2"),
     ("train", ["--train-file", "de_dev.conllu", "--train-file", "BAD", "--out", "m.bin",
                *TRAIN_FLAGS],
      b"# lang = DE\n\xc3(\n", "line 2: not valid UTF-8"),

@@ -261,6 +261,15 @@ def test_validate_codes_each_invariant():
     assert _codes(good) == set()
 
 
+def test_violations_number_sentences_from_1():
+    """As ``project``'s messages and every ``line N`` do."""
+    ok = Sentence(tokens=(Token(1, "a"), Token(2, "b")), lang="EN")
+    gap = Sentence(tokens=(Token(1, "a"), Token(3, "b")), lang="EN")
+    for number, sentences in ((1, [gap, ok]), (2, [ok, gap])):
+        messages = [v.message for v in validate_corpus(Corpus.from_sentences(sentences))]
+        assert messages == [f"sentence {number}: token indices not contiguous 1..2"]
+
+
 def test_role_inventory_is_derived_from_the_sentences():
     """A corpus built directly reports the sorted roles of its arguments,
     as one built by ``from_sentences`` does."""

@@ -58,6 +58,17 @@ def test_predicate_mismatch_errors():
         srl_f1(gold, pred)
 
 
+def test_predicate_mismatch_numbers_sentences_from_1():
+    """As every other message does, whichever sentence differs."""
+    same = corpus_with([(1, "A0")]).sentences[0]
+    moved = corpus_with([(1, "A0")], pred=4).sentences[0]
+    for number, pair in ((1, (moved, same)), (2, (same, moved))):
+        pred = Corpus.from_sentences(list(pair))
+        with pytest.raises(EvalError, match=rf"^sentence {number}: predicate sets differ "
+                                            r"\(\[3\] vs \[4\]\)$"):
+            srl_f1(Corpus.from_sentences([same, same]), pred)
+
+
 def test_metric_symmetry_swaps_precision_recall():
     rng = np.random.default_rng(4)
     for _ in range(40):
