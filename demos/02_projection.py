@@ -11,7 +11,7 @@ from pathlib import Path
 from xsrl.alignment import ibm1_train, read_parallel_corpus
 from xsrl.corpus import parse_srl_corpus, write_srl_corpus
 from xsrl.postag import fit_pos_emission
-from xsrl.projection import ProjectionConfig, project_corpus
+from xsrl.projection import project_corpus, sweep_corpus
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "toy"
 
@@ -27,19 +27,17 @@ def main():
     translations = list(parse_srl_corpus((DATA / "de_trans.conllu").read_text(),
                                          require_pred=False).sentences)
 
-    projected, stats = project_corpus(src, translations, table, dist,
-                                      ProjectionConfig(alpha=0.4))
+    projected, stats = project_corpus(src, translations, table, dist, 0.4)
     print("projection at the default threshold 0.4:")
     print(stats.as_lines())
 
     print("first projected sentence:")
     print(write_srl_corpus(projected).decode().split("\n\n")[0])
 
-    print("\nthreshold sweep:")
+    print("\nthreshold sweep (one projection pass, cut at each alpha):")
     print("  alpha  frames_kept  args_kept")
-    for alpha in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-        _, s = project_corpus(src, translations, table, dist,
-                              ProjectionConfig(alpha=alpha))
+    alphas = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+    for alpha, (_, s) in zip(alphas, sweep_corpus(src, translations, table, dist, alphas)):
         print(f"  {alpha:5.1f}  {s.frames_kept:11d}  {s.args_kept:9d}")
 
 

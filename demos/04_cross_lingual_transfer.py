@@ -14,7 +14,7 @@ from xsrl.corpus import Corpus, parse_srl_corpus
 from xsrl.eval import srl_f1
 from xsrl.model import ModelConfig, PGN, predict, train
 from xsrl.postag import fit_pos_emission
-from xsrl.projection import ProjectionConfig, project_corpus
+from xsrl.projection import project_corpus
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "toy"
 
@@ -29,8 +29,7 @@ def main():
         (DATA / "de_trans.conllu").read_text(), require_pred=False).sentences)
     dev = parse_srl_corpus((DATA / "de_dev.conllu").read_text())
 
-    target, stats = project_corpus(source, translations, table, dist,
-                                   ProjectionConfig(alpha=0.4))
+    target, stats = project_corpus(source, translations, table, dist, 0.4)
     print(f"pseudo target corpus: {stats.frames_kept} frames, "
           f"{stats.args_kept} arguments")
 

@@ -40,8 +40,8 @@ from .model import (
 )
 from .model.serialize import CheckpointError
 from .postag import PosError, fit_pos_emission, load_pos_distribution, save_pos_distribution
-from .projection import (ProjectionConfig, ProjectionStats, SourceError, TranslationCountError,
-                         TranslationError, project_corpus)
+from .projection import (ProjectionStats, SourceError, TranslationCountError, TranslationError,
+                         project_corpus, sweep_corpus)
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -268,11 +268,11 @@ def _seed(args: argparse.Namespace) -> int:
 
 
 def cmd_align_train(args) -> int:
-    with _reading(args.parallel):
-        pairs = read_parallel_corpus(Path(args.parallel).read_text(encoding="utf-8"))
     log: list[float] = []
-    table = ibm1_train(pairs, iterations=args.iterations, floor=args.floor,
-                       lowercase=args.lowercase, log=log)
+    with _reading(args.parallel):  # a bitext with no pairs too
+        pairs = read_parallel_corpus(Path(args.parallel).read_text(encoding="utf-8"))
+        table = ibm1_train(pairs, iterations=args.iterations, floor=args.floor,
+                           lowercase=args.lowercase, log=log)
     save_table(table, args.out)
     for i, ll in enumerate(log, start=1):
         print(f"iteration {i}\tlog-likelihood {ll:.6f}", file=sys.stderr)
@@ -305,9 +305,8 @@ def _projecting(args):
 
 def cmd_project(args) -> int:
     src, translations, table, dist = _projection_inputs(args)
-    config = ProjectionConfig(alpha=args.alpha)
     with _projecting(args):
-        out, stats = project_corpus(src, translations, table, dist, config)
+        out, stats = project_corpus(src, translations, table, dist, args.alpha)
     Path(args.out).write_bytes(write_srl_corpus(out))
     _emit(stats.as_lines(), args.stats or args.out + ".stats")
     return 0
@@ -315,7 +314,8 @@ def cmd_project(args) -> int:
 
 def cmd_fit_pos(args) -> int:
     tagged = _load_corpus(args.tagged, lang=args.lang, require_pred=False)
-    dist = fit_pos_emission(tagged, k=args.k)
+    with _reading(args.tagged):  # a corpus with no sentences
+        dist = fit_pos_emission(tagged, k=args.k)
     save_pos_distribution(dist, args.out)
     return 0
 
@@ -349,6 +349,9 @@ def _train_model(args, corpus: Corpus):
 
 def cmd_train(args) -> int:
     corpus = _merge_corpora(args.train_file, args.lang)
+    if not any(sentence.frames for sentence in corpus.sentences):  # train's check, with paths
+        raise ModelError(f"{', '.join(args.train_file)}: corpus has no predicate frames to "
+                         "train on")
     model, losses = _train_model(args, corpus)
     save_model(model, args.out)
     _emit("".join(f"epoch {i}\tloss {loss!r}\n" for i, loss in enumerate(losses, start=1)),
@@ -417,10 +420,9 @@ def cmd_sweep_alpha(args) -> int:
     if args.train:
         header.append("f1")
     rows = [",".join(header)]
-    for alpha in alphas:
-        with _projecting(args):
-            projected, stats = project_corpus(
-                src, translations, table, dist, ProjectionConfig(alpha=alpha))
+    with _projecting(args):
+        projections = sweep_corpus(src, translations, table, dist, alphas)
+    for alpha, (projected, stats) in zip(alphas, projections):
         row = [repr(alpha)] + [str(getattr(stats, f)) for f in ProjectionStats.FIELDS]
         if args.train:
             row.append(repr(_dev_f1(args, projected, dev)))

@@ -4,8 +4,7 @@ For every SRL-related source word (the predicate and each argument) the
 highest-probability target token is chosen from the alignment table, and
 the projection confidence is the product of the alignment probability and
 the target word's compatibility with the source word's POS tag.  Colliding
-projections on one target token are then resolved, and projections below
-the confidence threshold are discarded.
+projections on one target token are then resolved.
 
 Collision resolution runs in three stages over each sentence, across all
 frames:
@@ -18,9 +17,10 @@ frames:
 3. Argument vs. argument: the highest-scoring argument per token survives.
 
 Ties everywhere go to the smaller source index, then to the earlier frame
-(one source word may serve several frames).  The threshold α then drops
-every projection scoring below it (a score equal to α is kept); a dropped
-predicate takes its whole frame with it.
+(one source word may serve several frames).  None of this reads the
+confidence threshold α, so one pass serves every α: α then cuts the
+winners, dropping every projection scoring below it (a score equal to α is
+kept); a dropped predicate takes its whole frame with it.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ __all__ = [
     "SourceError",
     "TranslationError",
     "TranslationCountError",
-    "ProjectionConfig",
     "ProjectionStats",
-    "project_sentence",
     "project_corpus",
+    "sweep_corpus",
 ]
 
 
@@ -57,15 +56,6 @@ class TranslationError(ProjectionError):
 
 class TranslationCountError(TranslationError):
     """Raised when the translations and the source sentences differ in number."""
-
-
-@dataclass(frozen=True)
-class ProjectionConfig:
-    alpha: float = 0.4
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ProjectionError(f"alpha must be in [0,1], got {self.alpha}")
 
 
 @dataclass
@@ -89,15 +79,13 @@ class ProjectionStats:
         return "".join(f"{name}\t{getattr(self, name)}\n" for name in self.FIELDS)
 
 
-def project_sentence(src: Sentence, tgt: Sentence, table: AlignmentTable,
-                     dist: PosDistribution, config: ProjectionConfig,
-                     ) -> tuple[Sentence, ProjectionStats]:
-    """Project all frames of one source sentence; returns the annotated target.
-
-    Each rule is a filter over the survivors of the one before it, and each
-    dropped count is the difference between two consecutive set sizes.
-    """
-    frames, alpha = src.frames, config.alpha
+def _winners(src: Sentence, tgt: Sentence, table: AlignmentTable, dist: PosDistribution):
+    """Place the frames of one source sentence on its translation and resolve
+    their collisions.  Returns the winning frames as (score, target index,
+    sense, args) and each one's winning arguments as (score, target index,
+    role), both in target order, then the numbers of frames, of arguments
+    and of winning arguments."""
+    frames = src.frames
     tgt_forms = [t.form for t in tgt.tokens]
     if frames and not tgt_forms:
         raise TranslationError("empty target sentence")
@@ -123,57 +111,68 @@ def project_sentence(src: Sentence, tgt: Sentence, table: AlignmentTable,
         key = (-score, frame.pred_index, fid)
         if j not in preds or key < preds[j]:
             preds[j] = key
+    won_args: dict[int, list] = {fid: [] for _, _, fid in preds.values()}  # frame -> args
     # the keys of two frames always differ, so only the order within a frame
     # can matter: the first of two equal keys (a source word twice) wins
     args: dict[int, tuple[tuple[float, int, int], str]] = {}  # target -> (key, role)
-    for fid in {fid for _, _, fid in preds.values()}:
+    for fid in won_args:
         for i, role in frames[fid].args:
             j, score = placed[i]
             key = (-score, i, fid)
             if j not in preds and (j not in args or key < args[j][0]):
                 args[j] = (key, role)
 
-    kept = {fid: (j, frames[fid].sense) for j, (neg, _, fid) in preds.items()
-            if -neg >= alpha}
-    kept_args: dict[int, list[tuple[int, str]]] = {fid: [] for fid in kept}
-    for j, ((neg, _, fid), role) in args.items():
-        if fid in kept and -neg >= alpha:
-            kept_args[fid].append((j, role))
-    out = tuple(sorted((PredicateFrame(j, sense, tuple(sorted(kept_args[fid])))
-                        for fid, (j, sense) in kept.items()),
-                       key=lambda f: f.pred_index))
-
-    n_frames, n_args = len(frames), sum(len(f.args) for f in frames)
-    n_kept_args = sum(map(len, kept_args.values()))
-    return replace(tgt, frames=out), ProjectionStats(
-        frames_in=n_frames, frames_kept=len(kept),
-        frames_dropped_threshold=len(preds) - len(kept),
-        frames_dropped_collision=n_frames - len(preds),
-        args_in=n_args, args_kept=n_kept_args,
-        args_dropped_threshold=len(args) - n_kept_args,
-        args_dropped_collision=n_args - len(args))
+    for j, ((neg, _, fid), role) in sorted(args.items()):
+        won_args[fid].append((-neg, j, role))
+    won = [(-neg, j, frames[fid].sense, won_args[fid])
+           for j, (neg, _, fid) in sorted(preds.items())]
+    return won, len(frames), sum(len(f.args) for f in frames), len(args)
 
 
-def project_corpus(src_corpus: Corpus, translations: list[Sentence],
-                   table: AlignmentTable, dist: PosDistribution,
-                   config: ProjectionConfig | None = None,
-                   ) -> tuple[Corpus, ProjectionStats]:
-    """Project a whole corpus onto its index-aligned translations; an input
-    error of one sentence pair names the pair by its 1-based number."""
-    if config is None:
-        config = ProjectionConfig()
+def _cut(tgt: Sentence, winners: tuple, alpha: float) -> tuple[Sentence, tuple[int, ...]]:
+    """``tgt`` with each winning frame whose predicate scores at least
+    ``alpha``, holding its winning arguments that score at least ``alpha``,
+    and the eight counts of :class:`ProjectionStats`, in field order."""
+    won, n_frames, n_args, n_won_args = winners
+    out = tuple([PredicateFrame(j, sense, tuple([(k, role) for s, k, role in args if s >= alpha]))
+                 for score, j, sense, args in won if score >= alpha])
+    n_kept_args = sum(len(frame.args) for frame in out)
+    return replace(tgt, frames=out), (
+        n_frames, len(out), len(won) - len(out), n_frames - len(won),
+        n_args, n_kept_args, n_won_args - n_kept_args, n_args - n_won_args)
+
+
+def sweep_corpus(src_corpus: Corpus, translations: list[Sentence], table: AlignmentTable,
+                 dist: PosDistribution, alphas: list[float],
+                 ) -> list[tuple[Corpus, ProjectionStats]]:
+    """Project a whole corpus onto its index-aligned translations at each
+    threshold of ``alphas``: every sentence pair is placed once and cut at
+    every α.  Returns one (corpus, stats) per α, in order; an input error of
+    one sentence pair names the pair by its 1-based number."""
+    for alpha in alphas:
+        if not 0.0 <= alpha <= 1.0:
+            raise ProjectionError(f"alpha must be in [0,1], got {alpha}")
     if len(translations) != len(src_corpus.sentences):
         raise TranslationCountError(
             f"translation count {len(translations)} != sentence count "
             f"{len(src_corpus.sentences)}")
-    sentences: list[Sentence] = []
-    totals = dict.fromkeys(ProjectionStats.FIELDS, 0)
+    sentences: list[list[Sentence]] = [[] for _ in alphas]
+    totals = [[0] * len(ProjectionStats.FIELDS) for _ in alphas]
     for number, (src, tgt) in enumerate(zip(src_corpus.sentences, translations), start=1):
         try:
-            sent, stats = project_sentence(src, tgt, table, dist, config)
+            winners = _winners(src, tgt, table, dist)
         except ProjectionError as exc:
             raise type(exc)(f"sentence {number}: {exc}") from None
-        sentences.append(sent)
-        for name in totals:
-            totals[name] += getattr(stats, name)
-    return Corpus.from_sentences(sentences), ProjectionStats(**totals)
+        for alpha, out, total in zip(alphas, sentences, totals):
+            sent, counts = _cut(tgt, winners, alpha)
+            out.append(sent)
+            total[:] = map(int.__add__, total, counts)
+    return [(Corpus.from_sentences(out), ProjectionStats(*total))
+            for out, total in zip(sentences, totals)]
+
+
+def project_corpus(src_corpus: Corpus, translations: list[Sentence], table: AlignmentTable,
+                   dist: PosDistribution, alpha: float = 0.4,
+                   ) -> tuple[Corpus, ProjectionStats]:
+    """:func:`sweep_corpus` at the one threshold ``alpha``."""
+    return sweep_corpus(src_corpus, translations, table, dist, [alpha])[0]

@@ -28,10 +28,10 @@ from xsrl.model import (
 )
 from xsrl.model import lstm
 from xsrl.postag import fit_pos_emission
-from xsrl.projection import ProjectionConfig, project_corpus, project_sentence
+from xsrl.projection import project_corpus
 
 from conftest import DATA, assert_frozen_pgn_equals_basic, freeze_onto, token_f1
-from test_projection import oracle_project, random_case
+from test_projection import oracle_project, project_one, random_case
 
 
 def ok(line):
@@ -199,32 +199,29 @@ def test_criterion_4_projection_oracle():
                [PredicateFrame(2, "run.01", ((1, "A0"),))])
     tgt = sent(["hund", "laeuft"], ["NOUN", "VERB"], lang="DE")
     table = AlignmentTable(probs={("dog", "hund"): 1.0, ("runs", "laeuft"): 1.0})
-    out, _ = project_sentence(src, tgt, table, one_tag(
-        {"hund": "NOUN", "laeuft": "VERB"}), ProjectionConfig(alpha=0.4))
+    out, _ = project_one(src, tgt, table, one_tag(
+        {"hund": "NOUN", "laeuft": "VERB"}), 0.4)
     assert out.frames == (PredicateFrame(2, "run.01", ((1, "A0"),)),)
 
     src = sent(["dog", "runs"], ["NOUN", "VERB"],
                [PredicateFrame(2, "run.01", ((1, "A0"),))])
     tgt = sent(["wort"], ["VERB"], lang="DE")
     table = AlignmentTable(probs={("dog", "wort"): 0.9, ("runs", "wort"): 0.5})
-    out, _ = project_sentence(src, tgt, table, one_tag({"wort": "VERB"}),
-                              ProjectionConfig(alpha=0.0))
+    out, _ = project_one(src, tgt, table, one_tag({"wort": "VERB"}), 0.0)
     assert out.frames == (PredicateFrame(1, "run.01", ()),)  # predicate kept
 
     src = sent(["a", "b", "v"], ["NOUN", "NOUN", "VERB"],
                [PredicateFrame(3, "v.01", ((1, "A0"), (2, "A1")))])
     tgt = sent(["x", "y"], ["NOUN", "VERB"], lang="DE")
     table = AlignmentTable(probs={("a", "x"): 0.7, ("b", "x"): 0.4, ("v", "y"): 1.0})
-    out, _ = project_sentence(src, tgt, table,
-                              one_tag({"x": "NOUN", "y": "VERB"}),
-                              ProjectionConfig(alpha=0.0))
+    out, _ = project_one(src, tgt, table,
+                         one_tag({"x": "NOUN", "y": "VERB"}), 0.0)
     assert out.frames == (PredicateFrame(2, "v.01", ((1, "A0"),)),)
 
     rng = np.random.default_rng(404)
     for _ in range(1000):
         src, tgt, table, dist, alpha = random_case(rng)
-        out, _ = project_sentence(src, tgt, table, dist,
-                                  ProjectionConfig(alpha=alpha))
+        out, _ = project_one(src, tgt, table, dist, alpha)
         assert out.frames == oracle_project(src, tgt, table, dist, alpha)
     ok("criterion 4: pipeline equals exhaustive rule oracle on 1000 randomized "
        "sentences plus the three fixed collision scenarios")
@@ -243,8 +240,7 @@ def test_criterion_5_threshold_monotonicity():
         (DATA / "de_trans.conllu").read_text(), require_pred=False).sentences)
     kept = []
     for alpha in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-        _, stats = project_corpus(src, translations, table, dist,
-                                  ProjectionConfig(alpha=alpha))
+        _, stats = project_corpus(src, translations, table, dist, alpha)
         kept.append((stats.frames_kept, stats.args_kept))
         if alpha == 0.0:
             assert stats.frames_kept == stats.frames_in - stats.frames_dropped_collision

@@ -242,6 +242,25 @@ def test_sweep_alpha_dedup_and_counts(toy, capsys):
     assert int(first["frames_kept"]) >= int(last["frames_kept"])
 
 
+def test_sweep_alpha_places_each_word_once(toy, capsys, monkeypatch):
+    """A sweep places every source word as one ``project`` does, whatever
+    the number of thresholds: α only cuts the placed winners."""
+    import xsrl.projection
+
+    _prepare(toy)
+    placed = []
+    best_target = xsrl.projection.best_target
+    monkeypatch.setattr(xsrl.projection, "best_target",
+                        lambda *args: placed.append(args[1]) or best_target(*args))
+    inputs = ("--src", toy / "en_srl.conllu", "--translations", toy / "de_trans.conllu",
+              "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv")
+    assert run("project", *inputs, "--out", toy / "p.conllu") == 0
+    projected = len(placed)
+    assert run("sweep-alpha", *inputs, "--alphas", "0,0.5,1", "--out", toy / "sweep.csv") == 0
+    swept = len(placed) - projected
+    assert projected > 0 and swept == projected
+
+
 def test_sweep_alpha_with_train(toy, capsys):
     _prepare(toy)
     assert run("sweep-alpha", "--src", toy / "en_srl.conllu",
@@ -652,6 +671,16 @@ BAD_INPUTS = [
      "line 2: expected a score in [0, 1], got 'nan'"),
     ("aggregate", ["BAD"], REPORT.replace(b"A0,1.0,1.0,1.0,3", b"A0,1.0,1.0"),
      "line 9: expected 'name,precision,recall,f1,support', got 3 fields"),
+    # files that parse to nothing to fit, align or train on
+    ("fit-pos", ["--tagged", "BAD", "--out", "p.tsv"], b"", "empty corpus"),
+    ("fit-pos", ["--tagged", "BAD", "--out", "p.tsv"], b"# lang = DE\n# sent_id = 1\n\n",
+     "empty corpus"),
+    ("align-train", ["--parallel", "BAD", "--out", "t.tsv"], b"", "empty pair list"),
+    ("align-train", ["--parallel", "BAD", "--out", "t.tsv"], b"\n  \n", "empty pair list"),
+    ("train", ["--train-file", "BAD", "--out", "m.bin", *TRAIN_FLAGS], b"",
+     "corpus has no predicate frames to train on"),
+    ("train", ["--train-file", "BAD", "--out", "m.bin", *TRAIN_FLAGS],
+     ("# lang = DE\n" + TOKEN + "\n").encode(), "corpus has no predicate frames to train on"),
 ]
 
 
@@ -666,6 +695,17 @@ def test_input_error_names_its_file(toy, capsys, command, argv, data, message):
             for a in argv]
     assert run(command, *argv) == 2
     assert capsys.readouterr().err == f"xsrl: error: {bad}: {message}\n"
+
+
+def test_train_without_frames_names_every_train_file(toy, capsys):
+    frameless = toy / "frameless.conllu"
+    frameless.write_text("# lang = DE\n" + TOKEN + "\n", encoding="utf-8")
+    empty = toy / "empty.conllu"
+    empty.write_bytes(b"")
+    assert run("train", "--train-file", frameless, "--train-file", empty,
+               "--out", toy / "m.bin", *TRAIN_FLAGS) == 2
+    assert capsys.readouterr().err == (f"xsrl: error: {frameless}, {empty}: corpus has no "
+                                       "predicate frames to train on\n")
 
 
 def test_eval_of_unlike_corpora_exits_2_naming_both(toy, capsys):

@@ -1,13 +1,14 @@
 """A seeded, bounded fuzz of the command line's input contract.
 
-The toy recipe's inputs (the SRL corpora, the translations, the bitext,
-the alignment table, the POS distribution, an evaluation report, a word
-vector file and two config files) each take every mutation below ROUNDS
-times, at seeded positions, and go to a command that reads them:
-``stats``, ``predict``, both sides of ``eval`` and ``project --src`` for
-the corpora, ``project`` for the translations, the table and the
-distribution, ``align-train`` for the bitext, ``aggregate`` for the
-report, ``train`` for the vectors, ``align-train`` and ``train`` for the
+The toy recipe's inputs (the SRL corpora, the translations, the tagged
+corpus, the bitext, the alignment table, the POS distribution, an
+evaluation report, a word vector file and two config files) each take
+every mutation below ROUNDS times, at seeded positions, and go to a
+command that reads them: ``stats``, ``predict``, both sides of ``eval``,
+``project --src`` and ``train`` for the corpora, ``project`` for the
+translations, the table and the distribution, ``fit-pos`` for the tagged
+corpus, ``align-train`` for the bitext, ``aggregate`` for the report,
+``train`` for the vectors, ``align-train`` and ``train`` for the
 configs.  The contract: exit 0 or 2, and on 2 a message that names the mutated file
 first or names a flag; never exit 3 and never a traceback.  A config that
 loses its size lines leaves the paper-sized defaults, which the memory
@@ -102,9 +103,13 @@ def crlf(rng, data):
     return data.replace(b"\n", b"\r\n")
 
 
+def empty(rng, data):
+    return b""
+
+
 MUTATIONS = [truncate, truncate_at_line, flip_bit, delete_line, duplicate_line, drop_column,
              number_to(b"nan"), number_to(b"inf"), number_to(b"1e309"), number_to(b"-1"),
-             non_utf8, crlf]
+             non_utf8, crlf, empty]
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +119,8 @@ def inputs(tmp_path_factory):
     two configs and a tiny PGN model trained on DE."""
     work = tmp_path_factory.mktemp("contract")
     files = {name: (DATA / name).read_bytes()
-             for name in ("en_srl.conllu", "de_dev.conllu", "de_trans.conllu", "bitext.txt")}
+             for name in ("en_srl.conllu", "de_dev.conllu", "de_trans.conllu", "de_tagged.conllu",
+                          "bitext.txt")}
     blocks = files["de_dev.conllu"].split(b"\n\n")
     files["small.conllu"] = b"\n\n".join(blocks[:2]) + b"\n\n"
     files["tiny.cfg"], files["align.cfg"] = TINY_CONFIG, ALIGN_CONFIG
@@ -152,6 +158,8 @@ TARGETS = [
     ("tiny.cfg", ["train", "--train-file", "small.conllu", "--config", "BAD"]),
     ("vectors.txt", ["train", "--train-file", "small.conllu", "--config", "tiny.cfg",
                      "--embeddings", "BAD"]),
+    ("de_tagged.conllu", ["fit-pos", "--tagged", "BAD"]),
+    ("small.conllu", ["train", "--train-file", "BAD", "--config", "tiny.cfg"]),
 ]
 
 

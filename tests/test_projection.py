@@ -7,14 +7,13 @@ from xsrl.alignment import AlignmentTable, best_target
 from xsrl.corpus import Corpus, PredicateFrame, Sentence, Token, UNIVERSAL_TAGS
 from xsrl.postag import PosDistribution, pos_prob
 from xsrl.projection import (
-    ProjectionConfig,
     ProjectionError,
     ProjectionStats,
     SourceError,
     TranslationCountError,
     TranslationError,
     project_corpus,
-    project_sentence,
+    sweep_corpus,
 )
 
 TAGS = ("NOUN", "VERB", "ADV")
@@ -23,11 +22,11 @@ PREDICATE = "predicate"
 ARGUMENT = "argument"
 
 
-def test_config_alpha_bounds():
-    ProjectionConfig(alpha=0.0)
-    ProjectionConfig(alpha=1.0)
-    with pytest.raises(ProjectionError):
-        ProjectionConfig(alpha=1.0 + 1e-9)
+def test_alpha_bounds():
+    project_corpus(Corpus(), [], AlignmentTable(), uniform_pos({}), 0.0)
+    project_corpus(Corpus(), [], AlignmentTable(), uniform_pos({}), 1.0)
+    with pytest.raises(ProjectionError, match=r"^alpha must be in \[0,1\], got 1.000000001$"):
+        sweep_corpus(Corpus(), [], AlignmentTable(), uniform_pos({}), [0.5, 1.0 + 1e-9])
 
 
 def sentence(forms, upos, frames=(), lang="EN"):
@@ -48,6 +47,12 @@ def uniform_pos(words_tags):
     return PosDistribution(tagset=tagset, dist=dist)
 
 
+def project_one(src, tgt, table, dist, alpha):
+    """Project one sentence pair: ``project_corpus`` on a one-sentence corpus."""
+    out, stats = project_corpus(Corpus((src,)), [tgt], table, dist, alpha)
+    return out.sentences[0], stats
+
+
 def counts(stats):
     """The non-zero fields of a ProjectionStats."""
     return {name: getattr(stats, name) for name in ProjectionStats.FIELDS
@@ -60,8 +65,8 @@ def project(src_words, frames, tgt_words, probs, alpha=0.4):
     word of that tag scores its alignment probability."""
     src = sentence([f for f, _ in src_words], [u for _, u in src_words], frames)
     tgt = sentence([f for f, _ in tgt_words], [t for _, t in tgt_words], lang="DE")
-    out, stats = project_sentence(src, tgt, AlignmentTable(probs=probs),
-                                  uniform_pos(dict(tgt_words)), ProjectionConfig(alpha=alpha))
+    out, stats = project_one(src, tgt, AlignmentTable(probs=probs),
+                             uniform_pos(dict(tgt_words)), alpha)
     return out.frames, counts(stats)
 
 
@@ -73,27 +78,26 @@ def test_score_is_a_times_p_and_equal_to_alpha_keeps():
     tgt = sentence(["laeuft"], ["VERB"], lang="DE")
     table = AlignmentTable(probs={("runs", "laeuft"): 0.8})
     dist = PosDistribution(tagset=tagset, dist={"laeuft": vec})
-    out, stats = project_sentence(src, tgt, table, dist, ProjectionConfig(alpha=0.8 * 0.5))
+    out, stats = project_one(src, tgt, table, dist, 0.8 * 0.5)
     assert out.frames == (PredicateFrame(1, "run.01"),)
     assert counts(stats) == {"frames_in": 1, "frames_kept": 1}
-    out, stats = project_sentence(src, tgt, table, dist,
-                                  ProjectionConfig(alpha=np.nextafter(0.4, 1.0)))
+    out, stats = project_one(src, tgt, table, dist, np.nextafter(0.4, 1.0))
     assert out.frames == ()
     assert counts(stats) == {"frames_in": 1, "frames_dropped_threshold": 1}
 
 
 def test_range_errors():
     frame = PredicateFrame(2, "run.01", ((1, "A0"),))
-    with pytest.raises(ProjectionError, match=r"^alignment probability out of range: 1.5$"):
+    with pytest.raises(ProjectionError,
+                       match=r"^sentence 1: alignment probability out of range: 1.5$"):
         project([("dog", "NOUN"), ("runs", "VERB")], [frame],
                 [("hund", "NOUN"), ("laeuft", "VERB")], {("runs", "laeuft"): 1.5})
     tagset = tuple(sorted(UNIVERSAL_TAGS))
     src = sentence(["dog", "runs"], ["NOUN", "VERB"], [frame])
     tgt = sentence(["hund"], ["NOUN"], lang="DE")
     dist = PosDistribution(tagset=tagset, dist={"hund": np.full(len(tagset), -0.1)})
-    with pytest.raises(ProjectionError, match=r"^POS probability out of range: -0.1$"):
-        project_sentence(src, tgt, AlignmentTable(probs={("runs", "hund"): 0.5}), dist,
-                         ProjectionConfig())
+    with pytest.raises(ProjectionError, match=r"^sentence 1: POS probability out of range: -0.1$"):
+        project_one(src, tgt, AlignmentTable(probs={("runs", "hund"): 0.5}), dist, 0.4)
 
 
 def test_one_to_one_projection():
@@ -134,10 +138,9 @@ def test_scores_equal_independent_recomputation():
         probs = [table.probs[(form, f)] for f in tgt_forms]
         j = probs.index(max(probs)) + 1
         score = max(probs) * pos_prob(dist, tgt_forms[j - 1], tag)
-        out, _ = project_sentence(src, tgt, table, dist, ProjectionConfig(alpha=score))
+        out, _ = project_one(src, tgt, table, dist, score)
         assert out.frames == (PredicateFrame(j, "p.01"),)
-        out, stats = project_sentence(src, tgt, table, dist,
-                                      ProjectionConfig(alpha=np.nextafter(score, 1.0)))
+        out, stats = project_one(src, tgt, table, dist, np.nextafter(score, 1.0))
         assert out.frames == () and stats.frames_dropped_threshold == 1
 
 
@@ -338,7 +341,7 @@ def test_pipeline_matches_oracle_randomized():
     rng = np.random.default_rng(42)
     for _ in range(300):
         src, tgt, table, dist, alpha = random_case(rng)
-        out, _ = project_sentence(src, tgt, table, dist, ProjectionConfig(alpha=alpha))
+        out, _ = project_one(src, tgt, table, dist, alpha)
         assert out.frames == oracle_project(src, tgt, table, dist, alpha)
 
 
@@ -346,7 +349,7 @@ def test_collision_exclusivity_and_frame_atomicity():
     rng = np.random.default_rng(9)
     for _ in range(200):
         src, tgt, table, dist, alpha = random_case(rng)
-        out, _ = project_sentence(src, tgt, table, dist, ProjectionConfig(alpha=alpha))
+        out, _ = project_one(src, tgt, table, dist, alpha)
         used = [f.pred_index for f in out.frames]
         used += [a for f in out.frames for a, _ in f.args]
         assert len(used) == len(set(used))  # one surviving candidate per token
@@ -356,18 +359,18 @@ def test_stats_partition_in_counts():
     rng = np.random.default_rng(17)
     for _ in range(100):
         src, tgt, table, dist, alpha = random_case(rng)
-        _, stats = project_sentence(src, tgt, table, dist, ProjectionConfig(alpha=alpha))
+        _, stats = project_one(src, tgt, table, dist, alpha)
         assert stats.frames_in == (stats.frames_kept + stats.frames_dropped_threshold
                                    + stats.frames_dropped_collision)
         assert stats.args_in == (stats.args_kept + stats.args_dropped_threshold
                                  + stats.args_dropped_collision)
 
 
-# --- reference: the candidate pipeline that project_sentence replaced ------
+# --- reference: the candidate pipeline that one pass per sentence replaced -
 # A verbatim copy of the per-candidate implementation (frozen candidate
 # objects through scoring, collision and threshold stages); only its entry
-# point is renamed.  The one-pass implementation must give the same frames,
-# stats and errors.
+# point is renamed, and it takes α as a float.  The one-pass implementation
+# must give the same frames, stats and errors at every α.
 
 @dataclass(frozen=True)
 class ProjectionCandidate:
@@ -479,7 +482,7 @@ def resolve_collisions(candidates: list[ProjectionCandidate],
     return kept, dropped
 
 
-def apply_threshold(kept: list[ProjectionCandidate], config: ProjectionConfig,
+def apply_threshold(kept: list[ProjectionCandidate], alpha: float,
                     ) -> tuple[list[ProjectionCandidate],
                                list[tuple[ProjectionCandidate, str]]]:
     """Remove low-confidence projections (score < alpha; equality keeps).
@@ -489,13 +492,13 @@ def apply_threshold(kept: list[ProjectionCandidate], config: ProjectionConfig,
     """
     dropped: list[tuple[ProjectionCandidate, str]] = []
     dead_frames = {c.frame_id for c in kept
-                   if c.kind == PREDICATE and c.score < config.alpha}
+                   if c.kind == PREDICATE and c.score < alpha}
     final: list[ProjectionCandidate] = []
     for c in kept:
         if c.frame_id in dead_frames:
             reason = "below-threshold" if c.kind == PREDICATE else "frame-below-threshold"
             dropped.append((c, reason))
-        elif c.score < config.alpha:
+        elif c.score < alpha:
             dropped.append((c, "below-threshold"))
         else:
             final.append(c)
@@ -519,7 +522,7 @@ def _frames_from_candidates(candidates: list[ProjectionCandidate],
 
 
 def reference_project_sentence(src: Sentence, tgt: Sentence, table: AlignmentTable,
-                               dist: PosDistribution, config: ProjectionConfig,
+                               dist: PosDistribution, alpha: float,
                                ) -> tuple[Sentence, ProjectionStats]:
     """Project all frames of one source sentence; returns the annotated target."""
     stats = ProjectionStats(
@@ -529,7 +532,7 @@ def reference_project_sentence(src: Sentence, tgt: Sentence, table: AlignmentTab
     for frame_id, frame in enumerate(src.frames):
         candidates.extend(project_frame(frame, src, tgt, table, dist, frame_id))
     kept, coll_dropped = resolve_collisions(candidates)
-    final, thresh_dropped = apply_threshold(kept, config)
+    final, thresh_dropped = apply_threshold(kept, alpha)
 
     for c, _ in coll_dropped:
         if c.kind == PREDICATE:
@@ -582,13 +585,29 @@ def tied_case(rng):
     return src, tgt, table, dist, alpha
 
 
-def outcome(project, src, tgt, table, dist, alpha):
-    """The projected frames and stats, or the error raised."""
+def outcome(src, tgt, table, dist, alpha):
+    """The reference's projected sentence and stats at ``alpha``, or the
+    error it raises, worded as ``sweep_corpus`` words the error of a
+    one-sentence corpus."""
     try:
-        out, stats = project(src, tgt, table, dist, ProjectionConfig(alpha=alpha))
+        return reference_project_sentence(src, tgt, table, dist, alpha)
     except ProjectionError as exc:
-        return type(exc), str(exc)
-    return out.frames, stats
+        return type(exc), f"sentence 1: {exc}"
+
+
+def sweep_outcomes(src, tgt, table, dist, alphas):
+    """What ``sweep_corpus`` gives a one-sentence corpus at each α, in the
+    form of :func:`outcome`."""
+    try:
+        results = sweep_corpus(Corpus((src,)), [tgt], table, dist, alphas)
+    except ProjectionError as exc:
+        return [(type(exc), str(exc))] * len(alphas)
+    return [(out.sentences[0], stats) for out, stats in results]
+
+
+# every α that tied_case and random_case draw, out of order: a sweep's
+# results follow the order of its thresholds
+ALPHAS = [0.5, 0.0, 1.0, 0.0625, 0.3, 0.125, 0.1, 0.25]
 
 
 @pytest.mark.parametrize("make_case, seed", [(tied_case, 3), (random_case, 5)])
@@ -596,15 +615,14 @@ def test_matches_candidate_pipeline_randomized(make_case, seed):
     rng = np.random.default_rng(seed)
     raised = 0
     for _ in range(3000):
-        case = make_case(rng)
-        expected = outcome(reference_project_sentence, *case)
-        assert outcome(project_sentence, *case) == expected
-        raised += isinstance(expected[1], str)
+        case = make_case(rng)[:-1]  # the sweep takes every α of the grid
+        expected = [outcome(*case, alpha) for alpha in ALPHAS]
+        assert sweep_outcomes(*case, ALPHAS) == expected
+        raised += isinstance(expected[0][1], str)
     assert make_case is random_case or 0 < raised < 600
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.4, 0.8])
-def test_matches_candidate_pipeline_on_toy(toy_dir, alpha):
+def test_matches_candidate_pipeline_on_toy(toy_dir):
     from xsrl.alignment import ibm1_train, read_parallel_corpus
     from xsrl.corpus import parse_srl_corpus
     from xsrl.postag import fit_pos_emission
@@ -616,20 +634,20 @@ def test_matches_candidate_pipeline_on_toy(toy_dir, alpha):
     src = parse_srl_corpus((toy_dir / "en_srl.conllu").read_text())
     translations = list(parse_srl_corpus(
         (toy_dir / "de_trans.conllu").read_text(), require_pred=False).sentences)
-    config = ProjectionConfig(alpha=alpha)
-    out, stats = project_corpus(src, translations, table, dist, config)
+    alphas = [i / 10 for i in range(11)]
+    results = sweep_corpus(src, translations, table, dist, alphas)
 
-    totals = dict.fromkeys(ProjectionStats.FIELDS, 0)
-    for source, target, projected in zip(src.sentences, translations, out.sentences):
-        expected, sentence_stats = reference_project_sentence(source, target, table, dist,
-                                                              config)
-        assert projected == expected
-        assert project_sentence(source, target, table, dist, config) == (
-            expected, sentence_stats)
-        for name in totals:
-            totals[name] += getattr(sentence_stats, name)
-    assert {name: getattr(stats, name) for name in ProjectionStats.FIELDS} == totals
-    assert stats.frames_dropped_collision > 0
+    for alpha, (out, stats) in zip(alphas, results, strict=True):
+        totals = dict.fromkeys(ProjectionStats.FIELDS, 0)
+        for source, target, projected in zip(src.sentences, translations, out.sentences,
+                                             strict=True):
+            expected, sentence_stats = reference_project_sentence(source, target, table, dist,
+                                                                  alpha)
+            assert projected == expected
+            for name in totals:
+                totals[name] += getattr(sentence_stats, name)
+        assert {name: getattr(stats, name) for name in ProjectionStats.FIELDS} == totals
+        assert stats.frames_dropped_collision > 0
 
 
 def test_threshold_monotone_over_alpha_toy(toy_dir):
@@ -646,8 +664,7 @@ def test_threshold_monotone_over_alpha_toy(toy_dir):
         (toy_dir / "de_trans.conllu").read_text(), require_pred=False).sentences)
     previous_frames = previous_args = None
     for alpha in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-        _, stats = project_corpus(src, translations, table, dist,
-                                  ProjectionConfig(alpha=alpha))
+        _, stats = project_corpus(src, translations, table, dist, alpha)
         if previous_frames is not None:
             assert stats.frames_kept <= previous_frames
             assert stats.args_kept <= previous_args
