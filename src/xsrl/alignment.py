@@ -57,10 +57,8 @@ class AlignmentTable:
         return self.probs.get((e, NULL_TOKEN), 0.0)
 
 
-def read_parallel_corpus(data: bytes | str) -> list[ParallelPair]:
+def read_parallel_corpus(data: str) -> list[ParallelPair]:
     """Read a fast_align-style bitext: one "src tokens ||| tgt tokens" per line."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     pairs: list[ParallelPair] = []
     for lineno, line in enumerate(data.split("\n"), start=1):
         if not line.strip():

@@ -36,7 +36,6 @@ from .model import (
     save_model,
     similarity_csv,
     train,
-    vocabulary_with_table,
 )
 from .model.serialize import CheckpointError
 from .postag import PosError, fit_pos_emission, load_pos_distribution, save_pos_distribution
@@ -146,8 +145,9 @@ def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
 
 def _config_value(action: argparse.Action, raw: str):
     """A config-file value converted the way the flag converts it on the
-    command line: by its type, checked against its choices; a switch
-    (``store_true``) takes true or false."""
+    command line: by its type, which words every bad value as an
+    :class:`argparse.ArgumentTypeError`, checked against its choices; a
+    switch (``store_true``) takes true or false."""
     if action.nargs == 0:
         if raw.lower() not in ("true", "false"):
             raise ValueError(f"expected true or false, got {raw!r}")
@@ -158,8 +158,6 @@ def _config_value(action: argparse.Action, raw: str):
             value = action.type(raw)
         except argparse.ArgumentTypeError as exc:
             raise ValueError(str(exc)) from None
-        except ValueError:
-            raise ValueError(f"invalid {action.type.__name__} value: {raw!r}") from None
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"invalid choice: {value!r} (choose from "
                          f"{', '.join(map(str, action.choices))})")
@@ -336,15 +334,8 @@ def _merge_corpora(paths: list[str], lang: str | None) -> Corpus:
 
 
 def _train_model(args, corpus: Corpus):
-    config = _train_config(args)
-    word_table = None
-    vocab = None
-    if args.embeddings:
-        words, vectors = _load(load_embeddings, args.embeddings)
-        config.word_dim = vectors.shape[1]
-        vocab, word_table = vocabulary_with_table(words, vectors, corpus)
-        config.train_word_table = False
-    return train(corpus, config, seed=_seed(args), word_table=word_table, vocab=vocab)
+    embeddings = _load(load_embeddings, args.embeddings) if args.embeddings else None
+    return train(corpus, _train_config(args), seed=_seed(args), embeddings=embeddings)
 
 
 def cmd_train(args) -> int:
@@ -422,10 +413,16 @@ def cmd_sweep_alpha(args) -> int:
     rows = [",".join(header)]
     with _projecting(args):
         projections = sweep_corpus(src, translations, table, dist, alphas)
+    # the cuts are nested, so equal kept counts mean the same corpus, whose
+    # deterministic training need not run again
+    scores: dict[tuple[int, int], float] = {}
     for alpha, (projected, stats) in zip(alphas, projections):
         row = [repr(alpha)] + [str(getattr(stats, f)) for f in ProjectionStats.FIELDS]
         if args.train:
-            row.append(repr(_dev_f1(args, projected, dev)))
+            cut = (stats.frames_kept, stats.args_kept)
+            if cut not in scores:
+                scores[cut] = _dev_f1(args, projected, dev)
+            row.append(repr(scores[cut]))
         rows.append(",".join(row))
     _emit("\n".join(rows) + "\n", args.out)
     return 0

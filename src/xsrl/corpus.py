@@ -97,9 +97,6 @@ class Sentence:
     frames: tuple[PredicateFrame, ...] = ()
     comments: tuple[str, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -254,7 +251,9 @@ def _token_columns(rows, starts, require_pred):
 
 def _parse_blocks(lines, blocks, words, default_lang, require_pred) -> list[Sentence]:
     """The sentences of ``blocks``, ``(start, end)`` ranges of ``lines``
-    without blank lines; a block of comments only is no sentence.
+    without blank lines.  A block of comments only is a sentence without
+    tokens when ``require_pred`` is false, so an empty translation keeps
+    its place, and no sentence otherwise.
 
     The token lines are split once and converted a column at a time.  When
     a bulk check fails, the first bad line is found line by line and the
@@ -269,12 +268,14 @@ def _parse_blocks(lines, blocks, words, default_lang, require_pred) -> list[Sent
         comments = [line for line in block if line[0] == "#"]
         a = len(toklines)
         toklines.extend([line for line in block if line[0] != "#"] if comments else block)
-        if len(toklines) > a:
+        if len(toklines) > a or not require_pred:
             spans.append((start, comments, a, len(toklines)))
     if not spans:
         return []
     rows = list(map(str.split, toklines, repeat("\t")))
-    columns = _token_columns(rows, [a for _, _, a, _ in spans], require_pred)
+    starts = [a for _, _, a, _ in spans]
+    # a batch of comment blocks only has no token lines to check
+    columns = _token_columns(rows, starts, require_pred) if rows else [[]] * 10
     if columns is None:
         k, error = _first_row_error(lines, blocks, require_pred)
         _parse_blocks(lines, blocks[:k], words, default_lang, require_pred)
@@ -295,7 +296,7 @@ def _parse_blocks(lines, blocks, words, default_lang, require_pred) -> list[Sent
     for start, comments, a, b in spans:
         preds = pred_cells[a:b]
         n_preds = b - a - preds.count("_")
-        n_args = max(len(rows[a]) - 11, 0)
+        n_args = max(len(rows[a]) - 11, 0) if b > a else 0
         if n_preds != n_args:
             raise CorpusError(
                 f"line {start + 1}: sentence has {n_preds} predicates but "

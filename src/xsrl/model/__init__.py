@@ -1,7 +1,7 @@
 """Language-conditioned BiLSTM-CRF role labeler with manual backprop."""
 
 from . import crf
-from .embeddings import load_embeddings, vocabulary_with_table
+from .embeddings import load_embeddings
 from .network import (
     BASIC,
     OUTSIDE,
@@ -46,5 +46,4 @@ __all__ = [
     "save_model",
     "similarity_csv",
     "train",
-    "vocabulary_with_table",
 ]

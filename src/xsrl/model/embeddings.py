@@ -1,9 +1,9 @@
 """Loader for pretrained word vectors in the plain text format.
 
 First line "count dim", then one "word v1 ... v_dim" line per word with
-space-separated finite decimal floats.  The returned table is meant to be
-frozen during training; an all-zero row for unknown words is prepended by
-:func:`vocabulary_with_table`.
+space-separated finite decimal floats.  :func:`~xsrl.model.training.train`
+takes the returned ``(words, vectors)`` table whole: it freezes it and
+prepends an all-zero row for unknown words.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from array import array
 
 import numpy as np
 
-from ..corpus import Corpus
-from .network import ModelError, Vocabulary
+from .network import ModelError
 
-__all__ = ["load_embeddings", "vocabulary_with_table"]
+__all__ = ["load_embeddings"]
 
 
 def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
@@ -53,12 +52,3 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
     if len(words) != count:
         raise ModelError(f"expected {count} vectors, file has {len(words)}")
     return words, np.frombuffer(values, dtype=np.float64).reshape(count, dim)
-
-
-def vocabulary_with_table(words: list[str], vectors: np.ndarray,
-                          corpus: Corpus) -> tuple[Vocabulary, np.ndarray]:
-    """The training corpus's vocabulary with the pretrained table's words,
-    and the table with the unknown row added."""
-    vocab = Vocabulary.from_corpus(corpus, words=words)
-    table = np.vstack([np.zeros((1, vectors.shape[1])), vectors])
-    return vocab, table

@@ -118,7 +118,7 @@ def _into(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return target
 
 
-def _cell_forward(weights, spans, inputs, keep_cache=True):
+def _cell_forward(weights, spans, inputs, keep_cache):
     """Run one direction over a batch ``inputs`` (T, B, D) whose groups
     ``spans`` ((columns, steps) pairs) own the per-group weights
     ``weights`` ((W_x, W_h, b) triples); returns states and the cache
@@ -217,16 +217,13 @@ def _cell_backward(weights, spans, cache, d_states, d_weights):
 
 
 def _reversal(steps: int, lengths: np.ndarray):
-    """Index pair that reverses every sequence within its length, or None
-    when all sequences fill the batch and a plain reversal does."""
+    """The key that reverses every sequence of a (T, B, ...) array within
+    its length: a plain reversal, which indexes a view, when all sequences
+    fill the batch, else an index pair."""
     if np.all(lengths == steps):
-        return None
+        return slice(None, None, -1)
     t = np.arange(steps)[:, None]
     return np.where(t < lengths, lengths - 1 - t, t), np.arange(len(lengths))
-
-
-def _reverse(x: np.ndarray, rev) -> np.ndarray:
-    return x[::-1] if rev is None else x[rev]
 
 
 def _spans(groups, lengths: np.ndarray) -> list[tuple[slice, int]]:
@@ -243,7 +240,8 @@ class Inline:
     built once.  :meth:`forward`, :meth:`backward` and :meth:`step` do the
     work when called and return a function that gives the result, as
     :class:`Partner`'s do; the right-to-left caches stay here from a
-    layer's forward to its backward.
+    layer's forward to its backward.  A runner without gradient vectors
+    never runs backward, so its forward keeps no caches.
     """
 
     def __init__(self, spec: LstmSpec, flats, d_flats=(), tail=None):
@@ -254,9 +252,9 @@ class Inline:
         self.tail = tail
         self._caches = {}
 
-    def forward(self, layer, keys, spans, inputs, keep_cache):
+    def forward(self, layer, keys, spans, inputs):
         weights = [self.views[key][layer][1] for key in keys]
-        states, self._caches[layer] = _cell_forward(weights, spans, inputs, keep_cache)
+        states, self._caches[layer] = _cell_forward(weights, spans, inputs, bool(self.d_views))
         return lambda: states
 
     def backward(self, layer, keys, spans, d_states):
@@ -276,7 +274,7 @@ class PartnerError(RuntimeError):
 
 # Words of the control block at the start of the exchange mapping, then
 # four per group: key, first column, end column, steps.
-_REQUEST, _DONE, _FAILED, _OP, _LAYER, _KEEP, _COUNT, _SHAPE = range(8)
+_REQUEST, _DONE, _FAILED, _OP, _LAYER, _COUNT, _SHAPE = range(7)
 _GROUPS = _SHAPE + 3
 _STOP, _FORWARD, _BACKWARD, _STEP = range(4)
 _ERROR_BYTES = 1024
@@ -375,10 +373,10 @@ class Partner(Inline):
 
     # -- this process -----------------------------------------------------
 
-    def forward(self, layer, keys, spans, inputs, keep_cache):
+    def forward(self, layer, keys, spans, inputs):
         steps, batch, _ = inputs.shape
         self._x[:inputs.size].reshape(inputs.shape)[...] = inputs
-        self._post(_FORWARD, layer, keys, spans, inputs.shape, keep_cache)
+        self._post(_FORWARD, layer, keys, spans, inputs.shape)
 
         def result():
             self._wait()
@@ -390,7 +388,7 @@ class Partner(Inline):
         steps, batch, _ = d_states.shape
         shape = (steps, batch, self.spec.layer_input_dim(layer))
         self._h[:d_states.size].reshape(d_states.shape)[...] = d_states
-        self._post(_BACKWARD, layer, keys, spans, shape, False)
+        self._post(_BACKWARD, layer, keys, spans, shape)
 
         def result():
             self._wait()
@@ -415,13 +413,13 @@ class Partner(Inline):
         os.waitpid(self._pid, 0)
         self._pid = None
 
-    def _post(self, op, layer, keys, spans, shape, keep_cache) -> None:
+    def _post(self, op, layer, keys, spans, shape) -> None:
         steps, batch, _ = shape
         if steps > self._steps or batch > self._rows:
             raise ValueError(f"a batch of {steps} steps x {batch} rows exceeds the "
                              f"partner's {self._steps} x {self._rows}")
         ctl = self._ctl
-        ctl[_LAYER], ctl[_KEEP], ctl[_COUNT] = layer, keep_cache, len(spans)
+        ctl[_LAYER], ctl[_COUNT] = layer, len(spans)
         ctl[_SHAPE:_GROUPS] = shape
         for g, (key, (cols, n)) in enumerate(zip(keys, spans)):
             start, end, stride = cols.indices(batch)
@@ -465,7 +463,7 @@ class Partner(Inline):
             self._seq += 1
             if not _await(ctl, _REQUEST, self._seq, lambda: os.getppid() == parent):
                 return
-            op, layer, keep_cache, count = ctl[_OP:_SHAPE].tolist()
+            op, layer, count = ctl[_OP:_SHAPE].tolist()
             if op == _STOP:
                 return
             if op == _STEP:
@@ -478,7 +476,7 @@ class Partner(Inline):
             spans = [(slice(start, end), n) for _, start, end, n in groups]
             if op == _FORWARD:
                 inputs = self._x[:steps * batch * width].reshape(steps, batch, width).copy()
-                states = Inline.forward(self, layer, keys, spans, inputs, keep_cache)()
+                states = Inline.forward(self, layer, keys, spans, inputs)()
                 self._h[:states.size] = states.reshape(-1)
             else:
                 d_states = self._h[:steps * batch * h].reshape(steps, batch, h)
@@ -527,8 +525,7 @@ def shared_array(size: int, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype, size)
 
 
-def bilstm_forward(runner: Inline, groups, inputs: np.ndarray, lengths: np.ndarray,
-                   keep_cache=True):
+def bilstm_forward(runner: Inline, groups, inputs: np.ndarray, lengths: np.ndarray):
     """Encode a padded batch ``inputs`` (T, B, input_dim) into (T, B, 2*hidden).
 
     ``runner`` (:class:`Inline`, or a :class:`Partner` from
@@ -540,21 +537,23 @@ def bilstm_forward(runner: Inline, groups, inputs: np.ndarray, lengths: np.ndarr
     ``[(key, slice(None))]``.  ``lengths`` (B,), an integer array, holds
     each sequence's length.
     Returns (states, caches); pass ``caches`` to :func:`bilstm_backward`.
-    Without ``keep_cache`` (inference) caches is None and each layer's
-    gate block is freed before the next layer runs.  States at padded
-    positions are finite but meaningless.
+    A runner without gradient vectors (inference) cannot run backward:
+    then caches is None and each layer's gate block is freed before the
+    next layer runs.  States at padded positions are finite but
+    meaningless.
     """
     spans = _spans(groups, lengths)
     rev = _reversal(inputs.shape[0], lengths)
     keys = [key for key, _ in groups]
+    keep_cache = bool(runner.d_views)
     caches = []
     layer_in = inputs
     for layer in range(runner.spec.layers):
-        pending = runner.forward(layer, keys, spans, _reverse(layer_in, rev), keep_cache)
+        pending = runner.forward(layer, keys, spans, layer_in[rev])
         weights = [runner.views[key][layer][0] for key in keys]
         fwd, cache = _cell_forward(weights, spans, layer_in, keep_cache)
         caches.append(cache)
-        layer_in = np.concatenate([fwd, _reverse(pending(), rev)], axis=2)
+        layer_in = np.concatenate([fwd, pending()[rev]], axis=2)
     return layer_in, ((runner, keys, spans, rev, caches) if keep_cache else None)
 
 
@@ -571,9 +570,9 @@ def bilstm_backward(caches, d_out: np.ndarray) -> np.ndarray:
     h = runner.spec.hidden
     d_layer = d_out
     for layer in range(runner.spec.layers - 1, -1, -1):
-        pending = runner.backward(layer, keys, spans, _reverse(d_layer[..., h:], rev))
+        pending = runner.backward(layer, keys, spans, d_layer[..., h:][rev])
         weights = [runner.views[key][layer][0] for key in keys]
         d_weights = [runner.d_views[key][layer][0] for key in keys]
         d_in_f = _cell_backward(weights, spans, layer_caches[layer], d_layer[..., :h], d_weights)
-        d_layer = d_in_f + _reverse(pending(), rev)
+        d_layer = d_in_f + pending()[rev]
     return d_layer

@@ -445,8 +445,9 @@ def predict(model: SrlModel, corpus: Corpus) -> Corpus:
     (sentence, frame) pair, encoded as in training in the sentence's
     language (:func:`encode_examples`, without gold labels).  Rows are
     grouped by language (one group for BASIC), ordered by sentence length
-    within a group (stable in corpus order) and run forward-only in padded
-    batches of PREDICT_ROWS rows, so the encoder's working set is one batch
+    within a group (stable in corpus order) and run forward-only (the runner
+    has no gradient vectors, so it keeps no caches) in padded batches of
+    PREDICT_ROWS rows, so the encoder's working set is one batch
     whatever the corpus size.  Every language's recurrent vector is made
     first; then, when there is more than one batch, one partner process,
     where one can run, runs the right-to-left direction of every batch
@@ -472,7 +473,7 @@ def predict(model: SrlModel, corpus: Corpus) -> Corpus:
         for key, batch in batches:
             ids, lengths, _, _ = _pad(data, batch)
             states, _ = bilstm_forward(right_to_left, [(key, slice(None))],
-                                       _embed(model, ids), lengths, keep_cache=False)
+                                       _embed(model, ids), lengths)
             emissions = states @ model.params["crf_emission"].T
             for row, path in zip(
                     batch, crf.viterbi(emissions, model.params["crf_transition"], lengths)):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,6 +25,8 @@ __all__ = ["TrainingError", "train", "gradient_check"]
 
 # Global gradient norm above which a batch gradient is scaled down to it.
 CLIP_NORM = 5.0
+# Adam's decay rates of its two moments and its denominator's offset.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Flat buffers of the trained parameters' size that training keeps: the
 # parameters, Adam's two moments and the batch gradient.
 LIVE_COPIES = 4
@@ -40,10 +43,8 @@ class TrainingError(RuntimeError):
 class _Adam:
     """Adam over one flat parameter vector, with its moments as two more."""
 
-    def __init__(self, params: np.ndarray, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, learning_rate: float):
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
         # np.zeros, unlike zeros_like, leaves large moments' pages unwritten
         # until a step touches them: the main process never steps the
@@ -60,18 +61,18 @@ class _Adam:
         """
         self.step += 1
         # lr * (m/bias1) / (sqrt(v/bias2) + eps) as rate * m / (sqrt(v) + eps_hat)
-        bias2_root = math.sqrt(1.0 - self.beta2 ** self.step)
-        rate = self.lr * bias2_root / (1.0 - self.beta1 ** self.step)
-        eps_hat = self.eps * bias2_root
+        bias2_root = math.sqrt(1.0 - ADAM_BETA2 ** self.step)
+        rate = self.lr * bias2_root / (1.0 - ADAM_BETA1 ** self.step)
+        eps_hat = ADAM_EPS * bias2_root
         for start in range(0, params.size, ADAM_BLOCK):
             g, m, v, p = (t[start:start + ADAM_BLOCK] for t in (grad, self.m, self.v, params))
             # m = beta1*m + (1-beta1)*g as g + beta1*(m - g); v likewise with g*g
             m -= g
-            m *= self.beta1
+            m *= ADAM_BETA1
             m += g
             g *= g
             v -= g
-            v *= self.beta2
+            v *= ADAM_BETA2
             v += g
             np.sqrt(v, out=g)
             g += eps_hat
@@ -155,18 +156,23 @@ def _workspace(model: SrlModel):
 
 
 def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
-          word_table: np.ndarray | None = None,
-          vocab: Vocabulary | None = None,
+          embeddings: tuple[list[str], np.ndarray] | None = None,
           ) -> tuple[SrlModel, list[float]]:
     """Train a model on a (possibly mixed-language) corpus.
 
+    ``embeddings``, a pretrained ``(words, vectors)`` table as
+    :func:`~xsrl.model.embeddings.load_embeddings` returns it, gives the
+    vocabulary (its words, after a zero-vector unknown word), the word
+    dimension and a frozen word table, on the model's copy of ``config``.
+
     One row per (sentence, predicate frame); the corpus is encoded once
-    (:func:`~xsrl.model.network.encode_examples`), before the first epoch.  Epoch order is shuffled by a generator seeded
-    with ``seed``; each batch runs as one padded minibatch, its gradient is
-    averaged over the batch, and the returned log holds the mean loss of
-    every epoch.  The parameters, their gradient and Adam's moments are
-    allocated once, as flat buffers, before the first batch; a forked
-    partner runs the BiLSTM's right-to-left direction
+    (:func:`~xsrl.model.network.encode_examples`), before the first epoch.
+    Epoch order is shuffled by a generator seeded with ``seed``; each batch
+    runs as one padded minibatch, its gradient is averaged over the batch,
+    and the returned log holds the mean loss of every epoch.  The
+    parameters, their gradient and Adam's moments are allocated once, as
+    flat buffers, before the first batch; a forked partner runs the
+    BiLSTM's right-to-left direction
     (:func:`~xsrl.model.lstm.right_to_left_runner`) and steps the second
     half of the parameter vector while this process steps the first, and
     it is reaped before this returns or raises.  Adam is elementwise, so
@@ -179,10 +185,14 @@ def train(corpus: Corpus, config: ModelConfig, seed: int = 42,
     """
     if not any(sentence.frames for sentence in corpus.sentences):
         raise ModelError("corpus has no predicate frames to train on")
-    if vocab is None:
-        vocab = Vocabulary.from_corpus(corpus)
+    words, vectors = embeddings or (None, None)
+    vocab = Vocabulary.from_corpus(corpus, words=words)
+    if embeddings:
+        config = replace(config, word_dim=vectors.shape[1], train_word_table=False)
     _check_memory(config, vocab)
-    model = init_model(config, vocab, seed=seed, word_table=word_table)
+    if embeddings:
+        vectors = np.vstack([np.zeros((1, config.word_dim)), vectors])
+    model = init_model(config, vocab, seed=seed, word_table=vectors)
     config = model.config
     data = encode_examples(model, corpus)
     params, grad, tensors, flats, d_flats = _workspace(model)

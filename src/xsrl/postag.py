@@ -65,9 +65,9 @@ def fit_pos_emission(tagged: Corpus, k: float = 0.1) -> PosDistribution:
     """
     if not 0 <= k < math.inf:
         raise PosError(f"smoothing constant must be a finite number >= 0, got {k}")
-    if not tagged.sentences:
-        raise PosError("empty corpus")
     tokens = list(chain.from_iterable(sent.tokens for sent in tagged.sentences))
+    if not tokens:
+        raise PosError("empty corpus")
     tags = list(map(itemgetter(3), tokens))
     # one count per distinct (word, tag) pair, in order of first occurrence
     pair_counts = Counter(compress(zip(map(itemgetter(1), tokens), tags),

@@ -75,29 +75,34 @@ def _comments_only(block: str) -> str:
 
 
 # (command, the blocks of de_trans.conllu that a cut translations file
-# keeps, the sentences it then holds); a translation of comment lines only
-# is no sentence, so the later ones would pair with the wrong sources
+# keeps, the error after its path, with {src} for the --src path); a
+# translation of comment lines only is an empty sentence that keeps its
+# place, so it is blamed as such, not as a shifted count
 CUT_TRANSLATIONS = [
-    ("project", lambda blocks: blocks[:5], 5),
-    ("sweep-alpha", lambda blocks: blocks[:5], 5),
-    ("project", lambda blocks: [*blocks[:2], _comments_only(blocks[2]), *blocks[3:]], 49),
+    ("project", lambda blocks: blocks[:5],
+     "translation count 5 != sentence count 50 in --src {src}"),
+    ("sweep-alpha", lambda blocks: blocks[:5],
+     "translation count 5 != sentence count 50 in --src {src}"),
+    ("project", lambda blocks: [*blocks[:2], _comments_only(blocks[2]), *blocks[3:]],
+     "sentence 3: empty target sentence"),
 ]
 
 
-@pytest.mark.parametrize("command, cut, count", CUT_TRANSLATIONS,
+@pytest.mark.parametrize("command, cut, message", CUT_TRANSLATIONS,
                          ids=["project", "sweep-alpha", "project-comments-only"])
-def test_project_sentence_count_mismatch_exits_2(toy, capsys, command, cut, count):
+def test_project_sentence_count_mismatch_exits_2(toy, capsys, command, cut, message):
     """Translations that do not pair up with the source sentences are
     blamed on --translations, with both counts and the --src file; the
-    count check is the library's own."""
+    count check is the library's own.  An empty translation is blamed on
+    --translations with its sentence number."""
     _prepare(toy)
     blocks = (toy / "de_trans.conllu").read_text().split("\n\n")
     (toy / "cut.conllu").write_text("\n\n".join(cut(blocks)))
     capsys.readouterr()
     assert run(*_project_inputs(toy, command, translations="cut.conllu")) == 2
     assert capsys.readouterr().err == (
-        f"xsrl: error: {toy / 'cut.conllu'}: translation count {count} != sentence count 50 "
-        f"in --src {toy / 'en_srl.conllu'}\n")
+        f"xsrl: error: {toy / 'cut.conllu'}: "
+        f"{message.format(src=toy / 'en_srl.conllu')}\n")
 
 
 @pytest.mark.parametrize("command", ["project", "sweep-alpha"])
@@ -275,6 +280,43 @@ def test_sweep_alpha_with_train(toy, capsys):
     for row in rows[1:]:
         f1 = float(row.split(",")[-1])
         assert 0.0 <= f1 <= 1.0
+
+
+# SHA-256 of the toy sweep over 11 thresholds with --train (TRAIN_FLAGS at
+# learning rate 0.05, seed 3), recorded from the sweep that trained one
+# model per threshold
+SWEEP_TRAIN_DIGEST = "eac081c89cdc8e8cc38f32c8bfb9bba07481cc7d2d9ad289ec95de6a587ed952"
+
+
+def test_sweep_alpha_trains_once_per_distinct_cut(toy, capsys, monkeypatch):
+    """The cuts are nested, so thresholds that keep as many frames and
+    arguments keep the same ones: the sweep trains once per distinct
+    non-empty cut (α 0 to 0.4 keep every winner, 0.5 and 0.6 keep fewer,
+    0.7 and up none) and writes what one training per threshold wrote."""
+    import hashlib
+
+    import xsrl.cli
+
+    _prepare(toy)
+    trained = []
+    train = xsrl.cli.train
+    monkeypatch.setattr(xsrl.cli, "train", lambda *args, **kwargs:
+                        trained.append(args[0]) or train(*args, **kwargs))
+    assert run("sweep-alpha", "--src", toy / "en_srl.conllu",
+               "--translations", toy / "de_trans.conllu",
+               "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv",
+               "--alphas", ",".join(f"{i / 10:g}" for i in range(11)),
+               "--train", "--dev", toy / "de_dev.conllu", "--seed", "3",
+               "--out", toy / "sweep.csv", *TRAIN_FLAGS, "--learning-rate", "0.05") == 0
+    assert len(trained) == 3
+    assert hashlib.sha256((toy / "sweep.csv").read_bytes()).hexdigest() == SWEEP_TRAIN_DIGEST
+
+
+def test_sweep_alpha_train_without_dev_exits_2(toy, capsys):
+    assert run(*_project_inputs(toy, "sweep-alpha"), "--train") == 2
+    assert capsys.readouterr().err == (
+        "xsrl: error: --train needs a --dev corpus to score against\n")
+    assert not (toy / "out").exists()
 
 
 def test_config_file_presets(toy, capsys):
@@ -578,6 +620,7 @@ BAD_FLAG_VALUES = [
     ("stats", "--lang", "DE\t", "must be one token with no spaces, got 'DE\\t'"),
     ("project", "--src-lang", "", "must be one token with no spaces, got ''"),
     ("sweep-alpha", "--tgt-lang", "a b", "must be one token with no spaces, got 'a b'"),
+    ("eval", "--buckets", "3-1", "bad bucket range 3-1"),
 ]
 
 
@@ -681,6 +724,14 @@ BAD_INPUTS = [
      "corpus has no predicate frames to train on"),
     ("train", ["--train-file", "BAD", "--out", "m.bin", *TRAIN_FLAGS],
      ("# lang = DE\n" + TOKEN + "\n").encode(), "corpus has no predicate frames to train on"),
+    # malformed headers of the table and the POS distribution
+    ("project", ["--src", "en_srl.conllu", "--translations", "de_trans.conllu",
+                 "--table", "BAD", "--posdist", "pos.tsv", "--out", "o.conllu"],
+     b"floor\t0.0\t1\na\tx\t0.5\n", "line 1: malformed floor header"),
+    ("project", ["--src", "en_srl.conllu", "--translations", "de_trans.conllu",
+                 "--table", "table.tsv", "--posdist", "BAD", "--out", "o.conllu"],
+     b"tags\tNOUN,VERB\nhund\tNOUN\t1.0\n",
+     "line 1: expected 'tagset\\t<comma-joined tags>' header"),
 ]
 
 

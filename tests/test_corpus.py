@@ -371,7 +371,7 @@ def reference_parse(data, default_lang=None, require_pred=True):
             pred_cells.append(fields[10] if len(fields) > 10 else "_")
             arg_rows.append(fields[11:])
         positions = [i for i, cell in enumerate(pred_cells) if cell != "_"]
-        if len(arg_rows[0]) != len(positions):
+        if arg_rows and len(arg_rows[0]) != len(positions):
             raise CorpusError(f"line {first_lineno}: sentence has {len(positions)} "
                               f"predicates but {len(arg_rows[0])} ARG columns")
         frames = tuple(
@@ -399,7 +399,9 @@ def reference_parse(data, default_lang=None, require_pred=True):
     for lineno, line in enumerate(data.split("\n"), start=1):
         line = line.rstrip("\r")
         if not line.strip():
-            if rows:
+            # comments alone make a sentence without tokens, in a corpus
+            # that needs no predicate columns
+            if rows or (comments and not require_pred):
                 sentences.append(build(rows, comments, first_lineno))
             rows, comments = [], []
             continue
@@ -409,7 +411,7 @@ def reference_parse(data, default_lang=None, require_pred=True):
             comments.append(line)
         else:
             rows.append((lineno, line.split("\t")))
-    if rows:
+    if rows or (comments and not require_pred):
         sentences.append(build(rows, comments, first_lineno))
     corpus = Corpus.from_sentences(sentences)
     violations = validate_corpus(corpus)

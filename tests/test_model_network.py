@@ -248,9 +248,10 @@ def test_padded_batch_states_match_single_sequences():
     flat = rng.normal(size=spec.total_params)
     lengths = np.array([5, 1, 3, 5, 2])
     batch = rng.normal(size=(5, len(lengths), 4))
-    runner, whole = Inline(spec, [flat]), [(0, slice(None))]
+    runner, whole = Inline(spec, [flat], [np.zeros_like(flat)]), [(0, slice(None))]
     states, _ = bilstm_forward(runner, whole, batch, lengths)
-    inference, no_cache = bilstm_forward(runner, whole, batch, lengths, keep_cache=False)
+    # a runner without gradient vectors never runs backward: no caches
+    inference, no_cache = bilstm_forward(Inline(spec, [flat]), whole, batch, lengths)
     assert no_cache is None
     assert np.array_equal(inference, states)
     for b, n in enumerate(lengths):

@@ -152,12 +152,15 @@ def test_overfit_all_outside_frame_predicts_empty_args():
 
 def test_frozen_word_table_stays_put(mixed_corpus):
     config = grad_config(BASIC, 1)
-    config.epochs, config.batch_size, config.train_word_table = 2, 2, False
-    vocab = Vocabulary.from_corpus(mixed_corpus)
-    table = np.arange(len(vocab.words) * config.word_dim,
-                      dtype=np.float64).reshape(len(vocab.words), -1)
-    model, _ = train(mixed_corpus, config, seed=1, word_table=table, vocab=vocab)
-    assert np.array_equal(model.params["word_table"], table)
+    config.epochs, config.batch_size = 2, 2
+    words = list(Vocabulary.from_corpus(mixed_corpus).words[1:])  # all but <unk>
+    table = np.arange(len(words) * config.word_dim,
+                      dtype=np.float64).reshape(len(words), -1)
+    model, _ = train(mixed_corpus, config, seed=1, embeddings=(words, table))
+    assert np.array_equal(model.params["word_table"],
+                          np.vstack([np.zeros((1, config.word_dim)), table]))
+    # the table freezes the model's copy of the config, not the caller's
+    assert config.train_word_table and not model.config.train_word_table
 
 
 PADDED_VOCAB = Vocabulary(words=("<unk>", *"abcde"), pos_tags=("NOUN", "VERB", "_"),
@@ -267,10 +270,10 @@ def test_frozen_word_table_has_no_gradient(mixed_corpus):
 def test_non_finite_loss_stops_training(mixed_corpus, bad):
     config = grad_config(PGN, 1)
     config.epochs, config.batch_size = 2, 1
-    vocab = Vocabulary.from_corpus(mixed_corpus)
-    table = np.full((len(vocab.words), config.word_dim), bad)
+    words = list(Vocabulary.from_corpus(mixed_corpus).words[1:])  # all but <unk>
+    table = np.full((len(words), config.word_dim), bad)
     with pytest.raises(TrainingError, match="epoch 1, batch 1"):
-        train(mixed_corpus, config, seed=1, word_table=table, vocab=vocab)
+        train(mixed_corpus, config, seed=1, embeddings=(words, table))
 
 
 def test_memory_preflight_refuses_default_model(mixed_corpus, monkeypatch):
@@ -319,7 +322,7 @@ def test_training_peak_memory_is_the_preflight_estimate(toy_dir, monkeypatch, va
     monkeypatch.setattr(training, "shared_array", recording_shared_array)
     tracemalloc.start()
     try:
-        train(corpus, config, seed=1, vocab=vocab)
+        train(corpus, config, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -106,13 +106,13 @@ def test_inline_runs_without_a_free_cpu(corpus, monkeypatch, tmp_path, limit):
 @needs_partner
 def test_no_child_after_a_non_finite_loss(corpus, forks):
     cfg = config(BASIC, 1)
-    vocab = Vocabulary.from_corpus(corpus)
-    table = np.full((len(vocab.words), cfg.word_dim), np.inf)
+    words = list(Vocabulary.from_corpus(corpus).words[1:])  # all but <unk>
+    table = np.full((len(words), cfg.word_dim), np.inf)
     # numpy's warnings are silenced: the error alone reports the divergence
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TrainingError, match="epoch 1, batch 1"):
-            train(corpus, cfg, seed=1, word_table=table, vocab=vocab)
+            train(corpus, cfg, seed=1, embeddings=(words, table))
     assert len(forks) == 1
     assert_reaped(forks)
 
@@ -162,6 +162,29 @@ def test_partner_failure_exits_3(tmp_path, forks, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("xsrl: internal error: right-to-left partner: RuntimeError"), err
     assert not (tmp_path / "m").exists()
+    assert_reaped(forks)
+
+
+@needs_partner
+def test_failure_here_kills_the_busy_partner(corpus, forks, monkeypatch):
+    """An error in this process while the partner runs a call is raised as
+    it is, and closing the runner kills and reaps the busy child."""
+    real, parent = lstm._cell_forward, os.getpid()
+
+    def failing_here(*args, **kwargs):
+        if os.getpid() == parent:
+            simulated_failure()
+        return real(*args, **kwargs)
+
+    busy = []
+    close = lstm.Partner.close
+    monkeypatch.setattr(lstm, "_cell_forward", failing_here)
+    monkeypatch.setattr(lstm.Partner, "close", lambda self: busy.append(self._busy) or close(self))
+    with pytest.raises(RuntimeError, match="simulated partner failure") as raised:
+        train(corpus, config(BASIC, 1), seed=3)
+    assert type(raised.value) is RuntimeError
+    assert busy == [True]
+    assert len(forks) == 1
     assert_reaped(forks)
 
 
