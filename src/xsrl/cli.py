@@ -441,6 +441,17 @@ def _dev_f1(args, projected: Corpus, dev: Corpus) -> float:
         return evaluation.srl_f1(dev, predict(model, dev)).f1
 
 
+def _add_projection_flags(sub: argparse.ArgumentParser) -> None:
+    """The inputs of a projection, which ``project`` and ``sweep-alpha``
+    read with :func:`_projection_inputs`."""
+    sub.add_argument("--src", required=True)
+    sub.add_argument("--translations", required=True)
+    sub.add_argument("--table", required=True)
+    sub.add_argument("--posdist", required=True)
+    sub.add_argument("--src-lang", type=_lang)
+    sub.add_argument("--tgt-lang", type=_lang)
+
+
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--variant", choices=[BASIC, PGN], default=ModelConfig.variant)
     sub.add_argument("--word-dim", type=_int_at_least(1), default=ModelConfig.word_dim)
@@ -479,27 +490,17 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("project", help="project source frames onto translations")
-    p.add_argument("--src", required=True)
-    p.add_argument("--translations", required=True)
-    p.add_argument("--table", required=True)
-    p.add_argument("--posdist", required=True)
+    _add_projection_flags(p)
     p.add_argument("--alpha", type=_probability, default=0.4)
-    p.add_argument("--src-lang", type=_lang)
-    p.add_argument("--tgt-lang", type=_lang)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", help="stats report path (default: <out>.stats)")
 
     p = sub.add_parser("sweep-alpha", help="projection statistics per threshold")
-    p.add_argument("--src", required=True)
-    p.add_argument("--translations", required=True)
-    p.add_argument("--table", required=True)
-    p.add_argument("--posdist", required=True)
+    _add_projection_flags(p)
     p.add_argument("--alphas", type=_alphas, required=True, help="comma-separated thresholds")
     p.add_argument("--train", action="store_true",
                    help="also train per alpha and report dev F1")
     p.add_argument("--dev", help="gold dev corpus for --train")
-    p.add_argument("--src-lang", type=_lang)
-    p.add_argument("--tgt-lang", type=_lang)
     p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--out", required=True)
     _add_train_flags(p)

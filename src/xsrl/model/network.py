@@ -165,7 +165,8 @@ def init_model(config: ModelConfig, vocab: Vocabulary, seed: int = 42,
 
     For PGN the recurrent parameters are generated, so the forget-bias
     rule applies only to the BASIC variant's stored vector.  Passing
-    ``word_table`` installs pretrained vectors instead of random ones.
+    ``word_table`` installs pretrained vectors instead of random ones: the
+    array itself when it is float64, else a float64 copy.
     """
     rng = np.random.default_rng(seed)
     config = replace(config)  # its own copy: the caller's may change
@@ -180,7 +181,7 @@ def init_model(config: ModelConfig, vocab: Vocabulary, seed: int = 42,
             raise ModelError(
                 f"word table shape {word_table.shape} does not match vocab "
                 f"({len(vocab.words)}, {config.word_dim})")
-        params["word_table"] = word_table.astype(np.float64)
+        params["word_table"] = np.asarray(word_table, dtype=np.float64)
     else:
         params["word_table"] = uniform(len(vocab.words), config.word_dim)
     params["pos_table"] = uniform(len(vocab.pos_tags), config.pos_dim)

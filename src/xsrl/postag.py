@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import itemgetter
 
 import numpy as np
@@ -26,12 +26,6 @@ __all__ = [
     "save_pos_distribution",
     "load_pos_distribution",
 ]
-
-
-# Lines of a distribution file read, and words written, together: a chunk
-# bounds the memory a file's rows take at once.
-_CHUNK_LINES = 4096
-_CHUNK_WORDS = 256
 
 
 class PosError(ValueError):
@@ -97,90 +91,51 @@ def save_pos_distribution(dist: PosDistribution, path: str) -> None:
 
     Zero-probability rows are omitted.
     """
-    words = sorted(dist.dist)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("tagset\t" + ",".join(dist.tagset) + "\n")
-        for start in range(0, len(words), _CHUNK_WORDS):
-            chunk = words[start:start + _CHUNK_WORDS]
-            probs = np.array([dist.dist[word] for word in chunk])
-            rows, cols = np.nonzero(probs)
-            fh.writelines([f"{chunk[row]}\t{dist.tagset[col]}\t{p!r}\n" for row, col, p
-                           in zip(rows.tolist(), cols.tolist(), probs[rows, cols].tolist())])
+        for word in sorted(dist.dist):
+            fh.writelines([f"{word}\t{tag}\t{p!r}\n"
+                           for tag, p in zip(dist.tagset, dist.dist[word].tolist()) if p])
 
 
 def load_pos_distribution(path: str) -> PosDistribution:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if not lines or not lines[0]:
-        return PosDistribution()
-    header = lines[0].split("\t")
-    if len(header) != 2 or header[0] != "tagset":
-        raise PosError("line 1: expected 'tagset\\t<comma-joined tags>' header")
-    dist = PosDistribution(tagset=tuple(header[1].split(",")))
-    # The rows are read a chunk of lines at a time, each chunk split and
-    # converted a column at a time; the line-by-line scan that names the
-    # first bad line runs only when a check over the columns fails.
-    row_of: dict[str, int] = {}  # word -> row, in order of first appearance
-    word_ids, tag_ids, probs = [], [], []
-    for start in range(1, len(lines), _CHUNK_LINES):
-        chunk = list(filter(None, lines[start:start + _CHUNK_LINES]))
-        if not chunk:
-            continue
-        if list(map(str.count, chunk, repeat("\t"))).count(2) != len(chunk):
-            raise _first_line_error(lines, dist)
-        cells = "\t".join(chunk).split("\t")
-        words, tags, texts = cells[0::3], cells[1::3], cells[2::3]
-        try:
-            probs.append(np.fromiter(map(float, texts), np.float64, len(texts)))
-            tag_ids.append(np.fromiter(map(dist._tag_index.__getitem__, tags), np.intp,
-                                       len(tags)))
-        except (ValueError, KeyError):
-            raise _first_line_error(lines, dist) from None
-        for word in dict.fromkeys(words):
-            row_of.setdefault(word, len(row_of))
-        word_ids.append(np.fromiter(map(row_of.__getitem__, words), np.intp, len(words)))
-    probs = np.concatenate(probs) if probs else np.empty(0)
-    if not ((probs >= 0.0) & (probs <= 1.0)).all():
-        raise _first_line_error(lines, dist)
+    """Read a distribution written by :func:`save_pos_distribution`, one
+    line at a time.
 
-    # a later line for the same (word, tag) overrides an earlier one: the
-    # first occurrence of a cell in the reversed lines is its last line
-    flat = (np.concatenate(word_ids) * len(dist.tagset) + np.concatenate(tag_ids)
-            if word_ids else np.empty(0, np.intp))
-    flat, last = np.unique(flat[::-1], return_index=True)
-    matrix = np.zeros((len(row_of), len(dist.tagset)))
-    matrix.flat[flat] = probs[::-1][last]
-    totals = matrix.sum(axis=1)
-    off = np.flatnonzero((totals > 1.0 + 1e-6) | (totals < 1.0 - 1e-6))
-    if off.size:
-        word, total = list(row_of)[off[0]], totals[off[0]]
-        side = "above" if total > 1.0 else "below"
-        raise PosError(f"probabilities for word {word!r} sum to {total}, {side} 1")
-    dist.dist = dict(zip(row_of, matrix))
-    return dist
-
-
-def _first_line_error(lines: list[str], dist: PosDistribution) -> PosError:
-    """The error of the first malformed row of a distribution file.
-
-    Checks one line at a time, in order; called only after a check over
-    all rows failed, so some line fails.
+    A file with no non-empty line is the empty (uniform) distribution;
+    any other file starts with the tagset header.  Empty lines are
+    skipped, a later line for the same word and tag wins, and words keep
+    the order of their first line.  The first bad line raises its error;
+    each word's row sum is checked after the last line.
     """
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            return PosError(f"line {lineno}: expected 'word\\ttag\\tprob'")
-        _, tag, text = fields
-        try:
-            p = float(text)
-        except ValueError:
-            return PosError(f"line {lineno}: malformed probability {text!r}")
-        if not 0.0 <= p <= 1.0:
-            return PosError(f"line {lineno}: probability out of range: {text}")
-        try:
-            dist.tag_id(tag)
-        except PosError as exc:
-            return exc
-    raise AssertionError("a bulk check failed on well-formed rows")
+    with open(path, encoding="utf-8") as fh:
+        header = next(fh, "").rstrip("\n").split("\t")
+        if header == [""] and all(line == "\n" for line in fh):
+            return PosDistribution()
+        if len(header) != 2 or header[0] != "tagset":
+            raise PosError("line 1: expected 'tagset\\t<comma-joined tags>' header")
+        dist = PosDistribution(tagset=tuple(header[1].split(",")))
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split("\t")
+            if fields == [""]:
+                continue
+            if len(fields) != 3:
+                raise PosError(f"line {lineno}: expected 'word\\ttag\\tprob'")
+            word, tag, text = fields
+            try:
+                p = float(text)
+            except ValueError:
+                raise PosError(f"line {lineno}: malformed probability {text!r}") from None
+            if not 0.0 <= p <= 1.0:
+                raise PosError(f"line {lineno}: probability out of range: {text}")
+            col = dist.tag_id(tag)
+            row = dist.dist.get(word)
+            if row is None:
+                row = dist.dist[word] = np.zeros(len(dist.tagset))
+            row[col] = p
+    for word, vec in dist.dist.items():
+        total = vec.sum()
+        if not 1.0 - 1e-6 <= total <= 1.0 + 1e-6:
+            side = "above" if total > 1.0 else "below"
+            raise PosError(f"probabilities for word {word!r} sum to {total}, {side} 1")
+    return dist

@@ -732,6 +732,11 @@ BAD_INPUTS = [
                  "--table", "table.tsv", "--posdist", "BAD", "--out", "o.conllu"],
      b"tags\tNOUN,VERB\nhund\tNOUN\t1.0\n",
      "line 1: expected 'tagset\\t<comma-joined tags>' header"),
+    # a blank line before the header is not an empty (uniform) distribution
+    ("project", ["--src", "en_srl.conllu", "--translations", "de_trans.conllu",
+                 "--table", "table.tsv", "--posdist", "BAD", "--out", "o.conllu"],
+     b"\ntagset\tNOUN,VERB\nhund\tNOUN\t1.0\n",
+     "line 1: expected 'tagset\\t<comma-joined tags>' header"),
 ]
 
 

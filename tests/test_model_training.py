@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -329,6 +330,33 @@ def test_training_peak_memory_is_the_preflight_estimate(toy_dir, monkeypatch, va
     assert len(shared) == 1
     peak += shared[0]
     assert estimate <= peak <= estimate + copy / 2, (peak / copy, estimate / copy)
+
+
+def test_frozen_word_table_is_held_once(toy_dir):
+    """A large pretrained table on a small corpus: train holds the table it
+    stacks (the unknown word's zero row on top) once, as the preflight
+    counts it, not a second copy for the model."""
+    import tracemalloc
+
+    from xsrl.corpus import parse_srl_corpus
+    from xsrl.model import training
+
+    corpus = Corpus(parse_srl_corpus((toy_dir / "en_srl.conllu").read_text(encoding="utf-8"),
+                                     default_lang="EN").sentences[:6])
+    words = [f"w{i}" for i in range(40_025)]
+    vectors = np.random.default_rng(0).random((len(words), 100))
+    config = ModelConfig(pos_dim=4, pred_dim=4, hidden=8, layers=1, variant=BASIC,
+                         batch_size=2, epochs=1)
+    table = 8 * (len(words) + 1) * vectors.shape[1]
+    estimate = training._check_memory(replace(config, word_dim=100, train_word_table=False),
+                                      Vocabulary.from_corpus(corpus, words=words))
+    tracemalloc.start()
+    try:
+        train(corpus, config, seed=1, embeddings=(words, vectors))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < estimate + table / 2, (peak / table, estimate / table)
 
 
 @pytest.mark.parametrize("variant,train_word_table", [(BASIC, True), (PGN, True), (PGN, False)])

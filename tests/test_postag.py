@@ -268,3 +268,36 @@ def test_load_sums_each_word_like_the_loop(tmp_path):
     text = "tagset\t" + ",".join(tags) + "\n" + "\n".join(lines) + "\n"
     for drift in ("", "w7\tT3\t0.5\n"):
         assert_load_matches_reference(tmp_path / "pos.tsv", text + drift)
+
+
+@pytest.mark.parametrize("text", ["\ntagset\tNOUN,VERB\nw\tNOUN\t1.0\n", "\n\nw\tNOUN\t1.0\n"])
+def test_load_needs_the_header_on_line_1(tmp_path, text):
+    """Only a file with no non-empty line is the empty distribution; a
+    blank line before the header does not make a file empty."""
+    path = tmp_path / "pos.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(PosError) as exc:
+        load_pos_distribution(str(path))
+    assert str(exc.value) == "line 1: expected 'tagset\\t<comma-joined tags>' header"
+    path.write_text("\n\n", encoding="utf-8")
+    assert load_pos_distribution(str(path)).dist == {}
+
+
+def test_load_peaks_near_what_it_keeps(tmp_path):
+    """The file is read a line at a time: loading 1 500 words of 17 tags
+    takes little more memory than the distribution it returns."""
+    import tracemalloc
+
+    probs = np.random.default_rng(5).random((1500, len(UNIVERSAL_TAGS))) + 0.01
+    probs /= probs.sum(axis=1, keepdims=True)
+    path = tmp_path / "pos.tsv"
+    save_pos_distribution(PosDistribution(dist={f"w{i}": row for i, row in enumerate(probs)}),
+                          str(path))
+    tracemalloc.start()
+    try:
+        dist = load_pos_distribution(str(path))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dist.dist) == 1500
+    assert peak <= 1.5 * kept, peak / kept
