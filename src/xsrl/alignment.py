@@ -75,11 +75,10 @@ def read_parallel_corpus(data: str) -> list[ParallelPair]:
 
 
 def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
-               lowercase: bool = False,
                log: list[float] | None = None) -> AlignmentTable:
     """Train IBM Model 1 by EM and return the alignment table.
 
-    A NULL token is prepended to every target sentence.  Per iteration the
+    Words are keyed exactly as the pairs spell them.  Per iteration the
     corpus log-likelihood sum_pairs sum_i log((1/(m+1)) sum_j a(f_j|e_i))
     is appended to ``log`` (it is non-decreasing).  Training is sequential
     and deterministic: identical inputs give bit-identical tables.
@@ -113,8 +112,7 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
             raise AlignmentError(f"pair {idx}: empty side")
 
     def side(name: str) -> list[str]:
-        tokens = chain.from_iterable(map(attrgetter(name), pairs))
-        return list(map(str.lower, tokens) if lowercase else tokens)
+        return list(chain.from_iterable(map(attrgetter(name), pairs)))
 
     def lengths(name: str) -> np.ndarray:
         return np.fromiter(map(len, map(attrgetter(name), pairs)), np.intp, len(pairs))
@@ -231,16 +229,17 @@ def load_table(path: str) -> AlignmentTable:
     floor = 0.0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
+            if line == "\n":
                 continue
-            fields = line.split("\t")
+            fields = line.rstrip("\n").split("\t")
             if lineno == 1 and fields[0] == "floor":
                 if len(fields) != 2:
                     raise AlignmentError(f"line {lineno}: malformed floor header")
                 floor = _parse_prob(fields[1], lineno)
                 continue
             if len(fields) != 3:
+                if fields[0] == "floor" and len(fields) == 2:
+                    raise AlignmentError(f"line {lineno}: 'floor' header must be line 1")
                 raise AlignmentError(f"line {lineno}: expected 'src\\ttgt\\tprob'")
             e, f = words.setdefault(fields[0], fields[0]), words.setdefault(fields[1], fields[1])
             probs[(e, f)] = _parse_prob(fields[2], lineno)

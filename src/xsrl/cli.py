@@ -269,8 +269,7 @@ def cmd_align_train(args) -> int:
     log: list[float] = []
     with _reading(args.parallel):  # a bitext with no pairs too
         pairs = read_parallel_corpus(Path(args.parallel).read_text(encoding="utf-8"))
-        table = ibm1_train(pairs, iterations=args.iterations, floor=args.floor,
-                           lowercase=args.lowercase, log=log)
+        table = ibm1_train(pairs, iterations=args.iterations, floor=args.floor, log=log)
     save_table(table, args.out)
     for i, ll in enumerate(log, start=1):
         print(f"iteration {i}\tlog-likelihood {ll:.6f}", file=sys.stderr)
@@ -480,7 +479,6 @@ def build_parser(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--parallel", required=True, help="bitext, 'src ||| tgt' per line")
     p.add_argument("--iterations", type=_int_at_least(1), default=10)
     p.add_argument("--floor", type=_probability, default=0.0)
-    p.add_argument("--lowercase", action="store_true")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fit-pos", help="fit a POS emission distribution from a tagged corpus")

@@ -128,7 +128,10 @@ def load_pos_distribution(path: str) -> PosDistribution:
                 raise PosError(f"line {lineno}: malformed probability {text!r}") from None
             if not 0.0 <= p <= 1.0:
                 raise PosError(f"line {lineno}: probability out of range: {text}")
-            col = dist.tag_id(tag)
+            try:
+                col = dist.tag_id(tag)
+            except PosError as exc:
+                raise PosError(f"line {lineno}: {exc}") from None
             row = dist.dist.get(word)
             if row is None:
                 row = dist.dist[word] = np.zeros(len(dist.tagset))

@@ -114,7 +114,7 @@ def test_criterion_2_gradient_check(monkeypatch):
                                  hidden=8, layers=layers, variant=variant)
             model = init_model(config, vocab, seed=17)
             posted.clear()
-            error = gradient_check(model, first, epsilon=1e-5, samples=220)
+            error = gradient_check(model, first, samples=220)
             assert error < 1e-4, (variant, layers, error)
             assert (lstm._BACKWARD in posted) == lstm._partner_available()
             worst = max(worst, error)

@@ -79,13 +79,9 @@ def test_determinism_bit_identical(toy_dir):
     assert t1.probs == t2.probs and t1.floor == t2.floor
 
 
-def reference_ibm1(pairs, iterations, lowercase=False):
+def reference_ibm1(pairs, iterations):
     """The textbook dict-keyed EM loop that ``ibm1_train`` must match bit for bit."""
-    def norm(tok):
-        return tok.lower() if lowercase else tok
-
-    corpus = [([norm(t) for t in p.src_tokens], [NULL_TOKEN] + [norm(t) for t in p.tgt_tokens])
-              for p in pairs]
+    corpus = [(list(p.src_tokens), [NULL_TOKEN, *p.tgt_tokens]) for p in pairs]
     uniform = 1.0 / len({f for _, tgt in corpus for f in tgt})
     probs = defaultdict(lambda: uniform)
     log = []
@@ -108,26 +104,25 @@ def reference_ibm1(pairs, iterations, lowercase=False):
 
 
 EQUIVALENCE_CASES = {
-    "repeated-word": ([pair("a a b", "x y x"), pair("b a", "y y"), pair("a", "x z")], False),
-    "literal-null": ([pair("a b", f"{NULL_TOKEN} x"), pair("b", f"y {NULL_TOKEN}"),
-                      pair(NULL_TOKEN, "x")], False),
-    "single-pair": ([pair("a b c", "x y")], False),
-    "lowercase-mixed-case": ([pair("The Dog", "Der Hund"), pair("the dog runs", "der hund läuft"),
-                              pair("DOG", "HUND")], True),
-    "lowercase-literal-null": ([pair("A <NULL>", f"X {NULL_TOKEN}"), pair("a", "<null> x")], True),
+    "repeated-word": [pair("a a b", "x y x"), pair("b a", "y y"), pair("a", "x z")],
+    "literal-null": [pair("a b", f"{NULL_TOKEN} x"), pair("b", f"y {NULL_TOKEN}"),
+                     pair(NULL_TOKEN, "x")],
+    "single-pair": [pair("a b c", "x y")],
+    "mixed-case": [pair("The Dog", "Der Hund"), pair("the dog runs", "der hund läuft"),
+                   pair("DOG", "HUND")],
+    "mixed-case-literal-null": [pair("A <NULL>", f"X {NULL_TOKEN}"), pair("a", "<null> x")],
 }
 
 
-@pytest.mark.parametrize("case", ["toy", "toy-lowercase", *EQUIVALENCE_CASES])
+@pytest.mark.parametrize("case", ["toy", *EQUIVALENCE_CASES])
 def test_ibm1_matches_reference_loop_bit_for_bit(case, toy_dir, tmp_path):
-    if case.startswith("toy"):
+    if case == "toy":
         pairs = read_parallel_corpus(read(toy_dir / "bitext.txt"))
-        lowercase = case == "toy-lowercase"
     else:
-        pairs, lowercase = EQUIVALENCE_CASES[case]
-    expected_probs, expected_log = reference_ibm1(pairs, 10, lowercase=lowercase)
+        pairs = EQUIVALENCE_CASES[case]
+    expected_probs, expected_log = reference_ibm1(pairs, 10)
     log = []
-    table = ibm1_train(pairs, iterations=10, floor=1e-6, lowercase=lowercase, log=log)
+    table = ibm1_train(pairs, iterations=10, floor=1e-6, log=log)
     assert table.probs == expected_probs
     assert list(table.probs) == list(expected_probs)
     assert all(type(p) is float for p in table.probs.values())
@@ -190,13 +185,10 @@ def test_best_target_never_returns_null(toy_dir):
     assert j == 1
 
 
-def test_lowercase_is_optional_preprocessing():
-    cased = [pair("Dog", "Hund")] * 4
-    default = ibm1_train(cased, iterations=3)
-    assert ("dog", "hund") not in default.probs  # exact match by default
-    assert default.probs[("Dog", "Hund")] > 0.0
-    folded = ibm1_train(cased, iterations=3, lowercase=True)
-    assert folded.probs[("dog", "hund")] > 0.0
+def test_table_keys_keep_the_bitext_spelling():
+    table = ibm1_train([pair("Dog", "Hund")] * 4, iterations=3)
+    assert ("dog", "hund") not in table.probs
+    assert table.probs[("Dog", "Hund")] > 0.0
 
 
 def test_table_round_trip(tmp_path):
@@ -227,6 +219,15 @@ def test_load_errors(tmp_path):
     path.write_text("floor\t0.0\na\tx\tnope\n")
     with pytest.raises(AlignmentError, match="malformed probability"):
         load_table(str(path))
+
+
+def test_a_floor_header_off_line_1_says_so(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("\nfloor\t0.001\na\tx\t0.5\n")
+    with pytest.raises(AlignmentError, match="^line 2: 'floor' header must be line 1$"):
+        load_table(str(path))
+    path.write_text("floor\t0.0\nfloor\tx\t0.5\n")  # a row for the source word "floor"
+    assert load_table(str(path)).probs == {("floor", "x"): 0.5}
 
 
 def test_load_empty_file(tmp_path):

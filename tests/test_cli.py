@@ -61,6 +61,36 @@ def test_project_round_trips_and_stats_keys(toy, capsys):
     assert keys == list(ProjectionStats.FIELDS)
 
 
+def test_a_cased_source_keeps_what_the_shipped_toy_keeps(toy, capsys):
+    """The table keeps the bitext's spelling and the projection looks each
+    source word up as the corpus spells it, so title-casing the English
+    side of the bitext and of the source corpus alike keeps the shipped
+    toy's 62 of 63 frames and 133 of 150 arguments at alpha 0.4."""
+    bitext = [line.split(" ||| ") for line in (DATA / "bitext.txt").read_text().splitlines()]
+    (toy / "bitext.txt").write_text("".join(f"{src.title()} ||| {tgt}\n" for src, tgt in bitext))
+    rows = [line.split("\t") for line in (DATA / "en_srl.conllu").read_text().split("\n")]
+    (toy / "en_srl.conllu").write_text("\n".join(
+        "\t".join([row[0], row[1].title(), *row[2:]]) if len(row) > 1 else row[0]
+        for row in rows))
+    assert (toy / "bitext.txt").read_text().startswith("A Cat Helps The Man . ||| eine katze")
+    assert run("align-train", "--parallel", toy / "bitext.txt", "--iterations", "10",
+               "--out", toy / "table.tsv") == 0
+    assert run("fit-pos", "--tagged", toy / "de_tagged.conllu", "--out", toy / "pos.tsv") == 0
+    assert run(*_project_inputs(toy, "project"), "--alpha", "0.4") == 0
+    stats = dict(line.split("\t") for line in (toy / "out.stats").read_text().splitlines())
+    assert (stats["frames_in"], stats["frames_kept"]) == ("63", "62")
+    assert (stats["args_in"], stats["args_kept"]) == ("150", "133")
+
+
+def test_align_train_has_no_lowercase_flag(toy, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("align-train", "--parallel", toy / "bitext.txt", "--lowercase",
+            "--out", toy / "t.tsv")
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --lowercase\n" in capsys.readouterr().err
+    assert not (toy / "t.tsv").exists()
+
+
 def _project_inputs(toy, command, src="en_srl.conllu", translations="de_trans.conllu"):
     """The argv of ``project`` or ``sweep-alpha`` over the toy recipe's
     files, with ``src`` and ``translations`` from ``toy``."""
@@ -546,8 +576,7 @@ BAD_CONFIG_VALUES = [
     ("train", "# preset\n\nlearning-rate = fast", "3: --learning-rate: invalid float value: 'fast'"),
     ("train", "variant = big", "1: --variant: invalid choice: 'big' (choose from basic, pgn)"),
     ("align-train", "iterations = abc", "1: --iterations: invalid int value: 'abc'"),
-    ("align-train", "floor = 0.0\nlowercase = yes",
-     "2: --lowercase: expected true or false, got 'yes'"),
+    ("sweep-alpha", "epochs = 1\ntrain = yes", "2: --train: expected true or false, got 'yes'"),
     ("eval", "buckets = 1-x", "1: --buckets: malformed bucket '1-x'"),
     ("align-train", "floor = 2", "1: --floor: must be in [0, 1], got 2.0"),
     ("train", "batch_size = 0", "1: --batch-size: must be >= 1, got 0"),
@@ -567,6 +596,7 @@ def test_config_value_takes_the_flags_type(toy, capsys, command, text, message):
                    if name != flag for item in (name, value)]
     inputs = {"train": ["--train-file", toy / "de_dev.conllu", *train_flags],
               "align-train": ["--parallel", toy / "bitext.txt"],
+              "sweep-alpha": _project_inputs(toy, "sweep-alpha")[1:-2],
               "eval": ["--gold", toy / "de_dev.conllu", "--pred", toy / "de_dev.conllu"]}[command]
     assert run(command, *inputs, "--config", toy / "bad.cfg", "--out", toy / "out") == 2
     assert f"error: {toy / 'bad.cfg'}:{message}\n" in capsys.readouterr().err
@@ -574,13 +604,19 @@ def test_config_value_takes_the_flags_type(toy, capsys, command, text, message):
 
 
 def test_config_switch_reads_true_and_false(toy, capsys):
-    (toy / "cased.txt").write_text("The Dog ||| Der Hund\n")
-    for name, value in (("yes", "True"), ("no", "false")):
-        (toy / f"{name}.cfg").write_text(f"lowercase = {value}\n")
-        assert run("align-train", "--parallel", toy / "cased.txt", "--iterations", "2",
-                   "--config", toy / f"{name}.cfg", "--out", toy / f"{name}.tsv") == 0
-    assert "\ndog\thund\t" in (toy / "yes.tsv").read_text()
-    assert "\nDog\tHund\t" in (toy / "no.tsv").read_text()
+    """``train = True`` turns ``sweep-alpha --train`` on, which needs a
+    ``--dev``; ``train = false`` leaves it off.  No model is trained."""
+    _prepare(toy)
+    capsys.readouterr()
+    (toy / "on.cfg").write_text("train = True\n")
+    (toy / "off.cfg").write_text("train = false\n")
+    argv = _project_inputs(toy, "sweep-alpha")
+    assert run(*argv, "--config", toy / "on.cfg") == 2
+    assert capsys.readouterr().err == (
+        "xsrl: error: --train needs a --dev corpus to score against\n")
+    assert run(*argv, "--config", toy / "off.cfg") == 0
+    header = (toy / "out").read_text().split("\n", 1)[0]
+    assert header == ",".join(["alpha", *ProjectionStats.FIELDS])
 
 
 # (command, the flag and its bad value, message after "argument FLAG: ")
@@ -737,6 +773,14 @@ BAD_INPUTS = [
                  "--table", "table.tsv", "--posdist", "BAD", "--out", "o.conllu"],
      b"\ntagset\tNOUN,VERB\nhund\tNOUN\t1.0\n",
      "line 1: expected 'tagset\\t<comma-joined tags>' header"),
+    # a bad row names its line, unlike a source tag outside the tagset
+    ("project", ["--src", "en_srl.conllu", "--translations", "de_trans.conllu",
+                 "--table", "table.tsv", "--posdist", "BAD", "--out", "o.conllu"],
+     b"tagset\tNOUN,VERB\nhund\tNOUN\t0.5\nhund\tADJ\t0.5\n",
+     "line 3: unknown POS tag 'ADJ'"),
+    ("project", ["--src", "en_srl.conllu", "--translations", "de_trans.conllu",
+                 "--table", "BAD", "--posdist", "pos.tsv", "--out", "o.conllu"],
+     b"floor\t0.0\na\tx\t0.5\nfloor\t0.001\n", "line 3: 'floor' header must be line 1"),
 ]
 
 

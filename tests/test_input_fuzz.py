@@ -29,7 +29,7 @@ from conftest import DATA
 # trains in well under a second.
 TINY_CONFIG = (b"variant = pgn\nword_dim = 1\npos_dim = 1\npred_dim = 1\nlang_dim = 1\n"
                b"hidden = 1\nlayers = 1\nepochs = 1\nbatch_size = 2\nseed = 1\n")
-ALIGN_CONFIG = b"iterations = 2\nfloor = 0.0\nlowercase = false\n"
+ALIGN_CONFIG = b"iterations = 2\nfloor = 0.0\n"
 # Two-dimensional vectors for three words of the training corpus.
 EMBEDDINGS = b"3 2\nwagen 0.25 -0.5\nsieht 1.0 0.0\nfrau -0.75 0.125\n"
 NUMBER = re.compile(rb"\d+(?:\.\d+)?")

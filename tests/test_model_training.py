@@ -51,7 +51,7 @@ def test_gradient_check_all_tensors(mixed_corpus, variant, layers):
                        Vocabulary.from_corpus(mixed_corpus), seed=11)
     first = Corpus(mixed_corpus.sentences[:1])
     assert len(first.sentences[0].tokens) == 3
-    error = gradient_check(model, first, epsilon=1e-5, samples=220)
+    error = gradient_check(model, first, samples=220)
     assert error < 1e-4
 
 
@@ -201,7 +201,7 @@ def test_batch_equals_sum_of_batches_of_one(variant, layers):
 @pytest.mark.parametrize("layers", [1, 3])
 def test_gradient_check_padded_mixed_language_batch(variant, layers):
     model = init_model(grad_config(variant, layers), PADDED_VOCAB, seed=12)
-    assert gradient_check(model, padded_corpus(), epsilon=1e-5, samples=220) < 1e-4
+    assert gradient_check(model, padded_corpus(), samples=220) < 1e-4
 
 
 UNEQUAL_VOCAB = Vocabulary(words=("<unk>", *"abcde"), pos_tags=("NOUN", "VERB", "_"),
@@ -238,7 +238,7 @@ def test_unequal_language_groups_equal_batches_of_one(variant, layers):
     # padding indexes the <unk> row; no real token is unknown
     assert not np.any(data.ids[:, 0] == 0)
     assert not grads["word_table"][0].any()
-    assert gradient_check(model, corpus, epsilon=1e-5, samples=220) < 1e-4
+    assert gradient_check(model, corpus, samples=220) < 1e-4
 
 
 def test_training_encodes_the_corpus_once(monkeypatch):

@@ -185,8 +185,10 @@ def reference_load(text):
                 raise PosError(f"line {lineno}: malformed probability {text!r}") from None
             if not 0.0 <= p <= 1.0:
                 raise PosError(f"line {lineno}: probability out of range: {text}")
+            if tag not in dist.tagset:
+                raise PosError(f"line {lineno}: unknown POS tag {tag!r}")
             vec = rows.setdefault(word, np.zeros(len(dist.tagset)))
-            vec[dist.tag_id(tag)] = p
+            vec[dist.tagset.index(tag)] = p
         for word, vec in rows.items():
             total = vec.sum()
             if total > 1.0 + 1e-6:
