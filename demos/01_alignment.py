@@ -26,8 +26,7 @@ def main():
     print("\nlexical probabilities:")
     for e in ("dog", "sees", "today", "the"):
         print(f"  {e}: null mass {table.null_mass(e):.3f}")
-        entries = sorted(((f, p) for (src, f), p in table.probs.items() if src == e),
-                         key=lambda item: -item[1])[:4]
+        entries = sorted(table.rows[e].items(), key=lambda item: -item[1])[:4]
         for f, p in entries:
             print(f"      a({f}|{e}) = {p:.4f}")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 
 import numpy as np
@@ -44,17 +44,25 @@ class ParallelPair:
 
 @dataclass
 class AlignmentTable:
-    """Conditional translation probabilities keyed by (source, target).
+    """Conditional translation probabilities, one row per source word.
 
-    ``floor`` is returned for pairs not in the table.
+    ``rows`` maps each source word to ``{target word: a(f|e)}``.  ``floor``
+    is returned for pairs not in the table.
     """
 
-    probs: dict[tuple[str, str], float] = field(default_factory=dict)
+    rows: dict[str, dict[str, float]] = field(default_factory=dict)
     floor: float = 0.0
+
+    @property
+    def probs(self) -> dict[tuple[str, str], float]:
+        """The entries as one flat ``{(e, f): p}`` dict, built on each access.
+
+        The package itself reads ``rows``."""
+        return {(e, f): p for e, row in self.rows.items() for f, p in row.items()}
 
     def null_mass(self, e: str) -> float:
         """Probability mass the source word assigns to the NULL token."""
-        return self.probs.get((e, NULL_TOKEN), 0.0)
+        return self.rows.get(e, {}).get(NULL_TOKEN, 0.0)
 
 
 def read_parallel_corpus(data: str) -> list[ParallelPair]:
@@ -188,9 +196,16 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
             log.append(loglik)
 
     del linked, gamma, entry_id, row_id, link_e  # free them before the table is built
-    entries = zip(map(src_words.__getitem__, entry_e.tolist()),
-                  map(tgt_words.__getitem__, (entry_key % n_tgt).tolist()))
-    return AlignmentTable(probs=dict(zip(entries, probs.tolist())), floor=floor)
+    # Source ids are numbered by first use, and a source word's first entry
+    # comes before any later word's, so a stable sort by source id lists the
+    # rows and each row's targets in order of first use.
+    by_src = np.argsort(entry_e, kind="stable")
+    targets = map(tgt_words.__getitem__, (entry_key % n_tgt)[by_src].tolist())
+    values = iter(probs[by_src].tolist())
+    sizes = np.bincount(entry_e, minlength=n_src).tolist()
+    # zip asks islice first, so each row stops at its size without taking a value
+    rows = {e: dict(zip(islice(targets, size), values)) for e, size in zip(src_words, sizes)}
+    return AlignmentTable(rows=rows, floor=floor)
 
 
 def best_target(table: AlignmentTable, e: str, tgt_tokens) -> tuple[int, float]:
@@ -202,29 +217,33 @@ def best_target(table: AlignmentTable, e: str, tgt_tokens) -> tuple[int, float]:
     """
     if not tgt_tokens:
         raise AlignmentError("empty target sentence")
-    get, floor = table.probs.get, table.floor
-    probs = [get((e, f), floor) for f in tgt_tokens]
+    row, floor = table.rows.get(e), table.floor
+    if row is None:
+        return 1, floor
+    probs = [row.get(f, floor) for f in tgt_tokens]
     best = max(probs)  # max keeps the first of equal maxima, and index finds it
     return probs.index(best) + 1, best
 
 
 def save_table(table: AlignmentTable, path: str) -> None:
-    """Write the table as "floor\\t<value>" then "src\\ttgt\\tprob" rows sorted by key."""
+    """Write the table as "floor\\t<value>" then "src\\ttgt\\tprob" rows sorted by
+    source word, then target word."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"floor\t{table.floor!r}\n")
-        probs = table.probs
-        # sorting the keys alone builds no (key, value) tuple per entry
-        for e, f in sorted(probs):
-            fh.write(f"{e}\t{f}\t{probs[e, f]!r}\n")
+        rows = table.rows
+        for e in sorted(rows):
+            row = rows[e]
+            fh.write("".join([f"{e}\t{f}\t{row[f]!r}\n" for f in sorted(row)]))
 
 
 def load_table(path: str) -> AlignmentTable:
     """Read a table written by :func:`save_table`.
 
-    Each distinct word is kept as one ``str`` object shared by all the keys
-    it appears in, which roughly halves the memory a large table holds.
+    Line 1 is the header if it is a ``floor`` line of two fields; a table
+    without one has floor 0.0.  Each distinct target word is kept as one
+    ``str`` object shared by all the rows it appears in.
     """
-    probs: dict[tuple[str, str], float] = {}
+    rows: dict[str, dict[str, float]] = {}
     words: dict[str, str] = {}
     floor = 0.0
     with open(path, encoding="utf-8") as fh:
@@ -232,7 +251,7 @@ def load_table(path: str) -> AlignmentTable:
             if line == "\n":
                 continue
             fields = line.rstrip("\n").split("\t")
-            if lineno == 1 and fields[0] == "floor":
+            if lineno == 1 and fields[0] == "floor" and len(fields) != 3:
                 if len(fields) != 2:
                     raise AlignmentError(f"line {lineno}: malformed floor header")
                 floor = _parse_prob(fields[1], lineno)
@@ -241,9 +260,12 @@ def load_table(path: str) -> AlignmentTable:
                 if fields[0] == "floor" and len(fields) == 2:
                     raise AlignmentError(f"line {lineno}: 'floor' header must be line 1")
                 raise AlignmentError(f"line {lineno}: expected 'src\\ttgt\\tprob'")
-            e, f = words.setdefault(fields[0], fields[0]), words.setdefault(fields[1], fields[1])
-            probs[(e, f)] = _parse_prob(fields[2], lineno)
-    return AlignmentTable(probs=probs, floor=floor)
+            e, f = fields[0], words.setdefault(fields[1], fields[1])
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = {}
+            row[f] = _parse_prob(fields[2], lineno)
+    return AlignmentTable(rows=rows, floor=floor)
 
 
 def _parse_prob(text: str, lineno: int) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xsrl import blas
+from xsrl.alignment import AlignmentTable
 from xsrl.corpus import Corpus, PredicateFrame, Sentence, Token, UNIVERSAL_TAGS
 from xsrl.model import OUTSIDE, encode_examples, loss_and_gradients, predict, training
 from xsrl.model.lstm import Inline
@@ -29,6 +30,15 @@ def toy_dir() -> Path:
 
 def read(path: Path) -> str:
     return path.read_text(encoding="utf-8")
+
+
+def alignment_table(probs, floor: float = 0.0) -> AlignmentTable:
+    """The table of the flat ``{(e, f): p}`` entries ``probs``, grouped into
+    one row per source word; rows and targets keep the entries' order."""
+    rows: dict[str, dict[str, float]] = {}
+    for (e, f), p in probs.items():
+        rows.setdefault(e, {})[f] = p
+    return AlignmentTable(rows=rows, floor=floor)
 
 
 def checkpoint_layout(data: bytes):

@@ -30,7 +30,8 @@ from xsrl.model import lstm
 from xsrl.postag import fit_pos_emission
 from xsrl.projection import project_corpus
 
-from conftest import DATA, assert_frozen_pgn_equals_basic, freeze_onto, token_f1
+from conftest import (DATA, alignment_table, assert_frozen_pgn_equals_basic, freeze_onto,
+                      token_f1)
 from test_projection import oracle_project, project_one, random_case
 
 
@@ -174,7 +175,6 @@ def test_criterion_3_pgn_algebra():
 
 
 def test_criterion_4_projection_oracle():
-    from xsrl.alignment import AlignmentTable
     from xsrl.postag import PosDistribution
     from xsrl.corpus import UNIVERSAL_TAGS
 
@@ -198,7 +198,7 @@ def test_criterion_4_projection_oracle():
     src = sent(["dog", "runs"], ["NOUN", "VERB"],
                [PredicateFrame(2, "run.01", ((1, "A0"),))])
     tgt = sent(["hund", "laeuft"], ["NOUN", "VERB"], lang="DE")
-    table = AlignmentTable(probs={("dog", "hund"): 1.0, ("runs", "laeuft"): 1.0})
+    table = alignment_table({("dog", "hund"): 1.0, ("runs", "laeuft"): 1.0})
     out, _ = project_one(src, tgt, table, one_tag(
         {"hund": "NOUN", "laeuft": "VERB"}), 0.4)
     assert out.frames == (PredicateFrame(2, "run.01", ((1, "A0"),)),)
@@ -206,14 +206,14 @@ def test_criterion_4_projection_oracle():
     src = sent(["dog", "runs"], ["NOUN", "VERB"],
                [PredicateFrame(2, "run.01", ((1, "A0"),))])
     tgt = sent(["wort"], ["VERB"], lang="DE")
-    table = AlignmentTable(probs={("dog", "wort"): 0.9, ("runs", "wort"): 0.5})
+    table = alignment_table({("dog", "wort"): 0.9, ("runs", "wort"): 0.5})
     out, _ = project_one(src, tgt, table, one_tag({"wort": "VERB"}), 0.0)
     assert out.frames == (PredicateFrame(1, "run.01", ()),)  # predicate kept
 
     src = sent(["a", "b", "v"], ["NOUN", "NOUN", "VERB"],
                [PredicateFrame(3, "v.01", ((1, "A0"), (2, "A1")))])
     tgt = sent(["x", "y"], ["NOUN", "VERB"], lang="DE")
-    table = AlignmentTable(probs={("a", "x"): 0.7, ("b", "x"): 0.4, ("v", "y"): 1.0})
+    table = alignment_table({("a", "x"): 0.7, ("b", "x"): 0.4, ("v", "y"): 1.0})
     out, _ = project_one(src, tgt, table,
                          one_tag({"x": "NOUN", "y": "VERB"}), 0.0)
     assert out.frames == (PredicateFrame(2, "v.01", ((1, "A0"),)),)

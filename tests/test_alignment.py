@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -16,7 +17,7 @@ from xsrl.alignment import (
     save_table,
 )
 
-from conftest import read
+from conftest import alignment_table, read
 
 
 def pair(src, tgt):
@@ -124,25 +125,29 @@ def test_ibm1_matches_reference_loop_bit_for_bit(case, toy_dir, tmp_path):
     log = []
     table = ibm1_train(pairs, iterations=10, floor=1e-6, log=log)
     assert table.probs == expected_probs
-    assert list(table.probs) == list(expected_probs)
+    # rows and each row's targets come in the reference's order of first use
+    sources = list(dict.fromkeys(e for e, _ in expected_probs))
+    assert list(table.rows) == sources
+    for e in sources:
+        assert list(table.rows[e]) == [f for src, f in expected_probs if src == e]
     assert all(type(p) is float for p in table.probs.values())
     assert log == expected_log
     save_table(table, str(tmp_path / "got.tsv"))
-    save_table(AlignmentTable(probs=expected_probs, floor=1e-6), str(tmp_path / "want.tsv"))
+    save_table(alignment_table(expected_probs, floor=1e-6), str(tmp_path / "want.tsv"))
     assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
 
 def test_best_target_scores_unseen_pairs_at_the_floor():
-    table = AlignmentTable(probs={("run", "x"): 0.7}, floor=0.0)
+    table = alignment_table({("run", "x"): 0.7}, floor=0.0)
     assert best_target(table, "run", ["x"]) == (1, 0.7)
     assert best_target(table, "run", ["zzz"]) == (1, 0.0)
     assert best_target(AlignmentTable(floor=1e-6), "run", ["zzz"]) == (1, 1e-6)
-    assert best_target(AlignmentTable(probs={("run", "x"): 1e-7}, floor=1e-6),
+    assert best_target(alignment_table({("run", "x"): 1e-7}, floor=1e-6),
                        "run", ["x", "zzz"]) == (2, 1e-6)
 
 
 def test_best_target_and_ties():
-    table = AlignmentTable(probs={("run", "x"): 0.7, ("run", "y"): 0.2})
+    table = alignment_table({("run", "x"): 0.7, ("run", "y"): 0.2})
     assert best_target(table, "run", ["x", "y"]) == (1, 0.7)
     assert best_target(table, "run", ["y", "x"]) == (2, 0.7)
     floored = AlignmentTable(floor=0.25)
@@ -157,7 +162,7 @@ def test_best_target_matches_exhaustive_scan():
     for _ in range(200):
         entries = {("e", vocab[i]): float(rng.random())
                    for i in rng.choice(12, size=6, replace=False)}
-        table = AlignmentTable(probs=entries, floor=float(rng.random()) * 0.1)
+        table = alignment_table(entries, floor=float(rng.random()) * 0.1)
         sentence = [vocab[i] for i in rng.integers(0, 12, size=rng.integers(1, 9))]
         j, p = best_target(table, "e", sentence)
         probs = [table.probs.get(("e", f), table.floor) for f in sentence]
@@ -192,9 +197,8 @@ def test_table_keys_keep_the_bitext_spelling():
 
 
 def test_table_round_trip(tmp_path):
-    table = AlignmentTable(
-        probs={("a", "x"): 0.5, ("a", NULL_TOKEN): 0.5, ("b", "y"): 1.0},
-        floor=1e-6)
+    table = alignment_table({("a", "x"): 0.5, ("a", NULL_TOKEN): 0.5, ("b", "y"): 1.0},
+                            floor=1e-6)
     path = tmp_path / "t.tsv"
     save_table(table, str(path))
     loaded = load_table(str(path))
@@ -206,9 +210,9 @@ def test_load_table_shares_one_string_per_word(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("floor\t0.0\nhouse\thaus\t0.5\nhouse\t<NULL>\t0.5\n"
                     "home\thaus\t1.0\n", encoding="utf-8")
-    keys = list(load_table(str(path)).probs)
-    assert keys[0][0] is keys[1][0]
-    assert keys[0][1] is keys[2][1]
+    rows = load_table(str(path)).rows
+    assert list(rows) == ["house", "home"]
+    assert next(iter(rows["house"])) is next(iter(rows["home"]))
 
 
 def test_load_errors(tmp_path):
@@ -228,6 +232,35 @@ def test_a_floor_header_off_line_1_says_so(tmp_path):
         load_table(str(path))
     path.write_text("floor\t0.0\nfloor\tx\t0.5\n")  # a row for the source word "floor"
     assert load_table(str(path)).probs == {("floor", "x"): 0.5}
+
+
+def test_a_headerless_table_may_start_with_a_floor_row(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("floor\tx\t0.5\nhouse\thaus\t1.0\n")
+    table = load_table(str(path))
+    assert table.rows == {"floor": {"x": 0.5}, "house": {"haus": 1.0}}
+    assert table.floor == 0.0
+    for line in ("floor\n", "floor\t0.0\t1\t2\n"):
+        path.write_text(line + "house\thaus\t1.0\n")
+        with pytest.raises(AlignmentError, match="^line 1: malformed floor header$"):
+            load_table(str(path))
+
+
+def test_load_table_holds_under_80_bytes_an_entry(tmp_path):
+    """A 400 × 30 table, each source word's targets drawn from a shared
+    vocabulary as in a real table, held after the load in tracemalloc."""
+    path = tmp_path / "t.tsv"
+    lines = [f"source{e}\ttarget{(7 * e + 11 * k) % 1000}\t{1 / (k + 2)!r}\n"
+             for e in range(400) for k in range(30)]
+    path.write_text("floor\t0.0\n" + "".join(lines), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        table = load_table(str(path))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / 12_000 <= 80, f"{held / 12_000:.0f} B an entry"
+    assert sum(map(len, table.rows.values())) == 12_000
 
 
 def test_load_empty_file(tmp_path):

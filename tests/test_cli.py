@@ -763,7 +763,7 @@ BAD_INPUTS = [
     # malformed headers of the table and the POS distribution
     ("project", ["--src", "en_srl.conllu", "--translations", "de_trans.conllu",
                  "--table", "BAD", "--posdist", "pos.tsv", "--out", "o.conllu"],
-     b"floor\t0.0\t1\na\tx\t0.5\n", "line 1: malformed floor header"),
+     b"floor\t0.0\t1\t2\na\tx\t0.5\n", "line 1: malformed floor header"),
     ("project", ["--src", "en_srl.conllu", "--translations", "de_trans.conllu",
                  "--table", "table.tsv", "--posdist", "BAD", "--out", "o.conllu"],
      b"tags\tNOUN,VERB\nhund\tNOUN\t1.0\n",

@@ -16,6 +16,8 @@ from xsrl.projection import (
     sweep_corpus,
 )
 
+from conftest import alignment_table
+
 TAGS = ("NOUN", "VERB", "ADV")
 # candidate kinds of the oracle and of the reference pipeline below
 PREDICATE = "predicate"
@@ -65,7 +67,7 @@ def project(src_words, frames, tgt_words, probs, alpha=0.4):
     word of that tag scores its alignment probability."""
     src = sentence([f for f, _ in src_words], [u for _, u in src_words], frames)
     tgt = sentence([f for f, _ in tgt_words], [t for _, t in tgt_words], lang="DE")
-    out, stats = project_one(src, tgt, AlignmentTable(probs=probs),
+    out, stats = project_one(src, tgt, alignment_table(probs),
                              uniform_pos(dict(tgt_words)), alpha)
     return out.frames, counts(stats)
 
@@ -76,7 +78,7 @@ def test_score_is_a_times_p_and_equal_to_alpha_keeps():
     vec[tagset.index("VERB")] = 0.5
     src = sentence(["runs"], ["VERB"], [PredicateFrame(1, "run.01")])
     tgt = sentence(["laeuft"], ["VERB"], lang="DE")
-    table = AlignmentTable(probs={("runs", "laeuft"): 0.8})
+    table = alignment_table({("runs", "laeuft"): 0.8})
     dist = PosDistribution(tagset=tagset, dist={"laeuft": vec})
     out, stats = project_one(src, tgt, table, dist, 0.8 * 0.5)
     assert out.frames == (PredicateFrame(1, "run.01"),)
@@ -97,7 +99,7 @@ def test_range_errors():
     tgt = sentence(["hund"], ["NOUN"], lang="DE")
     dist = PosDistribution(tagset=tagset, dist={"hund": np.full(len(tagset), -0.1)})
     with pytest.raises(ProjectionError, match=r"^sentence 1: POS probability out of range: -0.1$"):
-        project_one(src, tgt, AlignmentTable(probs={("runs", "hund"): 0.5}), dist, 0.4)
+        project_one(src, tgt, alignment_table({("runs", "hund"): 0.5}), dist, 0.4)
 
 
 def test_one_to_one_projection():
@@ -122,9 +124,8 @@ def test_scores_equal_independent_recomputation():
     rng = np.random.default_rng(0)
     forms = ["w1", "w2", "w3"]
     tgt_forms = ["u1", "u2", "u3", "u4"]
-    table = AlignmentTable(
-        probs={(e, f): float(rng.random()) for e in forms for f in tgt_forms},
-        floor=0.01)
+    table = alignment_table({(e, f): float(rng.random()) for e in forms for f in tgt_forms},
+                            floor=0.01)
     tagset = tuple(sorted(UNIVERSAL_TAGS))
     dist = PosDistribution(
         tagset=tagset,
@@ -325,10 +326,9 @@ def random_case(rng):
         frames.append(PredicateFrame(pred, f"p.{rng.integers(1, 4)}", args))
     src = sentence(src_forms, upos, frames)
     tgt = sentence(tgt_forms, ["NOUN"] * n_tgt, lang="DE")
-    table = AlignmentTable(
-        probs={(e, f"t{k}"): float(rng.random())
-               for e in src_forms for k in range(4) if rng.random() < 0.8},
-        floor=float(rng.random()) * 0.05)
+    table = alignment_table({(e, f"t{k}"): float(rng.random())
+                             for e in src_forms for k in range(4) if rng.random() < 0.8},
+                            floor=float(rng.random()) * 0.05)
     tagset = tuple(sorted(UNIVERSAL_TAGS))
     dist = PosDistribution(
         tagset=tagset,
@@ -573,10 +573,9 @@ def tied_case(rng):
                                      f"p.{rng.integers(1, 4)}", args))
     src = sentence(src_forms, upos, frames)
     tgt = sentence(tgt_forms, ["NOUN"] * n_tgt, lang="DE")
-    table = AlignmentTable(
-        probs={(f"s{e}", f"t{f}"): float(rng.choice(values))
-               for e in range(4) for f in range(4) if rng.random() < 0.7},
-        floor=float(rng.choice([0.0, 0.25])))
+    table = alignment_table({(f"s{e}", f"t{f}"): float(rng.choice(values))
+                             for e in range(4) for f in range(4) if rng.random() < 0.7},
+                            floor=float(rng.choice([0.0, 0.25])))
     tagset = tuple(sorted(UNIVERSAL_TAGS))
     dist = PosDistribution(
         tagset=tagset,
