@@ -49,30 +49,19 @@ INTERNAL_ERROR = 3
 _FILE_ERRORS = (AlignmentError, CorpusError, ModelError, PosError, CheckpointError,
                 evaluation.EvalError)
 
-# glibc malloc settings: keep up to 256 MB of freed memory instead of giving
-# it back, and serve blocks below 32 MB (glibc's upper limit for this
-# threshold) from that memory instead of fresh mappings.  A training batch
-# frees its temporaries and the next one allocates them again; under glibc's
-# dynamic defaults their pages are unmapped and faulted in anew every batch.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-MALLOC_TRIM_THRESHOLD = 256 * 2**20
-MALLOC_MMAP_THRESHOLD = 32 * 2**20
-
 
 @functools.cache
 def _keep_freed_pages() -> None:
-    """Apply the malloc settings above, once per process; does nothing
-    without ``mallopt``."""
-    import ctypes
+    """Keep freed memory in the heap for reuse (:mod:`xsrl.malloc`), once
+    per process: a training batch frees its temporaries and the next one
+    allocates them again, and pages given back would be faulted in anew
+    every batch.  ``train`` still gives the kept pages back before it maps
+    its shared workspace (:func:`~xsrl.model.lstm.shared_array`).  The
+    module and ctypes load on the first call, so importing the CLI does
+    not change the heap's layout."""
+    from . import malloc
 
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
-    mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD)
+    malloc.keep_freed_pages()
 
 
 @functools.cache

@@ -27,10 +27,10 @@ layer joins them, so the right-to-left one goes through a runner while
 this process runs the left-to-right one.  The runner owns the weight
 vectors and their gradient vectors, and a group names its vector by its
 index into them.  :func:`right_to_left_runner` gives a forked
-:class:`Partner` process when this one may use a second CPU, and
-:class:`Inline` otherwise; the partner's child serves each call through
-:class:`Inline`'s code on the same inputs, so the outputs are
-bit-identical either way.  A runner can also be given a tail step, which
+:class:`Partner` process when this one may use a second CPU and the fork
+succeeds, and :class:`Inline` otherwise; the partner's child serves each
+call through :class:`Inline`'s code on the same inputs, so the outputs
+are bit-identical either way.  A runner can also be given a tail step, which
 training uses to step the second half of Adam's vector in the partner
 while this process steps the first.
 """
@@ -320,12 +320,13 @@ class Partner(Inline):
     """Runs the right-to-left direction, and the tail step ``tail``, in a
     forked child process.
 
-    The constructor forks the child and :meth:`close` reaps it.  The
-    child serves each call through :meth:`Inline.forward` and
-    :meth:`Inline.backward`: it reads the weight vectors ``flats`` and
-    writes the weight gradients into ``d_flats`` in place, so a flat must
-    be shared memory (:func:`shared_array`) or stay unchanged after the
-    fork, and a d_flat must be shared memory.  Each call's input, the
+    The constructor forks the child, or raises OSError where it cannot,
+    and :meth:`close` reaps it.  The child serves each call through
+    :meth:`Inline.forward` and :meth:`Inline.backward`: it reads the
+    weight vectors ``flats`` and writes the weight gradients into
+    ``d_flats`` in place, so a flat must be shared memory
+    (:func:`shared_array`) or stay unchanged after the fork, and a d_flat
+    must be shared memory.  Each call's input, the
     child's states and its input gradients pass through a shared exchange
     mapping sized for batches of up to ``steps`` x ``rows``.  :meth:`step`
     runs the callable ``tail`` in the child, with the state it had at the
@@ -505,13 +506,20 @@ def _partner_available() -> bool:
 def right_to_left_runner(spec: LstmSpec, flats, d_flats, steps: int, rows: int, tail=None):
     """The runner of the right-to-left direction for one train or predict
     call: a :class:`Partner` over ``flats`` and ``d_flats`` for batches
-    of up to ``steps`` x ``rows`` when one can run, else :class:`Inline`.
+    of up to ``steps`` x ``rows`` when one can run, else :class:`Inline`,
+    which it also is when the fork or the partner's mapping fails (OSError,
+    e.g. EAGAIN or ENOMEM): the outputs are the same either way.
     Its :meth:`step` runs the callable ``tail`` where the runner runs.
     A partner is reaped on exit, whether or not the body raised."""
-    if not _partner_available():
+    partner = None
+    if _partner_available():
+        try:
+            partner = Partner(spec, flats, d_flats, steps, rows, tail)
+        except OSError:
+            pass
+    if partner is None:
         yield Inline(spec, flats, d_flats, tail)
         return
-    partner = Partner(spec, flats, d_flats, steps, rows, tail)
     try:
         yield partner
     finally:
@@ -520,7 +528,17 @@ def right_to_left_runner(spec: LstmSpec, flats, d_flats, steps: int, rows: int, 
 
 def shared_array(size: int, dtype) -> np.ndarray:
     """A zeroed 1-D array in an anonymous shared mapping, which a forked
-    :class:`Partner` reads and writes as this process does."""
+    :class:`Partner` reads and writes as this process does.
+
+    The heap's free pages are given back to the system first
+    (:func:`xsrl.malloc.release_free_pages`): the command line keeps freed
+    memory for reuse, so after earlier work in the process, as in
+    ``sweep-alpha --train`` or repeated passes, the new mapping would
+    otherwise sit on top of it at the peak.  Memory in use is not touched.
+    """
+    from .. import malloc
+
+    malloc.release_free_pages()
     dtype = np.dtype(dtype)
     return np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype, size)
 

@@ -138,9 +138,12 @@ def _workspace(model: SrlModel):
     owns.  They share one anonymous shared mapping, so a forked
     right-to-left partner reads the parameters as Adam steps them, writes
     its gradients in place and steps the second half of the parameters
-    itself.  The trained entries of ``model.params`` become views of the
-    parameter buffer with the same values; a frozen word table stays
-    where it is.
+    itself.  :func:`~xsrl.model.lstm.shared_array` maps it fresh on every
+    call, after giving the heap's free pages back to the system, so in a
+    process that trains after earlier work the mapping replaces the freed
+    memory the heap kept instead of adding to it.  The trained entries of
+    ``model.params`` become views of the parameter buffer with the same
+    values; a frozen word table stays where it is.
     """
     trained, _, block = training_shapes(model.config, model.vocab)
     size = sum(math.prod(shape) for shape in trained.values())

@@ -8,6 +8,7 @@ write the same checkpoint and the same predictions, and the partner must
 be reaped before ``train`` or ``predict`` returns or raises.
 """
 
+import errno
 import os
 import signal
 import warnings
@@ -101,6 +102,29 @@ def test_inline_runs_without_a_free_cpu(corpus, monkeypatch, tmp_path, limit):
     monkeypatch.setattr(os, "fork", no_fork)
     checkpoint, predicted = train_and_predict(corpus, PGN, 2, tmp_path / "m.bin")
     assert checkpoint and len(predicted.sentences) == len(corpus.sentences)
+
+
+def test_a_failed_fork_runs_the_direction_inline(tmp_path, monkeypatch, capsys):
+    """A fork that fails (EAGAIN here) starts no process: the command runs
+    the direction in this process, exits 0 and writes an inline run's bytes."""
+    attempts = []
+
+    def failing_fork():
+        attempts.append(1)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    argv = ["train", "--train-file", str(DATA / "de_dev.conllu"), "--variant", "basic",
+            "--hidden", "4", "--word-dim", "4", "--pos-dim", "2", "--pred-dim", "2",
+            "--layers", "2", "--epochs", "1", "--seed", "3"]
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert cli.main(argv + ["--out", str(tmp_path / "inline.bin")]) == 0
+    inline_log = capsys.readouterr().err
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert cli.main(argv + ["--out", str(tmp_path / "m.bin")]) == 0
+    assert capsys.readouterr().err == inline_log
+    assert len(attempts) == lstm._partner_available()
+    assert (tmp_path / "m.bin").read_bytes() == (tmp_path / "inline.bin").read_bytes()
 
 
 @needs_partner
