@@ -10,8 +10,10 @@ word projects onto a concrete target token or not at all.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -23,6 +25,7 @@ __all__ = [
     "AlignmentTable",
     "read_parallel_corpus",
     "ibm1_train",
+    "ibm1_footprint",
     "best_target",
     "save_table",
     "load_table",
@@ -31,12 +34,19 @@ __all__ = [
 #: Reserved target-side token absorbing unaligned source words.
 NULL_TOKEN = "<NULL>"
 
+#: Links per block of :func:`ibm1_train`'s EM; a block holds whole pairs.
+BLOCK_LINKS = 1 << 16
+# ibm1_footprint's bytes per token (word ids, row lengths and offsets, the
+# token lists) and per link of a block (its link arrays).
+_TOKEN_BYTES = 40
+_BLOCK_BYTES = 64
+
 
 class AlignmentError(ValueError):
     """Raised for malformed parallel corpora or alignment-table files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParallelPair:
     src_tokens: tuple[str, ...]
     tgt_tokens: tuple[str, ...]
@@ -94,20 +104,34 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
     The EM runs on integer-coded arrays.  A *row* is one source token of
     one pair; a *link* is one (row, target token) combination, NULL first.
     Links are laid out pair by pair, row by row, target by target: the order
-    of the textbook nested loops.  Each link carries the id of its row, of
-    its source word and of its (e, f) table entry, entries being numbered in
-    order of first use (a literal ``<NULL>`` target token is the NULL
-    entry).  The numbering is built on arrays too: each link's entry is the
-    integer key ``e * |targets| + f``, a stable sort groups equal keys with
-    their first link first, and the groups are ranked by that first link.
-    One iteration gathers the entry probabilities onto the links,
-    sums them per row into the denominators, divides, and sums the
-    posteriors per entry and per source word.  ``np.bincount`` adds its
-    weights one after another in input order, which is link order, so every
-    sum is formed in the same order as in the nested loops and the table and
-    the log-likelihoods are the same to the last bit.  Pairwise reductions
-    (``ndarray.sum``, ``np.add.reduceat``) would reorder the additions and
-    are not used; the log-likelihood stays a sequential ``math.log`` sum.
+    of the textbook nested loops.  The only array kept per link is the int32
+    id of its (e, f) table entry, entries being numbered in order of first
+    use (a literal ``<NULL>`` target token is the NULL entry).  Everything
+    else a link needs is rebuilt from the pair lengths, one block of whole
+    pairs (about ``BLOCK_LINKS`` links) at a time, so training holds 4 bytes
+    per link plus a few arrays per token, per entry and per block.
+
+    The numbering goes block by block: a stable sort of the links' integer
+    keys ``e * |targets| + f`` groups equal keys with their first link
+    first, a stable sort of the sorted keys of earlier blocks followed by
+    the block's merges the two and pairs each key seen before with its id,
+    and the new keys take the next ids, ranked by their first link.  One
+    iteration, block by block, gathers the entry probabilities onto the
+    links, sums them per row into the denominators (a row never leaves its
+    pair, hence its block), divides, and adds the posteriors into the
+    running per-entry and per-source-word sums with ``np.add.at``.
+    ``np.bincount`` and ``np.add.at`` add one value after another in input
+    order, which is link order, so every sum is formed in the same order as
+    in the nested loops and the table and the log-likelihoods are the same
+    to the last bit.  Summing per-block
+    ``bincount`` results, or pairwise reductions (``ndarray.sum``,
+    ``np.add.reduceat``), would reorder the additions and are not used; the
+    log-likelihood stays a sequential ``math.log`` sum.  ``np.unique`` is
+    not used either: it imports ``numpy.ma``, about a megabyte of modules
+    that no other stage loads.  Nor is any numpy routine that the rest of
+    the pipeline does not already run (``np.searchsorted``, unstable or
+    16-bit sorts, casts from int32): each faults in another 64 KB or more
+    of numpy's code, which stays resident for the rest of a process.
     """
     if iterations < 1:
         raise AlignmentError(f"iterations must be >= 1, got {iterations}")
@@ -115,9 +139,6 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
         raise AlignmentError(f"floor must be in [0,1], got {floor}")
     if not pairs:
         raise AlignmentError("empty pair list")
-    for idx, pair in enumerate(pairs):
-        if not pair.src_tokens or not pair.tgt_tokens:
-            raise AlignmentError(f"pair {idx}: empty side")
 
     def side(name: str) -> list[str]:
         return list(chain.from_iterable(map(attrgetter(name), pairs)))
@@ -125,87 +146,170 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
     def lengths(name: str) -> np.ndarray:
         return np.fromiter(map(len, map(attrgetter(name), pairs)), np.intp, len(pairs))
 
-    src, tgt = side("src_tokens"), side("tgt_tokens")
-    src_len, tgt_len = lengths("src_tokens"), lengths("tgt_tokens") + 1  # with NULL
+    src_len, tgt_len = lengths("src_tokens"), lengths("tgt_tokens")
+    empty = np.flatnonzero((src_len == 0) | (tgt_len == 0))
+    if len(empty):
+        raise AlignmentError(f"pair {empty[0]}: empty side")
+    tgt_len += 1  # with NULL
+    src = side("src_tokens")
     src_words = list(dict.fromkeys(src))
-    tgt_words = list(dict.fromkeys(chain((NULL_TOKEN,), tgt)))  # NULL is target 0
-    n_rows, n_src, n_tgt = len(src), len(src_words), len(tgt_words)
     src_id = {word: i for i, word in enumerate(src_words)}
+    row_src = np.fromiter(map(src_id.__getitem__, src), np.intp, len(src))
+    del src, src_id
+    tgt = side("tgt_tokens")
+    tgt_words = list(dict.fromkeys(chain((NULL_TOKEN,), tgt)))  # NULL is target 0
     tgt_id = {word: i for i, word in enumerate(tgt_words)}
-    row_src = np.fromiter(map(src_id.__getitem__, src), np.intp, n_rows)
-    pair_start = np.cumsum(tgt_len) - tgt_len  # each pair's NULL in tgt_ids
     tgt_ids = np.fromiter(map(tgt_id.__getitem__, tgt), np.intp, len(tgt))
+    del tgt, tgt_id
+    n_src, n_tgt = len(src_words), len(tgt_words)
+    pair_start = np.cumsum(tgt_len) - tgt_len  # each pair's NULL in tgt_ids
     tgt_ids = np.insert(tgt_ids, pair_start - np.arange(len(pairs)), 0)
     row_len = np.repeat(tgt_len, src_len)  # links in each row
-    row_id = np.repeat(np.arange(n_rows, dtype=np.intp), row_len)
-    link_e = row_src[row_id]
-    # a row's links take its pair's targets in order: link i of the row
-    # takes target i of the pair
-    link_f = np.arange(len(row_id), dtype=np.intp)
-    link_f += np.repeat(pair_start, src_len)[row_id]
-    link_f -= (np.cumsum(row_len) - row_len)[row_id]
-    link_f = tgt_ids[link_f]
-
-    # Number the (e, f) entries in order of first use: sort the links' keys
-    # e * |targets| + f stably, so each entry's first link leads its group,
-    # and rank the groups by that link.  ``work`` holds the links' targets,
-    # then the sorted keys, then each sorted link's group, then the entry
-    # ids: five link-sized arrays are live at most, as in the EM loop.
-    keys = link_e * n_tgt
-    keys += link_f
-    work = link_f
-    perm = np.argsort(keys, kind="stable")
-    np.take(keys, perm, out=work, mode="clip")
-    new = np.empty(len(work), dtype=bool)  # the first link of each entry
-    new[:1] = True
-    np.not_equal(work[1:], work[:-1], out=new[1:])
-    entry_key = work[new]
-    order = np.argsort(perm[new], kind="stable")  # the entries by first use
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order), dtype=np.intp)
-    np.cumsum(new, out=work)
-    work -= 1
-    del new
-    np.take(rank, work, out=keys, mode="clip")  # the entry id of each sorted link
-    entry_id = work
-    entry_id[perm] = keys
-    del keys, perm, rank, link_f, work
-    entry_key = entry_key[order]
-    entry_e = entry_key // n_tgt
-    n_entries = len(entry_key)
     row_inv_len = 1.0 / row_len
+    row_tgt = np.repeat(pair_start, src_len)  # its pair's NULL in tgt_ids
 
-    # The loop allocates no per-link array: the two buffers are reused, the
-    # indices are intp (numpy would copy any other index dtype on every call)
-    # and take runs with mode="clip" (the default mode buffers its output).
-    linked = np.empty(len(entry_id))
-    gamma = np.empty(len(entry_id))
+    # The blocks, as (first row, end row, first link, end link): whole
+    # pairs, at most BLOCK_LINKS links unless a single pair has more.
+    pair_rows = np.cumsum(src_len).tolist()
+    pair_links = np.cumsum(src_len * tgt_len).tolist()
+    blocks: list[tuple[int, int, int, int]] = []
+    p0 = r0 = l0 = 0
+    while p0 < len(pairs):
+        p1 = max(bisect_right(pair_links, l0 + BLOCK_LINKS), p0 + 1)
+        r1, l1 = pair_rows[p1 - 1], pair_links[p1 - 1]
+        blocks.append((r0, r1, l0, l1))
+        p0, r0, l0 = p1, r1, l1
+    n_links = l0
+    del pair_start, pair_rows, pair_links
+
+    # Number the (e, f) entries in order of first use, block by block.
+    entry_id = np.empty(n_links, dtype=np.int32)
+    seen_keys = np.empty(0, dtype=np.intp)  # the keys numbered so far, sorted
+    seen_ids = np.empty(0, dtype=np.intp)  # the id of each
+    for r0, r1, l0, l1 in blocks:
+        lens = row_len[r0:r1]
+        # a row's links take its pair's targets in order: link i of the row
+        # takes target i of the pair
+        link_f = np.arange(l1 - l0)
+        link_f += np.repeat(row_tgt[r0:r1] - (np.cumsum(lens) - lens), lens)
+        keys = np.repeat(row_src[r0:r1], lens)
+        keys *= n_tgt
+        keys += tgt_ids[link_f]
+        perm = np.argsort(keys, kind="stable")
+        keys = np.take(keys, perm, out=link_f, mode="clip")
+        new = np.empty(len(keys), dtype=bool)  # the first link of each group
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        group_key, first = keys[new], perm[new]  # the groups' keys and first links
+        del keys, link_f
+        # Merge the groups' keys into the keys seen before: a stable sort of
+        # the two sorted runs puts a key seen before right ahead of its twin.
+        n_seen = len(seen_keys)
+        merged = np.concatenate((seen_keys, group_key))
+        del seen_keys, group_key
+        order = np.argsort(merged, kind="stable")
+        merged = merged[order]
+        twin = np.empty(len(merged), dtype=bool)  # a group's key seen before
+        twin[:1] = False
+        np.equal(merged[1:], merged[:-1], out=twin[1:])
+        seen_keys = merged[~twin]
+        del merged
+        is_group = order >= n_seen  # in key order, as the groups are
+        merged_id = np.empty(len(order), dtype=np.intp)
+        merged_id[~is_group] = seen_ids[order[~is_group]]
+        del seen_ids
+        twins = np.flatnonzero(twin)
+        merged_id[twins] = merged_id[twins - 1]
+        fresh = is_group & ~twin
+        # the new keys take the next ids in the order of their first links
+        fresh_first = first[order[fresh] - n_seen]
+        is_fresh_first = np.zeros(len(perm), dtype=bool)
+        is_fresh_first[fresh_first] = True
+        fresh_rank = np.cumsum(is_fresh_first)[fresh_first]  # from 1
+        merged_id[fresh] = fresh_rank + (n_seen - 1)
+        group_id = merged_id[is_group]
+        seen_ids = merged_id[~twin]
+        del order, merged_id, twin, twins, is_group, fresh
+        if len(seen_ids) > 2**31:
+            raise AlignmentError("more than 2**31 table entries")
+        group = np.cumsum(new)  # each sorted link's group, from 1
+        group -= 1
+        entry_id[l0:l1][perm] = group_id[group]
+    del tgt_ids, row_tgt, perm, new, group
+    n_entries = len(seen_ids)
+    entry_key = np.empty(n_entries, dtype=np.intp)
+    entry_key[seen_ids] = seen_keys
+    del seen_keys, seen_ids
+    entry_e = entry_key // n_tgt
+
+    # The loop reuses two block-sized buffers, indexes with intp (numpy
+    # would copy any other index dtype on every call) and takes with
+    # mode="clip" (the default mode buffers its output).  Besides them a
+    # block holds one link-sized array at a time.  The int32 ids are copied
+    # into the low halves of the zeroed intp buffer: a plain copy, where a
+    # cast to intp would fault in more of numpy's code.
+    width = max(l1 - l0 for _, _, l0, l1 in blocks)
+    row_ids = np.arange(max(r1 - r0 for r0, r1, _, _ in blocks))
+    id_buffer, gamma_buffer = np.zeros(width, dtype=np.intp), np.empty(width)
+    low_halves = id_buffer.view(np.int32)[0 if sys.byteorder == "little" else 1::2]
     probs = np.full(n_entries, 1.0 / n_tgt)
     for _ in range(iterations):
-        np.take(probs, entry_id, out=linked, mode="clip")
-        denom = np.bincount(row_id, weights=linked, minlength=n_rows)
-        np.take(denom, row_id, out=gamma, mode="clip")
-        np.divide(linked, gamma, out=gamma)
-        counts = np.bincount(entry_id, weights=gamma, minlength=n_entries)
-        totals = np.bincount(link_e, weights=gamma, minlength=n_src)
+        counts = np.zeros(n_entries)
+        totals = np.zeros(n_src)
+        loglik = 0.0
+        for r0, r1, l0, l1 in blocks:
+            ids, gamma, lens = id_buffer[:l1 - l0], gamma_buffer[:l1 - l0], row_len[r0:r1]
+            low_halves[:l1 - l0] = entry_id[l0:l1]
+            np.take(probs, ids, out=gamma, mode="clip")
+            row = np.repeat(row_ids[:r1 - r0], lens)  # counted from r0
+            denom = np.bincount(row, weights=gamma, minlength=r1 - r0)
+            del row
+            gamma /= np.repeat(denom, lens)
+            np.add.at(counts, ids, gamma)
+            np.add.at(totals, np.repeat(row_src[r0:r1], lens), gamma)
+            if log is not None:
+                for v in (denom * row_inv_len[r0:r1]).tolist():
+                    loglik += math.log(v)
         probs = counts / totals[entry_e]
         if log is not None:
-            loglik = 0.0
-            for v in (denom * row_inv_len).tolist():
-                loglik += math.log(v)
             log.append(loglik)
 
-    del linked, gamma, entry_id, row_id, link_e  # free them before the table is built
+    # free the link, block and token arrays before the table is built
+    del entry_id, id_buffer, gamma_buffer, low_halves, ids, gamma, lens, row_ids
+    del row_src, row_len, row_inv_len, counts, totals
     # Source ids are numbered by first use, and a source word's first entry
     # comes before any later word's, so a stable sort by source id lists the
     # rows and each row's targets in order of first use.
     by_src = np.argsort(entry_e, kind="stable")
-    targets = map(tgt_words.__getitem__, (entry_key % n_tgt)[by_src].tolist())
-    values = iter(probs[by_src].tolist())
-    sizes = np.bincount(entry_e, minlength=n_src).tolist()
-    # zip asks islice first, so each row stops at its size without taking a value
-    rows = {e: dict(zip(islice(targets, size), values)) for e, size in zip(src_words, sizes)}
+    targets = (entry_key % n_tgt)[by_src]
+    values = probs[by_src]
+    del by_src, entry_key, probs
+    ends = np.cumsum(np.bincount(entry_e, minlength=n_src)).tolist()
+    rows, start = {}, 0
+    for e, end in zip(src_words, ends):
+        row_targets = map(tgt_words.__getitem__, targets[start:end].tolist())
+        rows[e] = dict(zip(row_targets, values[start:end].tolist()))
+        start = end
     return AlignmentTable(rows=rows, floor=floor)
+
+
+def ibm1_footprint(pairs: list[ParallelPair]) -> tuple[int, int]:
+    """The links one :func:`ibm1_train` iteration visits, and about how many
+    bytes of working memory it needs for them.
+
+    The estimate counts an entry id per link, the arrays and word lists
+    kept per token, and the workspace of the largest block.  It leaves out
+    the per-entry arrays and the table returned, which grow with the
+    distinct (e, f) pairs rather than with the links.
+    """
+    tokens = links = widest = 0
+    for pair in pairs:
+        m, n = len(pair.src_tokens), len(pair.tgt_tokens)
+        tokens += m + n
+        links += m * (n + 1)
+        widest = max(widest, m * (n + 1))
+    block = min(links, max(widest, BLOCK_LINKS))
+    return links, 4 * links + tokens * _TOKEN_BYTES + block * _BLOCK_BYTES
 
 
 def best_target(table: AlignmentTable, e: str, tgt_tokens) -> tuple[int, float]:

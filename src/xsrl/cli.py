@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import blas
 from . import eval as evaluation
-from .alignment import AlignmentError, ibm1_train, load_table, read_parallel_corpus, save_table
+from .alignment import (AlignmentError, ibm1_footprint, ibm1_train, load_table,
+                        read_parallel_corpus, save_table)
 from .corpus import Corpus, CorpusError, corpus_stats, parse_srl_corpus, write_srl_corpus
 from .model import (
     BASIC,
@@ -37,6 +38,7 @@ from .model import (
     similarity_csv,
     train,
 )
+from .model import training
 from .model.serialize import CheckpointError
 from .postag import PosError, fit_pos_emission, load_pos_distribution, save_pos_distribution
 from .projection import (ProjectionStats, SourceError, TranslationCountError, TranslationError,
@@ -258,6 +260,13 @@ def cmd_align_train(args) -> int:
     log: list[float] = []
     with _reading(args.parallel):  # a bitext with no pairs too
         pairs = read_parallel_corpus(Path(args.parallel).read_text(encoding="utf-8"))
+        links, needed = ibm1_footprint(pairs)
+        available = training._physical_memory()
+        if needed > available:
+            raise ValueError(
+                f"--parallel {args.parallel}: aligning its {len(pairs):,} pairs "
+                f"({links:,} links) needs about {needed / 2**30:.1f} GiB, more than "
+                f"the {available / 2**30:.1f} GiB of physical memory")
         table = ibm1_train(pairs, iterations=args.iterations, floor=args.floor, log=log)
     save_table(table, args.out)
     for i, ll in enumerate(log, start=1):

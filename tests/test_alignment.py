@@ -5,6 +5,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from xsrl import alignment
 from xsrl.alignment import (
     NULL_TOKEN,
     AlignmentError,
@@ -135,6 +136,62 @@ def test_ibm1_matches_reference_loop_bit_for_bit(case, toy_dir, tmp_path):
     save_table(table, str(tmp_path / "got.tsv"))
     save_table(alignment_table(expected_probs, floor=1e-6), str(tmp_path / "want.tsv"))
     assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("block_links", [1, 7, 64])
+@pytest.mark.parametrize("case", ["toy", *EQUIVALENCE_CASES])
+def test_ibm1_blocks_match_reference_loop_bit_for_bit(case, block_links, toy_dir, tmp_path,
+                                                      monkeypatch):
+    # blocks this small cut the corpus many times, and a pair of more links
+    # than a block is a block of its own
+    monkeypatch.setattr(alignment, "BLOCK_LINKS", block_links)
+    if case == "toy":
+        pairs = read_parallel_corpus(read(toy_dir / "bitext.txt"))
+    else:
+        pairs = EQUIVALENCE_CASES[case]
+    expected_probs, expected_log = reference_ibm1(pairs, 10)
+    log = []
+    table = ibm1_train(pairs, iterations=10, floor=1e-6, log=log)
+    assert table.probs == expected_probs
+    sources = list(dict.fromkeys(e for e, _ in expected_probs))
+    assert list(table.rows) == sources
+    for e in sources:
+        assert list(table.rows[e]) == [f for src, f in expected_probs if src == e]
+    assert log == expected_log
+    save_table(table, str(tmp_path / "got.tsv"))
+    save_table(alignment_table(expected_probs, floor=1e-6), str(tmp_path / "want.tsv"))
+    assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+def test_ibm1_memory_grows_under_8_bytes_a_link():
+    # 40 x 40 pairs over 100 words a side: about 10k entries however many
+    # pairs, so what the peak gains from 400 to 800 pairs is per link
+    rng = np.random.default_rng(0)
+    src = [f"s{i}" for i in range(100)]
+    tgt = [f"t{i}" for i in range(100)]
+
+    def peak(n_pairs):
+        pairs = [ParallelPair(tuple(src[i] for i in rng.integers(0, 100, 40)),
+                              tuple(tgt[i] for i in rng.integers(0, 100, 40)))
+                 for _ in range(n_pairs)]
+        tracemalloc.start()
+        try:
+            ibm1_train(pairs, iterations=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    added_links = 400 * 40 * 41
+    assert peak(800) - peak(400) <= 8 * added_links
+
+
+def test_ibm1_footprint_counts_links_and_the_largest_block(monkeypatch):
+    pairs = [pair("a b", "x y z"), pair("a", "x")]
+    monkeypatch.setattr(alignment, "BLOCK_LINKS", 8)
+    links, needed = alignment.ibm1_footprint(pairs)
+    assert links == 2 * 4 + 1 * 2
+    monkeypatch.setattr(alignment, "BLOCK_LINKS", 1)  # the 8-link pair is still a block
+    assert alignment.ibm1_footprint(pairs) == (links, needed)
 
 
 def test_best_target_scores_unseen_pairs_at_the_floor():

@@ -91,6 +91,48 @@ def test_align_train_has_no_lowercase_flag(toy, capsys):
     assert not (toy / "t.tsv").exists()
 
 
+def test_align_train_that_cannot_fit_exits_2_before_training(toy, capsys, monkeypatch):
+    from xsrl import cli
+    from xsrl.model import training
+
+    def never(*args, **kwargs):
+        raise AssertionError("ibm1_train called")
+
+    monkeypatch.setattr(training, "_physical_memory", lambda: 2**16)
+    monkeypatch.setattr(cli, "ibm1_train", never)
+    assert run("align-train", "--parallel", toy / "bitext.txt", "--out", toy / "t.tsv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"xsrl: error: --parallel {toy / 'bitext.txt'}: aligning its 200 pairs "
+                          f"(13,078 links) needs about ")
+    assert "GiB" in err
+    assert not (toy / "t.tsv").exists()
+
+
+def test_data_prep_never_imports_numpy_ma(toy):
+    # numpy.ma, which np.unique imports, adds about a megabyte to a process
+    script = f"""
+import sys
+from xsrl.cli import main
+toy = {str(toy)!r}
+argvs = [
+    ["align-train", "--parallel", toy + "/bitext.txt", "--out", toy + "/table.tsv"],
+    ["fit-pos", "--tagged", toy + "/de_tagged.conllu", "--out", toy + "/pos.tsv"],
+    ["project", "--src", toy + "/en_srl.conllu", "--translations", toy + "/de_trans.conllu",
+     "--table", toy + "/table.tsv", "--posdist", toy + "/pos.tsv", "--out", toy + "/p.conllu"],
+    ["stats", "--input", toy + "/p.conllu"],
+]
+for argv in argvs:
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def _project_inputs(toy, command, src="en_srl.conllu", translations="de_trans.conllu"):
     """The argv of ``project`` or ``sweep-alpha`` over the toy recipe's
     files, with ``src`` and ``translations`` from ``toy``."""
