@@ -21,7 +21,7 @@ def main():
                        iterations=10)
     tagged = parse_srl_corpus((DATA / "de_tagged.conllu").read_text(),
                               require_pred=False)
-    dist = fit_pos_emission(tagged, k=0.1)
+    dist = fit_pos_emission(tagged.sentences, k=0.1)
 
     src = parse_srl_corpus((DATA / "en_srl.conllu").read_text())
     translations = list(parse_srl_corpus((DATA / "de_trans.conllu").read_text(),

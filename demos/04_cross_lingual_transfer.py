@@ -23,7 +23,7 @@ def main():
     table = ibm1_train(read_parallel_corpus((DATA / "bitext.txt").read_text()),
                        iterations=10)
     dist = fit_pos_emission(parse_srl_corpus(
-        (DATA / "de_tagged.conllu").read_text(), require_pred=False))
+        (DATA / "de_tagged.conllu").read_text(), require_pred=False).sentences)
     source = parse_srl_corpus((DATA / "en_srl.conllu").read_text())
     translations = list(parse_srl_corpus(
         (DATA / "de_trans.conllu").read_text(), require_pred=False).sentences)

@@ -18,13 +18,15 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 from . import blas
 from . import eval as evaluation
 from .alignment import (AlignmentError, ibm1_footprint, ibm1_train, load_table,
                         read_parallel_corpus, save_table)
-from .corpus import Corpus, CorpusError, corpus_stats, parse_srl_corpus, write_srl_corpus
+from .corpus import (Corpus, CorpusError, corpus_stats, iter_srl_corpus, parse_srl_corpus,
+                     write_srl_corpus)
 from .model import (
     BASIC,
     PGN,
@@ -46,6 +48,9 @@ from .projection import (ProjectionStats, SourceError, TranslationCountError, Tr
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+
+# Sentence pairs that ``project`` and ``sweep-alpha`` read and project at once.
+_PROJECT_BATCH = 32
 
 # Errors about the content of an input file: their messages get its path.
 _FILE_ERRORS = (AlignmentError, CorpusError, ModelError, PosError, CheckpointError,
@@ -102,6 +107,14 @@ def _load_corpus(path: str, lang: str | None = None, require_pred: bool = True) 
     with _reading(path):
         return parse_srl_corpus(Path(path).read_text(encoding="utf-8"), default_lang=lang,
                                 require_pred=require_pred)
+
+
+def _read_corpus(path: str, lang: str | None = None, require_pred: bool = True):
+    """The sentences of the corpus at ``path``, read from the file one batch
+    at a time (:func:`~xsrl.corpus.iter_srl_corpus`); the input errors met
+    while reading it name ``path``."""
+    with _reading(path), open(path, encoding="utf-8") as fh:
+        yield from iter_srl_corpus(fh, lang, require_pred)
 
 
 def _emit(text: str, path: str | None, stream=None) -> None:
@@ -274,14 +287,26 @@ def cmd_align_train(args) -> int:
     return 0
 
 
-def _projection_inputs(args):
-    """The source corpus, its translations (one per sentence), the table and
-    the POS distribution of ``project`` and ``sweep-alpha``."""
-    src = _load_corpus(args.src, lang=args.src_lang)
-    translations = _load_corpus(args.translations, lang=args.tgt_lang, require_pred=False)
-    table = _load(load_table, args.table)
-    dist = _load(load_pos_distribution, args.posdist)
-    return src, list(translations.sentences), table, dist
+def _projection_batches(args):
+    """The --src sentences and their --translations, read together in
+    batches of at most :data:`_PROJECT_BATCH` pairs: (source corpus,
+    translations, number of the first pair).  When one file ends before the
+    other, the rest of the other is read and counted, and the error gives
+    both counts."""
+    src = _read_corpus(args.src, lang=args.src_lang)
+    translations = _read_corpus(args.translations, lang=args.tgt_lang, require_pred=False)
+    done = 0
+    while True:
+        src_batch = list(islice(src, _PROJECT_BATCH))
+        tgt_batch = list(islice(translations, _PROJECT_BATCH))
+        if len(src_batch) != len(tgt_batch):
+            n_src = done + len(src_batch) + sum(1 for _ in src)
+            n_tgt = done + len(tgt_batch) + sum(1 for _ in translations)
+            raise TranslationCountError(f"translation count {n_tgt} != sentence count {n_src}")
+        if not src_batch:
+            return
+        yield Corpus.from_sentences(src_batch), tgt_batch, done + 1
+        done += len(src_batch)
 
 
 @contextmanager
@@ -292,24 +317,31 @@ def _projecting(args):
     source tag outside its tagset."""
     try:
         with (_reading(args.src, SourceError), _reading(args.translations, TranslationError),
-              _reading(args.posdist)):
+              _reading(args.posdist, PosError)):
             yield
     except TranslationCountError as exc:
         raise TranslationCountError(f"{exc} in --src {args.src}") from None
 
 
 def cmd_project(args) -> int:
-    src, translations, table, dist = _projection_inputs(args)
+    table = _load(load_table, args.table)
+    dist = _load(load_pos_distribution, args.posdist)
+    chunks: list[bytes] = []  # --out, written whole after the last batch
+    stats = ProjectionStats()
     with _projecting(args):
-        out, stats = project_corpus(src, translations, table, dist, args.alpha)
-    Path(args.out).write_bytes(write_srl_corpus(out))
+        for src, translations, first in _projection_batches(args):
+            out, batch_stats = project_corpus(src, translations, table, dist, args.alpha, first)
+            chunks.append(write_srl_corpus(out))
+            stats += batch_stats
+    with open(args.out, "wb") as fh:
+        fh.writelines(chunks)
     _emit(stats.as_lines(), args.stats or args.out + ".stats")
     return 0
 
 
 def cmd_fit_pos(args) -> int:
-    tagged = _load_corpus(args.tagged, lang=args.lang, require_pred=False)
-    with _reading(args.tagged):  # a corpus with no sentences
+    tagged = _read_corpus(args.tagged, lang=args.lang, require_pred=False)
+    with _reading(args.tagged, PosError):  # a corpus with no sentences
         dist = fit_pos_emission(tagged, k=args.k)
     save_pos_distribution(dist, args.out)
     return 0
@@ -378,7 +410,7 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    stats = corpus_stats(_load_corpus(args.input, lang=args.lang))
+    stats = corpus_stats(_read_corpus(args.input, lang=args.lang))
     rows = [("sentences", stats.sentences), ("predicates", stats.predicates),
             ("arguments", stats.arguments),
             *((f"role:{role}", count) for role, count in stats.roles.items())]
@@ -401,24 +433,31 @@ def cmd_sweep_alpha(args) -> int:
     if args.train and not args.dev:
         raise ValueError("--train needs a --dev corpus to score against")
 
-    src, translations, table, dist = _projection_inputs(args)
+    table = _load(load_table, args.table)
+    dist = _load(load_pos_distribution, args.posdist)
     dev = _load_corpus(args.dev, lang=args.tgt_lang) if args.train else None
 
     header = ["alpha", *ProjectionStats.FIELDS]
     if args.train:
         header.append("f1")
     rows = [",".join(header)]
+    projected: list[list] = [[] for _ in alphas]  # each α's cut sentences
+    totals = [ProjectionStats()] * len(alphas)
     with _projecting(args):
-        projections = sweep_corpus(src, translations, table, dist, alphas)
+        for src, translations, first in _projection_batches(args):
+            batch = sweep_corpus(src, translations, table, dist, alphas, first)
+            for sentences, (out, _) in zip(projected, batch):
+                sentences += out.sentences
+            totals = [total + stats for total, (_, stats) in zip(totals, batch)]
     # the cuts are nested, so equal kept counts mean the same corpus, whose
     # deterministic training need not run again
     scores: dict[tuple[int, int], float] = {}
-    for alpha, (projected, stats) in zip(alphas, projections):
+    for alpha, sentences, stats in zip(alphas, projected, totals):
         row = [repr(alpha)] + [str(getattr(stats, f)) for f in ProjectionStats.FIELDS]
         if args.train:
             cut = (stats.frames_kept, stats.args_kept)
             if cut not in scores:
-                scores[cut] = _dev_f1(args, projected, dev)
+                scores[cut] = _dev_f1(args, Corpus.from_sentences(sentences), dev)
             row.append(repr(scores[cut]))
         rows.append(",".join(row))
     _emit("\n".join(rows) + "\n", args.out)
@@ -440,7 +479,7 @@ def _dev_f1(args, projected: Corpus, dev: Corpus) -> float:
 
 def _add_projection_flags(sub: argparse.ArgumentParser) -> None:
     """The inputs of a projection, which ``project`` and ``sweep-alpha``
-    read with :func:`_projection_inputs`."""
+    read with :func:`_projection_batches`."""
     sub.add_argument("--src", required=True)
     sub.add_argument("--translations", required=True)
     sub.add_argument("--table", required=True)

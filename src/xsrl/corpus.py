@@ -6,6 +6,11 @@ sense, or "_" for non-predicates), then one ARG column per predicate of
 the sentence, predicates ordered left to right.  Sentences are separated
 by a single blank line; comment lines start with "#".  A "# lang = XX"
 comment supplies the per-sentence language ID.
+
+:func:`iter_srl_corpus` reads a corpus from any iterable of lines, such
+as an open file, one batch of sentences at a time: it parses and
+validates a batch, yields its sentences and holds nothing of it after.
+:func:`parse_srl_corpus` keeps every sentence it yields.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, pairwise, repeat
-from typing import NamedTuple
+from itertools import compress, count, repeat
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "UNIVERSAL_TAGS",
@@ -27,6 +32,7 @@ __all__ = [
     "CorpusError",
     "Violation",
     "validate_corpus",
+    "iter_srl_corpus",
     "parse_srl_corpus",
     "write_srl_corpus",
     "corpus_stats",
@@ -131,8 +137,14 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     frame-bounds, frame-dup-pred, frame-dup-arg, frame-reflexive,
     frame-empty-role, frame-bad-sense.
     """
-    out: list[Violation] = []
-    for number, sent in enumerate(corpus.sentences, start=1):
+    return list(_violations(corpus.sentences))
+
+
+def _violations(sentences, first: int = 1) -> Iterator[Violation]:
+    """The violations of ``sentences`` in order, the first sentence being
+    "sentence ``first``"."""
+    for number, sent in enumerate(sentences, start=first):
+        out: list[Violation] = []
         where = f"sentence {number}"
         n = len(sent.tokens)
         for tok in sent.tokens:
@@ -168,21 +180,21 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
                 out.append(Violation(
                     "frame-bad-sense", f"{where}: sense must be non-empty and not the "
                     f"reserved marker {_SENSELESS_PRED!r}"))
-    return out
+        yield from out
 
 
-def _check(corpus: Corpus) -> Corpus:
-    violations = validate_corpus(corpus)
-    if violations:
-        first = violations[0]
-        raise CorpusError(f"{first.code}: {first.message}")
-    return corpus
+def _check(sentences, first: int) -> None:
+    """Raise the first violation of ``sentences``, numbered from ``first``."""
+    violation = next(_violations(sentences, first), None)
+    if violation is not None:
+        raise CorpusError(f"{violation.code}: {violation.message}")
 
 
 # Sentences are parsed in batches of this many blocks: the token lines of a
-# batch are split and converted a column at a time.  A batch bounds the
-# cells held at once; with 256 blocks the cells of small corpora, freed
-# among the kept strings, left the heap 0.6 MB larger through training.
+# batch are split and converted a column at a time, and a reader holds the
+# lines and sentences of one batch.  A batch bounds the cells held at once;
+# with 256 blocks the cells of small corpora, freed among the kept strings,
+# left the heap 0.6 MB larger through training.
 _BATCH_BLOCKS = 32
 
 
@@ -194,9 +206,10 @@ def _is_int(text: str) -> bool:
     return True
 
 
-def _first_row_error(lines, blocks, require_pred) -> tuple[int, CorpusError]:
+def _first_row_error(lines, blocks, require_pred, first) -> tuple[int, CorpusError]:
     """The first malformed token line of ``blocks``: its block's position in
-    ``blocks`` and its error.
+    ``blocks`` and its error, naming the line by its number in the file,
+    ``lines[0]`` being line ``first + 1``.
 
     Checks one line at a time, in order, and one line's checks in the order
     columns, width, ID, HEAD.  Called only after a bulk check of
@@ -204,7 +217,7 @@ def _first_row_error(lines, blocks, require_pred) -> tuple[int, CorpusError]:
     """
     for k, (start, end) in enumerate(blocks):
         ncols = None
-        for lineno, line in enumerate(lines[start:end], start=start + 1):
+        for lineno, line in enumerate(lines[start:end], start=first + start + 1):
             if line.startswith("#"):
                 continue
             fields = line.split("\t")
@@ -249,11 +262,12 @@ def _token_columns(rows, starts, require_pred):
     return columns
 
 
-def _parse_blocks(lines, blocks, words, default_lang, require_pred) -> list[Sentence]:
+def _parse_blocks(lines, blocks, words, default_lang, require_pred, first) -> list[Sentence]:
     """The sentences of ``blocks``, ``(start, end)`` ranges of ``lines``
-    without blank lines.  A block of comments only is a sentence without
-    tokens when ``require_pred`` is false, so an empty translation keeps
-    its place, and no sentence otherwise.
+    without blank lines, ``lines[0]`` being line ``first + 1`` of the file.
+    A block of comments only is a sentence without tokens when
+    ``require_pred`` is false, so an empty translation keeps its place, and
+    no sentence otherwise.
 
     The token lines are split once and converted a column at a time.  When
     a bulk check fails, the first bad line is found line by line and the
@@ -277,8 +291,8 @@ def _parse_blocks(lines, blocks, words, default_lang, require_pred) -> list[Sent
     # a batch of comment blocks only has no token lines to check
     columns = _token_columns(rows, starts, require_pred) if rows else [[]] * 10
     if columns is None:
-        k, error = _first_row_error(lines, blocks, require_pred)
-        _parse_blocks(lines, blocks[:k], words, default_lang, require_pred)
+        k, error = _first_row_error(lines, blocks, require_pred, first)
+        _parse_blocks(lines, blocks[:k], words, default_lang, require_pred, first)
         raise error
 
     share = words.setdefault
@@ -299,7 +313,7 @@ def _parse_blocks(lines, blocks, words, default_lang, require_pred) -> list[Sent
         n_args = max(len(rows[a]) - 11, 0) if b > a else 0
         if n_preds != n_args:
             raise CorpusError(
-                f"line {start + 1}: sentence has {n_preds} predicates but "
+                f"line {first + start + 1}: sentence has {n_preds} predicates but "
                 f"{n_args} ARG columns")
         frames = []
         if n_preds:
@@ -331,7 +345,7 @@ def _parse_blocks(lines, blocks, words, default_lang, require_pred) -> list[Sent
         if not lang:
             if default_lang is None:
                 raise CorpusError(
-                    f"line {start + 1}: sentence has no '# lang = XX' comment and no "
+                    f"line {first + start + 1}: sentence has no '# lang = XX' comment and no "
                     f"default language was given")
             lang = default_lang
         sentences.append(Sentence(tokens=tokens[a:b], lang=lang, sent_id=sent_id,
@@ -339,9 +353,63 @@ def _parse_blocks(lines, blocks, words, default_lang, require_pred) -> list[Sent
     return sentences
 
 
+def _line_batches(lines: Iterable[str]):
+    """The blocks of ``lines`` (runs of lines between blank, that is
+    whitespace-only, lines) in batches of :data:`_BATCH_BLOCKS`: each batch
+    as ``(first, held, blocks)``, ``held`` being its lines without their
+    "\\n", from line ``first + 1`` of the file on, and ``blocks`` the
+    ``(start, end)`` ranges of ``held`` its blocks span."""
+    held: list[str] = []
+    blocks: list[tuple[int, int]] = []
+    first = 0
+    start = -1  # where in held the open block starts, if one is open
+    for line in lines:
+        if line.strip():
+            if start < 0:
+                start = len(held)
+            held.append(line.rstrip("\n"))
+            continue
+        if start >= 0:
+            blocks.append((start, len(held)))
+            start = -1
+            if len(blocks) == _BATCH_BLOCKS:
+                yield first, held, blocks
+                first += len(held)
+                held, blocks = [], []
+        held.append("")
+    if start >= 0:
+        blocks.append((start, len(held)))
+    if blocks:
+        yield first, held, blocks
+
+
+def iter_srl_corpus(lines: Iterable[str], default_lang: str | None = None,
+                    require_pred: bool = True) -> Iterator[Sentence]:
+    """The sentences of an SRL corpus, read from ``lines`` one batch of
+    :data:`_BATCH_BLOCKS` blocks at a time: each batch is parsed and
+    validated before its first sentence is yielded, and is not held after
+    its last.
+
+    ``lines`` is any iterable of lines, with or without their "\\n", such
+    as a file opened in text mode.  Errors name the line by its number in
+    ``lines`` and the sentence by its number in the corpus, as a parse of
+    the whole text would; a fault in a later batch is found only when that
+    batch is read.  ``default_lang`` and ``require_pred`` are those of
+    :func:`parse_srl_corpus`.
+    """
+    words: dict[str, str] = {}  # one shared str per distinct kept value
+    number = 1  # of the batch's first sentence
+    for first, held, blocks in _line_batches(lines):
+        sentences = _parse_blocks(held, blocks, words, default_lang, require_pred, first)
+        _check(sentences, number)
+        number += len(sentences)
+        yield from sentences
+
+
 def parse_srl_corpus(data: bytes | str, default_lang: str | None = None,
                      require_pred: bool = True) -> Corpus:
-    """Parse an SRL corpus file into a validated :class:`Corpus`.
+    """Parse an SRL corpus file into a validated :class:`Corpus`: the
+    sentences :func:`iter_srl_corpus` reads from its lines.
 
     ``default_lang`` fills in the language for sentences without a
     "# lang" comment.  With ``require_pred=False``, bare 10-column
@@ -353,17 +421,7 @@ def parse_srl_corpus(data: bytes | str, default_lang: str | None = None,
     lines = data.split("\n")
     if "\r" in data:
         lines = [line.rstrip("\r") for line in lines]
-    # a block is a run of lines between blank (whitespace-only) lines
-    blank = compress(count(), map(operator.not_, map(str.strip, lines)))
-    blocks = [(before + 1, after)
-              for before, after in pairwise(chain((-1,), blank, (len(lines),)))
-              if after - before > 1]
-    words: dict[str, str] = {}  # one shared str per distinct kept value
-    sentences: list[Sentence] = []
-    for i in range(0, len(blocks), _BATCH_BLOCKS):
-        sentences += _parse_blocks(lines, blocks[i:i + _BATCH_BLOCKS], words,
-                                   default_lang, require_pred)
-    return _check(Corpus.from_sentences(sentences))
+    return Corpus.from_sentences(iter_srl_corpus(lines, default_lang, require_pred))
 
 
 def write_srl_corpus(corpus: Corpus) -> bytes:
@@ -395,16 +453,18 @@ def write_srl_corpus(corpus: Corpus) -> bytes:
     return "".join(blocks).encode("utf-8")
 
 
-def corpus_stats(corpus: Corpus) -> CorpusStats:
-    """Count sentences, predicates and arguments by full traversal."""
+def corpus_stats(sentences: Iterable[Sentence]) -> CorpusStats:
+    """Count sentences, predicates and arguments over any iterable of
+    sentences, read once."""
     roles: Counter[str] = Counter()
-    predicates = 0
-    for sent in corpus.sentences:
+    n_sentences = predicates = 0
+    for sent in sentences:
+        n_sentences += 1
         predicates += len(sent.frames)
         for frame in sent.frames:
             roles.update(role for _, role in frame.args)
     return CorpusStats(
-        sentences=len(corpus.sentences),
+        sentences=n_sentences,
         predicates=predicates,
         arguments=sum(roles.values()),
         roles=dict(sorted(roles.items())),

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 from operator import itemgetter
+from typing import Iterable
 
 import numpy as np
 
-from .corpus import UNIVERSAL_TAGS, Corpus
+from .corpus import UNIVERSAL_TAGS, Sentence
 
 __all__ = [
     "PosError",
@@ -51,21 +52,22 @@ class PosDistribution:
             raise PosError(f"unknown POS tag {tag!r}") from None
 
 
-def fit_pos_emission(tagged: Corpus, k: float = 0.1) -> PosDistribution:
-    """Fit p(t|f) = (count(f,t) + k) / (count(f) + k * |tagset|).
+def fit_pos_emission(tagged: Iterable[Sentence], k: float = 0.1) -> PosDistribution:
+    """Fit p(t|f) = (count(f,t) + k) / (count(f) + k * |tagset|) over the
+    tokens of ``tagged``, any iterable of sentences, read once.
 
     The tagset is the union of observed tags and the 17 universal tags;
     "_" marks an untagged token and is skipped.
     """
     if not 0 <= k < math.inf:
         raise PosError(f"smoothing constant must be a finite number >= 0, got {k}")
-    tokens = list(chain.from_iterable(sent.tokens for sent in tagged.sentences))
-    if not tokens:
-        raise PosError("empty corpus")
-    tags = list(map(itemgetter(3), tokens))
     # one count per distinct (word, tag) pair, in order of first occurrence
-    pair_counts = Counter(compress(zip(map(itemgetter(1), tokens), tags),
-                                   map("_".__ne__, tags)))
+    pair_counts = Counter(map(itemgetter(1, 3),
+                              chain.from_iterable(sent.tokens for sent in tagged)))
+    if not pair_counts:
+        raise PosError("empty corpus")
+    for pair in [pair for pair in pair_counts if pair[1] == "_"]:
+        del pair_counts[pair]
     tagset = tuple(sorted({tag for _, tag in pair_counts} | set(UNIVERSAL_TAGS)))
     row_of = {word: i for i, word in enumerate(dict.fromkeys(w for w, _ in pair_counts))}
     col_of = {tag: j for j, tag in enumerate(tagset)}

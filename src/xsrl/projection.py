@@ -75,6 +75,10 @@ class ProjectionStats:
         "args_dropped_threshold", "args_dropped_collision",
     )
 
+    def __add__(self, other: "ProjectionStats") -> "ProjectionStats":
+        """The counts of two parts of a corpus, summed field by field."""
+        return ProjectionStats(*(getattr(self, f) + getattr(other, f) for f in self.FIELDS))
+
     def as_lines(self) -> str:
         return "".join(f"{name}\t{getattr(self, name)}\n" for name in self.FIELDS)
 
@@ -143,12 +147,13 @@ def _cut(tgt: Sentence, winners: tuple, alpha: float) -> tuple[Sentence, tuple[i
 
 
 def sweep_corpus(src_corpus: Corpus, translations: list[Sentence], table: AlignmentTable,
-                 dist: PosDistribution, alphas: list[float],
+                 dist: PosDistribution, alphas: list[float], first: int = 1,
                  ) -> list[tuple[Corpus, ProjectionStats]]:
     """Project a whole corpus onto its index-aligned translations at each
     threshold of ``alphas``: every sentence pair is placed once and cut at
     every α.  Returns one (corpus, stats) per α, in order; an input error of
-    one sentence pair names the pair by its 1-based number."""
+    one sentence pair names the pair by its number, the first pair being
+    number ``first`` (a batch of a longer corpus starts later than 1)."""
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise ProjectionError(f"alpha must be in [0,1], got {alpha}")
@@ -158,7 +163,7 @@ def sweep_corpus(src_corpus: Corpus, translations: list[Sentence], table: Alignm
             f"{len(src_corpus.sentences)}")
     sentences: list[list[Sentence]] = [[] for _ in alphas]
     totals = [[0] * len(ProjectionStats.FIELDS) for _ in alphas]
-    for number, (src, tgt) in enumerate(zip(src_corpus.sentences, translations), start=1):
+    for number, (src, tgt) in enumerate(zip(src_corpus.sentences, translations), start=first):
         try:
             winners = _winners(src, tgt, table, dist)
         except ProjectionError as exc:
@@ -172,7 +177,7 @@ def sweep_corpus(src_corpus: Corpus, translations: list[Sentence], table: Alignm
 
 
 def project_corpus(src_corpus: Corpus, translations: list[Sentence], table: AlignmentTable,
-                   dist: PosDistribution, alpha: float = 0.4,
+                   dist: PosDistribution, alpha: float = 0.4, first: int = 1,
                    ) -> tuple[Corpus, ProjectionStats]:
     """:func:`sweep_corpus` at the one threshold ``alpha``."""
-    return sweep_corpus(src_corpus, translations, table, dist, [alpha])[0]
+    return sweep_corpus(src_corpus, translations, table, dist, [alpha], first)[0]

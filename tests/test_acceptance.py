@@ -234,7 +234,7 @@ def test_criterion_5_threshold_monotonicity():
     pairs = read_parallel_corpus((DATA / "bitext.txt").read_text())
     table = ibm1_train(pairs, iterations=10)
     dist = fit_pos_emission(parse_srl_corpus(
-        (DATA / "de_tagged.conllu").read_text(), require_pred=False))
+        (DATA / "de_tagged.conllu").read_text(), require_pred=False).sentences)
     src = parse_srl_corpus((DATA / "en_srl.conllu").read_text())
     translations = list(parse_srl_corpus(
         (DATA / "de_trans.conllu").read_text(), require_pred=False).sentences)

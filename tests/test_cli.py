@@ -164,8 +164,8 @@ CUT_TRANSLATIONS = [
                          ids=["project", "sweep-alpha", "project-comments-only"])
 def test_project_sentence_count_mismatch_exits_2(toy, capsys, command, cut, message):
     """Translations that do not pair up with the source sentences are
-    blamed on --translations, with both counts and the --src file; the
-    count check is the library's own.  An empty translation is blamed on
+    blamed on --translations, with both counts and the --src file, counted
+    to the end of both files.  An empty translation is blamed on
     --translations with its sentence number."""
     _prepare(toy)
     blocks = (toy / "de_trans.conllu").read_text().split("\n\n")

@@ -285,7 +285,7 @@ def test_role_inventory_is_derived_from_the_sentences():
 
 def test_stats_toy_manifest(toy_dir):
     corpus = parse_srl_corpus(read(toy_dir / "en_srl.conllu"))
-    stats = corpus_stats(corpus)
+    stats = corpus_stats(corpus.sentences)
     manifest = {}
     for line in read(toy_dir / "manifest.tsv").splitlines():
         key, value = line.split("\t")
@@ -309,7 +309,8 @@ def test_stats_additive_under_concat():
     a = random_corpus(rng, 4)
     b = random_corpus(rng, 3)
     both = Corpus.from_sentences(a.sentences + b.sentences)
-    sa, sb, sc = corpus_stats(a), corpus_stats(b), corpus_stats(both)
+    sa, sb, sc = (corpus_stats(a.sentences), corpus_stats(b.sentences),
+                  corpus_stats(both.sentences))
     assert sc.sentences == sa.sentences + sb.sentences
     assert sc.predicates == sa.predicates + sb.predicates
     assert sc.arguments == sa.arguments + sb.arguments
@@ -318,7 +319,7 @@ def test_stats_additive_under_concat():
 
 
 def test_empty_corpus_stats():
-    stats = corpus_stats(Corpus())
+    stats = corpus_stats(Corpus().sentences)
     assert (stats.sentences, stats.predicates, stats.arguments) == (0, 0, 0)
     assert stats.roles == {}
 
@@ -331,7 +332,7 @@ def test_upb_en_train_counts_if_supplied():
     if not path:
         pytest.skip("set XSRL_UPB_EN_TRAIN to a converted UPB EN train file")
     stats = corpus_stats(parse_srl_corpus(
-        open(path, encoding="utf-8").read(), default_lang="EN"))
+        open(path, encoding="utf-8").read(), default_lang="EN").sentences)
     assert stats.sentences == 10907
     assert stats.predicates == 41359
     assert stats.arguments == 100170

@@ -23,14 +23,14 @@ def tagged(*pairs):
 
 
 def test_unsmoothed_single_tag():
-    dist = fit_pos_emission(tagged(*[("dog", "NOUN")] * 3), k=0.0)
+    dist = fit_pos_emission(tagged(*[("dog", "NOUN")] * 3).sentences, k=0.0)
     assert pos_prob(dist, "dog", "NOUN") == 1.0
     assert pos_prob(dist, "dog", "VERB") == 0.0
 
 
 def test_add_one_smoothing_hand_arithmetic():
     corpus = tagged(*([("run", "VERB")] * 3 + [("run", "NOUN")]))
-    dist = fit_pos_emission(corpus, k=1.0)
+    dist = fit_pos_emission(corpus.sentences, k=1.0)
     assert len(dist.tagset) == 17
     assert pos_prob(dist, "run", "VERB") == pytest.approx(4 / 21, abs=1e-15)
     assert pos_prob(dist, "run", "NOUN") == pytest.approx(2 / 21, abs=1e-15)
@@ -38,26 +38,26 @@ def test_add_one_smoothing_hand_arithmetic():
 
 
 def test_unseen_word_uniform():
-    dist = fit_pos_emission(tagged(("dog", "NOUN")), k=0.0)
+    dist = fit_pos_emission(tagged(("dog", "NOUN")).sentences, k=0.0)
     assert pos_prob(dist, "unseen", "VERB") == pytest.approx(1 / 17)
 
 
 def test_unknown_tag_errors():
-    dist = fit_pos_emission(tagged(("dog", "NOUN")))
+    dist = fit_pos_emission(tagged(("dog", "NOUN")).sentences)
     with pytest.raises(PosError, match="VRB"):
         pos_prob(dist, "dog", "VRB")
 
 
 def test_empty_corpus_errors():
     with pytest.raises(PosError, match="empty corpus"):
-        fit_pos_emission(Corpus())
+        fit_pos_emission(Corpus().sentences)
 
 
 @pytest.mark.parametrize("k", [-1.0, float("inf"), float("nan")])
 def test_smoothing_constant_must_be_finite_and_non_negative(k):
     # an infinite k would write NaN probabilities that the loader refuses
     with pytest.raises(PosError, match="smoothing constant must be a finite number >= 0"):
-        fit_pos_emission(tagged(("dog", "NOUN")), k=k)
+        fit_pos_emission(tagged(("dog", "NOUN")).sentences, k=k)
 
 
 def test_rows_sum_to_one_everywhere():
@@ -66,7 +66,7 @@ def test_rows_sum_to_one_everywhere():
     tags = ["NOUN", "VERB", "ADV", "DET"]
     pairs = [(words[rng.integers(4)], tags[rng.integers(4)]) for _ in range(60)]
     for k in (0.0, 0.1, 2.0):
-        dist = fit_pos_emission(tagged(*pairs), k=k)
+        dist = fit_pos_emission(tagged(*pairs).sentences, k=k)
         for word in words + ["missing"]:
             total = sum(pos_prob(dist, word, t) for t in dist.tagset)
             assert abs(total - 1.0) < 1e-9
@@ -74,8 +74,8 @@ def test_rows_sum_to_one_everywhere():
 
 def test_duplication_invariance_at_k0():
     pairs = [("a", "NOUN"), ("a", "VERB"), ("b", "ADV")]
-    once = fit_pos_emission(tagged(*pairs), k=0.0)
-    twice = fit_pos_emission(tagged(*(pairs * 2)), k=0.0)
+    once = fit_pos_emission(tagged(*pairs).sentences, k=0.0)
+    twice = fit_pos_emission(tagged(*(pairs * 2)).sentences, k=0.0)
     for word in ("a", "b"):
         for tag in once.tagset:
             assert pos_prob(once, word, tag) == pytest.approx(
@@ -85,8 +85,8 @@ def test_duplication_invariance_at_k0():
 def test_fit_deterministic(toy_dir):
     text = (toy_dir / "de_tagged.conllu").read_text()
     corpus = parse_srl_corpus(text, require_pred=False)
-    d1 = fit_pos_emission(corpus)
-    d2 = fit_pos_emission(corpus)
+    d1 = fit_pos_emission(corpus.sentences)
+    d2 = fit_pos_emission(corpus.sentences)
     assert d1.tagset == d2.tagset
     assert set(d1.dist) == set(d2.dist)
     for word in d1.dist:
@@ -94,7 +94,7 @@ def test_fit_deterministic(toy_dir):
 
 
 def test_round_trip(tmp_path):
-    dist = fit_pos_emission(tagged(("dog", "NOUN"), ("dog", "VERB"), ("cat", "NOUN")),
+    dist = fit_pos_emission(tagged(("dog", "NOUN"), ("dog", "VERB"), ("cat", "NOUN")).sentences,
                             k=0.1)
     path = tmp_path / "pos.tsv"
     save_pos_distribution(dist, str(path))
@@ -108,7 +108,7 @@ def test_round_trip(tmp_path):
 def test_round_trip_of_an_untagged_corpus(tmp_path):
     """A corpus with no tags fits a distribution with no words; its file is
     the tagset line alone, which loads as that distribution."""
-    dist = fit_pos_emission(tagged(("dog", "_"), ("cat", "_")), k=0.1)
+    dist = fit_pos_emission(tagged(("dog", "_"), ("cat", "_")).sentences, k=0.1)
     assert dist.dist == {}
     path = tmp_path / "pos.tsv"
     save_pos_distribution(dist, str(path))
@@ -213,7 +213,7 @@ def _tagged_corpora(toy_dir):
 def test_fit_and_save_match_reference_loops(toy_dir, tmp_path):
     for corpus in _tagged_corpora(toy_dir):
         for k in (0.0, 0.1, 2.0):
-            got, want = fit_pos_emission(corpus, k=k), reference_fit(corpus, k)
+            got, want = fit_pos_emission(corpus.sentences, k=k), reference_fit(corpus, k)
             assert got.tagset == want.tagset
             assert list(got.dist) == list(want.dist)
             for word, vec in want.dist.items():

@@ -629,7 +629,7 @@ def test_matches_candidate_pipeline_on_toy(toy_dir):
     table = ibm1_train(
         read_parallel_corpus((toy_dir / "bitext.txt").read_text()), iterations=10)
     dist = fit_pos_emission(parse_srl_corpus(
-        (toy_dir / "de_tagged.conllu").read_text(), require_pred=False))
+        (toy_dir / "de_tagged.conllu").read_text(), require_pred=False).sentences)
     src = parse_srl_corpus((toy_dir / "en_srl.conllu").read_text())
     translations = list(parse_srl_corpus(
         (toy_dir / "de_trans.conllu").read_text(), require_pred=False).sentences)
@@ -657,7 +657,7 @@ def test_threshold_monotone_over_alpha_toy(toy_dir):
     pairs = read_parallel_corpus((toy_dir / "bitext.txt").read_text())
     table = ibm1_train(pairs, iterations=10)
     dist = fit_pos_emission(
-        parse_srl_corpus((toy_dir / "de_tagged.conllu").read_text(), require_pred=False))
+        parse_srl_corpus((toy_dir / "de_tagged.conllu").read_text(), require_pred=False).sentences)
     src = parse_srl_corpus((toy_dir / "en_srl.conllu").read_text())
     translations = list(parse_srl_corpus(
         (toy_dir / "de_trans.conllu").read_text(), require_pred=False).sentences)

@@ -68,7 +68,7 @@ def test_project_hook_counts_the_returned_stats():
                                          require_pred=False).sentences)
     table = ibm1_train(read_parallel_corpus(read(DATA / "bitext.txt")), iterations=10)
     dist = fit_pos_emission(parse_srl_corpus(read(DATA / "de_tagged.conllu"),
-                                             require_pred=False))
+                                             require_pred=False).sentences)
     args = (src, translations, table, dist, 0.4)
     result = project_corpus(*args)
     hooks._project(tracer, args, {}, result)
