@@ -13,7 +13,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "AlignmentTable",
     "read_parallel_corpus",
     "ibm1_train",
-    "ibm1_footprint",
     "best_target",
     "save_table",
     "load_table",
@@ -36,10 +35,13 @@ NULL_TOKEN = "<NULL>"
 
 #: Links per block of :func:`ibm1_train`'s EM; a block holds whole pairs.
 BLOCK_LINKS = 1 << 16
-# ibm1_footprint's bytes per token (word ids, row lengths and offsets, the
-# token lists) and per link of a block (its link arrays).
+# ibm1_train's memory estimate, in bytes per token (word ids, row lengths and
+# offsets, token lists), per link of the largest block and, as measured from
+# the tracemalloc peak of the table's build, per table entry and source word.
 _TOKEN_BYTES = 40
 _BLOCK_BYTES = 64
+_ENTRY_BYTES = 88
+_SOURCE_BYTES = 216
 
 
 class AlignmentError(ValueError):
@@ -109,7 +111,10 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
     use (a literal ``<NULL>`` target token is the NULL entry).  Everything
     else a link needs is rebuilt from the pair lengths, one block of whole
     pairs (about ``BLOCK_LINKS`` links) at a time, so training holds 4 bytes
-    per link plus a few arrays per token, per entry and per block.
+    per link plus a few arrays per token, per entry and per block.  That
+    memory is estimated before anything per link is built, and with the
+    entries before the EM; above :func:`xsrl.malloc.physical_memory` it
+    raises AlignmentError.
 
     The numbering goes block by block: a stable sort of the links' integer
     keys ``e * |targets| + f`` groups equal keys with their first link
@@ -150,7 +155,13 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
     empty = np.flatnonzero((src_len == 0) | (tgt_len == 0))
     if len(empty):
         raise AlignmentError(f"pair {empty[0]}: empty side")
+    tokens = sum(src_len.tolist()) + sum(tgt_len.tolist())
     tgt_len += 1  # with NULL
+    links = (src_len * tgt_len).tolist()  # of each pair
+    n_links = sum(links)
+    block = min(n_links, max(max(links), BLOCK_LINKS))
+    links_bytes = 4 * n_links + tokens * _TOKEN_BYTES + block * _BLOCK_BYTES
+    _check_memory(links_bytes, f"{len(pairs):,} pairs ({n_links:,} links)")
     src = side("src_tokens")
     src_words = list(dict.fromkeys(src))
     src_id = {word: i for i, word in enumerate(src_words)}
@@ -171,7 +182,7 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
     # The blocks, as (first row, end row, first link, end link): whole
     # pairs, at most BLOCK_LINKS links unless a single pair has more.
     pair_rows = np.cumsum(src_len).tolist()
-    pair_links = np.cumsum(src_len * tgt_len).tolist()
+    pair_links = list(accumulate(links))
     blocks: list[tuple[int, int, int, int]] = []
     p0 = r0 = l0 = 0
     while p0 < len(pairs):
@@ -179,8 +190,7 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
         r1, l1 = pair_rows[p1 - 1], pair_links[p1 - 1]
         blocks.append((r0, r1, l0, l1))
         p0, r0, l0 = p1, r1, l1
-    n_links = l0
-    del pair_start, pair_rows, pair_links
+    del pair_start, pair_rows, pair_links, links
 
     # Number the (e, f) entries in order of first use, block by block.
     entry_id = np.empty(n_links, dtype=np.int32)
@@ -237,6 +247,8 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
         entry_id[l0:l1][perm] = group_id[group]
     del tgt_ids, row_tgt, perm, new, group
     n_entries = len(seen_ids)
+    _check_memory(links_bytes + n_entries * _ENTRY_BYTES + n_src * _SOURCE_BYTES,
+                  f"{len(pairs):,} pairs ({n_links:,} links, {n_entries:,} table entries)")
     entry_key = np.empty(n_entries, dtype=np.intp)
     entry_key[seen_ids] = seen_keys
     del seen_keys, seen_ids
@@ -293,23 +305,16 @@ def ibm1_train(pairs: list[ParallelPair], iterations: int, floor: float = 0.0,
     return AlignmentTable(rows=rows, floor=floor)
 
 
-def ibm1_footprint(pairs: list[ParallelPair]) -> tuple[int, int]:
-    """The links one :func:`ibm1_train` iteration visits, and about how many
-    bytes of working memory it needs for them.
+def _check_memory(needed: int, counts: str) -> None:
+    """Refuse to align when ``needed`` bytes exceed physical memory;
+    ``counts`` says what the estimate counted."""
+    from . import malloc
 
-    The estimate counts an entry id per link, the arrays and word lists
-    kept per token, and the workspace of the largest block.  It leaves out
-    the per-entry arrays and the table returned, which grow with the
-    distinct (e, f) pairs rather than with the links.
-    """
-    tokens = links = widest = 0
-    for pair in pairs:
-        m, n = len(pair.src_tokens), len(pair.tgt_tokens)
-        tokens += m + n
-        links += m * (n + 1)
-        widest = max(widest, m * (n + 1))
-    block = min(links, max(widest, BLOCK_LINKS))
-    return links, 4 * links + tokens * _TOKEN_BYTES + block * _BLOCK_BYTES
+    available = malloc.physical_memory()
+    if needed > available:
+        raise AlignmentError(
+            f"aligning its {counts} needs about {needed / 2**30:.1f} GiB, more than "
+            f"the {available / 2**30:.1f} GiB of physical memory")
 
 
 def best_target(table: AlignmentTable, e: str, tgt_tokens) -> tuple[int, float]:

@@ -23,8 +23,7 @@ from pathlib import Path
 
 from . import blas
 from . import eval as evaluation
-from .alignment import (AlignmentError, ibm1_footprint, ibm1_train, load_table,
-                        read_parallel_corpus, save_table)
+from .alignment import AlignmentError, ibm1_train, load_table, read_parallel_corpus, save_table
 from .corpus import (Corpus, CorpusError, corpus_stats, iter_srl_corpus, parse_srl_corpus,
                      write_srl_corpus)
 from .model import (
@@ -40,7 +39,6 @@ from .model import (
     similarity_csv,
     train,
 )
-from .model import training
 from .model.serialize import CheckpointError
 from .postag import PosError, fit_pos_emission, load_pos_distribution, save_pos_distribution
 from .projection import (ProjectionStats, SourceError, TranslationCountError, TranslationError,
@@ -271,15 +269,8 @@ def _seed(args: argparse.Namespace) -> int:
 
 def cmd_align_train(args) -> int:
     log: list[float] = []
-    with _reading(args.parallel):  # a bitext with no pairs too
+    with _reading(args.parallel):  # ibm1_train's errors too: no pairs, too large
         pairs = read_parallel_corpus(Path(args.parallel).read_text(encoding="utf-8"))
-        links, needed = ibm1_footprint(pairs)
-        available = training._physical_memory()
-        if needed > available:
-            raise ValueError(
-                f"--parallel {args.parallel}: aligning its {len(pairs):,} pairs "
-                f"({links:,} links) needs about {needed / 2**30:.1f} GiB, more than "
-                f"the {available / 2**30:.1f} GiB of physical memory")
         table = ibm1_train(pairs, iterations=args.iterations, floor=args.floor, log=log)
     save_table(table, args.out)
     for i, ll in enumerate(log, start=1):
@@ -427,7 +418,7 @@ def cmd_sweep_alpha(args) -> int:
     alphas: list[float] = []
     for alpha in args.alphas:
         if alpha in alphas:
-            print(f"warning: duplicate alpha {alpha} ignored", file=sys.stderr)
+            print(f"xsrl: warning: duplicate alpha {alpha} ignored", file=sys.stderr)
             continue
         alphas.append(alpha)
     if args.train and not args.dev:
@@ -441,13 +432,14 @@ def cmd_sweep_alpha(args) -> int:
     if args.train:
         header.append("f1")
     rows = [",".join(header)]
-    projected: list[list] = [[] for _ in alphas]  # each α's cut sentences
+    projected: list[list] = [[] for _ in alphas]  # each α's cut sentences, for --train
     totals = [ProjectionStats()] * len(alphas)
     with _projecting(args):
         for src, translations, first in _projection_batches(args):
             batch = sweep_corpus(src, translations, table, dist, alphas, first)
-            for sentences, (out, _) in zip(projected, batch):
-                sentences += out.sentences
+            if args.train:
+                for sentences, (out, _) in zip(projected, batch):
+                    sentences += out.sentences
             totals = [total + stats for total, (_, stats) in zip(totals, batch)]
     # the cuts are nested, so equal kept counts mean the same corpus, whose
     # deterministic training need not run again

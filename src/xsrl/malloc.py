@@ -1,4 +1,4 @@
-"""The C library's malloc controls: how much freed memory the heap keeps.
+"""The C library's malloc controls, and how much physical memory there is.
 
 A training batch frees its temporaries and the next one allocates them
 again.  Under glibc's dynamic defaults their pages are unmapped and
@@ -7,14 +7,16 @@ faulted in anew every batch, so the command line keeps freed memory
 is given back right before ``train`` maps its shared workspace
 (:func:`release_free_pages`), so the mapping does not sit on top of it.
 Both calls go through one lookup of the C library and do nothing where it
-lacks them.
+lacks them.  :func:`physical_memory` is the limit that ``train`` and IBM-1
+check their memory estimates against.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 
-__all__ = ["keep_freed_pages", "release_free_pages"]
+__all__ = ["keep_freed_pages", "release_free_pages", "physical_memory"]
 
 # glibc mallopt parameters: keep up to 256 MB of freed memory instead of
 # giving it back, and serve blocks below 32 MB (glibc's upper limit for this
@@ -58,3 +60,8 @@ def release_free_pages() -> None:
     trim = getattr(_library(), "malloc_trim", None)
     if trim is not None:
         trim(0)
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

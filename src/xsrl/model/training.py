@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -97,10 +96,6 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np
     return views
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def _check_memory(config: ModelConfig, vocab: Vocabulary) -> int:
     """Refuse a model whose training state cannot fit in physical memory.
 
@@ -110,11 +105,13 @@ def _check_memory(config: ModelConfig, vocab: Vocabulary) -> int:
     is made from the shapes alone, before anything is allocated, and
     returned in bytes.
     """
+    from .. import malloc
+
     trained, frozen, block = training_shapes(config, vocab)
     count = sum(math.prod(shape) for shape in trained.values())
     other = (math.prod(frozen) if frozen else 0) + (2 * math.prod(block) if block else 0)
     needed = (count * LIVE_COPIES + other) * np.dtype(np.float64).itemsize
-    available = _physical_memory()
+    available = malloc.physical_memory()
     if needed > available:
         raise ModelError(
             f"training this model needs about {needed / 2**30:.1f} GiB "

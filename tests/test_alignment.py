@@ -1,11 +1,13 @@
+import importlib.util
 import math
 import tracemalloc
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xsrl import alignment
+from xsrl import alignment, malloc
 from xsrl.alignment import (
     NULL_TOKEN,
     AlignmentError,
@@ -18,7 +20,9 @@ from xsrl.alignment import (
     save_table,
 )
 
-from conftest import alignment_table, read
+from conftest import DATA, alignment_table, read
+
+SYNTH = Path(__file__).resolve().parent.parent / "bench" / "synth.py"
 
 
 def pair(src, tgt):
@@ -185,13 +189,90 @@ def test_ibm1_memory_grows_under_8_bytes_a_link():
     assert peak(800) - peak(400) <= 8 * added_links
 
 
-def test_ibm1_footprint_counts_links_and_the_largest_block(monkeypatch):
+def links_estimate(pairs):
+    """The memory estimate align-train checked before ibm1_train checked its
+    own: 4 bytes a link, 40 a token (the NULL left out) and 64 a link of
+    the largest block."""
+    tokens = links = widest = 0
+    for p in pairs:
+        m, n = len(p.src_tokens), len(p.tgt_tokens)
+        tokens += m + n
+        links += m * (n + 1)
+        widest = max(widest, m * (n + 1))
+    return 4 * links + 40 * tokens + 64 * min(links, max(widest, alignment.BLOCK_LINKS))
+
+
+def refusal(monkeypatch, pairs, *memory):
+    """What ibm1_train refuses with when physical memory reads ``memory[k]``
+    at its k-th check, or None when it trains."""
+    readings = iter(memory)
+    monkeypatch.setattr(malloc, "physical_memory", lambda: next(readings))
+    try:
+        ibm1_train(pairs, iterations=1)
+    except AlignmentError as exc:
+        return str(exc)
+    return None
+
+
+def test_ibm1_train_refuses_exactly_above_its_links_estimate(monkeypatch):
     pairs = [pair("a b", "x y z"), pair("a", "x")]
-    monkeypatch.setattr(alignment, "BLOCK_LINKS", 8)
-    links, needed = alignment.ibm1_footprint(pairs)
-    assert links == 2 * 4 + 1 * 2
-    monkeypatch.setattr(alignment, "BLOCK_LINKS", 1)  # the 8-link pair is still a block
-    assert alignment.ibm1_footprint(pairs) == (links, needed)
+    needed = 4 * 10 + 40 * 7 + 64 * 8  # 10 links, 7 tokens, a block of 8 links
+    for block_links in (8, 1):  # at 1 the 8-link pair is still a block
+        monkeypatch.setattr(alignment, "BLOCK_LINKS", block_links)
+        assert refusal(monkeypatch, pairs, needed, needed + 2**20) is None
+        assert refusal(monkeypatch, pairs, needed - 1) == (
+            "aligning its 2 pairs (10 links) needs about 0.0 GiB, more than the 0.0 GiB "
+            "of physical memory")
+
+
+def prep_bitext(seed=3):
+    """The bitext of the benchmark's prep-large-vocab inputs."""
+    spec = importlib.util.spec_from_file_location("bench_synth", SYNTH)
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    files = synth.prep_corpus(seed, lexicon_size=1500, pairs=5000, sentences=2500, tagged=2500)
+    return read_parallel_corpus(files["bitext.txt"])
+
+
+def test_links_estimate_keeps_the_old_threshold(monkeypatch):
+    wide = pair(" ".join(f"s{i}" for i in range(256)), " ".join(f"t{i}" for i in range(256)))
+    assert 256 * 257 > alignment.BLOCK_LINKS
+    for pairs in (read_parallel_corpus(read(DATA / "bitext.txt")), prep_bitext(),
+                  [pair("a b", "x"), wide, pair("c", "y z")]):
+        needed = links_estimate(pairs)
+        assert "links) needs" in refusal(monkeypatch, pairs, needed - 1)
+        assert "table entries) needs" in refusal(monkeypatch, pairs, needed, 0)
+
+
+def distinct_pairs(n, width=20):
+    """``n`` pairs of ``width`` words a side, no word used twice."""
+    return [ParallelPair(tuple(f"s{p}.{i}" for i in range(width)),
+                         tuple(f"t{p}.{i}" for i in range(width))) for p in range(n)]
+
+
+def test_ibm1_train_counts_the_table_entries(monkeypatch):
+    # 42 000 links, each its own entry, and 2 000 source words: the table,
+    # not the links, sets the peak
+    monkeypatch.setattr(alignment, "BLOCK_LINKS", 2**10)
+    pairs = distinct_pairs(100)
+    links = links_estimate(pairs)
+    full = (links + 42_000 * alignment._ENTRY_BYTES + 2_000 * alignment._SOURCE_BYTES)
+    assert refusal(monkeypatch, pairs, full, full) is None
+    assert refusal(monkeypatch, pairs, full - 1, full - 1).startswith(
+        "aligning its 100 pairs (42,000 links, 42,000 table entries) needs about")
+    log = []
+    monkeypatch.setattr(malloc, "physical_memory", lambda: (links + full) // 2)
+    with pytest.raises(AlignmentError, match="table entries"):
+        ibm1_train(pairs, iterations=1, log=log)
+    assert log == []  # refused before the EM
+    monkeypatch.setattr(malloc, "physical_memory", lambda: full)
+    tracemalloc.start()
+    try:
+        ibm1_train(pairs, iterations=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= full <= 1.5 * peak
 
 
 def test_best_target_scores_unseen_pairs_at_the_floor():

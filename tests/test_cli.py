@@ -92,20 +92,37 @@ def test_align_train_has_no_lowercase_flag(toy, capsys):
 
 
 def test_align_train_that_cannot_fit_exits_2_before_training(toy, capsys, monkeypatch):
-    from xsrl import cli
-    from xsrl.model import training
+    import numpy as np
+
+    from xsrl import malloc
 
     def never(*args, **kwargs):
-        raise AssertionError("ibm1_train called")
+        raise AssertionError("the entries were numbered")
 
-    monkeypatch.setattr(training, "_physical_memory", lambda: 2**16)
-    monkeypatch.setattr(cli, "ibm1_train", never)
+    monkeypatch.setattr(malloc, "physical_memory", lambda: 2**16)
+    monkeypatch.setattr(np, "argsort", never)
     assert run("align-train", "--parallel", toy / "bitext.txt", "--out", toy / "t.tsv") == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"xsrl: error: --parallel {toy / 'bitext.txt'}: aligning its 200 pairs "
+    assert err.startswith(f"xsrl: error: {toy / 'bitext.txt'}: aligning its 200 pairs "
                           f"(13,078 links) needs about ")
     assert "GiB" in err
     assert not (toy / "t.tsv").exists()
+
+
+def test_align_train_counts_the_table_entries(tmp_path, capsys, monkeypatch):
+    from xsrl import malloc
+
+    # 20 distinct words a side in each of 100 pairs: every link its own entry
+    lines = [" ".join(f"s{p}.{i}" for i in range(20)) + " ||| "
+             + " ".join(f"t{p}.{i}" for i in range(20)) for p in range(100)]
+    (tmp_path / "bitext.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(malloc, "physical_memory", lambda: 2**22)  # 4 MB
+    assert run("align-train", "--parallel", tmp_path / "bitext.txt",
+               "--out", tmp_path / "t.tsv") == 2
+    assert capsys.readouterr().err.startswith(
+        f"xsrl: error: {tmp_path / 'bitext.txt'}: aligning its 100 pairs (42,000 links, "
+        "42,000 table entries) needs about ")
+    assert not (tmp_path / "t.tsv").exists()
 
 
 def test_data_prep_never_imports_numpy_ma(toy):
@@ -305,12 +322,12 @@ def test_similarity_csv(toy, capsys):
 
 def test_sweep_alpha_dedup_and_counts(toy, capsys):
     _prepare(toy)
+    capsys.readouterr()
     assert run("sweep-alpha", "--src", toy / "en_srl.conllu",
                "--translations", toy / "de_trans.conllu",
                "--table", toy / "table.tsv", "--posdist", toy / "pos.tsv",
                "--alphas", "0,1,1", "--out", toy / "sweep.csv") == 0
-    err = capsys.readouterr().err
-    assert "duplicate alpha" in err
+    assert capsys.readouterr().err == "xsrl: warning: duplicate alpha 1.0 ignored\n"
     rows = (toy / "sweep.csv").read_text().splitlines()
     assert len(rows) == 3  # header + two unique alphas
     header = rows[0].split(",")
@@ -501,9 +518,9 @@ def test_non_finite_training_exits_3(toy, variant):
 
 
 def test_flagless_default_model_exits_2_before_allocating(toy, capsys, monkeypatch):
-    from xsrl.model import training
+    from xsrl import malloc
 
-    monkeypatch.setattr(training, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(malloc, "physical_memory", lambda: 8 * 2**30)
     assert run("train", "--train-file", toy / "de_dev.conllu", "--out", toy / "m.bin") == 2
     err = capsys.readouterr().err
     assert "GiB" in err and "--hidden" in err and "--lang-dim" in err

@@ -278,12 +278,13 @@ def test_non_finite_loss_stops_training(mixed_corpus, bad):
 
 
 def test_memory_preflight_refuses_default_model(mixed_corpus, monkeypatch):
+    from xsrl import malloc
     from xsrl.model import training
 
     def no_allocation(*args, **kwargs):
         raise AssertionError("the preflight must run before any allocation")
 
-    monkeypatch.setattr(training, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(malloc, "physical_memory", lambda: 8 * 2**30)
     monkeypatch.setattr(training, "init_model", no_allocation)
     with pytest.raises(ModelError, match=r"about 2\d\.\d GiB .*--hidden, --layers"):
         train(mixed_corpus, ModelConfig())

@@ -7,6 +7,7 @@ time, and an error found in a later batch reads as it would in the first.
 of 50 sentences spans many batches of each.
 """
 
+import gc
 import importlib.util
 import tracemalloc
 from pathlib import Path
@@ -68,8 +69,8 @@ def prepared(tmp_path):
 
 
 def _project(work: Path, command="project", src="en_srl.conllu",
-             translations="de_trans.conllu") -> list[str]:
-    alphas = ["--alpha", "0.4"] if command == "project" else ["--alphas", "0.2,0.6"]
+             translations="de_trans.conllu", alphas="0.2,0.6") -> list[str]:
+    alphas = ["--alpha", "0.4"] if command == "project" else ["--alphas", alphas]
     return [command, "--src", str(work / src), "--translations", str(work / translations),
             "--table", str(work / "table.tsv"), "--posdist", str(work / "pos.tsv"),
             *alphas, "--out", str(work / "out")]
@@ -195,9 +196,43 @@ def test_a_fault_after_the_shorter_file_ends_is_still_found(prepared, capsys, ba
         f"xsrl: error: {prepared / 'bad.conllu'}: line {at + 1}: HEAD 'x' is not an integer\n")
 
 
+@pytest.mark.parametrize("fault", ["translations-line-3", "translations-not-a-corpus",
+                                   "src-line-3"])
+@pytest.mark.parametrize("command", ["project", "sweep-alpha"])
+def test_a_failed_projection_closes_its_inputs(prepared, capsys, monkeypatch, command, fault):
+    """Every input file that a failed projection opened is closed by the
+    time ``main`` returns, with the cyclic collector off."""
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    name = "en_srl.conllu" if fault.startswith("src") else "de_trans.conllu"
+    lines = read(prepared / name).split("\n")
+    lines[2] = _set_field(lines[2], 6, "x")  # line 3, the first token line
+    (prepared / "bad.conllu").write_text("\n".join(lines), encoding="utf-8")
+    bad = {"translations-line-3": dict(translations="bad.conllu"),
+           "translations-not-a-corpus": dict(translations=str(DATA / "bitext.txt")),
+           "src-line-3": dict(src="bad.conllu")}[fault]
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    capsys.readouterr()
+    gc.disable()
+    try:
+        assert cli.main(_project(prepared, command, **bad)) == 2
+        assert str(prepared / bad.get("src", "en_srl.conllu")) in [fh.name for fh in opened]
+        assert all(fh.closed for fh in opened)
+    finally:
+        gc.enable()
+
+
 # (command, the flags of a run on the files "src" and "translations")
 STREAMED = {
     "project": lambda work: _project(work, src="src", translations="translations"),
+    "sweep-alpha": lambda work: _project(work, "sweep-alpha", src="src",
+                                         translations="translations",
+                                         alphas=",".join(str(i / 40) for i in range(41))),
     "stats": lambda work: ["stats", "--input", str(work / "src"), "--out", str(work / "out")],
     "fit-pos": lambda work: ["fit-pos", "--tagged", str(work / "translations"),
                              "--out", str(work / "out")],
@@ -209,7 +244,8 @@ def test_memory_does_not_grow_with_the_corpus(prepared, capsys, command):
     """The traced peak of a command on the toy corpora repeated 16 times is
     at most 1 KB a sentence pair above its peak on them repeated 4 times:
     the corpora are never held whole.  ``project`` holds its output, about
-    a third of that."""
+    a third of that; ``sweep-alpha``, at 41 thresholds and without
+    ``--train``, holds no cut sentences."""
     texts = {name: read(DATA / f"{name}.conllu") for name in ("en_srl", "de_trans")}
     pairs = len(parse_srl_corpus(texts["en_srl"]).sentences)
 
